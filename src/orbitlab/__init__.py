@@ -48,7 +48,7 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-# heavier submodules (numba-backed scans, the CLI) load on first attribute
+# heavier submodules (orbit scans, the CLI) load on first attribute
 # access so that `import orbitlab` stays light
 _LAZY_SUBMODULES = ("symbolops", "orbits", "criteria", "fhbuilder", "expcli")
 

@@ -1,49 +1,18 @@
-"""Hot scan kernels in two interchangeable backends.
-
-Every kernel exists twice: a numba ``@njit`` version and a pure-numpy
-fallback. ``ORBITLAB_BACKEND=numpy`` (or ``numba``) in the environment pins
-the choice; the default picks numba when it imports. Both backends are
-bit-for-bit equivalent on integer outputs and agree to float rounding on
-distances, which the test suite checks directly.
+"""Hot scan kernels, one numpy implementation each.
 
 Kernel families:
-  * packed-bitset progression scans (shifted-AND intersection, plus a
-    member-probe path for sparse sets),
+  * packed-bitset progression scans (shifted-AND intersection for dense
+    sets, a member-probe path for sparse sets),
   * orbit distance scans for scaled shift powers (factorized fast path for
     index-independent weights, cumulative-sum path for general weights).
+
+Callers reach these through the module attribute (``_kernels.ap_scan``), so
+a profiler can wrap a kernel by rebinding its name here.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:  # pragma: no cover - exercised through the backend switch
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def deco(fn):
-            return fn
-
-        return deco if not (args and callable(args[0])) else args[0]
-
-
-def active_backend() -> str:
-    """Resolve the kernel backend from ORBITLAB_BACKEND (auto/numba/numpy)."""
-    env = os.environ.get("ORBITLAB_BACKEND", "auto").strip().lower()
-    if env in ("numpy", "python"):
-        return "numpy"
-    if env == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("ORBITLAB_BACKEND=numba but numba is unavailable")
-        return "numba"
-    return "numba" if HAVE_NUMBA else "numpy"
-
 
 # ---------------------------------------------------------------------------
 # packed bitsets: bit i of words (little-endian within uint64) <=> integer i
@@ -61,7 +30,7 @@ def unpack_bits(words: np.ndarray, nbits: int) -> np.ndarray:
     return np.flatnonzero(bits[: nbits + 1]).astype(np.int64)
 
 
-def _shift_down_np(words: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
+def _shift_down(words: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
     """out bit i = words bit (i + s); vacated high bits are zero."""
     n = words.shape[0]
     q, r = divmod(int(s), 64)
@@ -76,37 +45,14 @@ def _shift_down_np(words: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def progression_all_np(words: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def _progression_all(words: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Bitset of starts a with bit (a + off) set for every offset."""
     acc = words.copy()
     tmp = np.empty_like(words)
     for s in offsets:
-        acc &= _shift_down_np(words, int(s), tmp)
+        acc &= _shift_down(words, int(s), tmp)
         if not acc.any():
             break
-    return acc
-
-
-@njit(cache=True, nogil=True)
-def progression_all_nb(words, offsets, acc):  # pragma: no cover - jitted
-    n = words.shape[0]
-    for w in range(n):
-        v = words[w]
-        if v != np.uint64(0):
-            for t in range(offsets.shape[0]):
-                s = offsets[t]
-                q = s // 64
-                r = np.uint64(s % 64)
-                iw = w + q
-                sv = np.uint64(0)
-                if iw < n:
-                    sv = words[iw] >> r
-                    if r != np.uint64(0) and iw + 1 < n:
-                        sv |= words[iw + 1] << (np.uint64(64) - r)
-                v &= sv
-                if v == np.uint64(0):
-                    break
-        acc[w] = v
     return acc
 
 
@@ -119,93 +65,34 @@ def _first_bit(acc: np.ndarray) -> int:
     return 64 * w + ((v & -v).bit_length() - 1)
 
 
-@njit(cache=True, nogil=True)
-def ap_scan_dense_nb(words, nbits, m, tau, k_lo, k_hi):  # pragma: no cover
-    n = words.shape[0]
-    for k in range(k_lo, k_hi + 1):
-        for w in range(n):
-            v = words[w]
-            if v == np.uint64(0):
-                continue
-            for j in range(1, m + 1):
-                s = j * tau * k
-                q = w + s // 64
-                r = np.uint64(s % 64)
-                sv = np.uint64(0)
-                if q < n:
-                    sv = words[q] >> r
-                    if r != np.uint64(0) and q + 1 < n:
-                        sv |= words[q + 1] << (np.uint64(64) - r)
-                v &= sv
-                if v == np.uint64(0):
-                    break
-            if v != np.uint64(0):
-                a = 64 * w
-                while v & np.uint64(1) == np.uint64(0):
-                    v >>= np.uint64(1)
-                    a += 1
-                if a + m * tau * k <= nbits:
-                    return k, a
-        # no start for this k
-    return -1, -1
-
-
-@njit(cache=True, nogil=True)
-def ap_scan_sparse_nb(words, members, nbits, m, tau, k_lo, k_hi):  # pragma: no cover
+def _ap_scan_sparse(members, nbits, m, tau, k_lo, k_hi) -> tuple[int, int]:
+    """Probe each member as a start through a boolean lookup table."""
+    lookup = np.zeros(nbits + 1, dtype=bool)
+    lookup[members] = True
     for k in range(k_lo, k_hi + 1):
         span = m * tau * k
-        for u in range(members.shape[0]):
-            a = members[u]
-            if a + span > nbits:
+        valid = members[members + span <= nbits]
+        if valid.size == 0:
+            continue
+        ok = np.ones(valid.shape, dtype=bool)
+        for j in range(1, m + 1):
+            ok &= lookup[valid + j * tau * k]
+            if not ok.any():
                 break
-            ok = True
-            for j in range(1, m + 1):
-                b = a + j * tau * k
-                if (words[b // 64] >> np.uint64(b % 64)) & np.uint64(1) == np.uint64(0):
-                    ok = False
-                    break
-            if ok:
-                return k, a
+        if ok.any():
+            return k, int(valid[np.argmax(ok)])
     return -1, -1
 
 
-def ap_scan_np(
-    words: np.ndarray,
-    members: np.ndarray,
-    nbits: int,
-    m: int,
-    tau: int,
-    k_lo: int,
-    k_hi: int,
-    sparse: bool,
-) -> tuple[int, int]:
-    if sparse:
-        lookup = np.zeros(nbits + 1, dtype=bool)
-        lookup[members] = True
-        for k in range(k_lo, k_hi + 1):
-            span = m * tau * k
-            valid = members[members + span <= nbits]
-            if valid.size == 0:
-                continue
-            ok = np.ones(valid.shape, dtype=bool)
-            for j in range(1, m + 1):
-                ok &= lookup[valid + j * tau * k]
-                if not ok.any():
-                    break
-            if ok.any():
-                return k, int(valid[np.argmax(ok)])
-        return -1, -1
+def _ap_scan_dense(words, nbits, m, tau, k_lo, k_hi) -> tuple[int, int]:
+    """Intersect the bitset with its shifts by j*tau*k, one k at a time."""
     tmp = np.empty_like(words)
     for k in range(k_lo, k_hi + 1):
         acc = words.copy()
-        empty = False
         for j in range(1, m + 1):
-            acc &= _shift_down_np(words, j * tau * k, tmp)
+            acc &= _shift_down(words, j * tau * k, tmp)
             if not acc.any():
-                empty = True
                 break
-        if empty:
-            continue
         a = _first_bit(acc)
         if a >= 0 and a + m * tau * k <= nbits:
             return k, a
@@ -224,14 +111,9 @@ def ap_scan(
     """Smallest k in [k_lo, k_hi], then smallest a, with a + j*tau*k all set."""
     if k_hi < k_lo or members.size == 0:
         return -1, -1
-    sparse = members.size * 64 < nbits
-    if active_backend() == "numba":
-        if sparse:
-            k, a = ap_scan_sparse_nb(words, members, nbits, m, tau, k_lo, k_hi)
-        else:
-            k, a = ap_scan_dense_nb(words, nbits, m, tau, k_lo, k_hi)
-        return int(k), int(a)
-    return ap_scan_np(words, members, nbits, m, tau, k_lo, k_hi, sparse)
+    if members.size * 64 < nbits:
+        return _ap_scan_sparse(members, nbits, m, tau, k_lo, k_hi)
+    return _ap_scan_dense(words, nbits, m, tau, k_lo, k_hi)
 
 
 def progression_members(words: np.ndarray, nbits: int, offsets: np.ndarray) -> np.ndarray:
@@ -239,12 +121,7 @@ def progression_members(words: np.ndarray, nbits: int, offsets: np.ndarray) -> n
     offsets = np.asarray(offsets, dtype=np.int64)
     if offsets.size == 0:
         return unpack_bits(words, nbits)
-    if active_backend() == "numba":
-        acc = np.empty_like(words)
-        progression_all_nb(words, offsets, acc)
-    else:
-        acc = progression_all_np(words, offsets)
-    starts = unpack_bits(acc, nbits)
+    starts = unpack_bits(_progression_all(words, offsets), nbits)
     limit = nbits - int(offsets.max())
     return starts[starts <= limit]
 
@@ -259,7 +136,7 @@ def progression_members(words: np.ndarray, nbits: int, offsets: np.ndarray) -> n
 # Rows where any single coefficient exceeds log_cap = log(|y| + eps) are
 # reported as +inf without materializing floats (overflow pre-filter).
 
-def flat_orbit_dist2_np(
+def flat_orbit_dist2(
     n_arr,
     scale_lm,
     scale_ph,
@@ -297,79 +174,7 @@ def flat_orbit_dist2_np(
     return np.where(overflow, np.inf, acc)
 
 
-@njit(cache=True, nogil=True)
-def flat_orbit_dist2_nb(
-    n_arr,
-    scale_lm,
-    scale_ph,
-    sup_idx,
-    sup_lm,
-    sup_ph,
-    pos,
-    pos_lo,
-    prefix_lse,
-    suffix_lse,
-    w_lo,
-    w_hi,
-    y_re,
-    y_im,
-    log_cap,
-    unilateral,
-):  # pragma: no cover - jitted
-    m = n_arr.shape[0]
-    ns = sup_idx.shape[0]
-    out = np.empty(m)
-    for t in range(m):
-        n = n_arr[t]
-        a = scale_lm[t]
-        # tail above the window
-        lo, hi = 0, ns
-        key = n + w_hi
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if sup_idx[mid] <= key:
-                lo = mid + 1
-            else:
-                hi = mid
-        acc = np.exp(2.0 * a + suffix_lse[lo])
-        if not unilateral:
-            lo2, hi2 = 0, ns
-            key2 = n + w_lo
-            while lo2 < hi2:
-                mid = (lo2 + hi2) // 2
-                if sup_idx[mid] < key2:
-                    lo2 = mid + 1
-                else:
-                    hi2 = mid
-            acc += np.exp(2.0 * a + prefix_lse[lo2])
-        bad = False
-        for j in range(w_lo, w_hi + 1):
-            p = pos[n + j - pos_lo]
-            yr = y_re[j - w_lo]
-            yi = y_im[j - w_lo]
-            if p >= 0:
-                lm = a + sup_lm[p]
-                if lm > log_cap:
-                    bad = True
-                    break
-                mag = np.exp(lm)
-                ph = scale_ph[t] + sup_ph[p]
-                dre = mag * np.cos(ph) - yr
-                dim = mag * np.sin(ph) - yi
-                acc += dre * dre + dim * dim
-            else:
-                acc += yr * yr + yi * yi
-        out[t] = np.inf if bad else acc
-    return out
-
-
-def flat_orbit_dist2(*args):
-    if active_backend() == "numba":
-        return flat_orbit_dist2_nb(*args)
-    return flat_orbit_dist2_np(*args)
-
-
-def general_orbit_dist2_np(
+def general_orbit_dist2(
     n_arr,
     scale_lm,
     scale_ph,
@@ -416,90 +221,3 @@ def general_orbit_dist2_np(
             acc += np.sum(cre[~inwin] ** 2 + cim[~inwin] ** 2)
             out[t] = acc
     return out
-
-
-@njit(cache=True, nogil=True)
-def general_orbit_dist2_nb(
-    n_arr,
-    scale_lm,
-    scale_ph,
-    sup_idx,
-    sup_lm,
-    sup_ph,
-    cum,
-    cum_lo,
-    w_lo,
-    w_hi,
-    y_re,
-    y_im,
-    y_norm2,
-    log_cap,
-    unilateral,
-):  # pragma: no cover - jitted
-    m = n_arr.shape[0]
-    ns = sup_idx.shape[0]
-    out = np.empty(m)
-    for t in range(m):
-        n = n_arr[t]
-        start = 0
-        if unilateral:
-            lo, hi = 0, ns
-            key = n + w_lo
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if sup_idx[mid] < key:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            start = lo
-        acc = y_norm2
-        bad = False
-        for u in range(start, ns):
-            i = sup_idx[u]
-            lm = scale_lm[t] + (cum[i - cum_lo] - cum[i - n - cum_lo]) + sup_lm[u]
-            if lm > log_cap:
-                bad = True
-                break
-            mag = np.exp(lm)
-            ph = scale_ph[t] + sup_ph[u]
-            cre = mag * np.cos(ph)
-            cim = mag * np.sin(ph)
-            j = i - n
-            if w_lo <= j <= w_hi:
-                yr = y_re[j - w_lo]
-                yi = y_im[j - w_lo]
-                acc += (cre - yr) ** 2 + (cim - yi) ** 2 - yr * yr - yi * yi
-            else:
-                acc += cre * cre + cim * cim
-        out[t] = np.inf if bad else acc
-    return out
-
-
-def general_orbit_dist2(*args):
-    if active_backend() == "numba":
-        return general_orbit_dist2_nb(*args)
-    return general_orbit_dist2_np(*args)
-
-
-def warm_kernels() -> None:
-    """Compile (or load from cache) every njit kernel with token inputs."""
-    if not HAVE_NUMBA:
-        return
-    words = pack_bitset(np.array([1, 3, 5], dtype=np.int64), 8)
-    ap_scan_dense_nb(words, 8, 1, 1, 1, 2)
-    ap_scan_sparse_nb(words, np.array([1, 3, 5], dtype=np.int64), 8, 1, 1, 1, 2)
-    progression_all_nb(words, np.array([2], dtype=np.int64), np.empty_like(words))
-    n_arr = np.array([1], dtype=np.int64)
-    z1 = np.zeros(1)
-    sup = np.array([2], dtype=np.int64)
-    pos = np.full(8, -1, dtype=np.int64)
-    pos[2] = 0
-    lse = np.array([0.0, -np.inf])
-    y = np.zeros(1)
-    flat_orbit_dist2_nb(
-        n_arr, z1, z1, sup, z1, z1, pos, 0, lse, lse, 1, 1, y, y, 10.0, True
-    )
-    cum = np.zeros(4)
-    general_orbit_dist2_nb(
-        n_arr, z1, z1, sup, z1, z1, cum, -1, 1, 1, y, y, 0.0, 10.0, True
-    )

@@ -2,10 +2,9 @@
 
 Scenarios E1-E7 reproduce the catalogue of worked examples end to end and
 emit a JSON report plus CSV artifacts. Reports are byte-deterministic:
-no timestamps, no absolute paths, no wall-clock stats, and scan results are
-independent of the worker count by construction (fixed chunk grid, ordered
-merge). Exit codes: 0 ok, 2 config/schema error, 3 scenario assertion
-failed, 4 resource cap exceeded.
+no timestamps, no absolute paths, no wall-clock stats, and every scan runs
+over the same fixed chunk grid, merged in order. Exit codes: 0 ok,
+2 config/schema error, 3 scenario assertion failed, 4 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -267,7 +266,7 @@ def _coeffwise_close(x: CoefVec, y: CoefVec, tol: float) -> bool:
     return bool(np.all(dphase <= tol))
 
 
-def run_e1(cfg: dict, outdir: Path, workers: int) -> dict:
+def run_e1(cfg: dict, outdir: Path) -> dict:
     """Geometric bad sequence: lam_n = w^{2n} with T = (1/w)B, w = a^{-1/2}."""
     a = _complex_from(cfg.get("a", 0.25))
     if not 0 < abs(a) < 1:
@@ -289,7 +288,7 @@ def run_e1(cfg: dict, outdir: Path, workers: int) -> dict:
 
     e1 = CoefVec.basis(Side.UNILATERAL, 1)
     v = build(lam, T, [(e1, float(cfg.get("eps", 1e-3)))], N)
-    pairs = verify_fu(v, workers=workers)
+    pairs = verify_fu(v)
     h, ds = pairs[0]
 
     rep_decay = norm_decay_check(T, CoefVec.basis(Side.UNILATERAL, 5), 200)
@@ -320,7 +319,7 @@ def run_e1(cfg: dict, outdir: Path, workers: int) -> dict:
     }
 
 
-def run_e2(cfg: dict, outdir: Path, workers: int) -> dict:
+def run_e2(cfg: dict, outdir: Path) -> dict:
     """Factorial bad sequence: lam_n = n! with the unweighted shift."""
     N = int(cfg.get("N", 2000))
     scan_N = int(cfg.get("recurrence_N", 500))
@@ -329,7 +328,7 @@ def run_e2(cfg: dict, outdir: Path, workers: int) -> dict:
     T = ShiftOp(Side.UNILATERAL, WeightSeq.constant(1.0))
     e1 = CoefVec.basis(Side.UNILATERAL, 1)
     v = build(lam, T, [(e1, float(cfg.get("eps", 1e-3)))], N)
-    pairs = verify_fu(v, workers=workers)
+    pairs = verify_fu(v)
     h, ds = pairs[0]
 
     eps_rec = 0.5 * norm(v.x)
@@ -359,7 +358,7 @@ def run_e2(cfg: dict, outdir: Path, workers: int) -> dict:
     }
 
 
-def run_e3(cfg: dict, outdir: Path, workers: int) -> dict:
+def run_e3(cfg: dict, outdir: Path) -> dict:
     """Even/odd blocks lam_{2n} = 2^n: frequent universality along the evens.
 
     The even-index subspace identifies with the full space by e_{2k} -> e_k,
@@ -374,7 +373,7 @@ def run_e3(cfg: dict, outdir: Path, workers: int) -> dict:
     e1 = CoefVec.basis(Side.UNILATERAL, 1)
     n_comp = N // 2
     v = build(ScalingSeq.constant(1.0), T2, [(e1, float(cfg.get("eps", 1e-3)))], n_comp)
-    pairs = verify_fu(v, workers=workers)
+    pairs = verify_fu(v)
     h_comp, ds = pairs[0]
 
     # map back: x_{2k} = v_k; orbit times 2n hit the ball around e_2
@@ -418,7 +417,7 @@ def run_e3(cfg: dict, outdir: Path, workers: int) -> dict:
     }
 
 
-def run_e4(cfg: dict, outdir: Path, workers: int) -> dict:
+def run_e4(cfg: dict, outdir: Path) -> dict:
     """Universal-but-not-hypercyclic bilateral shift: product test must fail."""
     n_max = int(cfg.get("N", 10**4))
     _check_caps(n_max)
@@ -440,7 +439,7 @@ def run_e4(cfg: dict, outdir: Path, workers: int) -> dict:
     }
 
 
-def run_e5(cfg: dict, outdir: Path, workers: int) -> dict:
+def run_e5(cfg: dict, outdir: Path) -> dict:
     """Mixing but not frequently hypercyclic: sqrt-ratio weights."""
     n_max = int(cfg.get("N", 10**6))
     _check_caps(n_max)
@@ -470,7 +469,7 @@ def run_e5(cfg: dict, outdir: Path, workers: int) -> dict:
     }
 
 
-def run_e6(cfg: dict, outdir: Path, workers: int) -> dict:
+def run_e6(cfg: dict, outdir: Path) -> dict:
     """Full pipeline: builder, hitting sets, progression search, witness."""
     N = int(cfg.get("N", 10**5))
     _check_caps(N)
@@ -487,7 +486,7 @@ def run_e6(cfg: dict, outdir: Path, workers: int) -> dict:
         for s in cfg.get("targets", ["e(1)", "e(1)+e(2)", "e(2)"])
     ]
     v = build(lam, T2, targets, N, g=g)
-    pairs = verify_fu(v, workers=workers)
+    pairs = verify_fu(v)
 
     arts: dict = {"fu_vector": vector_csv(outdir, "fu_vector.csv", v.x)}
     density_tables = {}
@@ -508,8 +507,7 @@ def run_e6(cfg: dict, outdir: Path, workers: int) -> dict:
 
     center = cfg.get("witness_center", "e(1)")
     out = mr_witness_search(
-        v.x, lam, T2, Ball(parse_vector(center), eps_wit), m_wit, tau, N,
-        workers=workers,
+        v.x, lam, T2, Ball(parse_vector(center), eps_wit), m_wit, tau, N
     )
     if not out:
         raise ScenarioError(f"witness search failed: {out.diagnostics}")
@@ -551,7 +549,7 @@ E7_EXPECTED = {
 }
 
 
-def run_e7(cfg: dict, outdir: Path, workers: int) -> dict:
+def run_e7(cfg: dict, outdir: Path) -> dict:
     """Adjoint-multiplier classification for the catalogue symbols."""
     symbols = {
         "z/2": PolySymbol((0, 0.5)),
@@ -594,11 +592,11 @@ SCENARIOS = {
 }
 
 
-def run_scenario(cfg: dict, outdir: Path, workers: int = 1) -> dict:
+def run_scenario(cfg: dict, outdir: Path) -> dict:
     sid = _require(cfg, "scenario", str).upper()
     if sid not in SCENARIOS:
         raise ConfigError(f"unknown scenario {sid!r}")
-    body = SCENARIOS[sid](cfg, outdir, workers)
+    body = SCENARIOS[sid](cfg, outdir)
     report = {
         "format": "orbitlab-report-v1",
         "scenario": sid,
@@ -638,9 +636,9 @@ def _verify_certificate(cert: dict, report_dir: Path) -> bool:
         members = cert["a"] + cert["tau"] * cert["k"] * np.arange(cert["m"] + 1)
         return bool(np.all(np.isin(members, hits)))
     if kind == "mr_witness":
-        u = read_vector_csv(report_dir / cert["u_artifact"], Side.UNILATERAL)
         T = operator_from_config(cert["operator"])
-        y = parse_vector(cert["center"])
+        u = read_vector_csv(report_dir / cert["u_artifact"], T.side)
+        y = parse_vector(cert["center"], T.side)
         for j in range(cert["m"] + 1):
             if not dist(T.power_apply(j * cert["ell"], u), y) < cert["radius"]:
                 return False
@@ -723,7 +721,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--config", help="JSON config path")
     p.add_argument("--scenario", help="scenario id (built-in defaults)")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("classify-seq", help="ratio-classify a scaling sequence")
     _add_seq_flags(p)
@@ -761,12 +758,10 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("build-fu", help="build a frequently-universal vector")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default="out")
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("mr-witness", help="multiple-recurrence witness search")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default="out")
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("classify-symbol", help="adjoint-multiplier class of a symbol")
     p.add_argument("--coeffs", required=True,
@@ -793,7 +788,7 @@ def _dispatch(ns) -> int:
     if ns.cmd == "run":
         overrides = {"scenario": ns.scenario} if ns.scenario else {}
         cfg = _load_config(ns.config, overrides)
-        report = run_scenario(cfg, Path(ns.out), ns.workers)
+        report = run_scenario(cfg, Path(ns.out))
         print(f"scenario {report['scenario']}: ok -> {ns.out}/report.json")
         return EXIT_OK
 
@@ -855,7 +850,7 @@ def _dispatch(ns) -> int:
         v = build(lam, T, targets, N, g=cfg.get("g"), n_min=cfg.get("n_min"))
         outdir = Path(ns.out)
         arts = {"fu_vector": vector_csv(outdir, "fu_vector.csv", v.x)}
-        pairs = verify_fu(v, workers=ns.workers)
+        pairs = verify_fu(v)
         tables = {}
         for i, (h, ds) in enumerate(pairs):
             arts[f"hitting_{i}"] = hitting_csv(outdir, f"hitting_{i}.csv", h)
@@ -886,7 +881,7 @@ def _dispatch(ns) -> int:
         _check_caps(N)
         out = mr_witness_search(
             x, lam, T, ball, int(cfg.get("m", 3)), int(cfg.get("tau", 1)), N,
-            K=cfg.get("K"), workers=ns.workers,
+            K=cfg.get("K"),
         )
         if not out:
             print(f"none: {out.diagnostics}")

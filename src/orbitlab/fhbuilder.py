@@ -220,7 +220,6 @@ def build(
 def verify_fu(
     v: FUVector,
     ball_overrides: list[Ball] | None = None,
-    workers: int = 1,
 ) -> list[tuple[HittingSet, DensityStats]]:
     """Recompute hitting sets from scratch and check they cover the plan.
 
@@ -237,7 +236,6 @@ def verify_fu(
             v.op,
             ball,
             v.horizon,
-            workers=workers,
             provenance={"builder_target": str(i)},
         )
         planned = v.planned_times(i)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,7 +39,9 @@ __all__ = [
     "recurrence_scan",
 ]
 
-SCAN_CHUNK = 1 << 16  # fixed scan granularity, independent of worker count
+# scans run over a fixed grid of n-chunks so that the per-call temporaries of
+# the distance kernels stay bounded, whatever the horizon
+SCAN_CHUNK = 1 << 16
 
 
 class HittingSet:
@@ -131,18 +132,10 @@ def _prefix_lse(vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chunked(n_arr: np.ndarray, fn, workers: int) -> np.ndarray:
-    """Apply fn to fixed-size chunks of n_arr; merge in chunk order."""
-    if n_arr.size == 0:
-        return np.zeros(0)
-    bounds = list(range(0, n_arr.size, SCAN_CHUNK)) + [n_arr.size]
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    if workers <= 1 or len(spans) == 1:
-        parts = [fn(lo, hi) for lo, hi in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda s: fn(*s), spans))
-    return np.concatenate(parts)
+def _chunked(n_arr: np.ndarray, fn) -> np.ndarray:
+    """Apply fn to the fixed SCAN_CHUNK grid of n_arr; merge in chunk order."""
+    starts = range(0, n_arr.size, SCAN_CHUNK)
+    return np.concatenate([fn(lo, min(lo + SCAN_CHUNK, n_arr.size)) for lo in starts])
 
 
 def orbit_distances(
@@ -152,7 +145,6 @@ def orbit_distances(
     y: CoefVec,
     eps: float,
     n_arr: np.ndarray,
-    workers: int = 1,
 ) -> np.ndarray:
     """Squared distances dist(lam_n T^n x, y)^2 over the given orbit times.
 
@@ -219,7 +211,7 @@ def orbit_distances(
                 unilateral,
             )
 
-        return _chunked(n_arr, run, workers)
+        return _chunked(n_arr, run)
 
     # general weights: cumulative log-product array over every index touched
     scale_lm = np.where(lam_zero, -np.inf, lam_lm) + nf * pm_lm
@@ -252,7 +244,7 @@ def orbit_distances(
             unilateral,
         )
 
-    return _chunked(n_arr, run, workers)
+    return _chunked(n_arr, run)
 
 
 def hitting_set(
@@ -261,7 +253,6 @@ def hitting_set(
     T: ShiftOp,
     b: Ball,
     N: int,
-    workers: int = 1,
     provenance: dict | None = None,
 ) -> HittingSet:
     """Scan n = 1..N for lam_n T^n x inside the open ball (strict distance)."""
@@ -269,7 +260,7 @@ def hitting_set(
         raise ValueError("horizon must be >= 1")
     n_lo = max(1, lam.min_n)
     n_arr = np.arange(n_lo, N + 1, dtype=np.int64)
-    d2 = orbit_distances(x, lam, T, b.center, b.radius, n_arr, workers=workers)
+    d2 = orbit_distances(x, lam, T, b.center, b.radius, n_arr)
     hits = n_arr[d2 < b.radius * b.radius]
     if provenance is None:
         provenance = {
@@ -446,7 +437,6 @@ def mr_witness_search(
     tau: int,
     N: int,
     K: int | None = None,
-    workers: int = 1,
 ) -> MRSearchResult:
     """Search recipe: hit B(y, eps/2) along the orbit, locate an arithmetic
     progression of hit times with gap ell = tau*k, then accept the first
@@ -467,7 +457,7 @@ def mr_witness_search(
 
     y, eps = b.center, b.radius
     half = Ball(y, eps / 2.0)
-    h = hitting_set(x, lam, T, half, N, workers=workers)
+    h = hitting_set(x, lam, T, half, N)
     diag: dict = {"hits": len(h), "largest_ap": 0, "smallest_defect": math.inf}
     if len(h) == 0:
         return MRSearchResult(None, diag)

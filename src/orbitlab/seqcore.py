@@ -25,7 +25,6 @@ __all__ = [
     "SequenceDomainError",
     "log_mul",
     "eval_log",
-    "eval_window",
     "eval_at",
     "eval_log_mags",
     "ratio_classify",
@@ -496,11 +495,6 @@ def eval_at(seq: ScalingSeq, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     else:
         raise ValueError(f"unknown sequence family {f!r}")
     return lm, ph, zero
-
-
-def eval_window(seq: ScalingSeq, n_lo: int, n_hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(log_mags, phases, zero_mask) for n = n_lo .. n_hi inclusive."""
-    return eval_at(seq, np.arange(n_lo, n_hi + 1, dtype=np.int64))
 
 
 def eval_log_mags(seq: ScalingSeq, n: np.ndarray) -> np.ndarray:

@@ -129,9 +129,3 @@ class TestVerifyFU:
         wide = [Ball(e(1), 0.5)]
         h, _ = verify_fu(v, ball_overrides=wide)[0]
         assert np.all(np.isin(v.planned_times(0), h.indices))
-
-    def test_worker_counts_agree(self):
-        v = build(ONE, TWO_B, [(e(1), 1e-3)], 10**5, g=16)
-        h1 = verify_fu(v, workers=1)[0][0]
-        h4 = verify_fu(v, workers=4)[0][0]
-        assert np.array_equal(h1.indices, h4.indices)

@@ -1,31 +1,13 @@
-"""Backend equivalence: the numba kernels and the numpy fallbacks must agree."""
+"""Scan kernels against brute-force and direct-distance oracles."""
 
 import numpy as np
 import pytest
 
 from orbitlab import _kernels
-from orbitlab.lspace import Ball, CoefVec, Side
-from orbitlab.orbits import HittingSet, ap_k_members, find_ap, hitting_set, orbit_distances
+from orbitlab.lspace import CoefVec, Side
+from orbitlab.orbits import SCAN_CHUNK, HittingSet, ap_k_members, find_ap, orbit_distances
 from orbitlab.seqcore import ScalingSeq
 from orbitlab.shiftops import ShiftOp, WeightSeq
-
-pytestmark = pytest.mark.skipif(
-    not _kernels.HAVE_NUMBA, reason="numba unavailable; nothing to cross-check"
-)
-
-
-@pytest.fixture
-def numpy_backend(monkeypatch):
-    monkeypatch.setenv("ORBITLAB_BACKEND", "numpy")
-
-
-def test_backend_env_flag(monkeypatch):
-    monkeypatch.setenv("ORBITLAB_BACKEND", "numpy")
-    assert _kernels.active_backend() == "numpy"
-    monkeypatch.setenv("ORBITLAB_BACKEND", "numba")
-    assert _kernels.active_backend() == "numba"
-    monkeypatch.delenv("ORBITLAB_BACKEND")
-    assert _kernels.active_backend() == "numba"
 
 
 def test_pack_unpack_round_trip():
@@ -43,42 +25,54 @@ def test_shift_down_words():
     words = _kernels.pack_bitset(idx, 200)
     out = np.empty_like(words)
     for s in (0, 1, 5, 63, 64, 65, 128, 199):
-        _kernels._shift_down_np(words, s, out)
+        _kernels._shift_down(words, s, out)
         got = _kernels.unpack_bits(out, 200)
         want = idx[idx >= s] - s
         assert np.array_equal(got, want), s
 
 
-def _random_sets(rng, count, n_max=2000):
+def _random_sets(rng, count, n_max=2000, lo=0.05, hi=0.9):
     for _ in range(count):
-        density = rng.uniform(0.05, 0.9)
+        density = rng.uniform(lo, hi)
         idx = np.flatnonzero(rng.random(n_max) < density) + 1
         if idx.size:
             yield HittingSet(idx.astype(np.int64), n_max)
 
 
-def test_ap_scan_backends_agree(monkeypatch):
-    rng = np.random.default_rng(77)
-    for h in _random_sets(rng, 30):
+def _brute_ap(members: set, n_max: int, m: int, tau: int, K: int):
+    for k in range(1, K + 1):
+        for a in sorted(members):
+            if a + m * tau * k > n_max:
+                break
+            if all(a + j * tau * k in members for j in range(m + 1)):
+                return a, k
+    return None
+
+
+@pytest.mark.parametrize("tau", [1, 2, 3])
+def test_find_ap_matches_brute_force(tau):
+    # densities below 1/64 take the sparse member-probe path
+    rng = np.random.default_rng(77 + tau)
+    sparse = _random_sets(rng, 15, n_max=4000, lo=0.002, hi=0.012)
+    for h in [*sparse, *_random_sets(rng, 15, n_max=4000)]:
+        members = set(map(int, h.indices))
         for m in (1, 2, 3, 5):
-            tau = int(rng.integers(1, 4))
-            monkeypatch.delenv("ORBITLAB_BACKEND", raising=False)
-            w_nb = find_ap(h, m, tau)
-            monkeypatch.setenv("ORBITLAB_BACKEND", "numpy")
-            w_np = find_ap(h, m, tau)
-            assert w_nb == w_np
+            K = max(1, h.n_max // (m * tau * 4))
+            got = find_ap(h, m, tau)
+            want = _brute_ap(members, h.n_max, m, tau, K)
+            assert (None if got is None else (got.a, got.k)) == want
 
 
-def test_ap_members_backends_agree(monkeypatch):
+def test_ap_k_members_matches_brute_force():
     rng = np.random.default_rng(78)
     for h in _random_sets(rng, 10):
+        members = set(map(int, h.indices))
         k = int(rng.integers(1, 50))
         m = int(rng.integers(1, 5))
-        monkeypatch.delenv("ORBITLAB_BACKEND", raising=False)
-        a_nb = ap_k_members(h, k, m)
-        monkeypatch.setenv("ORBITLAB_BACKEND", "numpy")
-        a_np = ap_k_members(h, k, m)
-        assert np.array_equal(a_nb, a_np)
+        tau = int(rng.integers(1, 4))
+        want = [a for a in sorted(members)
+                if all(a + j * tau * k in members for j in range(1, m + 1))]
+        assert ap_k_members(h, k, m, tau).tolist() == want
 
 
 def test_sparse_and_dense_paths_agree():
@@ -87,13 +81,9 @@ def test_sparse_and_dense_paths_agree():
     idx = np.unique(rng.integers(1, 5000, size=40)).astype(np.int64)
     h = HittingSet(idx, 5000)
     words, members = h.words, h.indices
-    dense = _kernels.ap_scan_np(words, members, 5000, 2, 1, 1, 500, sparse=False)
-    sparse = _kernels.ap_scan_np(words, members, 5000, 2, 1, 1, 500, sparse=True)
+    dense = _kernels._ap_scan_dense(words, 5000, 2, 1, 1, 500)
+    sparse = _kernels._ap_scan_sparse(members, 5000, 2, 1, 1, 500)
     assert dense == sparse
-    nb_dense = _kernels.ap_scan_dense_nb(words, 5000, 2, 1, 1, 500)
-    nb_sparse = _kernels.ap_scan_sparse_nb(words, members, 5000, 2, 1, 1, 500)
-    assert (int(nb_dense[0]), int(nb_dense[1])) == dense
-    assert (int(nb_sparse[0]), int(nb_sparse[1])) == dense
 
 
 def _orbit_setup(flat: bool):
@@ -109,19 +99,6 @@ def _orbit_setup(flat: bool):
     )
     y = CoefVec.from_pairs(side, [(1, 1.0), (2, -0.5j)])
     return x, ScalingSeq.constant(1.0), T, y
-
-
-@pytest.mark.parametrize("flat", [True, False], ids=["flat", "general"])
-def test_orbit_distance_backends_agree(flat, monkeypatch):
-    x, lam, T, y = _orbit_setup(flat)
-    n_arr = np.arange(1, 300, dtype=np.int64)
-    monkeypatch.delenv("ORBITLAB_BACKEND", raising=False)
-    d_nb = orbit_distances(x, lam, T, y, 0.5, n_arr)
-    monkeypatch.setenv("ORBITLAB_BACKEND", "numpy")
-    d_np = orbit_distances(x, lam, T, y, 0.5, n_arr)
-    finite = np.isfinite(d_nb)
-    assert np.array_equal(finite, np.isfinite(d_np))
-    assert np.allclose(d_nb[finite], d_np[finite], rtol=1e-12, atol=1e-300)
 
 
 @pytest.mark.parametrize("flat", [True, False], ids=["flat", "general"])
@@ -189,11 +166,24 @@ def test_vanishing_scaling_gives_target_norm():
     assert np.allclose(d2, 4.0)
 
 
-def test_hitting_set_workers_deterministic():
-    x = CoefVec.from_pairs(Side.UNILATERAL, [(i, 2.0 ** -i) for i in range(1, 40)])
-    T = ShiftOp(Side.UNILATERAL, WeightSeq.constant(1.0), 2.0)
-    lam = ScalingSeq.constant(1.0)
-    b = Ball(CoefVec.basis(Side.UNILATERAL, 1), 0.9)
-    h1 = hitting_set(x, lam, T, b, 200000, workers=1)
-    h8 = hitting_set(x, lam, T, b, 200000, workers=8)
-    assert np.array_equal(h1.indices, h8.indices)
+def test_chunk_grid_is_invisible():
+    # one scan over more than three chunks equals, bit for bit, short scans
+    # that straddle each chunk boundary
+    import cmath
+
+    lam = ScalingSeq.power_of_w(cmath.exp(0.37j))
+    T = ShiftOp(Side.UNILATERAL, WeightSeq.constant(1.0))
+    rng = np.random.default_rng(12)
+    n_max = 3 * SCAN_CHUNK + 500
+    # half of all indices occupied, so the target window is rarely empty;
+    # magnitudes stay below |y| + eps, so the pre-filter never fires
+    idx = np.flatnonzero(rng.random(n_max + 10) < 0.5) + 1
+    lms = np.log(rng.uniform(0.01, 0.7, size=idx.size))
+    x = CoefVec.from_log_entries(Side.UNILATERAL, idx, lms, rng.uniform(-3, 3, size=idx.size))
+    y = CoefVec.from_pairs(Side.UNILATERAL, [(1, 1.0), (2, -0.5j)])
+    n_arr = np.arange(1, n_max + 1, dtype=np.int64)
+    full = orbit_distances(x, lam, T, y, 0.5, n_arr)
+    assert np.isfinite(full).all()
+    for b in range(SCAN_CHUNK, n_arr.size, SCAN_CHUNK):
+        part = orbit_distances(x, lam, T, y, 0.5, n_arr[b - 7 : b + 5])
+        assert part.tobytes() == full[b - 7 : b + 5].tobytes(), b
