@@ -10,11 +10,11 @@ over the same fixed chunk grid, merged in order. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import re
 import sys
+from operator import methodcaller
 from pathlib import Path
 
 import numpy as np
@@ -154,52 +154,94 @@ def write_report(outdir: Path, report: dict) -> Path:
     return path
 
 
-def write_csv(outdir: Path, name: str, header: list[str], rows) -> str:
+# Rows per batch when writing or parsing CSV. It bounds the temporary Python
+# lists and strings: E1 at the resource cap writes about 84 MB, and with
+# whole-file temporaries the fu_pipeline benchmark's peak RSS was about 5 MB
+# higher. Batches of 2k to 64k rows format and parse equally fast.
+CSV_BATCH_ROWS = 1 << 12
+
+
+def write_csv(outdir: Path, name: str, header: list[str], cols) -> str:
+    """Write equal-length numpy columns as CSV, one batch of rows per write.
+
+    The bytes are those of ``csv.writer`` with floats passed through
+    ``repr``: CRLF row endings, ints in decimal and floats as their shortest
+    round-trip ``repr`` (``repr(int) == str(int)``).
+    """
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / name
-    with path.open("w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    with (outdir / name).open("w", newline="") as f:
+        f.write(",".join(header) + "\r\n")
+        for lo in range(0, len(cols[0]), CSV_BATCH_ROWS):
+            cells = [map(repr, c[lo:lo + CSV_BATCH_ROWS].tolist()) for c in cols]
+            rows = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
+            f.write("\r\n".join(rows) + "\r\n")
     return name
 
 
 def hitting_csv(outdir: Path, name: str, h: HittingSet) -> str:
-    return write_csv(outdir, name, ["n"], ([int(n)] for n in h.indices))
+    return write_csv(outdir, name, ["n"], [h.indices])
 
 
 def density_csv(outdir: Path, name: str, ds) -> str:
-    rows = (
-        [int(n), int(c), repr(float(c) / float(n))]
-        for n, c in zip(ds.grid, ds.counts)
-    )
-    return write_csv(outdir, name, ["N", "count", "density"], rows)
+    # int64 / int64 divides in float64: the same doubles as float(c) / float(n)
+    density = ds.counts / ds.grid
+    return write_csv(outdir, name, ["N", "count", "density"], [ds.grid, ds.counts, density])
 
 
 def vector_csv(outdir: Path, name: str, x: CoefVec) -> str:
-    rows = (
-        [int(i), repr(float(lm)), repr(float(ph))]
-        for i, lm, ph in zip(x.indices, x.log_mags, x.phases)
+    return write_csv(
+        outdir, name, ["index", "log_mag", "phase"], [x.indices, x.log_mags, x.phases]
     )
-    return write_csv(outdir, name, ["index", "log_mag", "phase"], rows)
 
 
 def complex_vector_csv(outdir: Path, name: str, x: CoefVec) -> str:
     """Float-range dump with the documented (index, re, im) column order."""
-    vals = x.to_complex_dict()
-    rows = ([int(i), repr(v.real), repr(v.imag)] for i, v in sorted(vals.items()))
-    return write_csv(outdir, name, ["index", "re", "im"], rows)
+    vals = x.to_complex_array()
+    return write_csv(outdir, name, ["index", "re", "im"], [x.indices, vals.real, vals.imag])
+
+
+def _read_csv_columns(path: Path, wanted: dict[str, type]) -> list[np.ndarray]:
+    """Parse a whole CSV artifact into the wanted columns, found by header name.
+
+    Rows may end in LF or CRLF; blank lines are skipped. Each wanted column
+    is converted with its type (``int`` or ``float``), one batch of rows at
+    a time. A missing file or column, a row with the wrong number of cells
+    or a non-numeric cell raises ConfigError.
+    """
+    try:
+        lines = path.read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read artifact {path}: {e}") from e
+    if not lines:
+        raise ConfigError(f"artifact {path} is empty; expected a header row")
+    header = lines[0].split(",")
+    rows = list(filter(None, lines[1:]))
+    ncols = len(header)
+    if rows and set(map(methodcaller("count", ","), rows)) != {ncols - 1}:
+        raise ConfigError(f"artifact {path}: every row must have {ncols} cells")
+    for col in wanted:
+        if col not in header:
+            raise ConfigError(f"artifact {path} has no column {col!r} (header {header})")
+    out = [np.empty(len(rows), np.int64 if kind is int else np.float64)
+           for kind in wanted.values()]
+    for lo in range(0, len(rows), CSV_BATCH_ROWS):
+        cells = ",".join(rows[lo:lo + CSV_BATCH_ROWS]).split(",")
+        for arr, (col, kind) in zip(out, wanted.items()):
+            try:
+                arr[lo:lo + CSV_BATCH_ROWS] = list(map(kind, cells[header.index(col)::ncols]))
+            except (ValueError, OverflowError) as e:
+                raise ConfigError(f"artifact {path}, column {col!r}: {e}") from e
+    return out
 
 
 def read_vector_csv(path: Path, side: Side) -> CoefVec:
-    idx, lms, phs = [], [], []
-    with path.open() as f:
-        for row in csv.DictReader(f):
-            idx.append(int(row["index"]))
-            lms.append(float(row["log_mag"]))
-            phs.append(float(row["phase"]))
-    return CoefVec.from_log_entries(side, idx, lms, phs)
+    idx, lms, phs = _read_csv_columns(
+        path, {"index": int, "log_mag": float, "phase": float}
+    )
+    try:
+        return CoefVec.from_log_entries(side, idx, lms, phs)
+    except ValueError as e:
+        raise ConfigError(f"artifact {path}: {e}") from e
 
 
 def _density_table(ds) -> dict:
@@ -611,7 +653,12 @@ def run_scenario(cfg: dict, outdir: Path) -> dict:
 # report verification
 # ---------------------------------------------------------------------------
 
-def _verify_certificate(cert: dict, report_dir: Path) -> bool:
+def _close(got: float, recorded: float) -> bool:
+    """Relative 1e-9 agreement between a recomputed and a recorded value."""
+    return abs(got - recorded) <= 1e-9 * (1.0 + abs(got))
+
+
+def _verify_certificate(cert: dict, report_dir: Path, hits_cache: dict) -> bool:
     kind = cert.get("type")
     if kind == "salas":
         return SalasCertificate.from_config(cert).verify()
@@ -626,36 +673,45 @@ def _verify_certificate(cert: dict, report_dir: Path) -> bool:
             WeightSeq.from_config(cert["weights"]), cert["n_max"],
             cap=cert.get("cap") or 12.0,
         )
-        same_kind = sv.kind == cert["kind"]
-        close = abs(sv.partial_sum - cert["partial_sum"]) <= 1e-9 * (
-            1.0 + abs(sv.partial_sum)
-        )
-        return same_kind and close
+        return sv.kind == cert["kind"] and _close(sv.partial_sum, cert["partial_sum"])
     if kind == "ap_witness":
-        hits = _load_hits(report_dir / cert["hits_artifact"])
+        path = report_dir / cert["hits_artifact"]
+        if path not in hits_cache:
+            hits_cache[path] = _load_hits(path)
         members = cert["a"] + cert["tau"] * cert["k"] * np.arange(cert["m"] + 1)
-        return bool(np.all(np.isin(members, hits)))
+        return bool(np.all(np.isin(members, hits_cache[path])))
     if kind == "mr_witness":
+        try:
+            recorded = [float(d) for d in cert.get("distances", [])]
+        except (TypeError, ValueError):
+            return False
+        if len(recorded) != cert["m"] + 1:
+            return False
         T = operator_from_config(cert["operator"])
         u = read_vector_csv(report_dir / cert["u_artifact"], T.side)
         y = parse_vector(cert["center"], T.side)
-        for j in range(cert["m"] + 1):
-            if not dist(T.power_apply(j * cert["ell"], u), y) < cert["radius"]:
+        for j, rec in enumerate(recorded):
+            d = dist(T.power_apply(j * cert["ell"], u), y)
+            if not (d < cert["radius"] and _close(d, rec)):
                 return False
         return True
     return False
 
 
 def _load_hits(path: Path) -> np.ndarray:
-    with path.open() as f:
-        return np.array([int(row["n"]) for row in csv.DictReader(f)], dtype=np.int64)
+    (hits,) = _read_csv_columns(path, {"n": int})
+    return hits
 
 
 def verify_report(path: Path) -> list[tuple[str, bool]]:
-    report = json.loads(path.read_text())
+    try:
+        report = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as e:
+        raise ConfigError(f"cannot read report {path}: {e}") from e
+    hits_cache: dict[Path, np.ndarray] = {}
     results = []
     for i, cert in enumerate(report.get("certificates", [])):
-        ok = _verify_certificate(cert, path.parent)
+        ok = _verify_certificate(cert, path.parent, hits_cache)
         results.append((f"{i}:{cert.get('type')}", ok))
     return results
 
@@ -829,7 +885,10 @@ def _dispatch(ns) -> int:
 
     if ns.cmd == "ap-find":
         hits = _load_hits(Path(ns.hits))
-        h = HittingSet(hits, ns.nmax)
+        try:
+            h = HittingSet(hits, ns.nmax)
+        except ValueError as e:
+            raise ConfigError(f"hit set {ns.hits}: {e}") from e
         w = find_ap(h, ns.m, ns.tau, ns.max_k)
         if w is None:
             print("none")

@@ -125,9 +125,13 @@ class CoefVec:
             return LogScalar(float(self.log_mags[pos]), float(self.phases[pos]))
         return LogScalar(zero=True)
 
-    def to_complex_dict(self) -> dict[int, complex]:
+    def to_complex_array(self) -> np.ndarray:
+        """Entries as complex128, aligned with ``indices``."""
         self._require_float_range()
-        vals = np.exp(self.log_mags) * np.exp(1j * self.phases)
+        return np.exp(self.log_mags) * np.exp(1j * self.phases)
+
+    def to_complex_dict(self) -> dict[int, complex]:
+        vals = self.to_complex_array()
         return {int(i): complex(v) for i, v in zip(self.indices, vals)}
 
     def _require_float_range(self):
