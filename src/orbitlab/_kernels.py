@@ -1,8 +1,9 @@
 """Hot scan kernels, one numpy implementation each.
 
 Kernel families:
-  * packed-bitset progression scans (shifted-AND intersection for dense
-    sets, a member-probe path for sparse sets),
+  * progression search over a boolean member table: one start probe that
+    narrows the members offset by offset, over the gaps that can occur
+    (every k when the set has many member pairs, else the pair differences),
   * orbit distance scans for scaled shift powers (factorized fast path for
     index-independent weights, cumulative-sum path for general weights).
 
@@ -15,115 +16,62 @@ from __future__ import annotations
 import numpy as np
 
 # ---------------------------------------------------------------------------
-# packed bitsets: bit i of words (little-endian within uint64) <=> integer i
+# progressions: lookup[i] is True exactly when i is a member; members sorted
 # ---------------------------------------------------------------------------
 
-def pack_bitset(indices: np.ndarray, nbits: int) -> np.ndarray:
-    nwords = (nbits + 64) // 64
-    bits = np.zeros(nwords * 64, dtype=np.uint8)
-    bits[indices] = 1
-    return np.packbits(bits, bitorder="little").view(np.uint64)
-
-
-def unpack_bits(words: np.ndarray, nbits: int) -> np.ndarray:
-    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-    return np.flatnonzero(bits[: nbits + 1]).astype(np.int64)
-
-
-def _shift_down(words: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
-    """out bit i = words bit (i + s); vacated high bits are zero."""
-    n = words.shape[0]
-    q, r = divmod(int(s), 64)
-    out[:] = 0
-    if q >= n:
-        return out
-    if r == 0:
-        out[: n - q] = words[q:]
-    else:
-        out[: n - q] = words[q:] >> np.uint64(r)
-        out[: n - q - 1] |= words[q + 1 :] << np.uint64(64 - r)
-    return out
-
-
-def _progression_all(words: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Bitset of starts a with bit (a + off) set for every offset."""
-    acc = words.copy()
-    tmp = np.empty_like(words)
-    for s in offsets:
-        acc &= _shift_down(words, int(s), tmp)
-        if not acc.any():
+def progression_members(
+    lookup: np.ndarray, members: np.ndarray, nbits: int, offsets: np.ndarray
+) -> np.ndarray:
+    """All starts a (sorted) with a + max(offsets) <= nbits and every a + off set."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if offsets.size == 0:
+        return members
+    starts = members[members <= nbits - int(offsets.max())]
+    for off in offsets:
+        starts = starts[lookup[starts + off]]
+        if starts.size == 0:
             break
-    return acc
+    return starts
 
 
-def _first_bit(acc: np.ndarray) -> int:
-    nz = np.nonzero(acc)[0]
-    if nz.size == 0:
-        return -1
-    w = int(nz[0])
-    v = int(acc[w])
-    return 64 * w + ((v & -v).bit_length() - 1)
+def _pair_gaps(members: np.ndarray, tau: int, K: int) -> np.ndarray:
+    """Sorted unique k <= K with two members tau*k apart, one diagonal at a time."""
+    gaps = [np.zeros(0, dtype=np.int64)]
+    for i in range(1, members.size):
+        d = members[i:] - members[:-i]
+        gaps.append(d[(d <= tau * K) & (d % tau == 0)] // tau)
+    return np.unique(np.concatenate(gaps))
 
 
-def _ap_scan_sparse(members, nbits, m, tau, k_lo, k_hi) -> tuple[int, int]:
-    """Probe each member as a start through a boolean lookup table."""
-    lookup = np.zeros(nbits + 1, dtype=bool)
-    lookup[members] = True
-    for k in range(k_lo, k_hi + 1):
-        span = m * tau * k
-        valid = members[members + span <= nbits]
-        if valid.size == 0:
-            continue
-        ok = np.ones(valid.shape, dtype=bool)
-        for j in range(1, m + 1):
-            ok &= lookup[valid + j * tau * k]
-            if not ok.any():
-                break
-        if ok.any():
-            return k, int(valid[np.argmax(ok)])
-    return -1, -1
-
-
-def _ap_scan_dense(words, nbits, m, tau, k_lo, k_hi) -> tuple[int, int]:
-    """Intersect the bitset with its shifts by j*tau*k, one k at a time."""
-    tmp = np.empty_like(words)
-    for k in range(k_lo, k_hi + 1):
-        acc = words.copy()
-        for j in range(1, m + 1):
-            acc &= _shift_down(words, j * tau * k, tmp)
-            if not acc.any():
-                break
-        a = _first_bit(acc)
-        if a >= 0 and a + m * tau * k <= nbits:
-            return k, a
-    return -1, -1
+def _gap_candidates(members: np.ndarray, tau: int, K: int):
+    """Every k a progression with gap tau*k <= tau*K can have, ascending."""
+    s = members.size
+    if s * (s - 1) // 2 >= K:
+        return range(1, K + 1)
+    return _pair_gaps(members, tau, K)
 
 
 def ap_scan(
-    words: np.ndarray,
+    lookup: np.ndarray,
     members: np.ndarray,
     nbits: int,
     m: int,
     tau: int,
-    k_lo: int,
-    k_hi: int,
-) -> tuple[int, int]:
-    """Smallest k in [k_lo, k_hi], then smallest a, with a + j*tau*k all set."""
-    if k_hi < k_lo or members.size == 0:
-        return -1, -1
-    if members.size * 64 < nbits:
-        return _ap_scan_sparse(members, nbits, m, tau, k_lo, k_hi)
-    return _ap_scan_dense(words, nbits, m, tau, k_lo, k_hi)
-
-
-def progression_members(words: np.ndarray, nbits: int, offsets: np.ndarray) -> np.ndarray:
-    """All starts a (sorted) whose full offset pattern stays in the set."""
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if offsets.size == 0:
-        return unpack_bits(words, nbits)
-    starts = unpack_bits(_progression_all(words, offsets), nbits)
-    limit = nbits - int(offsets.max())
-    return starts[starts <= limit]
+    K: int,
+    need: int,
+) -> tuple[int, np.ndarray, int]:
+    """Smallest k in [1, K] with at least ``need`` starts a of a + j*tau*k all
+    set (j = 0..m, m >= 1). Returns (k, starts, largest start count seen), or
+    (-1, no starts, largest) when no k qualifies.
+    """
+    steps = tau * np.arange(1, m + 1, dtype=np.int64)
+    largest = 0
+    for k in _gap_candidates(members, tau, K):
+        starts = progression_members(lookup, members, nbits, int(k) * steps)
+        largest = max(largest, int(starts.size))
+        if starts.size >= need:
+            return int(k), starts, largest
+    return -1, members[:0], largest
 
 
 # ---------------------------------------------------------------------------

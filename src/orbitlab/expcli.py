@@ -658,6 +658,18 @@ def _close(got: float, recorded: float) -> bool:
     return abs(got - recorded) <= 1e-9 * (1.0 + abs(got))
 
 
+def _cert_field(cert: dict, key: str, kind):
+    """A certificate field of the given type (bool is no number here)."""
+    if key not in cert:
+        raise ConfigError(f"{cert.get('type')} certificate has no field {key!r}")
+    v = cert[key]
+    if isinstance(v, bool) or not isinstance(v, kind):
+        raise ConfigError(
+            f"{cert.get('type')} certificate field {key!r} has wrong type {type(v).__name__}"
+        )
+    return v
+
+
 def _verify_certificate(cert: dict, report_dir: Path, hits_cache: dict) -> bool:
     kind = cert.get("type")
     if kind == "salas":
@@ -675,24 +687,34 @@ def _verify_certificate(cert: dict, report_dir: Path, hits_cache: dict) -> bool:
         )
         return sv.kind == cert["kind"] and _close(sv.partial_sum, cert["partial_sum"])
     if kind == "ap_witness":
-        path = report_dir / cert["hits_artifact"]
+        path = report_dir / _cert_field(cert, "hits_artifact", str)
+        a, k, m, tau = (_cert_field(cert, key, int) for key in ("a", "k", "m", "tau"))
+        if min(k, m, tau) < 1:
+            return False
         if path not in hits_cache:
             hits_cache[path] = _load_hits(path)
-        members = cert["a"] + cert["tau"] * cert["k"] * np.arange(cert["m"] + 1)
+        members = a + tau * k * np.arange(m + 1)
         return bool(np.all(np.isin(members, hits_cache[path])))
     if kind == "mr_witness":
+        ell, m = _cert_field(cert, "ell", int), _cert_field(cert, "m", int)
+        radius = _cert_field(cert, "radius", (int, float))
+        op_cfg = _cert_field(cert, "operator", dict)
+        u_artifact = _cert_field(cert, "u_artifact", str)
+        center = _cert_field(cert, "center", str)
+        if ell < 1 or m < 0:
+            return False
         try:
             recorded = [float(d) for d in cert.get("distances", [])]
         except (TypeError, ValueError):
             return False
-        if len(recorded) != cert["m"] + 1:
+        if len(recorded) != m + 1:
             return False
-        T = operator_from_config(cert["operator"])
-        u = read_vector_csv(report_dir / cert["u_artifact"], T.side)
-        y = parse_vector(cert["center"], T.side)
+        T = operator_from_config(op_cfg)
+        u = read_vector_csv(report_dir / u_artifact, T.side)
+        y = parse_vector(center, T.side)
         for j, rec in enumerate(recorded):
-            d = dist(T.power_apply(j * cert["ell"], u), y)
-            if not (d < cert["radius"] and _close(d, rec)):
+            d = dist(T.power_apply(j * ell, u), y)
+            if not (d < radius and _close(d, rec)):
                 return False
         return True
     return False
@@ -884,6 +906,8 @@ def _dispatch(ns) -> int:
         return EXIT_OK
 
     if ns.cmd == "ap-find":
+        if ns.m < 1 or ns.tau < 1:
+            raise ConfigError(f"ap-find needs --m >= 1 and --tau >= 1, got {ns.m} and {ns.tau}")
         hits = _load_hits(Path(ns.hits))
         try:
             h = HittingSet(hits, ns.nmax)
@@ -938,10 +962,13 @@ def _dispatch(ns) -> int:
         ball = Ball(parse_vector(center, T.side), float(_require(cfg, "eps")))
         N = int(_require(cfg, "N"))
         _check_caps(N)
-        out = mr_witness_search(
-            x, lam, T, ball, int(cfg.get("m", 3)), int(cfg.get("tau", 1)), N,
-            K=cfg.get("K"),
-        )
+        try:
+            m, tau = int(cfg.get("m", 3)), int(cfg.get("tau", 1))
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"bad m or tau: {e}") from e
+        if m < 0 or tau < 1:
+            raise ConfigError(f"mr-witness needs m >= 0 and tau >= 1, got {m} and {tau}")
+        out = mr_witness_search(x, lam, T, ball, m, tau, N, K=cfg.get("K"))
         if not out:
             print(f"none: {out.diagnostics}")
             return EXIT_ASSERTION

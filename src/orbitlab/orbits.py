@@ -64,8 +64,11 @@ class HittingSet:
         return p < self.indices.size and self.indices[p] == n
 
     @cached_property
-    def words(self) -> np.ndarray:
-        return _kernels.pack_bitset(self.indices, self.n_max)
+    def lookup(self) -> np.ndarray:
+        """Boolean member table over 0..n_max."""
+        table = np.zeros(self.n_max + 1, dtype=bool)
+        table[self.indices] = True
+        return table
 
     def counts_upto(self, ns: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.indices, ns, side="right")
@@ -303,10 +306,10 @@ def find_ap(h: HittingSet, m: int, tau: int = 1, K: int | None = None) -> APWitn
     K = _default_k(h, m, tau) if K is None else K
     if K < 1 or len(h) == 0:
         return None
-    k, a = _kernels.ap_scan(h.words, h.indices, h.n_max, m, tau, 1, K)
+    k, starts, _ = _kernels.ap_scan(h.lookup, h.indices, h.n_max, m, tau, K, 1)
     if k < 0:
         return None
-    return APWitness(a=int(a), k=int(k), m=m, tau=tau)
+    return APWitness(a=int(starts[0]), k=k, m=m, tau=tau)
 
 
 def ap_k_members(h: HittingSet, k: int, m: int, tau: int = 1) -> np.ndarray:
@@ -314,7 +317,7 @@ def ap_k_members(h: HittingSet, k: int, m: int, tau: int = 1) -> np.ndarray:
     if k < 1:
         raise ValueError("k must be >= 1")
     offsets = (tau * k * np.arange(1, m + 1)).astype(np.int64)
-    return _kernels.progression_members(h.words, h.n_max, offsets)
+    return _kernels.progression_members(h.lookup, h.indices, h.n_max, offsets)
 
 
 @dataclass(frozen=True)
@@ -383,10 +386,8 @@ def find_poly_pattern(
             raise ValueError(f"polynomial takes negative value {min(offsets)} at k={k}")
         if any(v == 0 for v in offsets):
             continue
-        if max(offsets) > h.n_max:
-            continue
         starts = _kernels.progression_members(
-            h.words, h.n_max, np.array(sorted(set(offsets)), dtype=np.int64)
+            h.lookup, h.indices, h.n_max, np.array(sorted(set(offsets)), dtype=np.int64)
         )
         if starts.size:
             return int(starts[0]), k
@@ -471,15 +472,11 @@ def mr_witness_search(
         )
 
     K = _default_k(h, m, tau) if K is None else K
-    members = np.zeros(0, dtype=np.int64)
-    k_found = 0
-    for k in range(1, K + 1):
-        cand = ap_k_members(h, k, m, tau)
-        diag["largest_ap"] = max(diag["largest_ap"], int(cand.size))
-        if cand.size >= 2:
-            members, k_found = cand, k
-            break
-    if k_found == 0:
+    # k's with no pair of hits tau*k apart hold no start and are skipped
+    k_found, members, diag["largest_ap"] = _kernels.ap_scan(
+        h.lookup, h.indices, h.n_max, m, tau, K, 2
+    )
+    if k_found < 0:
         return MRSearchResult(None, diag)
     diag["k"] = k_found
 
@@ -515,7 +512,8 @@ def mr_witness_search(
 
 
 def ratio_precheck(lam: ScalingSeq, tau: int):
-    """Best-effort ratio verdict for the witness-search precondition."""
+    """Ratio verdict for the witness-search precondition, or None when the
+    sequence cannot be classified (domain errors, a short table, overflow)."""
     from .seqcore import ratio_classify
 
     horizon = 10**6
@@ -523,7 +521,7 @@ def ratio_precheck(lam: ScalingSeq, tau: int):
         horizon = len(lam.params[0]) - tau
     try:
         return ratio_classify(lam, tau, N=max(horizon, 100 * tau))
-    except Exception:
+    except (ValueError, ArithmeticError):
         return None
 
 

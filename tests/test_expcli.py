@@ -275,6 +275,93 @@ class TestMalformedArtifacts:
         _assert_schema_error(code, capsys)
 
 
+def _mr_config(tmp_path, **extra):
+    x = vector_csv(tmp_path, "x.csv", CoefVec.from_pairs(Side.UNILATERAL, [(3, 1.0)]))
+    cfg = tmp_path / "mw.json"
+    cfg.write_text(json.dumps({
+        "scaling": {"family": "constant", "c": [1.0, 0.0]},
+        "operator": {"side": "unilateral",
+                     "weights": {"family": "constant_w", "c": 1.0},
+                     "premultiplier": [2.0, 0.0]},
+        "vector_csv": str(tmp_path / x), "center": "e(1)", "eps": 0.01, "N": 100,
+        **extra,
+    }))
+    return ["mr-witness", "--config", str(cfg), "--out", str(tmp_path / "o")]
+
+
+class TestBadProgressionParameters:
+    @pytest.mark.parametrize("flag", ["--m", "--tau"])
+    def test_ap_find(self, tmp_path, capsys, flag):
+        path = tmp_path / "h.csv"
+        path.write_text("n\n1\n2\n3\n")
+        argv = ["ap-find", "--hits", str(path), "--nmax", "100", "--m", "2", flag, "0"]
+        _assert_schema_error(main(argv), capsys)
+
+    @pytest.mark.parametrize("extra", [{"m": -1}, {"tau": 0}, {"m": "x"}],
+                             ids=["m_negative", "tau_zero", "m_string"])
+    def test_mr_witness(self, tmp_path, capsys, extra):
+        _assert_schema_error(main(_mr_config(tmp_path, **extra)), capsys)
+
+
+AP_CERT = {"type": "ap_witness", "a": 48, "k": 1, "m": 1, "tau": 1,
+           "hits_artifact": "hits.csv"}
+
+
+class TestMalformedCertificates:
+    @staticmethod
+    def _ap_report(tmp_path, **fields):
+        (tmp_path / "hits.csv").write_text("n\n48\n49\n")
+        cert = {key: v for key, v in {**AP_CERT, **fields}.items() if v is not None}
+        (tmp_path / "report.json").write_text(json.dumps({"certificates": [cert]}))
+        return ["verify", "--report", str(tmp_path / "report.json")]
+
+    @staticmethod
+    def _mr_report(tmp_path, **fields):
+        argv = TestScenarios._bilateral_mr_report(
+            tmp_path, 1.5, [repr(0.1), repr(math.sqrt(2.01))]
+        )
+        report = json.loads((tmp_path / "report.json").read_text())
+        cert = {key: v for key, v in {**report["certificates"][0], **fields}.items()
+                if v is not None}
+        (tmp_path / "report.json").write_text(json.dumps({"certificates": [cert]}))
+        return argv
+
+    def test_well_formed_certificates_verify(self, tmp_path, capsys):
+        assert main(self._ap_report(tmp_path)) == EXIT_OK
+        assert main(self._mr_report(tmp_path)) == EXIT_OK
+
+    @pytest.mark.parametrize("fields", [
+        {"hits_artifact": None}, {"a": None}, {"m": "x"}, {"k": 1.0}, {"tau": True},
+        {"hits_artifact": 3},
+    ], ids=["no_hits_artifact", "no_a", "m_string", "k_float", "tau_bool", "artifact_int"])
+    def test_ap_witness_bad_field(self, tmp_path, capsys, fields):
+        _assert_schema_error(main(self._ap_report(tmp_path, **fields)), capsys)
+
+    @pytest.mark.parametrize("fields", [
+        {"m": "x"}, {"ell": None}, {"ell": 1.0}, {"m": False}, {"radius": "1.5"},
+        {"center": None}, {"u_artifact": None}, {"operator": "bilateral"},
+    ], ids=["m_string", "no_ell", "ell_float", "m_bool", "radius_string",
+            "no_center", "no_u_artifact", "operator_string"])
+    def test_mr_witness_bad_field(self, tmp_path, capsys, fields):
+        _assert_schema_error(main(self._mr_report(tmp_path, **fields)), capsys)
+
+    @pytest.mark.parametrize("fields", [{"k": 0}, {"m": 0}, {"tau": 0}, {"k": -1}],
+                             ids=["k_zero", "m_zero", "tau_zero", "k_negative"])
+    def test_ap_witness_degenerate(self, tmp_path, capsys, fields):
+        # with k = 0 every term is a = 48, a member: a progression in name only
+        assert main(self._ap_report(tmp_path, **fields)) == EXIT_ASSERTION
+        assert capsys.readouterr().out.startswith("0:ap_witness: FAILED")
+
+    @pytest.mark.parametrize("fields", [
+        {"ell": 0, "distances": [repr(0.1), repr(0.1)]},
+        {"m": -1, "distances": []},
+    ], ids=["ell_zero", "m_negative"])
+    def test_mr_witness_degenerate(self, tmp_path, capsys, fields):
+        # T^0 u = u and an empty progression both repeat the start distance
+        assert main(self._mr_report(tmp_path, **fields)) == EXIT_ASSERTION
+        assert capsys.readouterr().out.startswith("0:mr_witness: FAILED")
+
+
 class TestExitCodes:
     def test_schema_error_missing_scenario(self, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -2,33 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orbitlab import _kernels
 from orbitlab.lspace import CoefVec, Side
 from orbitlab.orbits import SCAN_CHUNK, HittingSet, ap_k_members, find_ap, orbit_distances
 from orbitlab.seqcore import ScalingSeq
 from orbitlab.shiftops import ShiftOp, WeightSeq
-
-
-def test_pack_unpack_round_trip():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        nbits = int(rng.integers(1, 500))
-        idx = np.unique(rng.integers(1, nbits + 1, size=rng.integers(0, 60)))
-        words = _kernels.pack_bitset(idx.astype(np.int64), nbits)
-        back = _kernels.unpack_bits(words, nbits)
-        assert np.array_equal(back, idx)
-
-
-def test_shift_down_words():
-    idx = np.array([1, 5, 64, 70, 129], dtype=np.int64)
-    words = _kernels.pack_bitset(idx, 200)
-    out = np.empty_like(words)
-    for s in (0, 1, 5, 63, 64, 65, 128, 199):
-        _kernels._shift_down(words, s, out)
-        got = _kernels.unpack_bits(out, 200)
-        want = idx[idx >= s] - s
-        assert np.array_equal(got, want), s
 
 
 def _random_sets(rng, count, n_max=2000, lo=0.05, hi=0.9):
@@ -39,19 +20,25 @@ def _random_sets(rng, count, n_max=2000, lo=0.05, hi=0.9):
             yield HittingSet(idx.astype(np.int64), n_max)
 
 
-def _brute_ap(members: set, n_max: int, m: int, tau: int, K: int):
+def _brute_starts(members: set, n_max: int, m: int, tau: int, k: int) -> list:
+    return [a for a in sorted(members) if a + m * tau * k <= n_max
+            and all(a + j * tau * k in members for j in range(1, m + 1))]
+
+
+def _brute_scan(members: set, n_max: int, m: int, tau: int, K: int, need: int):
+    """(smallest k with >= need starts, its starts, largest start count seen)."""
+    largest = 0
     for k in range(1, K + 1):
-        for a in sorted(members):
-            if a + m * tau * k > n_max:
-                break
-            if all(a + j * tau * k in members for j in range(m + 1)):
-                return a, k
-    return None
+        starts = _brute_starts(members, n_max, m, tau, k)
+        largest = max(largest, len(starts))
+        if len(starts) >= need:
+            return k, starts, largest
+    return -1, [], largest
 
 
 @pytest.mark.parametrize("tau", [1, 2, 3])
 def test_find_ap_matches_brute_force(tau):
-    # densities below 1/64 take the sparse member-probe path
+    # the sparse sets fall on both sides of the pair-count switch
     rng = np.random.default_rng(77 + tau)
     sparse = _random_sets(rng, 15, n_max=4000, lo=0.002, hi=0.012)
     for h in [*sparse, *_random_sets(rng, 15, n_max=4000)]:
@@ -59,8 +46,9 @@ def test_find_ap_matches_brute_force(tau):
         for m in (1, 2, 3, 5):
             K = max(1, h.n_max // (m * tau * 4))
             got = find_ap(h, m, tau)
-            want = _brute_ap(members, h.n_max, m, tau, K)
-            assert (None if got is None else (got.a, got.k)) == want
+            k, starts, _ = _brute_scan(members, h.n_max, m, tau, K, 1)
+            assert (None if got is None else (got.k, got.a)) == (
+                None if k < 0 else (k, starts[0]))
 
 
 def test_ap_k_members_matches_brute_force():
@@ -70,20 +58,81 @@ def test_ap_k_members_matches_brute_force():
         k = int(rng.integers(1, 50))
         m = int(rng.integers(1, 5))
         tau = int(rng.integers(1, 4))
-        want = [a for a in sorted(members)
-                if all(a + j * tau * k in members for j in range(1, m + 1))]
+        want = _brute_starts(members, h.n_max, m, tau, k)
         assert ap_k_members(h, k, m, tau).tolist() == want
 
 
-def test_sparse_and_dense_paths_agree():
-    # same set, scanned through both strategies by forcing the density gate
+def _pairs(members: set) -> int:
+    return len(members) * (len(members) - 1) // 2
+
+
+@st.composite
+def _sparse_case(draw):
+    # at most 22 members (231 pairs) against K > 231: the pair-difference gaps
+    n_max = draw(st.integers(500, 20000))
+    m, tau = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    members = draw(st.sets(st.integers(1, n_max), max_size=10))
+    K = draw(st.integers(232, 1500))
+    # plant up to two progressions of one gap, so that both needs can be met
+    k = draw(st.integers(1, min(K, (n_max - 1) // (m * tau))))
+    for _ in range(draw(st.integers(0, 2))):
+        a = draw(st.integers(1, n_max - m * tau * k))
+        members |= {a + j * tau * k for j in range(m + 1)}
+    return members, n_max, m, tau, K, k
+
+
+@st.composite
+def _dense_case(draw):
+    # about half of 1..n_max, so the pairs outnumber K: every k in 1..K
+    n_max = draw(st.integers(4, 300))
+    mask = draw(st.lists(st.booleans(), min_size=n_max, max_size=n_max))
+    members = {i + 1 for i, b in enumerate(mask) if b}
+    m, tau = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    K = draw(st.integers(1, max(1, n_max // (m * tau * 4))))
+    return members, n_max, m, tau, K, draw(st.integers(1, K))
+
+
+def _check_against_brute(members, n_max, m, tau, K, k):
+    h = HittingSet(np.array(sorted(members), dtype=np.int64), n_max)
+    k1, starts1, _ = _brute_scan(members, n_max, m, tau, K, 1)
+    w = find_ap(h, m, tau, K)
+    assert (None if w is None else (w.k, w.a)) == (None if k1 < 0 else (k1, starts1[0]))
+    got = _kernels.ap_scan(h.lookup, h.indices, n_max, m, tau, K, 2)
+    assert (got[0], got[1].tolist(), got[2]) == _brute_scan(members, n_max, m, tau, K, 2)
+    for kk in {k, max(k1, 1)}:
+        assert ap_k_members(h, kk, m, tau).tolist() == _brute_starts(members, n_max, m, tau, kk)
+
+
+@settings(deadline=None)
+@given(_sparse_case())
+def test_progression_search_property_sparse(case):
+    members, K = case[0], case[4]
+    assert _pairs(members) < K
+    _check_against_brute(*case)
+
+
+@settings(deadline=None)
+@given(_dense_case())
+def test_progression_search_property_dense(case):
+    members, K = case[0], case[4]
+    assume(_pairs(members) >= K)
+    _check_against_brute(*case)
+
+
+def test_sparse_and_dense_paths_agree(monkeypatch):
+    # the same sets scanned over every k in 1..K and over the pair-difference
+    # gaps, whichever side of the pair-count switch each set falls on
     rng = np.random.default_rng(79)
-    idx = np.unique(rng.integers(1, 5000, size=40)).astype(np.int64)
-    h = HittingSet(idx, 5000)
-    words, members = h.words, h.indices
-    dense = _kernels._ap_scan_dense(words, 5000, 2, 1, 1, 500)
-    sparse = _kernels._ap_scan_sparse(members, 5000, 2, 1, 1, 500)
-    assert dense == sparse
+    sparse = _random_sets(rng, 8, n_max=5000, lo=0.002, hi=0.008)
+    for h in [*sparse, *_random_sets(rng, 8, n_max=600)]:
+        for m, tau, need in ((1, 1, 1), (2, 1, 1), (2, 3, 2), (3, 2, 2)):
+            args = (h.lookup, h.indices, h.n_max, m, tau, h.n_max // (4 * m * tau), need)
+            scans = []
+            for gaps in (lambda members, tau, K: range(1, K + 1), _kernels._pair_gaps):
+                monkeypatch.setattr(_kernels, "_gap_candidates", gaps)
+                k, starts, largest = _kernels.ap_scan(*args)
+                scans.append((k, starts.tolist(), largest))
+            assert scans[0] == scans[1]
 
 
 def _orbit_setup(flat: bool):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from orbitlab import seqcore
 from orbitlab.lspace import Ball, CoefVec, Side, dist, norm
 from orbitlab.orbits import (
     HittingSet,
@@ -13,9 +14,10 @@ from orbitlab.orbits import (
     find_poly_pattern,
     hitting_set,
     mr_witness_search,
+    ratio_precheck,
     recurrence_scan,
 )
-from orbitlab.seqcore import ScalingSeq, rotate_seq
+from orbitlab.seqcore import ScalingSeq, SequenceDomainError, rotate_seq
 from orbitlab.shiftops import ShiftOp, WeightSeq, scaled_orbit_point
 
 B = ShiftOp(Side.UNILATERAL, WeightSeq.constant(1.0))
@@ -309,6 +311,29 @@ class TestMRWitness:
             mr_witness_search(
                 built.x, ScalingSeq.factorial(), B, Ball(e(1), 0.01), 2, 1, 1000
             )
+
+
+class TestRatioPrecheck:
+    def test_short_table_gives_none(self):
+        # 10 entries, but the classifier needs a horizon of 100*tau
+        assert ratio_precheck(ScalingSeq.table([1.0] * 10), 1) is None
+
+    @pytest.mark.parametrize("exc", [SequenceDomainError, ValueError, OverflowError,
+                                     ZeroDivisionError])
+    def test_classifier_domain_errors_give_none(self, monkeypatch, exc):
+        def raise_(*args, **kwargs):
+            raise exc("no verdict")
+
+        monkeypatch.setattr(seqcore, "ratio_classify", raise_)
+        assert ratio_precheck(ONE, 1) is None
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def raise_(*args, **kwargs):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(seqcore, "ratio_classify", raise_)
+        with pytest.raises(RuntimeError, match="bug"):
+            ratio_precheck(ONE, 1)
 
 
 class TestRecurrenceScan:
