@@ -86,17 +86,6 @@ class SalasCertificate:
             "backward_logs": list(self.backward_logs),
         }
 
-    @staticmethod
-    def from_config(cfg: dict) -> "SalasCertificate":
-        return SalasCertificate(
-            WeightSeq.from_config(cfg["weights"]),
-            cfg["n"],
-            cfg["q"],
-            cfg["eps"],
-            tuple(cfg["forward_logs"]),
-            tuple(cfg["backward_logs"]),
-        )
-
 
 @dataclass(frozen=True)
 class MRShiftCertificate:
@@ -143,18 +132,6 @@ class MRShiftCertificate:
             "forward_logs": list(self.forward_logs),
             "backward_logs": list(self.backward_logs),
         }
-
-    @staticmethod
-    def from_config(cfg: dict) -> "MRShiftCertificate":
-        return MRShiftCertificate(
-            WeightSeq.from_config(cfg["weights"]),
-            cfg["n"],
-            cfg["m"],
-            cfg["q"],
-            cfg["eps"],
-            tuple(cfg["forward_logs"]),
-            tuple(cfg["backward_logs"]),
-        )
 
 
 def _forward_logs_all_n(pt: ProductTable, j: int, n_arr: np.ndarray, l: int = 1) -> np.ndarray:

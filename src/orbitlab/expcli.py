@@ -4,7 +4,8 @@ Scenarios E1-E7 reproduce the catalogue of worked examples end to end and
 emit a JSON report plus CSV artifacts. Reports are byte-deterministic:
 no timestamps, no absolute paths, no wall-clock stats, and every scan runs
 over the same fixed chunk grid, merged in order. Exit codes: 0 ok,
-2 config/schema error, 3 scenario assertion failed, 4 resource cap exceeded.
+2 config/schema error, 3 scenario assertion or FU build failed, 4 resource
+cap exceeded.
 """
 
 from __future__ import annotations
@@ -14,8 +15,11 @@ import json
 import math
 import re
 import sys
+from dataclasses import dataclass
 from operator import methodcaller
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +31,7 @@ from .criteria import (
     norm_decay_check,
     salas_check,
 )
-from .fhbuilder import build, verify_fu
+from .fhbuilder import BuildError, build, verify_fu
 from .lspace import Ball, CoefVec, Side, dist, norm
 from .orbits import (
     HittingSet,
@@ -38,7 +42,7 @@ from .orbits import (
 )
 from .seqcore import ScalingSeq, ratio_classify
 from .shiftops import ShiftOp, WeightSeq, product_table, scaled_orbit_point
-from .symbolops import PolySymbol, RangeCertificate, classify_adjoint
+from .symbolops import PolySymbol, RangeCertificate, RangeKind, classify_adjoint
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -46,6 +50,8 @@ EXIT_ASSERTION = 3
 EXIT_RESOURCE = 4
 
 RESOURCE_CAP_N = 20_000_000
+
+REPORT_FORMAT = "orbitlab-report-v1"
 
 
 class ConfigError(ValueError):
@@ -60,8 +66,242 @@ class ResourceCapError(RuntimeError):
     """Configured horizon exceeds the documented resource cap."""
 
 
+# exception -> (exit code, stderr prefix); a subclass maps like its base
+EXIT_CODES = {
+    ConfigError: (EXIT_SCHEMA, "config error"),
+    ScenarioError: (EXIT_ASSERTION, "scenario assertion failed"),
+    BuildError: (EXIT_ASSERTION, "FU build failed"),
+    ResourceCapError: (EXIT_RESOURCE, "resource cap"),
+}
+
+
+def _check_cap(n: int, what: str = "horizon") -> None:
+    if n > RESOURCE_CAP_N:
+        raise ResourceCapError(f"{what} {n} exceeds resource cap {RESOURCE_CAP_N}")
+
+
 # ---------------------------------------------------------------------------
-# config parsing
+# config schema
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Kind:
+    """A JSON value type: its name, and a reader that gives the value in
+    Python form or raises TypeError. bool is no number."""
+
+    name: str
+    read: Callable[[object], object]
+
+
+def _read_int(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError
+    return v
+
+
+def _read_number(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError
+    return float(v)
+
+
+def _read_complex(v) -> complex:
+    if isinstance(v, list) and len(v) == 2:
+        return complex(_read_number(v[0]), _read_number(v[1]))
+    return complex(_read_number(v))
+
+
+def _instance_of(cls: type) -> Callable:
+    def read(v):
+        if not isinstance(v, cls):
+            raise TypeError
+        return v
+    return read
+
+
+def list_of(kind: Kind) -> Kind:
+    def read(v):
+        if not isinstance(v, list):
+            raise TypeError
+        return [kind.read(item) for item in v]
+    return Kind(f"list of {kind.name}", read)
+
+
+INT = Kind("int", _read_int)
+NUMBER = Kind("number", _read_number)
+COMPLEX = Kind("complex", _read_complex)  # a number or [re, im]
+STRING = Kind("string", _instance_of(str))
+OBJECT = Kind("object", _instance_of(dict))
+
+
+@dataclass(frozen=True)
+class Range:
+    """A valid range: its text, for messages and the README, and its test."""
+
+    text: str
+    holds: Callable[[object], bool]
+
+
+def at_least(lo: int) -> Range:
+    return Range(f">= {lo}", lambda v: v >= lo)
+
+
+def each(r: Range) -> Range:
+    return Range(f"each {r.text}", lambda vs: all(map(r.holds, vs)))
+
+
+POSITIVE = Range("> 0", lambda v: v > 0)
+OPEN_UNIT_INTERVAL = Range("in (0, 1)", lambda v: 0 < v < 1)
+PUNCTURED_UNIT_DISK = Range("0 < |a| < 1", lambda v: 0 < abs(v) < 1)
+
+REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Param:
+    """One config key: its kind, its default (REQUIRED if it has none; None
+    if it is optional) and its valid range. A horizon above RESOURCE_CAP_N
+    is a resource-cap error, not a config error."""
+
+    kind: Kind
+    default: object = REQUIRED
+    range: Range | None = None
+    horizon: bool = False
+
+
+def horizon(default=REQUIRED, lo: int = 1) -> Param:
+    return Param(INT, default, at_least(lo), horizon=True)
+
+
+def table(name: str, rows: dict[str, Param]) -> Kind:
+    """An object kind whose keys are read through their own table."""
+    return Kind(name, lambda v: resolve(_instance_of(dict)(v), rows, name))
+
+
+def _show(v) -> str:
+    s = json.dumps(v)
+    return s if len(s) <= 60 else s[:57] + "..."
+
+
+def resolve(cfg: dict, rows: dict[str, Param], where: str) -> SimpleNamespace:
+    """Read a config through its table: every key known, every required key
+    present, every value of its kind and in its range, defaults filled in.
+    An optional key (default None) may be null."""
+    unknown = sorted(set(cfg) - set(rows))
+    if unknown:
+        raise ConfigError(
+            f"{where}: unknown key {unknown[0]!r} (known: {', '.join(rows) or 'none'})"
+        )
+    out = {}
+    for key, p in rows.items():
+        raw = cfg[key] if key in cfg else p.default
+        if raw is REQUIRED:
+            raise ConfigError(f"{where}: missing key {key!r}")
+        if raw is None and p.default is None:
+            out[key] = None
+            continue
+        try:
+            value = p.kind.read(raw)
+        except TypeError:
+            raise ConfigError(
+                f"{where}: {key!r} must be {p.kind.name}, got {_show(raw)}"
+            ) from None
+        except ConfigError as e:
+            raise ConfigError(f"{where}: {key!r}: {e}") from None
+        if p.range is not None and not p.range.holds(value):
+            raise ConfigError(f"{where}: {key!r} must be {p.range.text}, got {_show(raw)}")
+        if p.horizon:
+            _check_cap(value, f"{where}: {key}")
+        out[key] = value
+    return SimpleNamespace(**out)
+
+
+OPERATOR = {
+    "side": Param(STRING, "unilateral"),
+    "weights": Param(OBJECT),
+    "premultiplier": Param(COMPLEX, 1.0),
+}
+
+TARGET = {
+    "vector": Param(STRING),
+    "eps": Param(NUMBER, range=POSITIVE),
+}
+
+# Every command's config keys, one per line: kind, default, range.
+PARAMS: dict[str, dict[str, Param]] = {
+    "E1": {
+        "N": horizon(20_000),
+        "a": Param(COMPLEX, 0.25, PUNCTURED_UNIT_DISK),
+        "eps": Param(NUMBER, 1e-3, POSITIVE),
+    },
+    "E2": {
+        "N": horizon(2_000),
+        "eps": Param(NUMBER, 1e-3, POSITIVE),
+        "recurrence_N": horizon(500),
+        "ratio_N": horizon(10_000, lo=100),
+    },
+    "E3": {
+        "N": horizon(100_000),
+        "eps": Param(NUMBER, 1e-3, POSITIVE),
+        "ratio_N": horizon(100_000, lo=100),
+    },
+    "E4": {
+        "N": horizon(10_000),
+        "eps": Param(NUMBER, 0.5, OPEN_UNIT_INTERVAL),
+        "q": Param(INT, 0, at_least(0)),
+    },
+    "E5": {
+        "N": horizon(1_000_000, lo=10),
+        "cap": Param(NUMBER, 12.0, POSITIVE),
+    },
+    "E6": {
+        "N": horizon(100_000),
+        "g": Param(INT, 16, at_least(1)),
+        "eps": Param(NUMBER, 1e-3, POSITIVE),
+        "targets": Param(list_of(STRING), ["e(1)", "e(1)+e(2)", "e(2)"]),
+        "ap_orders": Param(list_of(INT), [3, 4, 5], each(at_least(1))),
+        "tau": Param(INT, 1, at_least(1)),
+        "witness_center": Param(STRING, "e(1)"),
+        "witness_eps": Param(NUMBER, 0.01, POSITIVE),
+        "witness_m": Param(INT, 3, at_least(0)),
+    },
+    "E7": {},
+    "build-fu": {
+        "scaling": Param(OBJECT),
+        "operator": Param(OBJECT),
+        "targets": Param(list_of(table("target", TARGET))),
+        "N": horizon(),
+        "g": Param(INT, None, at_least(1)),
+        "n_min": Param(INT, None, at_least(1)),
+    },
+    "mr-witness": {
+        "scaling": Param(OBJECT),
+        "operator": Param(OBJECT),
+        "vector_csv": Param(STRING),
+        "center": Param(STRING),
+        "eps": Param(NUMBER, range=POSITIVE),
+        "N": horizon(),
+        "m": Param(INT, 3, at_least(0)),
+        "tau": Param(INT, 1, at_least(1)),
+        "K": Param(INT, None, at_least(1)),
+    },
+}
+
+
+def scenario_params(cfg: dict) -> tuple[str, SimpleNamespace]:
+    """The scenario id of a ``run`` config and its resolved parameters."""
+    if "scenario" not in cfg:
+        raise ConfigError("missing key 'scenario'")
+    sid = cfg["scenario"]
+    if not isinstance(sid, str) or sid.upper() not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {_show(sid)}; expected one of {', '.join(SCENARIOS)}")
+    sid = sid.upper()
+    rest = {key: v for key, v in cfg.items() if key != "scenario"}
+    return sid, resolve(rest, PARAMS[sid], sid)
+
+
+# ---------------------------------------------------------------------------
+# config values
 # ---------------------------------------------------------------------------
 
 _VEC_TERM = re.compile(r"^\s*(?:(?P<coef>[^*]+)\*)?\s*e\(\s*(?P<k>-?\d+)\s*\)\s*$")
@@ -96,47 +336,33 @@ def parse_vector(spec: str, side: Side = Side.UNILATERAL) -> CoefVec:
         except ValueError as e:
             raise ConfigError(f"bad coefficient in {term!r}: {e}") from e
         pairs.append((int(m.group("k")), coef))
-    return CoefVec.from_pairs(side, pairs)
+    try:
+        return CoefVec.from_pairs(side, pairs)
+    except ValueError as e:
+        raise ConfigError(f"bad vector {spec!r}: {e}") from e
 
 
-def _complex_from(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(v[0], v[1])
-    raise ConfigError(f"expected number or [re, im], got {v!r}")
+def weights_from_config(cfg: dict) -> WeightSeq:
+    try:
+        return WeightSeq.from_config(cfg)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"bad weights {_show(cfg)}: {e!r}") from e
 
 
 def operator_from_config(cfg: dict) -> ShiftOp:
+    p = resolve(cfg, OPERATOR, "operator")
+    weights = weights_from_config(p.weights)
     try:
-        side = Side(cfg.get("side", "unilateral"))
-        weights = WeightSeq.from_config(cfg["weights"])
-        pm = _complex_from(cfg.get("premultiplier", 1.0))
-        return ShiftOp(side, weights, pm)
-    except (KeyError, ValueError) as e:
-        raise ConfigError(f"bad operator config: {e}") from e
+        return ShiftOp(Side(p.side), weights, p.premultiplier)
+    except ValueError as e:
+        raise ConfigError(f"bad operator: {e}") from e
 
 
 def scaling_from_config(cfg: dict) -> ScalingSeq:
     try:
         return ScalingSeq.from_config(cfg)
-    except (KeyError, ValueError) as e:
-        raise ConfigError(f"bad scaling config: {e}") from e
-
-
-def _require(cfg: dict, key: str, kind=None):
-    if key not in cfg:
-        raise ConfigError(f"missing config key {key!r}")
-    v = cfg[key]
-    if kind is not None and not isinstance(v, kind):
-        raise ConfigError(f"config key {key!r} has wrong type {type(v).__name__}")
-    return v
-
-
-def _check_caps(*horizons: int) -> None:
-    for n in horizons:
-        if n > RESOURCE_CAP_N:
-            raise ResourceCapError(f"horizon {n} exceeds resource cap {RESOURCE_CAP_N}")
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"bad scaling {_show(cfg)}: {e!r}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +373,15 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
-def write_report(outdir: Path, report: dict) -> Path:
+def write_report(outdir: Path, scenario: str, cfg: dict, body: dict) -> dict:
+    """Wrap a command's results in the report envelope and write report.json.
+
+    ``config`` is the config as the user typed it, not the resolved one.
+    """
+    report = {"format": REPORT_FORMAT, "scenario": scenario, "config": cfg, **body}
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "report.json"
-    path.write_text(canonical_json(report))
-    return path
+    (outdir / "report.json").write_text(canonical_json(report))
+    return report
 
 
 # Rows per batch when writing or parsing CSV. It bounds the temporary Python
@@ -308,13 +538,19 @@ def _coeffwise_close(x: CoefVec, y: CoefVec, tol: float) -> bool:
     return bool(np.all(dphase <= tol))
 
 
-def run_e1(cfg: dict, outdir: Path) -> dict:
+def _checked(fn, *args, **kwargs):
+    """Call ``fn`` on user-given inputs; a ValueError it raises about them
+    (``build``'s gap against the target supports, a scaling with the wrong
+    ratio limit for ``mr_witness_search``) is a config error."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+
+
+def run_e1(p: SimpleNamespace, outdir: Path) -> dict:
     """Geometric bad sequence: lam_n = w^{2n} with T = (1/w)B, w = a^{-1/2}."""
-    a = _complex_from(cfg.get("a", 0.25))
-    if not 0 < abs(a) < 1:
-        raise ConfigError("need 0 < |a| < 1")
-    N = int(cfg.get("N", 20000))
-    _check_caps(N)
+    a, N = p.a, p.N
     w = a ** -0.5
     lam = ScalingSeq.power_of_w(w)
     T = ShiftOp(Side.UNILATERAL, WeightSeq.constant(1.0), 1.0 / w)
@@ -329,7 +565,7 @@ def run_e1(cfg: dict, outdir: Path) -> dict:
             raise ScenarioError(f"scaled-power identity failed at n={n}")
 
     e1 = CoefVec.basis(Side.UNILATERAL, 1)
-    v = build(lam, T, [(e1, float(cfg.get("eps", 1e-3)))], N)
+    v = build(lam, T, [(e1, p.eps)], N)
     pairs = verify_fu(v)
     h, ds = pairs[0]
 
@@ -361,15 +597,13 @@ def run_e1(cfg: dict, outdir: Path) -> dict:
     }
 
 
-def run_e2(cfg: dict, outdir: Path) -> dict:
+def run_e2(p: SimpleNamespace, outdir: Path) -> dict:
     """Factorial bad sequence: lam_n = n! with the unweighted shift."""
-    N = int(cfg.get("N", 2000))
-    scan_N = int(cfg.get("recurrence_N", 500))
-    _check_caps(N)
+    N, scan_N = p.N, p.recurrence_N
     lam = ScalingSeq.factorial()
     T = ShiftOp(Side.UNILATERAL, WeightSeq.constant(1.0))
     e1 = CoefVec.basis(Side.UNILATERAL, 1)
-    v = build(lam, T, [(e1, float(cfg.get("eps", 1e-3)))], N)
+    v = build(lam, T, [(e1, p.eps)], N)
     pairs = verify_fu(v)
     h, ds = pairs[0]
 
@@ -377,7 +611,7 @@ def run_e2(cfg: dict, outdir: Path) -> dict:
     returns = recurrence_scan(T, v.x, eps_rec, scan_N)
     if returns.size:
         raise ScenarioError(f"unexpected return time {int(returns[0])}")
-    verdict = ratio_classify(lam, 1, N=int(cfg.get("ratio_N", 10**4)))
+    verdict = ratio_classify(lam, 1, N=p.ratio_N)
     if not (verdict.is_bad and verdict.limit == 0.0):
         raise ScenarioError(f"expected Bad(0), got {verdict.kind}")
 
@@ -400,21 +634,20 @@ def run_e2(cfg: dict, outdir: Path) -> dict:
     }
 
 
-def run_e3(cfg: dict, outdir: Path) -> dict:
+def run_e3(p: SimpleNamespace, outdir: Path) -> dict:
     """Even/odd blocks lam_{2n} = 2^n: frequent universality along the evens.
 
     The even-index subspace identifies with the full space by e_{2k} -> e_k,
     under which lam_{2n} B^{2n} acts as (2B)^n. The builder runs against the
     compressed operator and the result is mapped back to even indices.
     """
-    N = int(cfg.get("N", 10**5))
-    _check_caps(N)
+    N = p.N
     lam = ScalingSeq.geom_even_odd()
     B = ShiftOp(Side.UNILATERAL, WeightSeq.constant(1.0))
     T2 = ShiftOp(Side.UNILATERAL, WeightSeq.constant(1.0), 2.0)
     e1 = CoefVec.basis(Side.UNILATERAL, 1)
     n_comp = N // 2
-    v = build(ScalingSeq.constant(1.0), T2, [(e1, float(cfg.get("eps", 1e-3)))], n_comp)
+    v = build(ScalingSeq.constant(1.0), T2, [(e1, p.eps)], n_comp)
     pairs = verify_fu(v)
     h_comp, ds = pairs[0]
 
@@ -433,8 +666,8 @@ def run_e3(cfg: dict, outdir: Path) -> dict:
             f"evens hitting density {ds.lower_est:.4f} far from 1/{period}"
         )
 
-    full = ratio_classify(lam, 1, N=int(cfg.get("ratio_N", 10**5)))
-    evens = ratio_classify(lam, 1, N=int(cfg.get("ratio_N", 10**5)), restrict=(2, 0))
+    full = ratio_classify(lam, 1, N=p.ratio_N)
+    evens = ratio_classify(lam, 1, N=p.ratio_N, restrict=(2, 0))
     if not evens.is_good:
         raise ScenarioError(f"restricted ratio should be good, got {evens.kind}")
     if full.is_good:
@@ -459,13 +692,10 @@ def run_e3(cfg: dict, outdir: Path) -> dict:
     }
 
 
-def run_e4(cfg: dict, outdir: Path) -> dict:
+def run_e4(p: SimpleNamespace, outdir: Path) -> dict:
     """Universal-but-not-hypercyclic bilateral shift: product test must fail."""
-    n_max = int(cfg.get("N", 10**4))
-    _check_caps(n_max)
-    eps = float(cfg.get("eps", 0.5))
-    q = int(cfg.get("q", 0))
-    out = salas_check(WeightSeq.step_bilateral(), eps, q, n_max)
+    n_max = p.N
+    out = salas_check(WeightSeq.step_bilateral(), p.eps, p.q, n_max)
     if out:
         raise ScenarioError(f"unexpected product witness n={out.certificate.n}")
     return {
@@ -481,10 +711,9 @@ def run_e4(cfg: dict, outdir: Path) -> dict:
     }
 
 
-def run_e5(cfg: dict, outdir: Path) -> dict:
+def run_e5(p: SimpleNamespace, outdir: Path) -> dict:
     """Mixing but not frequently hypercyclic: sqrt-ratio weights."""
-    n_max = int(cfg.get("N", 10**6))
-    _check_caps(n_max)
+    n_max = p.N
     w = WeightSeq.sqrt_ratio()
     pt = product_table(w, False, n_max)
     sample = np.unique(np.geomspace(1, n_max, 200).astype(np.int64))
@@ -495,7 +724,7 @@ def run_e5(cfg: dict, outdir: Path) -> dict:
         worst = max(worst, abs(got - want))
     if worst > 1e-9:
         raise ScenarioError(f"product formula deviates by {worst}")
-    sv = fhc_series_check(w, n_max, cap=float(cfg.get("cap", 12.0)))
+    sv = fhc_series_check(w, n_max, cap=p.cap)
     if sv.kind != "diverges_observed":
         raise ScenarioError(f"expected diverges_observed, got {sv.kind}")
     return {
@@ -511,23 +740,13 @@ def run_e5(cfg: dict, outdir: Path) -> dict:
     }
 
 
-def run_e6(cfg: dict, outdir: Path) -> dict:
+def run_e6(p: SimpleNamespace, outdir: Path) -> dict:
     """Full pipeline: builder, hitting sets, progression search, witness."""
-    N = int(cfg.get("N", 10**5))
-    _check_caps(N)
-    g = int(cfg.get("g", 16))
-    eps_build = float(cfg.get("eps", 1e-3))
-    eps_wit = float(cfg.get("witness_eps", 0.01))
-    m_wit = int(cfg.get("witness_m", 3))
-    tau = int(cfg.get("tau", 1))
-
+    N, tau = p.N, p.tau
     T2 = ShiftOp(Side.UNILATERAL, WeightSeq.constant(1.0), 2.0)
     lam = ScalingSeq.constant(1.0)
-    targets = [
-        (parse_vector(s), eps_build)
-        for s in cfg.get("targets", ["e(1)", "e(1)+e(2)", "e(2)"])
-    ]
-    v = build(lam, T2, targets, N, g=g)
+    targets = [(parse_vector(s), p.eps) for s in p.targets]
+    v = _checked(build, lam, T2, targets, N, g=p.g)
     pairs = verify_fu(v)
 
     arts: dict = {"fu_vector": vector_csv(outdir, "fu_vector.csv", v.x)}
@@ -540,16 +759,16 @@ def run_e6(cfg: dict, outdir: Path) -> dict:
     h0 = pairs[0][0]
     certificates = []
     ap_results = {}
-    for m in cfg.get("ap_orders", [3, 4, 5]):
-        w = find_ap(h0, int(m), tau)
+    for m in p.ap_orders:
+        w = find_ap(h0, m, tau)
         if w is None or not w.verify(h0):
             raise ScenarioError(f"no verified progression of order {m}")
         ap_results[f"m_{m}"] = {"a": w.a, "k": w.k}
         certificates.append(_ap_cert(w, arts["hitting_0"]))
 
-    center = cfg.get("witness_center", "e(1)")
+    center = p.witness_center
     out = mr_witness_search(
-        v.x, lam, T2, Ball(parse_vector(center), eps_wit), m_wit, tau, N
+        v.x, lam, T2, Ball(parse_vector(center), p.witness_eps), p.witness_m, tau, N
     )
     if not out:
         raise ScenarioError(f"witness search failed: {out.diagnostics}")
@@ -591,7 +810,7 @@ E7_EXPECTED = {
 }
 
 
-def run_e7(cfg: dict, outdir: Path) -> dict:
+def run_e7(p: SimpleNamespace, outdir: Path) -> dict:
     """Adjoint-multiplier classification for the catalogue symbols."""
     symbols = {
         "z/2": PolySymbol((0, 0.5)),
@@ -635,18 +854,8 @@ SCENARIOS = {
 
 
 def run_scenario(cfg: dict, outdir: Path) -> dict:
-    sid = _require(cfg, "scenario", str).upper()
-    if sid not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {sid!r}")
-    body = SCENARIOS[sid](cfg, outdir)
-    report = {
-        "format": "orbitlab-report-v1",
-        "scenario": sid,
-        "config": cfg,
-        **body,
-    }
-    write_report(outdir, report)
-    return report
+    sid, p = scenario_params(cfg)
+    return write_report(outdir, sid, cfg, SCENARIOS[sid](p, outdir))
 
 
 # ---------------------------------------------------------------------------
@@ -658,37 +867,84 @@ def _close(got: float, recorded: float) -> bool:
     return abs(got - recorded) <= 1e-9 * (1.0 + abs(got))
 
 
-def _cert_field(cert: dict, key: str, kind):
-    """A certificate field of the given type (bool is no number here)."""
+def _cert_field(cert: dict, key: str, kind: Kind, default=REQUIRED, what: str | None = None):
+    """A certificate field read as ``kind``; a missing or null field takes
+    the default, if there is one."""
+    what = what or cert.get("type")
+    if default is not REQUIRED and cert.get(key) is None:
+        return default
     if key not in cert:
-        raise ConfigError(f"{cert.get('type')} certificate has no field {key!r}")
-    v = cert[key]
-    if isinstance(v, bool) or not isinstance(v, kind):
+        raise ConfigError(f"{what} certificate has no field {key!r}")
+    try:
+        return kind.read(cert[key])
+    except TypeError:
         raise ConfigError(
-            f"{cert.get('type')} certificate field {key!r} has wrong type {type(v).__name__}"
-        )
-    return v
+            f"{what} certificate field {key!r} must be {kind.name}, got {_show(cert[key])}"
+        ) from None
+
+
+def _verify_products(cert: dict, kind: str) -> bool:
+    """A salas or mr_shift certificate: the product inequalities at its n."""
+    weights = weights_from_config(_cert_field(cert, "weights", OBJECT))
+    n, q = _cert_field(cert, "n", INT), _cert_field(cert, "q", INT)
+    m = _cert_field(cert, "m", INT) if kind == "mr_shift" else 1
+    eps = _cert_field(cert, "eps", NUMBER)
+    fwd, bwd = (tuple(_cert_field(cert, key, list_of(NUMBER)))
+                for key in ("forward_logs", "backward_logs"))
+    if (min(n, m) < 1 or q < 0 or not 0 < eps < 1 or not weights.bilateral_ok
+            or not len(fwd) == len(bwd) == m * (2 * q + 1)):
+        return False
+    _check_cap(m * n + q, f"{kind} product length")
+    if kind == "salas":
+        return SalasCertificate(weights, n, q, eps, fwd, bwd).verify()
+    return MRShiftCertificate(weights, n, m, q, eps, fwd, bwd).verify()
+
+
+def _verify_range(cert: dict) -> bool:
+    body = _cert_field(cert, "certificate", OBJECT)
+    phi = PolySymbol(tuple(_cert_field(cert, "phi", list_of(COMPLEX))))
+
+    def field(key, kind, default=REQUIRED):
+        return _cert_field(body, key, kind, default, what="range")
+
+    try:
+        range_kind = RangeKind(field("kind", STRING))
+    except ValueError as e:
+        raise ConfigError(f"range certificate: {e}") from e
+    numbers = ("boundary_min", "boundary_max", "slack", "min_exact", "max_exact")
+    return RangeCertificate(
+        range_kind, field("tol", NUMBER), field("grid", INT),
+        *(field(key, NUMBER) for key in numbers),
+        winding=field("winding", INT, None),
+        witness=field("witness", COMPLEX, None),
+        margin=field("margin", NUMBER, 0.0),
+    ).verify(phi)
+
+
+def _verify_series(cert: dict) -> bool:
+    weights = weights_from_config(_cert_field(cert, "weights", OBJECT))
+    n_max = _cert_field(cert, "n_max", INT)
+    cap = _cert_field(cert, "cap", NUMBER, 12.0)
+    recorded_kind = _cert_field(cert, "kind", STRING)
+    partial_sum = _cert_field(cert, "partial_sum", NUMBER)
+    if n_max < 10:
+        return False
+    _check_cap(n_max, "series n_max")
+    sv = fhc_series_check(weights, n_max, cap=cap)
+    return sv.kind == recorded_kind and _close(sv.partial_sum, partial_sum)
 
 
 def _verify_certificate(cert: dict, report_dir: Path, hits_cache: dict) -> bool:
     kind = cert.get("type")
-    if kind == "salas":
-        return SalasCertificate.from_config(cert).verify()
-    if kind == "mr_shift":
-        return MRShiftCertificate.from_config(cert).verify()
+    if kind in ("salas", "mr_shift"):
+        return _verify_products(cert, kind)
     if kind == "range":
-        return RangeCertificate.from_config(cert["certificate"]).verify(
-            PolySymbol.from_config(cert["phi"])
-        )
+        return _verify_range(cert)
     if kind == "series":
-        sv = fhc_series_check(
-            WeightSeq.from_config(cert["weights"]), cert["n_max"],
-            cap=cert.get("cap") or 12.0,
-        )
-        return sv.kind == cert["kind"] and _close(sv.partial_sum, cert["partial_sum"])
+        return _verify_series(cert)
     if kind == "ap_witness":
-        path = report_dir / _cert_field(cert, "hits_artifact", str)
-        a, k, m, tau = (_cert_field(cert, key, int) for key in ("a", "k", "m", "tau"))
+        path = report_dir / _cert_field(cert, "hits_artifact", STRING)
+        a, k, m, tau = (_cert_field(cert, key, INT) for key in ("a", "k", "m", "tau"))
         if min(k, m, tau) < 1:
             return False
         if path not in hits_cache:
@@ -696,11 +952,11 @@ def _verify_certificate(cert: dict, report_dir: Path, hits_cache: dict) -> bool:
         members = a + tau * k * np.arange(m + 1)
         return bool(np.all(np.isin(members, hits_cache[path])))
     if kind == "mr_witness":
-        ell, m = _cert_field(cert, "ell", int), _cert_field(cert, "m", int)
-        radius = _cert_field(cert, "radius", (int, float))
-        op_cfg = _cert_field(cert, "operator", dict)
-        u_artifact = _cert_field(cert, "u_artifact", str)
-        center = _cert_field(cert, "center", str)
+        ell, m = _cert_field(cert, "ell", INT), _cert_field(cert, "m", INT)
+        radius = _cert_field(cert, "radius", NUMBER)
+        op_cfg = _cert_field(cert, "operator", OBJECT)
+        u_artifact = _cert_field(cert, "u_artifact", STRING)
+        center = _cert_field(cert, "center", STRING)
         if ell < 1 or m < 0:
             return False
         try:
@@ -730,9 +986,14 @@ def verify_report(path: Path) -> list[tuple[str, bool]]:
         report = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read report {path}: {e}") from e
+    if not isinstance(report, dict):
+        raise ConfigError(f"report {path}: root must be an object")
+    certs = report.get("certificates", [])
+    if not isinstance(certs, list) or not all(isinstance(c, dict) for c in certs):
+        raise ConfigError(f"report {path}: 'certificates' must be a list of objects")
     hits_cache: dict[Path, np.ndarray] = {}
     results = []
-    for i, cert in enumerate(report.get("certificates", [])):
+    for i, cert in enumerate(certs):
         ok = _verify_certificate(cert, path.parent, hits_cache)
         results.append((f"{i}:{cert.get('type')}", ok))
     return results
@@ -754,13 +1015,6 @@ def _load_config(path: str | None, overrides: dict) -> dict:
     merged = dict(overrides)
     merged.update(cfg)  # config file wins over flags
     return merged
-
-
-def _weights_flag(name: str) -> WeightSeq:
-    try:
-        return WeightSeq.from_config({"family": name})
-    except (KeyError, ValueError) as e:
-        raise ConfigError(f"bad weight family {name!r}: {e}") from e
 
 
 def _parse_symbol_arg(arg: str) -> PolySymbol:
@@ -851,15 +1105,10 @@ def main(argv: list[str] | None = None) -> int:
     ns = ap.parse_args(argv)
     try:
         return _dispatch(ns)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except ScenarioError as e:
-        print(f"scenario assertion failed: {e}", file=sys.stderr)
-        return EXIT_ASSERTION
-    except ResourceCapError as e:
-        print(f"resource cap: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
+    except tuple(EXIT_CODES) as e:
+        code, label = next(EXIT_CODES[c] for c in type(e).__mro__ if c in EXIT_CODES)
+        print(f"{label}: {e}", file=sys.stderr)
+        return code
 
 
 def _dispatch(ns) -> int:
@@ -881,7 +1130,7 @@ def _dispatch(ns) -> int:
         return EXIT_OK
 
     if ns.cmd == "check-salas":
-        out = salas_check(_weights_flag(ns.weights), ns.eps, ns.q, ns.nmax)
+        out = salas_check(weights_from_config({"family": ns.weights}), ns.eps, ns.q, ns.nmax)
         if out:
             c = out.certificate
             print(f"witness n={c.n} (verify: {c.verify()})")
@@ -890,7 +1139,8 @@ def _dispatch(ns) -> int:
         return EXIT_OK
 
     if ns.cmd == "check-mr":
-        out = mr_shift_check(_weights_flag(ns.weights), ns.m, ns.q, ns.eps, ns.nmax)
+        weights = weights_from_config({"family": ns.weights})
+        out = mr_shift_check(weights, ns.m, ns.q, ns.eps, ns.nmax)
         if out:
             c = out.certificate
             print(f"witness n={c.n} (verify: {c.verify()})")
@@ -899,7 +1149,7 @@ def _dispatch(ns) -> int:
         return EXIT_OK
 
     if ns.cmd == "check-series":
-        sv = fhc_series_check(_weights_flag(ns.weights), ns.nmax, cap=ns.cap)
+        sv = fhc_series_check(weights_from_config({"family": ns.weights}), ns.nmax, cap=ns.cap)
         print(f"{sv.kind} partial_sum={sv.partial_sum:.9g}"
               + (f" tail_bound={sv.tail_bound:.3e}" if sv.tail_bound else "")
               + (f" crossed_cap_at={sv.crossed_cap_at}" if sv.crossed_cap_at else ""))
@@ -922,15 +1172,11 @@ def _dispatch(ns) -> int:
 
     if ns.cmd == "build-fu":
         cfg = _load_config(ns.config, {})
-        lam = scaling_from_config(_require(cfg, "scaling", dict))
-        T = operator_from_config(_require(cfg, "operator", dict))
-        targets = [
-            (parse_vector(t["vector"]), float(t["eps"]))
-            for t in _require(cfg, "targets", list)
-        ]
-        N = int(_require(cfg, "N"))
-        _check_caps(N)
-        v = build(lam, T, targets, N, g=cfg.get("g"), n_min=cfg.get("n_min"))
+        p = resolve(cfg, PARAMS["build-fu"], "build-fu")
+        lam = scaling_from_config(p.scaling)
+        T = operator_from_config(p.operator)
+        targets = [(parse_vector(t.vector), t.eps) for t in p.targets]
+        v = _checked(build, lam, T, targets, p.N, g=p.g, n_min=p.n_min)
         outdir = Path(ns.out)
         arts = {"fu_vector": vector_csv(outdir, "fu_vector.csv", v.x)}
         pairs = verify_fu(v)
@@ -938,54 +1184,38 @@ def _dispatch(ns) -> int:
         for i, (h, ds) in enumerate(pairs):
             arts[f"hitting_{i}"] = hitting_csv(outdir, f"hitting_{i}.csv", h)
             tables[f"target_{i}"] = _density_table(ds)
-        report = {
-            "format": "orbitlab-report-v1",
-            "scenario": "build-fu",
-            "config": cfg,
+        write_report(outdir, "build-fu", cfg, {
             "verdicts": {"fu_build": "ok"},
             "density_tables": tables,
             "certificates": [],
             "stats": v.report,
             "fu_plan": v.plan.to_config(),
             "artifacts": arts,
-        }
-        write_report(outdir, report)
+        })
         print(f"built: {v.x.nnz} coefficients, report -> {ns.out}/report.json")
         return EXIT_OK
 
     if ns.cmd == "mr-witness":
         cfg = _load_config(ns.config, {})
-        lam = scaling_from_config(_require(cfg, "scaling", dict))
-        T = operator_from_config(_require(cfg, "operator", dict))
-        x = read_vector_csv(Path(_require(cfg, "vector_csv", str)), T.side)
-        center = _require(cfg, "center", str)
-        ball = Ball(parse_vector(center, T.side), float(_require(cfg, "eps")))
-        N = int(_require(cfg, "N"))
-        _check_caps(N)
-        try:
-            m, tau = int(cfg.get("m", 3)), int(cfg.get("tau", 1))
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"bad m or tau: {e}") from e
-        if m < 0 or tau < 1:
-            raise ConfigError(f"mr-witness needs m >= 0 and tau >= 1, got {m} and {tau}")
-        out = mr_witness_search(x, lam, T, ball, m, tau, N, K=cfg.get("K"))
+        p = resolve(cfg, PARAMS["mr-witness"], "mr-witness")
+        lam = scaling_from_config(p.scaling)
+        T = operator_from_config(p.operator)
+        x = read_vector_csv(Path(p.vector_csv), T.side)
+        ball = Ball(parse_vector(p.center, T.side), p.eps)
+        out = _checked(mr_witness_search, x, lam, T, ball, p.m, p.tau, p.N, K=p.K)
         if not out:
             print(f"none: {out.diagnostics}")
             return EXIT_ASSERTION
         w = out.witness
         outdir = Path(ns.out)
         art = vector_csv(outdir, "witness_u.csv", w.u)
-        report = {
-            "format": "orbitlab-report-v1",
-            "scenario": "mr-witness",
-            "config": cfg,
+        write_report(outdir, "mr-witness", cfg, {
             "verdicts": {"mr_witness": {"ell": w.ell, "a": w.a, "k": w.k}},
             "density_tables": {},
-            "certificates": [_mr_cert(w, art, _op_cfg(T), center)],
+            "certificates": [_mr_cert(w, art, _op_cfg(T), p.center)],
             "stats": out.diagnostics,
             "artifacts": {"witness_u": art},
-        }
-        write_report(outdir, report)
+        })
         print(f"witness ell={w.ell} a={w.a}; report -> {ns.out}/report.json")
         return EXIT_OK
 

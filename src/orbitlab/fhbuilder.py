@@ -241,7 +241,7 @@ def verify_fu(
         planned = v.planned_times(i)
         missing = np.setdiff1d(planned, h.indices)
         if missing.size:
-            raise AssertionError(
+            raise BuildError(
                 f"builder bug: planned time {int(missing[0])} missing from "
                 f"recomputed hitting set of target {i}"
             )

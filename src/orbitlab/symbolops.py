@@ -258,23 +258,6 @@ class RangeCertificate:
             "margin": self.margin,
         }
 
-    @staticmethod
-    def from_config(cfg: dict) -> "RangeCertificate":
-        w = cfg.get("witness")
-        return RangeCertificate(
-            kind=RangeKind(cfg["kind"]),
-            tol=cfg["tol"],
-            grid=cfg["grid"],
-            boundary_min=cfg["boundary_min"],
-            boundary_max=cfg["boundary_max"],
-            slack=cfg["slack"],
-            min_exact=cfg["min_exact"],
-            max_exact=cfg["max_exact"],
-            winding=cfg.get("winding"),
-            witness=None if w is None else complex(w[0], w[1]),
-            margin=cfg.get("margin", 0.0),
-        )
-
 
 def boundary_extrema(phi: PolySymbol, grid: int = 4096) -> tuple[float, float]:
     """Exact min and max of |phi| on the unit circle.

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,11 +22,15 @@ from orbitlab.expcli import (
     parse_vector,
     read_vector_csv,
     run_scenario,
+    scenario_params,
     vector_csv,
     verify_report,
 )
+from orbitlab.criteria import fhc_series_check, mr_shift_check, salas_check
 from orbitlab.lspace import CoefVec, Side
 from orbitlab.orbits import DensityStats, HittingSet
+from orbitlab.shiftops import WeightSeq
+from orbitlab.symbolops import PolySymbol, classify_adjoint
 
 
 def _csv_writer_bytes(header, rows) -> bytes:
@@ -362,6 +367,98 @@ class TestMalformedCertificates:
         assert capsys.readouterr().out.startswith("0:mr_witness: FAILED")
 
 
+INVERSE_STEP = WeightSeq.from_config({"family": "inverse_step_bilateral"})
+SALAS_CERT = salas_check(INVERSE_STEP, 0.5, 0, 200).certificate.to_config()
+MR_SHIFT_CERT = mr_shift_check(INVERSE_STEP, 2, 0, 0.5, 100).certificate.to_config()
+_PHI = PolySymbol((0.8, 1))
+RANGE_CERT = {"type": "range", "symbol": "z+0.8", "phi": _PHI.to_config(),
+              "certificate": classify_adjoint(_PHI).certificate.to_config()}
+# the harmonic partial sum passes 5 before n = 10**4
+SERIES_CERT = fhc_series_check(WeightSeq.sqrt_ratio(), 10**4, cap=5.0).to_config() | {
+    "weights": {"family": "sqrt_ratio"}}
+CERTS = {"salas": SALAS_CERT, "mr_shift": MR_SHIFT_CERT, "range": RANGE_CERT,
+         "series": SERIES_CERT}
+
+
+def _verify_argv(tmp_path, report):
+    (tmp_path / "report.json").write_text(json.dumps(report))
+    return ["verify", "--report", str(tmp_path / "report.json")]
+
+
+def _edited(kind, fields):
+    """A copy of CERTS[kind] with fields replaced; None deletes a field.
+    A key "certificate.x" edits the nested range certificate."""
+    cert = json.loads(json.dumps(CERTS[kind]))
+    for key, v in fields.items():
+        rec = cert
+        if key.startswith("certificate."):
+            rec, key = cert["certificate"], key.removeprefix("certificate.")
+        if v is None:
+            rec.pop(key, None)
+        else:
+            rec[key] = v
+    return cert
+
+
+class TestMalformedOtherCertificates:
+    def test_well_formed_certificates_verify(self, tmp_path, capsys):
+        argv = _verify_argv(tmp_path, {"certificates": list(CERTS.values())})
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "0:salas: ok", "1:mr_shift: ok", "2:range: ok", "3:series: ok"]
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("salas", {"weights": None}),
+        ("salas", {"weights": {"family": "nope"}}),
+        ("salas", {"n": "2"}),
+        ("salas", {"eps": True}),
+        ("salas", {"forward_logs": "x"}),
+        ("salas", {"backward_logs": ["x"]}),
+        ("mr_shift", {"m": None}),
+        ("mr_shift", {"q": 1.0}),
+        ("range", {"certificate": None}),
+        ("range", {"phi": "z+0.8"}),
+        ("range", {"certificate.kind": "weird"}),
+        ("range", {"certificate.tol": None}),
+        ("range", {"certificate.witness": "i"}),
+        ("series", {"n_max": None}),
+        ("series", {"kind": 3}),
+        ("series", {"partial_sum": "1.0"}),
+        ("series", {"weights": "sqrt_ratio"}),
+    ], ids=["salas_no_weights", "salas_bad_family", "salas_n_string", "salas_eps_bool",
+            "salas_logs_string", "salas_log_string", "mr_shift_no_m", "mr_shift_q_float",
+            "range_no_certificate", "range_phi_string", "range_bad_kind", "range_no_tol",
+            "range_witness_string", "series_no_n_max", "series_kind_int",
+            "series_sum_string", "series_weights_string"])
+    def test_bad_field(self, tmp_path, capsys, kind, fields):
+        argv = _verify_argv(tmp_path, {"certificates": [_edited(kind, fields)]})
+        _assert_schema_error(main(argv), capsys)
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("salas", {"n": 0}),
+        ("salas", {"eps": 1.5}),
+        ("salas", {"forward_logs": []}),
+        ("salas", {"weights": {"family": "sqrt_ratio"}}),
+        ("mr_shift", {"m": 0}),
+        ("series", {"n_max": 5}),
+    ], ids=["salas_n_zero", "salas_eps_above_one", "salas_short_logs",
+            "salas_one_sided_weights", "mr_shift_m_zero", "series_n_max_5"])
+    def test_degenerate(self, tmp_path, capsys, kind, fields):
+        argv = _verify_argv(tmp_path, {"certificates": [_edited(kind, fields)]})
+        assert main(argv) == EXIT_ASSERTION
+        assert capsys.readouterr().out.startswith(f"0:{kind}: FAILED")
+
+    def test_series_beyond_cap(self, tmp_path, capsys):
+        argv = _verify_argv(tmp_path, {"certificates": [_edited("series", {"n_max": 10**9})]})
+        assert main(argv) == EXIT_RESOURCE
+
+    @pytest.mark.parametrize("report", [
+        [], {"certificates": "x"}, {"certificates": [3]}, {"certificates": {"type": "salas"}},
+    ], ids=["root_list", "certificates_string", "certificate_int", "certificates_object"])
+    def test_bad_report_shape(self, tmp_path, capsys, report):
+        _assert_schema_error(main(_verify_argv(tmp_path, report)), capsys)
+
+
 class TestExitCodes:
     def test_schema_error_missing_scenario(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -391,6 +488,123 @@ class TestExitCodes:
         cfg = tmp_path / "e5.json"
         cfg.write_text(json.dumps({"scenario": "E5", "N": 10**4, "cap": 100.0}))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_ASSERTION
+
+
+FU_CONFIG = {
+    "scaling": {"family": "constant", "c": [1.0, 0.0]},
+    "operator": {"side": "unilateral", "weights": {"family": "constant_w", "c": 1.0},
+                 "premultiplier": [2.0, 0.0]},
+    "targets": [{"vector": "e(1)", "eps": 1e-3}],
+    "N": 2000,
+}
+
+
+def _run_config(tmp_path, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+
+
+BAD_RUN_CONFIGS = {
+    "E1_N_string": {"scenario": "E1", "N": "abc"},
+    "E1_N_bool": {"scenario": "E1", "N": True},
+    "E1_N_float": {"scenario": "E1", "N": 2e4},
+    "E1_typo_key": {"scenario": "E1", "Nn": 100},
+    "E2_recurrence_N_negative": {"scenario": "E2", "recurrence_N": -5},
+    "E2_ratio_N_small": {"scenario": "E2", "ratio_N": 50},
+    "E4_q_negative": {"scenario": "E4", "q": -1},
+    "E4_eps_one": {"scenario": "E4", "eps": 1},
+    "E5_cap_string": {"scenario": "E5", "cap": "x"},
+    "E5_N_below_10": {"scenario": "E5", "N": 5},
+    "E6_g_below_support": {"scenario": "E6", "g": 2},
+    "E6_tau_zero": {"scenario": "E6", "tau": 0},
+    "E6_ap_order_string": {"scenario": "E6", "N": 20000, "ap_orders": [3, "4"]},
+    "E6_target_index_zero": {"scenario": "E6", "targets": ["e(0)"]},
+    "E7_unknown_key": {"scenario": "E7", "N": 10},
+}
+
+BAD_FU_CONFIGS = {
+    "target_without_vector": {"targets": [{"eps": 1e-3}]},
+    "target_eps_zero": {"targets": [{"vector": "e(1)", "eps": 0}]},
+    "target_typo_key": {"targets": [{"vector": "e(1)", "eps": 1e-3, "epss": 1}]},
+    "N_string": {"N": "2000"},
+    "g_not_above_support": {"g": 1},
+    "n_min_zero": {"n_min": 0},
+    "typo_key": {"Nn": 5},
+    "operator_typo_key": {"operator": {**FU_CONFIG["operator"], "sied": "unilateral"}},
+    "scaling_c_null": {"scaling": {"family": "constant", "c": None}},
+}
+
+BAD_MR_CONFIGS = {
+    "typo_key": {"mm": 3},
+    "eps_negative": {"eps": -0.1},
+    "K_zero": {"K": 0},
+    "N_bool": {"N": True},
+    "factorial_scaling": {"scaling": {"family": "factorial"}},
+}
+
+
+class TestConfigMatrix:
+    """Every malformed config exits 2 with one "config error:" line."""
+
+    @pytest.mark.parametrize("cfg", BAD_RUN_CONFIGS.values(), ids=BAD_RUN_CONFIGS)
+    def test_run(self, tmp_path, capsys, cfg):
+        _assert_schema_error(_run_config(tmp_path, "run", cfg), capsys)
+
+    @pytest.mark.parametrize("edit", BAD_FU_CONFIGS.values(), ids=BAD_FU_CONFIGS)
+    def test_build_fu(self, tmp_path, capsys, edit):
+        _assert_schema_error(_run_config(tmp_path, "build-fu", {**FU_CONFIG, **edit}), capsys)
+
+    @pytest.mark.parametrize("edit", BAD_MR_CONFIGS.values(), ids=BAD_MR_CONFIGS)
+    def test_mr_witness(self, tmp_path, capsys, edit):
+        _assert_schema_error(main(_mr_config(tmp_path, **edit)), capsys)
+
+
+class TestConfigOutcomes:
+    @pytest.mark.parametrize("cfg", [
+        {"scenario": "E2", "N": 10**9},
+        {"scenario": "E2", "recurrence_N": 10**9},
+        {"scenario": "E3", "ratio_N": 10**9},
+    ], ids=["E2_N", "E2_recurrence_N", "E3_ratio_N"])
+    def test_horizon_above_cap_is_exit_4(self, tmp_path, capsys, cfg):
+        assert _run_config(tmp_path, "run", cfg) == EXIT_RESOURCE
+        assert capsys.readouterr().err.startswith("resource cap: ")
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("run", {"scenario": "E1", "N": 10}),
+        ("build-fu", {**FU_CONFIG, "N": 10}),
+        ("build-fu", {**FU_CONFIG, "operator": {**FU_CONFIG["operator"],
+                                                "premultiplier": [0.5, 0.0]}}),
+    ], ids=["E1_no_room", "build_fu_no_room", "build_fu_infeasible_decay"])
+    def test_failed_build_is_exit_3(self, tmp_path, capsys, command, cfg):
+        assert _run_config(tmp_path, command, cfg) == EXIT_ASSERTION
+        err = capsys.readouterr().err
+        assert err.startswith("FU build failed: ") and err.count("\n") == 1
+
+    def test_optional_key_may_be_null(self, tmp_path):
+        assert _run_config(tmp_path, "build-fu", {**FU_CONFIG, "g": None}) == EXIT_OK
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("e*.json"))
+
+
+class TestParamTable:
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+    def test_defaults_match_shipped_configs(self, path):
+        cfg = json.loads(path.read_text())
+        sid = cfg["scenario"]
+        # the shipped config spells out every key, so this pins every default
+        assert set(cfg) - {"scenario"} == set(expcli.PARAMS[sid])
+        assert scenario_params(cfg) == scenario_params({"scenario": sid})
+
+    def test_run_by_scenario_id_matches_shipped_config(self, tmp_path):
+        path = next(p for p in SHIPPED_CONFIGS if p.stem == "e4")
+        assert main(["run", "--scenario", "E4", "--out", str(tmp_path / "a")]) == EXIT_OK
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "b")]) == EXIT_OK
+        a, b = (json.loads((tmp_path / d / "report.json").read_text()) for d in "ab")
+        assert a.pop("config") == {"scenario": "E4"}
+        assert b.pop("config") == json.loads(path.read_text())
+        assert a == b
 
 
 class TestScenarios:

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from orbitlab.fhbuilder import (
+    BuildError,
     InfeasibleDecayError,
     VerificationFailedError,
     build,
@@ -82,8 +84,6 @@ class TestBuild:
             build(ONE, Tb, [(CoefVec.basis(Side.BILATERAL, 1), 1e-3)], 100)
 
     def test_horizon_below_first_block(self):
-        from orbitlab.fhbuilder import BuildError
-
         with pytest.raises(BuildError):
             build(ONE, TWO_B, [(e(1), 1e-3)], 8, g=16)
 
@@ -129,3 +129,11 @@ class TestVerifyFU:
         wide = [Ball(e(1), 0.5)]
         h, _ = verify_fu(v, ball_overrides=wide)[0]
         assert np.all(np.isin(v.planned_times(0), h.indices))
+
+    def test_missing_planned_time_is_build_error(self):
+        # a vector other than the built one misses the plan; verify_fu must
+        # raise a BuildError (exit 3 in the CLI), not a bare AssertionError
+        v = build(ONE, TWO_B, [(e(1), 1e-3)], 10**3, g=16)
+        stray = dataclasses.replace(v, x=CoefVec.from_pairs(Side.UNILATERAL, [(1, 1.0)]))
+        with pytest.raises(BuildError, match="planned time 16 missing"):
+            verify_fu(stray)
