@@ -16,6 +16,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from functools import partial
 from operator import methodcaller
 from pathlib import Path
 from types import SimpleNamespace
@@ -40,7 +41,7 @@ from .orbits import (
     mr_witness_search,
     recurrence_scan,
 )
-from .seqcore import ScalingSeq, ratio_classify
+from .seqcore import AngleSpec, ScalingSeq, ratio_classify, rotate_seq
 from .shiftops import ShiftOp, WeightSeq, product_table, scaled_orbit_point
 from .symbolops import PolySymbol, RangeCertificate, RangeKind, classify_adjoint
 
@@ -86,11 +87,18 @@ def _check_cap(n: int, what: str = "horizon") -> None:
 
 @dataclass(frozen=True)
 class Kind:
-    """A JSON value type: its name, and a reader that gives the value in
-    Python form or raises TypeError. bool is no number."""
+    """A JSON value type: its name, a reader that gives the value in Python
+    form or raises TypeError (bool is no number), and, for a kind that a
+    flag can take, a parser that turns the flag's argv text into the JSON
+    value (raising ValueError). A family kind also carries its family table
+    and says whether a flag command takes its scalar keys as flags of their
+    own."""
 
     name: str
     read: Callable[[object], object]
+    parse: Callable[[str], object] | None = None
+    families: dict | None = None
+    key_flags: bool = False
 
 
 def _read_int(v) -> int:
@@ -111,6 +119,12 @@ def _read_complex(v) -> complex:
     return complex(_read_number(v))
 
 
+def _parse_complex(text: str) -> list:
+    """Flag text as Python's complex() reads it ("1+2j"), as [re, im]."""
+    z = complex(text)
+    return [z.real, z.imag]
+
+
 def _instance_of(cls: type) -> Callable:
     def read(v):
         if not isinstance(v, cls):
@@ -120,18 +134,25 @@ def _instance_of(cls: type) -> Callable:
 
 
 def list_of(kind: Kind) -> Kind:
+    """A list kind; its flag text is a JSON list or comma-separated items."""
     def read(v):
         if not isinstance(v, list):
             raise TypeError
         return [kind.read(item) for item in v]
-    return Kind(f"list of {kind.name}", read)
+
+    def parse(text: str) -> list:
+        if text.lstrip().startswith("["):
+            return json.loads(text)
+        return [kind.parse(item) for item in text.split(",")]
+    return Kind(f"list of {kind.name}", read, parse)
 
 
-INT = Kind("int", _read_int)
-NUMBER = Kind("number", _read_number)
-COMPLEX = Kind("complex", _read_complex)  # a number or [re, im]
-STRING = Kind("string", _instance_of(str))
+INT = Kind("int", _read_int, int)
+NUMBER = Kind("number", _read_number, float)
+COMPLEX = Kind("complex", _read_complex, _parse_complex)  # a number or [re, im]
+STRING = Kind("string", _instance_of(str), str)
 OBJECT = Kind("object", _instance_of(dict))
+SCALARS = (INT, NUMBER, COMPLEX)
 
 
 @dataclass(frozen=True)
@@ -153,6 +174,7 @@ def each(r: Range) -> Range:
 POSITIVE = Range("> 0", lambda v: v > 0)
 OPEN_UNIT_INTERVAL = Range("in (0, 1)", lambda v: 0 < v < 1)
 PUNCTURED_UNIT_DISK = Range("0 < |a| < 1", lambda v: 0 < abs(v) < 1)
+BILATERAL = Range("bilateral", lambda w: w.bilateral_ok)
 
 REQUIRED = object()
 
@@ -171,6 +193,18 @@ class Param:
 
 def horizon(default=REQUIRED, lo: int = 1) -> Param:
     return Param(INT, default, at_least(lo), horizon=True)
+
+
+def param_cells(p: Param) -> tuple[str, str, str]:
+    """A row's kind, default and range as the README and --help show them."""
+    if p.default is REQUIRED:
+        default = "required"
+    elif p.default is None:
+        default = "none"
+    else:
+        default = json.dumps(p.default)
+    limits = [p.range.text] if p.range else []
+    return p.kind.name, default, ", ".join(limits + ["horizon"] * p.horizon)
 
 
 def table(name: str, rows: dict[str, Param]) -> Kind:
@@ -216,9 +250,92 @@ def resolve(cfg: dict, rows: dict[str, Param], where: str) -> SimpleNamespace:
     return SimpleNamespace(**out)
 
 
+@dataclass(frozen=True)
+class Family:
+    """One member of a family kind: its keys, and the constructor that takes
+    their resolved values in row order."""
+
+    rows: dict[str, Param]
+    build: Callable
+
+
+def family_kind(name: str, tag: str, families: dict[str, Family], parse=None,
+                key_flags: bool = False) -> Kind:
+    """An object kind whose ``tag`` key names a family; the other keys are
+    read through that family's rows and handed to its constructor. A
+    ValueError from the constructor is a config error."""
+    def read(v):
+        obj = _instance_of(dict)(v)
+        if tag not in obj:
+            raise ConfigError(f"{name}: missing key {tag!r}")
+        fam = families.get(obj[tag]) if isinstance(obj[tag], str) else None
+        if fam is None:
+            raise ConfigError(
+                f"{name}: unknown {tag} {_show(obj[tag])} (known: {', '.join(families)})"
+            )
+        where = f"{name} {obj[tag]}"
+        p = resolve(obj, {tag: Param(STRING), **fam.rows}, where)
+        try:
+            return fam.build(*(getattr(p, key) for key in fam.rows))
+        except ValueError as e:
+            raise ConfigError(f"{where}: {e}") from None
+    return Kind(name, read, parse, families, key_flags)
+
+
+def family_flags(kind: Kind) -> list[str]:
+    """The keys a flag command takes as flags of their own for a row of this
+    kind: with ``key_flags``, every scalar key of any of its families."""
+    if not kind.key_flags:
+        return []
+    return sorted({key for fam in kind.families.values()
+                   for key, p in fam.rows.items() if p.kind in SCALARS})
+
+
+ANGLE = family_kind("angle", "kind", {
+    "constant": Family({"value": Param(NUMBER, 0.0)}, partial(AngleSpec, "constant")),
+    "linear": Family({"value": Param(NUMBER, 0.0)}, partial(AngleSpec, "linear")),
+    "table": Family({"value": Param(list_of(NUMBER))},
+                    lambda value: AngleSpec("table", tuple(value))),
+})
+
+# filled in below: "inverse" and "rotated" hold a scaling of their own
+SCALING_FAMILIES: dict[str, Family] = {}
+# on the flag surface, --family names the family ("log" is short for log_pow)
+# and --a, --c, --k and --w give its keys
+SCALING = family_kind("scaling", "family", SCALING_FAMILIES,
+                      lambda text: {"family": {"log": "log_pow"}.get(text, text)},
+                      key_flags=True)
+SCALING_FAMILIES.update({
+    "constant": Family({"c": Param(COMPLEX)}, ScalingSeq.constant),
+    "log_pow": Family({"k": Param(NUMBER, 1.0)}, ScalingSeq.log_pow),
+    "log_log": Family({}, ScalingSeq.log_log),
+    "rational_poly": Family({"p": Param(list_of(COMPLEX)), "q": Param(list_of(COMPLEX))},
+                            ScalingSeq.rational_poly),
+    "exp_pow": Family({"a": Param(NUMBER)}, ScalingSeq.exp_pow),
+    "exp_over_log": Family({}, ScalingSeq.exp_over_log),
+    "exp_over_log_log": Family({}, ScalingSeq.exp_over_log_log),
+    "factorial": Family({}, ScalingSeq.factorial),
+    "geom_even_odd": Family({}, ScalingSeq.geom_even_odd),
+    "dyadic_tower": Family({}, ScalingSeq.dyadic_tower),
+    "power_of_w": Family({"w": Param(COMPLEX)}, ScalingSeq.power_of_w),
+    "geom_inverse": Family({"a": Param(COMPLEX)}, ScalingSeq.geom_inverse),
+    "table": Family({"values": Param(list_of(COMPLEX))}, ScalingSeq.table),
+    "inverse": Family({"base": Param(SCALING)}, ScalingSeq.inverse),
+    "rotated": Family({"base": Param(SCALING), "theta": Param(ANGLE)}, rotate_seq),
+})
+
+WEIGHTS = family_kind("weights", "family", {
+    "constant_w": Family({"c": Param(NUMBER, range=POSITIVE)}, WeightSeq.constant),
+    "sqrt_ratio": Family({}, WeightSeq.sqrt_ratio),
+    "step_bilateral": Family({}, WeightSeq.step_bilateral),
+    "inverse_step_bilateral": Family({}, WeightSeq.inverse_step_bilateral),
+    "table_w": Family({"values": Param(list_of(NUMBER), range=each(POSITIVE)),
+                       "start": Param(INT, 1)}, WeightSeq.table),
+}, lambda text: {"family": text})
+
 OPERATOR = {
     "side": Param(STRING, "unilateral"),
-    "weights": Param(OBJECT),
+    "weights": Param(WEIGHTS),
     "premultiplier": Param(COMPLEX, 1.0),
 }
 
@@ -227,7 +344,8 @@ TARGET = {
     "eps": Param(NUMBER, range=POSITIVE),
 }
 
-# Every command's config keys, one per line: kind, default, range.
+# Every command's config keys, one per line: kind, default, range. The flag
+# commands (FLAG_COMMANDS) take each key as a flag: "max_k" is --max-k.
 PARAMS: dict[str, dict[str, Param]] = {
     "E1": {
         "N": horizon(20_000),
@@ -267,7 +385,7 @@ PARAMS: dict[str, dict[str, Param]] = {
     },
     "E7": {},
     "build-fu": {
-        "scaling": Param(OBJECT),
+        "scaling": Param(SCALING),
         "operator": Param(OBJECT),
         "targets": Param(list_of(table("target", TARGET))),
         "N": horizon(),
@@ -275,7 +393,7 @@ PARAMS: dict[str, dict[str, Param]] = {
         "n_min": Param(INT, None, at_least(1)),
     },
     "mr-witness": {
-        "scaling": Param(OBJECT),
+        "scaling": Param(SCALING),
         "operator": Param(OBJECT),
         "vector_csv": Param(STRING),
         "center": Param(STRING),
@@ -284,6 +402,42 @@ PARAMS: dict[str, dict[str, Param]] = {
         "m": Param(INT, 3, at_least(0)),
         "tau": Param(INT, 1, at_least(1)),
         "K": Param(INT, None, at_least(1)),
+    },
+    "classify-seq": {
+        "family": Param(SCALING),
+        "tau": Param(INT, 1, at_least(1)),
+        "horizon": horizon(10**6, lo=100),
+        "tol": Param(NUMBER, 1e-4, POSITIVE),
+        "restrict_mod": Param(INT, None, at_least(1)),
+        "restrict_res": Param(INT, 0),
+    },
+    "check-salas": {
+        "weights": Param(WEIGHTS, range=BILATERAL),
+        "eps": Param(NUMBER, range=OPEN_UNIT_INTERVAL),
+        "q": Param(INT, range=at_least(0)),
+        "nmax": horizon(10**4),
+    },
+    "check-mr": {
+        "weights": Param(WEIGHTS, range=BILATERAL),
+        "m": Param(INT, range=at_least(1)),
+        "q": Param(INT, range=at_least(0)),
+        "eps": Param(NUMBER, range=OPEN_UNIT_INTERVAL),
+        "nmax": horizon(10**4),
+    },
+    "check-series": {
+        "weights": Param(WEIGHTS),
+        "nmax": horizon(10**6, lo=10),
+        "cap": Param(NUMBER, 12.0, POSITIVE),
+    },
+    "ap-find": {
+        "hits": Param(STRING),
+        "nmax": horizon(),
+        "m": Param(INT, range=at_least(1)),
+        "tau": Param(INT, 1, at_least(1)),
+        "max_k": Param(INT, None, at_least(1)),
+    },
+    "classify-symbol": {
+        "coeffs": Param(list_of(COMPLEX)),
     },
 }
 
@@ -342,27 +496,12 @@ def parse_vector(spec: str, side: Side = Side.UNILATERAL) -> CoefVec:
         raise ConfigError(f"bad vector {spec!r}: {e}") from e
 
 
-def weights_from_config(cfg: dict) -> WeightSeq:
-    try:
-        return WeightSeq.from_config(cfg)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad weights {_show(cfg)}: {e!r}") from e
-
-
 def operator_from_config(cfg: dict) -> ShiftOp:
     p = resolve(cfg, OPERATOR, "operator")
-    weights = weights_from_config(p.weights)
     try:
-        return ShiftOp(Side(p.side), weights, p.premultiplier)
+        return ShiftOp(Side(p.side), p.weights, p.premultiplier)
     except ValueError as e:
         raise ConfigError(f"bad operator: {e}") from e
-
-
-def scaling_from_config(cfg: dict) -> ScalingSeq:
-    try:
-        return ScalingSeq.from_config(cfg)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad scaling {_show(cfg)}: {e!r}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -881,11 +1020,13 @@ def _cert_field(cert: dict, key: str, kind: Kind, default=REQUIRED, what: str | 
         raise ConfigError(
             f"{what} certificate field {key!r} must be {kind.name}, got {_show(cert[key])}"
         ) from None
+    except ConfigError as e:
+        raise ConfigError(f"{what} certificate field {key!r}: {e}") from None
 
 
 def _verify_products(cert: dict, kind: str) -> bool:
     """A salas or mr_shift certificate: the product inequalities at its n."""
-    weights = weights_from_config(_cert_field(cert, "weights", OBJECT))
+    weights = _cert_field(cert, "weights", WEIGHTS)
     n, q = _cert_field(cert, "n", INT), _cert_field(cert, "q", INT)
     m = _cert_field(cert, "m", INT) if kind == "mr_shift" else 1
     eps = _cert_field(cert, "eps", NUMBER)
@@ -922,7 +1063,7 @@ def _verify_range(cert: dict) -> bool:
 
 
 def _verify_series(cert: dict) -> bool:
-    weights = weights_from_config(_cert_field(cert, "weights", OBJECT))
+    weights = _cert_field(cert, "weights", WEIGHTS)
     n_max = _cert_field(cert, "n_max", INT)
     cap = _cert_field(cert, "cap", NUMBER, 12.0)
     recorded_kind = _cert_field(cert, "kind", STRING)
@@ -1017,32 +1158,63 @@ def _load_config(path: str | None, overrides: dict) -> dict:
     return merged
 
 
-def _parse_symbol_arg(arg: str) -> PolySymbol:
-    s = arg.strip()
-    if s.startswith("["):
-        return PolySymbol.from_config(json.loads(s))
-    return PolySymbol(tuple(complex(t) for t in s.split(",")))
+# the commands that take their PARAMS keys as flags, with their help lines
+FLAG_COMMANDS = {
+    "classify-seq": "ratio-classify a scaling sequence",
+    "check-salas": "bilateral hypercyclicity products",
+    "check-mr": "multiple-recurrence products",
+    "check-series": "sum (w_1..w_n)^-2 behaviour",
+    "ap-find": "arithmetic progressions in a hit set",
+    "classify-symbol": "adjoint-multiplier class of a symbol",
+}
 
 
-def _add_seq_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True, help="sequence family tag")
-    p.add_argument("--k", type=float, help="exponent for log_pow")
-    p.add_argument("--a", type=str, help="parameter a (complex ok) for exp_pow/geom_inverse")
-    p.add_argument("--c", type=str, help="constant value")
-    p.add_argument("--w", type=str, help="base w for power_of_w")
+def flag_name(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def _seq_from_flags(ns) -> ScalingSeq:
-    family = {"log": "log_pow"}.get(ns.family, ns.family)
-    cfg: dict = {"family": family}
-    if family == "log_pow":
-        cfg["k"] = ns.k if ns.k is not None else 1.0
-    for key in ("a", "c", "w"):
-        v = getattr(ns, key)
-        if v is not None:
-            z = complex(v)
-            cfg[key] = [z.real, z.imag] if (key != "a" or family != "exp_pow") else z.real
-    return scaling_from_config(cfg)
+def _add_flags(p: argparse.ArgumentParser, rows: dict[str, Param]) -> None:
+    """One flag per key; a family key also takes its scalar keys as flags
+    (dest "key.param"). Absent flags stay absent, so resolve fills in the
+    defaults and reports a missing required key."""
+    for key, row in rows.items():
+        kind, default, limits = param_cells(row)
+        if row.default is not REQUIRED:
+            default = f"default {default}"
+        p.add_argument(flag_name(key), dest=key,
+                       help=", ".join(filter(None, (kind, default, limits))))
+        for param in family_flags(row.kind):
+            p.add_argument(flag_name(param), dest=f"{key}.{param}",
+                           metavar=param.upper(), help=f"{kind} key {param!r}")
+
+
+def _parse_flag(kind: Kind, text: str, flag: str, cmd: str):
+    try:
+        return kind.parse(text)
+    except ValueError:
+        raise ConfigError(f"{cmd}: {flag} must be {kind.name}, got {text!r}") from None
+
+
+def _flag_config(ns, rows: dict[str, Param]) -> dict:
+    """A flag command's argv as a config object: each flag's text parsed by
+    its key's kind. A family key's scalar flags are parsed by the named
+    family's rows; one that family does not have is left as text for
+    resolve to reject."""
+    given = vars(ns)
+    out = {}
+    for key, row in rows.items():
+        if key not in given:
+            continue
+        out[key] = value = _parse_flag(row.kind, given[key], flag_name(key), ns.cmd)
+        for param in family_flags(row.kind):
+            text = given.get(f"{key}.{param}")
+            if text is None:
+                continue
+            fam = row.kind.families.get(value["family"])
+            prow = fam.rows.get(param) if fam else None
+            value[param] = text if prow is None else _parse_flag(
+                prow.kind, text, flag_name(param), ns.cmd)
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1054,50 +1226,15 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--scenario", help="scenario id (built-in defaults)")
     p.add_argument("--out", default="out", help="output directory")
 
-    p = sub.add_parser("classify-seq", help="ratio-classify a scaling sequence")
-    _add_seq_flags(p)
-    p.add_argument("--tau", type=int, default=1)
-    p.add_argument("--horizon", type=int, default=10**6)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--restrict-mod", type=int)
-    p.add_argument("--restrict-res", type=int, default=0)
+    for cmd, text in FLAG_COMMANDS.items():
+        _add_flags(sub.add_parser(cmd, help=text, argument_default=argparse.SUPPRESS),
+                   PARAMS[cmd])
 
-    p = sub.add_parser("check-salas", help="bilateral hypercyclicity products")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--nmax", type=int, default=10**4)
-
-    p = sub.add_parser("check-mr", help="multiple-recurrence products")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--nmax", type=int, default=10**4)
-
-    p = sub.add_parser("check-series", help="sum (w_1..w_n)^-2 behaviour")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--nmax", type=int, default=10**6)
-    p.add_argument("--cap", type=float, default=12.0)
-
-    p = sub.add_parser("ap-find", help="arithmetic progressions in a hit set")
-    p.add_argument("--hits", required=True, help="CSV with column n")
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--tau", type=int, default=1)
-    p.add_argument("--max-k", type=int)
-
-    p = sub.add_parser("build-fu", help="build a frequently-universal vector")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default="out")
-
-    p = sub.add_parser("mr-witness", help="multiple-recurrence witness search")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default="out")
-
-    p = sub.add_parser("classify-symbol", help="adjoint-multiplier class of a symbol")
-    p.add_argument("--coeffs", required=True,
-                   help='low-degree-first: "0.8,1" or JSON [[re,im],...]')
+    for cmd, text in (("build-fu", "build a frequently-universal vector"),
+                      ("mr-witness", "multiple-recurrence witness search")):
+        p = sub.add_parser(cmd, help=text)
+        p.add_argument("--config", required=True)
+        p.add_argument("--out", default="out")
 
     p = sub.add_parser("verify", help="re-verify certificates in a report")
     p.add_argument("--report", required=True)
@@ -1111,6 +1248,14 @@ def main(argv: list[str] | None = None) -> int:
         return code
 
 
+def _print_search(out, n_max: int) -> None:
+    if out:
+        c = out.certificate
+        print(f"witness n={c.n} (verify: {c.verify()})")
+    else:
+        print(f"none found up to N_max={n_max}; diagnostics {out.diagnostics}")
+
+
 def _dispatch(ns) -> int:
     if ns.cmd == "run":
         overrides = {"scenario": ns.scenario} if ns.scenario else {}
@@ -1119,51 +1264,45 @@ def _dispatch(ns) -> int:
         print(f"scenario {report['scenario']}: ok -> {ns.out}/report.json")
         return EXIT_OK
 
+    if ns.cmd in FLAG_COMMANDS:
+        p = resolve(_flag_config(ns, PARAMS[ns.cmd]), PARAMS[ns.cmd], ns.cmd)
+    elif ns.cmd in PARAMS:
+        cfg = _load_config(ns.config, {})
+        p = resolve(cfg, PARAMS[ns.cmd], ns.cmd)
+
     if ns.cmd == "classify-seq":
-        seq = _seq_from_flags(ns)
-        restrict = (ns.restrict_mod, ns.restrict_res) if ns.restrict_mod else None
-        v = ratio_classify(seq, ns.tau, N=ns.horizon, tol=ns.tol, restrict=restrict)
-        print(f"family={ns.family} tau={ns.tau} verdict={v.kind}"
+        restrict = None if p.restrict_mod is None else (p.restrict_mod, p.restrict_res)
+        v = _checked(ratio_classify, p.family, p.tau, N=p.horizon, tol=p.tol,
+                     restrict=restrict)
+        print(f"family={ns.family} tau={p.tau} verdict={v.kind}"
               + (f" limit={v.limit}" if v.is_bad else "")
               + (f" note={v.note}" if v.note else ""))
         print("last ratios:", " ".join(f"{r:.6g}" for r in v.evidence))
         return EXIT_OK
 
     if ns.cmd == "check-salas":
-        out = salas_check(weights_from_config({"family": ns.weights}), ns.eps, ns.q, ns.nmax)
-        if out:
-            c = out.certificate
-            print(f"witness n={c.n} (verify: {c.verify()})")
-        else:
-            print(f"none found up to N_max={ns.nmax}; diagnostics {out.diagnostics}")
+        _print_search(salas_check(p.weights, p.eps, p.q, p.nmax), p.nmax)
         return EXIT_OK
 
     if ns.cmd == "check-mr":
-        weights = weights_from_config({"family": ns.weights})
-        out = mr_shift_check(weights, ns.m, ns.q, ns.eps, ns.nmax)
-        if out:
-            c = out.certificate
-            print(f"witness n={c.n} (verify: {c.verify()})")
-        else:
-            print(f"none found up to N_max={ns.nmax}; diagnostics {out.diagnostics}")
+        _check_cap(p.m * p.nmax + p.q, "check-mr: product length m*nmax+q")
+        _print_search(mr_shift_check(p.weights, p.m, p.q, p.eps, p.nmax), p.nmax)
         return EXIT_OK
 
     if ns.cmd == "check-series":
-        sv = fhc_series_check(weights_from_config({"family": ns.weights}), ns.nmax, cap=ns.cap)
+        sv = fhc_series_check(p.weights, p.nmax, cap=p.cap)
         print(f"{sv.kind} partial_sum={sv.partial_sum:.9g}"
               + (f" tail_bound={sv.tail_bound:.3e}" if sv.tail_bound else "")
               + (f" crossed_cap_at={sv.crossed_cap_at}" if sv.crossed_cap_at else ""))
         return EXIT_OK
 
     if ns.cmd == "ap-find":
-        if ns.m < 1 or ns.tau < 1:
-            raise ConfigError(f"ap-find needs --m >= 1 and --tau >= 1, got {ns.m} and {ns.tau}")
-        hits = _load_hits(Path(ns.hits))
+        hits = _load_hits(Path(p.hits))
         try:
-            h = HittingSet(hits, ns.nmax)
+            h = HittingSet(hits, p.nmax)
         except ValueError as e:
-            raise ConfigError(f"hit set {ns.hits}: {e}") from e
-        w = find_ap(h, ns.m, ns.tau, ns.max_k)
+            raise ConfigError(f"hit set {p.hits}: {e}") from e
+        w = find_ap(h, p.m, p.tau, p.max_k)
         if w is None:
             print("none")
         else:
@@ -1171,12 +1310,9 @@ def _dispatch(ns) -> int:
         return EXIT_OK
 
     if ns.cmd == "build-fu":
-        cfg = _load_config(ns.config, {})
-        p = resolve(cfg, PARAMS["build-fu"], "build-fu")
-        lam = scaling_from_config(p.scaling)
         T = operator_from_config(p.operator)
         targets = [(parse_vector(t.vector), t.eps) for t in p.targets]
-        v = _checked(build, lam, T, targets, p.N, g=p.g, n_min=p.n_min)
+        v = _checked(build, p.scaling, T, targets, p.N, g=p.g, n_min=p.n_min)
         outdir = Path(ns.out)
         arts = {"fu_vector": vector_csv(outdir, "fu_vector.csv", v.x)}
         pairs = verify_fu(v)
@@ -1196,13 +1332,10 @@ def _dispatch(ns) -> int:
         return EXIT_OK
 
     if ns.cmd == "mr-witness":
-        cfg = _load_config(ns.config, {})
-        p = resolve(cfg, PARAMS["mr-witness"], "mr-witness")
-        lam = scaling_from_config(p.scaling)
         T = operator_from_config(p.operator)
         x = read_vector_csv(Path(p.vector_csv), T.side)
         ball = Ball(parse_vector(p.center, T.side), p.eps)
-        out = _checked(mr_witness_search, x, lam, T, ball, p.m, p.tau, p.N, K=p.K)
+        out = _checked(mr_witness_search, x, p.scaling, T, ball, p.m, p.tau, p.N, K=p.K)
         if not out:
             print(f"none: {out.diagnostics}")
             return EXIT_ASSERTION
@@ -1220,8 +1353,7 @@ def _dispatch(ns) -> int:
         return EXIT_OK
 
     if ns.cmd == "classify-symbol":
-        phi = _parse_symbol_arg(ns.coeffs)
-        sv = classify_adjoint(phi)
+        sv = classify_adjoint(PolySymbol(tuple(p.coeffs)))
         print(sv.kind.value)
         if sv.certificate is not None:
             c = sv.certificate

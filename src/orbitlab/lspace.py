@@ -111,14 +111,6 @@ class CoefVec:
     def nnz(self) -> int:
         return int(self.indices.size)
 
-    @property
-    def support_min(self) -> int | None:
-        return int(self.indices[0]) if self.indices.size else None
-
-    @property
-    def support_max(self) -> int | None:
-        return int(self.indices[-1]) if self.indices.size else None
-
     def entry(self, i: int) -> LogScalar:
         pos = np.searchsorted(self.indices, i)
         if pos < self.indices.size and self.indices[pos] == i:
@@ -129,10 +121,6 @@ class CoefVec:
         """Entries as complex128, aligned with ``indices``."""
         self._require_float_range()
         return np.exp(self.log_mags) * np.exp(1j * self.phases)
-
-    def to_complex_dict(self) -> dict[int, complex]:
-        vals = self.to_complex_array()
-        return {int(i): complex(v) for i, v in zip(self.indices, vals)}
 
     def _require_float_range(self):
         if self.indices.size and float(np.max(self.log_mags)) > NORM_LOG_CAP:
@@ -151,12 +139,6 @@ class CoefVec:
             self.indices,
             self.log_mags + a.log_mag,
             wrap_phase(self.phases + a.phase),
-        )
-
-    def rotate(self, theta: float) -> "CoefVec":
-        """Global phase rotation by exp(i*theta); exact on magnitudes."""
-        return CoefVec(
-            self.side, self.indices, self.log_mags, wrap_phase(self.phases + theta)
         )
 
 

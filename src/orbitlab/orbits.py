@@ -334,21 +334,6 @@ class IntPolynomial:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
 
-    @staticmethod
-    def from_power_coeffs(power: "list[int]") -> "IntPolynomial":
-        """From p(k) = sum_j power[j-1] * k^j (integer coefficients)."""
-        d = len(power)
-        vals = [sum(a * (t ** (j + 1)) for j, a in enumerate(power)) for t in range(d + 1)]
-        if vals[0] != 0:
-            raise ValueError("p(0) must be 0")
-        # binomial coefficients are the forward differences at 0
-        coeffs = []
-        diff = vals
-        for _ in range(d):
-            diff = [diff[i + 1] - diff[i] for i in range(len(diff) - 1)]
-            coeffs.append(diff[0])
-        return IntPolynomial(tuple(coeffs))
-
     def eval(self, k: int) -> int:
         # C(k, j) via falling factorials, valid for every integer k
         total = 0

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "LogScalar",
@@ -75,10 +74,6 @@ class LogScalar:
             object.__setattr__(self, "phase", wrap_phase(float(self.phase)))
 
     @staticmethod
-    def zero_value() -> "LogScalar":
-        return LogScalar(zero=True)
-
-    @staticmethod
     def one() -> "LogScalar":
         return LogScalar(0.0, 0.0)
 
@@ -89,12 +84,6 @@ class LogScalar:
             return LogScalar(zero=True)
         return LogScalar(math.log(abs(z)), math.atan2(z.imag, z.real))
 
-    @staticmethod
-    def from_real(r: float) -> "LogScalar":
-        if r == 0:
-            return LogScalar(zero=True)
-        return LogScalar(math.log(abs(r)), 0.0 if r > 0 else math.pi)
-
     def to_complex(self) -> complex:
         if self.zero:
             return 0j
@@ -103,11 +92,6 @@ class LogScalar:
                 f"log magnitude {self.log_mag:.3g} exceeds float range"
             )
         return cmath.rect(math.exp(self.log_mag), self.phase)
-
-    def abs_value(self) -> float:
-        if self.zero:
-            return 0.0
-        return math.exp(self.log_mag)
 
     def conj(self) -> "LogScalar":
         if self.zero:
@@ -119,47 +103,8 @@ class LogScalar:
             raise ZeroDivisionError("inverse of log-domain zero")
         return LogScalar(-self.log_mag, -self.phase)
 
-    def neg(self) -> "LogScalar":
-        if self.zero:
-            return self
-        return LogScalar(self.log_mag, self.phase + math.pi)
-
     def mul(self, other: "LogScalar") -> "LogScalar":
         return log_mul(self, other)
-
-    def pow_int(self, n: int) -> "LogScalar":
-        if self.zero:
-            if n == 0:
-                return LogScalar.one()
-            if n < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return self
-        return LogScalar(self.log_mag * n, wrap_phase(self.phase * n))
-
-    def add(self, other: "LogScalar") -> "LogScalar":
-        """Stable log-domain complex addition.
-
-        Results whose magnitude cancels below relative 1e-15 of the larger
-        operand collapse to the canonical zero.
-        """
-        if self.zero:
-            return other
-        if other.zero:
-            return self
-        m = max(self.log_mag, other.log_mag)
-        s = cmath.rect(math.exp(self.log_mag - m), self.phase) + cmath.rect(
-            math.exp(other.log_mag - m), other.phase
-        )
-        r = abs(s)
-        if r <= 1e-15:
-            return LogScalar(zero=True)
-        return LogScalar(m + math.log(r), math.atan2(s.imag, s.real))
-
-    def isclose(self, other: "LogScalar", tol: float = 1e-12) -> bool:
-        if self.zero or other.zero:
-            return self.zero and other.zero
-        dphase = abs(wrap_phase(self.phase - other.phase))
-        return abs(self.log_mag - other.log_mag) <= tol and dphase <= tol
 
 
 def log_mul(a: LogScalar, b: LogScalar) -> LogScalar:
@@ -195,13 +140,6 @@ class AngleSpec:
     def to_config(self) -> dict:
         value = list(self.value) if self.kind == "table" else self.value
         return {"kind": self.kind, "value": value}
-
-    @staticmethod
-    def from_config(cfg: dict) -> "AngleSpec":
-        value = cfg.get("value", 0.0)
-        if cfg["kind"] == "table":
-            value = tuple(float(v) for v in value)
-        return AngleSpec(cfg["kind"], value)
 
 
 # family tag -> smallest defined index
@@ -326,9 +264,6 @@ class ScalingSeq:
             raise SequenceDomainError(
                 f"family {self.family!r} starts at n={self.min_n}, got {n_lo}"
             )
-        if self.family == "table":
-            # upper end checked in _window
-            pass
 
     def to_config(self) -> dict:
         f = self.family
@@ -359,55 +294,9 @@ class ScalingSeq:
             return {"family": f, "base": base.to_config(), "theta": theta.to_config()}
         return {"family": f}
 
-    @staticmethod
-    def from_config(cfg: dict) -> "ScalingSeq":
-        f = cfg["family"]
-        if f == "constant":
-            return ScalingSeq.constant(_l2c(cfg["c"]))
-        if f == "log_pow":
-            return ScalingSeq.log_pow(cfg["k"])
-        if f == "log_log":
-            return ScalingSeq.log_log()
-        if f == "rational_poly":
-            return ScalingSeq.rational_poly(
-                [_l2c(v) for v in cfg["p"]], [_l2c(v) for v in cfg["q"]]
-            )
-        if f == "exp_pow":
-            return ScalingSeq.exp_pow(cfg["a"])
-        if f == "exp_over_log":
-            return ScalingSeq.exp_over_log()
-        if f == "exp_over_log_log":
-            return ScalingSeq.exp_over_log_log()
-        if f == "factorial":
-            return ScalingSeq.factorial()
-        if f == "geom_even_odd":
-            return ScalingSeq.geom_even_odd()
-        if f == "dyadic_tower":
-            return ScalingSeq.dyadic_tower()
-        if f == "power_of_w":
-            return ScalingSeq.power_of_w(_l2c(cfg["w"]))
-        if f == "geom_inverse":
-            return ScalingSeq.geom_inverse(_l2c(cfg["a"]))
-        if f == "table":
-            return ScalingSeq.table([_l2c(v) for v in cfg["values"]])
-        if f == "inverse":
-            return ScalingSeq.inverse(ScalingSeq.from_config(cfg["base"]))
-        if f == "rotated":
-            return ScalingSeq(
-                "rotated",
-                (ScalingSeq.from_config(cfg["base"]), AngleSpec.from_config(cfg["theta"])),
-            )
-        raise ValueError(f"unknown sequence family {f!r}")
-
 
 def _c2l(z: complex) -> list:
     return [z.real, z.imag]
-
-
-def _l2c(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    return complex(v[0], v[1])
 
 
 def eval_at(seq: ScalingSeq, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -452,6 +341,10 @@ def eval_at(seq: ScalingSeq, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     elif f == "exp_over_log_log":
         lm = nf / np.log(np.log(nf))
     elif f == "factorial":
+        # imported here: scipy.special is most of the package's import time,
+        # and math.lgamma differs from it in the last bit
+        from scipy.special import gammaln
+
         lm = gammaln(nf + 1.0)
     elif f == "geom_even_odd":
         lm = (n // 2).astype(np.float64) * _LN2

@@ -176,21 +176,6 @@ class WeightSeq:
             return {"family": f, "values": list(self.params[0]), "start": self.params[1]}
         return {"family": f}
 
-    @staticmethod
-    def from_config(cfg: dict) -> "WeightSeq":
-        f = cfg["family"]
-        if f == "constant_w":
-            return WeightSeq.constant(cfg["c"])
-        if f == "sqrt_ratio":
-            return WeightSeq.sqrt_ratio()
-        if f == "step_bilateral":
-            return WeightSeq.step_bilateral()
-        if f == "inverse_step_bilateral":
-            return WeightSeq.inverse_step_bilateral()
-        if f == "table_w":
-            return WeightSeq.table(cfg["values"], cfg.get("start", 1))
-        raise ValueError(f"unknown weight family {f!r}")
-
 
 class ProductTable:
     """Prefix sums of log w with O(1) range-product queries.
@@ -358,21 +343,6 @@ class ShiftOp:
 
     def table(self, horizon: int = 1024) -> ProductTable:
         return product_table(self.weights, self.side is Side.BILATERAL, horizon)
-
-    def apply(self, x: CoefVec) -> CoefVec:
-        """(T x)_j = premult * w_{j+1} * x_{j+1}."""
-        if x.side is not self.side:
-            raise SideMismatchError(f"{x.side.value} vector under {self.side.value} shift")
-        if x.nnz == 0:
-            return CoefVec.zero(self.side)
-        new_idx = x.indices - 1
-        keep = slice(None)
-        if self.side is Side.UNILATERAL:
-            keep = new_idx >= 1
-        idx = new_idx[keep]
-        lm = x.log_mags[keep] + self.weights.log_w(x.indices[keep]) + self.pm_log
-        ph = wrap_phase(x.phases[keep] + self.pm_arg)
-        return CoefVec(self.side, idx, lm, ph)
 
     def power_apply(self, n: int, x: CoefVec) -> CoefVec:
         """T^n x via weight-product formula, O(nnz) regardless of n.

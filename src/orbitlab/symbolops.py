@@ -71,18 +71,11 @@ class PolySymbol:
         """sup |phi'| on the closed disk, bounded by sum j*|c_j|."""
         return float(sum(j * abs(c) for j, c in enumerate(self.coeffs)))
 
-    def sup_bound(self) -> float:
-        return float(sum(abs(c) for c in self.coeffs))
-
     def scale(self, a: complex) -> "PolySymbol":
         return PolySymbol(tuple(c * a for c in self.coeffs))
 
     def to_config(self) -> list:
         return [[c.real, c.imag] for c in self.coeffs]
-
-    @staticmethod
-    def from_config(coeffs) -> "PolySymbol":
-        return PolySymbol(tuple(complex(v[0], v[1]) if not isinstance(v, (int, float)) else complex(v) for v in coeffs))
 
 
 def apply_adjoint(phi: PolySymbol, x: CoefVec, trunc: int) -> CoefVec:

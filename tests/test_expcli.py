@@ -14,6 +14,7 @@ from orbitlab.expcli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_SCHEMA,
+    RESOURCE_CAP_N,
     ConfigError,
     complex_vector_csv,
     density_csv,
@@ -31,6 +32,7 @@ from orbitlab.lspace import CoefVec, Side
 from orbitlab.orbits import DensityStats, HittingSet
 from orbitlab.shiftops import WeightSeq
 from orbitlab.symbolops import PolySymbol, classify_adjoint
+from oracles import to_complex_dict
 
 
 def _csv_writer_bytes(header, rows) -> bytes:
@@ -61,21 +63,21 @@ EDGE = CoefVec(
 class TestVectorLiterals:
     def test_basis(self):
         v = parse_vector("e(3)")
-        assert v.to_complex_dict() == {3: 1 + 0j}
+        assert to_complex_dict(v) == {3: 1 + 0j}
 
     def test_sum(self):
         v = parse_vector("e(1)+e(2)")
-        assert set(v.to_complex_dict()) == {1, 2}
+        assert set(to_complex_dict(v)) == {1, 2}
 
     def test_scaled_terms(self):
         v = parse_vector("0.5*e(2)+1j*e(4)")
-        d = v.to_complex_dict()
+        d = to_complex_dict(v)
         assert d[2] == pytest.approx(0.5)
         assert d[4] == pytest.approx(1j)
 
     def test_parenthesized_complex_coefficient(self):
         v = parse_vector("(1+2j)*e(4)+e(1)")
-        d = v.to_complex_dict()
+        d = to_complex_dict(v)
         assert d[4] == pytest.approx(1 + 2j)
         assert d[1] == pytest.approx(1.0)
 
@@ -124,7 +126,7 @@ class TestCsvWriter:
             np.array([-0.0, 3.141592653589793, -2.0, 1 / 3, 5e-324]),
         )
         complex_vector_csv(tmp_path, "c.csv", x)
-        rows = [[i, v.real, v.imag] for i, v in sorted(x.to_complex_dict().items())]
+        rows = [[i, v.real, v.imag] for i, v in sorted(to_complex_dict(x).items())]
         assert (tmp_path / "c.csv").read_bytes() == _csv_writer_bytes(
             ["index", "re", "im"], rows
         )
@@ -367,7 +369,7 @@ class TestMalformedCertificates:
         assert capsys.readouterr().out.startswith("0:mr_witness: FAILED")
 
 
-INVERSE_STEP = WeightSeq.from_config({"family": "inverse_step_bilateral"})
+INVERSE_STEP = WeightSeq.inverse_step_bilateral()
 SALAS_CERT = salas_check(INVERSE_STEP, 0.5, 0, 200).certificate.to_config()
 MR_SHIFT_CERT = mr_shift_check(INVERSE_STEP, 2, 0, 0.5, 100).certificate.to_config()
 _PHI = PolySymbol((0.8, 1))
@@ -544,8 +546,84 @@ BAD_MR_CONFIGS = {
 }
 
 
+SALAS = ["check-salas", "--weights", "step_bilateral", "--eps", "0.5", "--q", "0"]
+CHECK_MR = ["check-mr", "--weights", "inverse_step_bilateral", "--m", "2", "--q", "0",
+            "--eps", "0.5"]
+SEQ = ["classify-seq", "--family", "factorial"]
+SERIES = ["check-series", "--weights", "sqrt_ratio"]
+AP_FIND = ["ap-find", "--hits", "HITS", "--nmax", "100", "--m", "2"]
+
+BAD_FLAGS = {
+    "check_salas_eps_2": [*SALAS, "--eps", "2"],
+    "check_salas_q_float": [*SALAS, "--q", "1.0"],
+    "check_salas_one_sided_weights": [*SALAS, "--weights", "sqrt_ratio"],
+    "check_series_nmax_5": [*SERIES, "--nmax", "5"],
+    "check_series_no_weights": ["check-series", "--nmax", "100"],
+    "check_series_cap_negative": [*SERIES, "--cap", "-1"],
+    "classify_symbol_bad_json": ["classify-symbol", "--coeffs", "[1,"],
+    "classify_symbol_bad_item": ["classify-symbol", "--coeffs", "1,x"],
+    "classify_seq_a_x": ["classify-seq", "--family", "exp_pow", "--a", "x"],
+    "classify_seq_tau_0": [*SEQ, "--tau", "0"],
+    "classify_seq_tol_0": [*SEQ, "--tol", "0"],
+    "classify_seq_restrict_mod_0": [*SEQ, "--restrict-mod", "0"],
+    "classify_seq_horizon_below_100_tau": [*SEQ, "--tau", "5", "--horizon", "200"],
+    "classify_seq_key_of_other_family": [*SEQ, "--a", "0.5"],
+    "check_mr_m_0": [*CHECK_MR, "--m", "0"],
+    "ap_find_max_k_0": [*AP_FIND, "--max-k", "0"],
+}
+
+BAD_HORIZON_FLAGS = {
+    "classify_seq_horizon": [*SEQ, "--horizon", str(RESOURCE_CAP_N + 1)],
+    "check_salas_nmax": [*SALAS, "--nmax", str(RESOURCE_CAP_N + 1)],
+    "check_mr_nmax": [*CHECK_MR, "--nmax", str(RESOURCE_CAP_N + 1)],
+    "check_mr_product_length": [*CHECK_MR, "--nmax", str(RESOURCE_CAP_N // 2 + 1)],
+    "check_series_nmax": [*SERIES, "--nmax", str(RESOURCE_CAP_N + 1)],
+    "ap_find_nmax": [*AP_FIND, "--nmax", str(10**12)],
+}
+
+TYPO_SCALING = {"family": "constant", "c": [1.0, 0.0], "cc": 1}
+TYPO_WEIGHTS = {"family": "constant_w", "c": 1.0, "cc": 5}
+TYPO_THETA = {"family": "rotated", "base": {"family": "constant", "c": [1.0, 0.0]},
+              "theta": {"kind": "constant", "value": 0.5, "valu": 1}}
+FAMILY_TYPOS = {
+    "scaling_typo": {"scaling": TYPO_SCALING},
+    "operator_weights_typo": {"operator": {"side": "unilateral", "weights": TYPO_WEIGHTS,
+                                           "premultiplier": [2.0, 0.0]}},
+    "rotated_theta_typo": {"scaling": TYPO_THETA},
+}
+
+
+def _flag_argv(tmp_path, argv):
+    hits = tmp_path / "hits.csv"
+    hits.write_text("n\n1\n2\n3\n")
+    return [str(hits) if a == "HITS" else a for a in argv]
+
+
 class TestConfigMatrix:
-    """Every malformed config exits 2 with one "config error:" line."""
+    """Every malformed config or flag exits 2 with one "config error:" line;
+    every horizon above the cap exits 4 with one "resource cap:" line."""
+
+    @pytest.mark.parametrize("argv", BAD_FLAGS.values(), ids=BAD_FLAGS)
+    def test_flags(self, tmp_path, capsys, argv):
+        _assert_schema_error(main(_flag_argv(tmp_path, argv)), capsys)
+
+    @pytest.mark.parametrize("argv", BAD_HORIZON_FLAGS.values(), ids=BAD_HORIZON_FLAGS)
+    def test_horizon_flags(self, tmp_path, capsys, argv):
+        assert main(_flag_argv(tmp_path, argv)) == EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert err.startswith("resource cap: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit", FAMILY_TYPOS.values(), ids=FAMILY_TYPOS)
+    def test_build_fu_family_typo(self, tmp_path, capsys, edit):
+        _assert_schema_error(_run_config(tmp_path, "build-fu", {**FU_CONFIG, **edit}), capsys)
+
+    @pytest.mark.parametrize("edit", FAMILY_TYPOS.values(), ids=FAMILY_TYPOS)
+    def test_mr_witness_family_typo(self, tmp_path, capsys, edit):
+        _assert_schema_error(main(_mr_config(tmp_path, **edit)), capsys)
+
+    def test_series_certificate_weights_typo(self, tmp_path, capsys):
+        cert = _edited("series", {"weights": {"family": "sqrt_ratio", "typo": 1}})
+        _assert_schema_error(main(_verify_argv(tmp_path, {"certificates": [cert]})), capsys)
 
     @pytest.mark.parametrize("cfg", BAD_RUN_CONFIGS.values(), ids=BAD_RUN_CONFIGS)
     def test_run(self, tmp_path, capsys, cfg):
@@ -596,6 +674,17 @@ class TestParamTable:
         # the shipped config spells out every key, so this pins every default
         assert set(cfg) - {"scenario"} == set(expcli.PARAMS[sid])
         assert scenario_params(cfg) == scenario_params({"scenario": sid})
+
+    def test_log_pow_k_defaults_to_one(self):
+        # the flag surface always defaulted k to 1.0; a config now does too
+        assert expcli.SCALING.read({"family": "log_pow"}).params == (1.0,)
+
+    @pytest.mark.parametrize("w", [
+        WeightSeq.constant(0.5), WeightSeq.sqrt_ratio(), WeightSeq.step_bilateral(),
+        WeightSeq.inverse_step_bilateral(), WeightSeq.table([1.0, 2.5], start=-1),
+    ], ids=lambda w: w.family)
+    def test_weights_round_trip(self, w):
+        assert expcli.WEIGHTS.read(w.to_config()) == w
 
     def test_run_by_scenario_id_matches_shipped_config(self, tmp_path):
         path = next(p for p in SHIPPED_CONFIGS if p.stem == "e4")

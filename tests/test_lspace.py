@@ -14,6 +14,7 @@ from orbitlab.lspace import (
     norm,
 )
 from orbitlab.seqcore import LogScalar
+from oracles import to_complex_dict
 
 
 def vec(pairs, side=Side.UNILATERAL):
@@ -101,7 +102,8 @@ class TestBall:
             r = rng.uniform(0.1, 4.0)
             theta = rng.uniform(-10, 10)
             before = in_ball(x, Ball(y, r))
-            after = in_ball(x.rotate(theta), Ball(y.rotate(theta), r))
+            turn = LogScalar(0.0, theta)
+            after = in_ball(x.scale(turn), Ball(y.scale(turn), r))
             assert before == after
 
 
@@ -109,7 +111,7 @@ class TestAxpy:
     def test_identity(self):
         x = vec([(1, 1.5), (3, -2j)])
         out = axpy(1.0, x, CoefVec.zero(Side.UNILATERAL))
-        assert out.to_complex_dict() == x.to_complex_dict()
+        assert to_complex_dict(out) == to_complex_dict(x)
 
     def test_cancellation_to_zero(self):
         x = vec([(1, 1.5), (3, -2j)])
@@ -119,17 +121,17 @@ class TestAxpy:
         e1 = CoefVec.basis(Side.UNILATERAL, 1)
         out = axpy(2.0, e1, e1)
         assert out.nnz == 1
-        assert out.to_complex_dict()[1] == pytest.approx(3.0, rel=1e-12)
+        assert to_complex_dict(out)[1] == pytest.approx(3.0, rel=1e-12)
 
     def test_against_dict_arithmetic(self):
         rng = np.random.default_rng(41)
         for _ in range(500):
             x, y = rand_vec(rng), rand_vec(rng)
             a = complex(rng.normal(), rng.normal())
-            want = dict(y.to_complex_dict())
-            for i, v in x.to_complex_dict().items():
+            want = dict(to_complex_dict(y))
+            for i, v in to_complex_dict(x).items():
                 want[i] = want.get(i, 0j) + a * v
-            got = axpy(a, x, y).to_complex_dict()
+            got = to_complex_dict(axpy(a, x, y))
             keys = set(want) | set(got)
             for k in keys:
                 assert abs(want.get(k, 0j) - got.get(k, 0j)) <= 1e-12
@@ -137,7 +139,7 @@ class TestAxpy:
     def test_log_scalar_coefficient(self):
         x = CoefVec.basis(Side.UNILATERAL, 1)
         out = axpy(LogScalar(math.log(3.0), math.pi), x, CoefVec.zero(Side.UNILATERAL))
-        assert out.to_complex_dict()[1] == pytest.approx(-3.0)
+        assert to_complex_dict(out)[1] == pytest.approx(-3.0)
 
 
 class TestConstruction:
@@ -154,7 +156,7 @@ class TestConstruction:
     def test_duplicate_pairs_sum(self):
         x = vec([(1, 1.0), (1, 2.0)])
         assert x.nnz == 1
-        assert x.to_complex_dict()[1] == pytest.approx(3.0, rel=1e-12)
+        assert to_complex_dict(x)[1] == pytest.approx(3.0, rel=1e-12)
 
     def test_entry_lookup(self):
         x = vec([(2, 1j)])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from orbitlab.expcli import SCALING
 from orbitlab.seqcore import (
     AngleSpec,
     LogScalar,
@@ -20,6 +21,12 @@ from orbitlab.seqcore import (
 LN2 = math.log(2.0)
 
 
+def isclose(a: LogScalar, b: LogScalar, tol: float = 1e-12) -> bool:
+    if a.zero or b.zero:
+        return a.zero and b.zero
+    return abs(a.log_mag - b.log_mag) <= tol and abs(wrap_phase(a.phase - b.phase)) <= tol
+
+
 class TestLogScalar:
     def test_identity(self):
         s = LogScalar(3.7, 1.2)
@@ -32,7 +39,7 @@ class TestLogScalar:
         assert p.phase == 0.0
 
     def test_zero_absorbs(self):
-        z = LogScalar.zero_value()
+        z = LogScalar(zero=True)
         assert log_mul(z, LogScalar(5.0, 1.0)).zero
         assert log_mul(LogScalar(5.0, 1.0), z).zero
         assert z.phase == 0.0
@@ -65,10 +72,6 @@ class TestLogScalar:
     def test_phase_canonical_interval(self):
         assert LogScalar(0.0, -math.pi).phase == math.pi
         assert LogScalar(0.0, 3 * math.pi).phase == pytest.approx(math.pi)
-
-    def test_add_cancellation(self):
-        s = LogScalar.from_complex(1.0 + 1.0j)
-        assert s.add(s.neg()).zero
 
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):
@@ -171,9 +174,9 @@ class TestEvalLog:
             ScalingSeq.table([1.0, 2.0, 3.0]),
         ]
         for s in seqs:
-            back = ScalingSeq.from_config(s.to_config())
+            back = SCALING.read(s.to_config())
             n = max(1, back.min_n)
-            assert eval_log(back, n).isclose(eval_log(s, n))
+            assert isclose(eval_log(back, n), eval_log(s, n))
 
 
 class TestRotateSeq:
@@ -181,7 +184,7 @@ class TestRotateSeq:
         seq = ScalingSeq.exp_pow(0.5)
         rot = rotate_seq(seq, 0.0)
         for n in (1, 10, 100):
-            assert eval_log(rot, n).isclose(eval_log(seq, n))
+            assert isclose(eval_log(rot, n), eval_log(seq, n))
 
     def test_pi_flips_sign(self):
         rot = rotate_seq(ScalingSeq.constant(1.0), math.pi)
