@@ -62,18 +62,10 @@ class SalasCertificate:
     backward_logs: tuple[float, ...]
 
     def verify(self, pt: ProductTable | None = None, tol: float = REVERIFY_LOG_TOL) -> bool:
-        pt = pt or product_table(self.weights, True, self.n + self.q + 1)
-        thresh = math.log(1.0 / self.eps)
-        for off, j in enumerate(range(-self.q, self.q + 1)):
-            f = pt.forward_log(j, self.n)
-            b = pt.backward_log(j, self.n)
-            if abs(f - self.forward_logs[off]) > tol:
-                return False
-            if abs(b - self.backward_logs[off]) > tol:
-                return False
-            if not (f > thresh and b < -thresh):
-                return False
-        return True
+        """The m = 1 case of MRShiftCertificate.verify."""
+        return MRShiftCertificate(
+            self.weights, self.n, 1, self.q, self.eps, self.forward_logs, self.backward_logs
+        ).verify(pt, tol)
 
     def to_config(self) -> dict:
         return {

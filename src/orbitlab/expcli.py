@@ -26,20 +26,23 @@ import numpy as np
 
 from .criteria import (
     MRShiftCertificate,
-    SalasCertificate,
     fhc_series_check,
     mr_shift_check,
     norm_decay_check,
     salas_check,
 )
-from .fhbuilder import BuildError, build, verify_fu
-from .lspace import Ball, CoefVec, Side, dist, norm
+from .fhbuilder import BuildError, build
+# dist is not called here; it stays importable as expcli.dist because the
+# benchmark's tracer self-test (perfbench/test_perfbench.py) patches that name
+from .lspace import Ball, CoefVec, Side, dist, norm  # noqa: F401
 from .orbits import (
     HittingSet,
     MRWitness,
+    density_stats,
     find_ap,
     mr_witness_search,
     recurrence_scan,
+    witness_distances,
 )
 from .seqcore import AngleSpec, ScalingSeq, ratio_classify, rotate_seq
 from .shiftops import ShiftOp, WeightSeq, product_table, scaled_orbit_point
@@ -344,22 +347,27 @@ TARGET = {
     "eps": Param(NUMBER, range=POSITIVE),
 }
 
+# The least horizon of a frequently-universal build: its density window
+# starts at isqrt(N - 1) + 1 >= 10 and must end by N // 10.
+FU_MIN_N = 110
+
 # Every command's config keys, one per line: kind, default, range. The flag
 # commands (FLAG_COMMANDS) take each key as a flag: "max_k" is --max-k.
 PARAMS: dict[str, dict[str, Param]] = {
     "E1": {
-        "N": horizon(20_000),
+        "N": horizon(20_000, lo=FU_MIN_N),
         "a": Param(COMPLEX, 0.25, PUNCTURED_UNIT_DISK),
         "eps": Param(NUMBER, 1e-3, POSITIVE),
     },
     "E2": {
-        "N": horizon(2_000),
+        "N": horizon(2_000, lo=FU_MIN_N),
         "eps": Param(NUMBER, 1e-3, POSITIVE),
         "recurrence_N": horizon(500),
         "ratio_N": horizon(10_000, lo=100),
     },
     "E3": {
-        "N": horizon(100_000),
+        # the build and its density run on N // 2
+        "N": horizon(100_000, lo=2 * FU_MIN_N),
         "eps": Param(NUMBER, 1e-3, POSITIVE),
         "ratio_N": horizon(100_000, lo=100),
     },
@@ -373,7 +381,7 @@ PARAMS: dict[str, dict[str, Param]] = {
         "cap": Param(NUMBER, 12.0, POSITIVE),
     },
     "E6": {
-        "N": horizon(100_000),
+        "N": horizon(100_000, lo=FU_MIN_N),
         "g": Param(INT, 16, at_least(1)),
         "eps": Param(NUMBER, 1e-3, POSITIVE),
         "targets": Param(list_of(STRING), ["e(1)", "e(1)+e(2)", "e(2)"]),
@@ -388,7 +396,7 @@ PARAMS: dict[str, dict[str, Param]] = {
         "scaling": Param(SCALING),
         "operator": Param(OBJECT),
         "targets": Param(list_of(table("target", TARGET))),
-        "N": horizon(),
+        "N": horizon(lo=FU_MIN_N),
         "g": Param(INT, None, at_least(1)),
         "n_min": Param(INT, None, at_least(1)),
     },
@@ -705,8 +713,8 @@ def run_e1(p: SimpleNamespace, outdir: Path) -> dict:
 
     e1 = CoefVec.basis(Side.UNILATERAL, 1)
     v = build(lam, T, [(e1, p.eps)], N)
-    pairs = verify_fu(v)
-    h, ds = pairs[0]
+    h = v.hits[0]
+    ds = density_stats(h)
 
     rep_decay = norm_decay_check(T, CoefVec.basis(Side.UNILATERAL, 5), 200)
     if not rep_decay.ok:
@@ -743,8 +751,8 @@ def run_e2(p: SimpleNamespace, outdir: Path) -> dict:
     T = ShiftOp(Side.UNILATERAL, WeightSeq.constant(1.0))
     e1 = CoefVec.basis(Side.UNILATERAL, 1)
     v = build(lam, T, [(e1, p.eps)], N)
-    pairs = verify_fu(v)
-    h, ds = pairs[0]
+    h = v.hits[0]
+    ds = density_stats(h)
 
     eps_rec = 0.5 * norm(v.x)
     returns = recurrence_scan(T, v.x, eps_rec, scan_N)
@@ -787,8 +795,8 @@ def run_e3(p: SimpleNamespace, outdir: Path) -> dict:
     e1 = CoefVec.basis(Side.UNILATERAL, 1)
     n_comp = N // 2
     v = build(ScalingSeq.constant(1.0), T2, [(e1, p.eps)], n_comp)
-    pairs = verify_fu(v)
-    h_comp, ds = pairs[0]
+    h_comp = v.hits[0]
+    ds = density_stats(h_comp)
 
     # map back: x_{2k} = v_k; orbit times 2n hit the ball around e_2
     x_even = CoefVec(Side.UNILATERAL, 2 * v.x.indices, v.x.log_mags, v.x.phases)
@@ -886,16 +894,16 @@ def run_e6(p: SimpleNamespace, outdir: Path) -> dict:
     lam = ScalingSeq.constant(1.0)
     targets = [(parse_vector(s), p.eps) for s in p.targets]
     v = _checked(build, lam, T2, targets, N, g=p.g)
-    pairs = verify_fu(v)
 
     arts: dict = {"fu_vector": vector_csv(outdir, "fu_vector.csv", v.x)}
     density_tables = {}
-    for i, (h, ds) in enumerate(pairs):
+    for i, h in enumerate(v.hits):
+        ds = density_stats(h)
         arts[f"hitting_{i}"] = hitting_csv(outdir, f"hitting_{i}.csv", h)
         arts[f"density_{i}"] = density_csv(outdir, f"density_{i}.csv", ds)
         density_tables[f"target_{i}"] = _density_table(ds)
 
-    h0 = pairs[0][0]
+    h0 = v.hits[0]
     certificates = []
     ap_results = {}
     for m in p.ap_orders:
@@ -931,7 +939,7 @@ def run_e6(p: SimpleNamespace, outdir: Path) -> dict:
         "density_tables": density_tables,
         "certificates": certificates,
         "stats": {
-            "hits_per_target": [len(h) for h, _ in pairs],
+            "hits_per_target": [len(h) for h in v.hits],
             "planned": v.report["planned_total"],
             "N": N,
         },
@@ -1036,8 +1044,7 @@ def _verify_products(cert: dict, kind: str) -> bool:
             or not len(fwd) == len(bwd) == m * (2 * q + 1)):
         return False
     _check_cap(m * n + q, f"{kind} product length")
-    if kind == "salas":
-        return SalasCertificate(weights, n, q, eps, fwd, bwd).verify()
+    # a salas certificate is the m = 1 case of an mr_shift one
     return MRShiftCertificate(weights, n, m, q, eps, fwd, bwd).verify()
 
 
@@ -1109,11 +1116,8 @@ def _verify_certificate(cert: dict, report_dir: Path, hits_cache: dict) -> bool:
         T = operator_from_config(op_cfg)
         u = read_vector_csv(report_dir / u_artifact, T.side)
         y = parse_vector(center, T.side)
-        for j, rec in enumerate(recorded):
-            d = dist(T.power_apply(j * ell, u), y)
-            if not (d < radius and _close(d, rec)):
-                return False
-        return True
+        dists = witness_distances(T, u, y, ell, m)
+        return all(d < radius and _close(d, rec) for d, rec in zip(dists, recorded))
     return False
 
 
@@ -1306,7 +1310,7 @@ def _dispatch(ns) -> int:
         if w is None:
             print("none")
         else:
-            print(f"a={w.a} k={w.k} members={list(w.members())}")
+            print(f"a={w.a} k={w.k} members={w.members().tolist()}")
         return EXIT_OK
 
     if ns.cmd == "build-fu":
@@ -1315,11 +1319,10 @@ def _dispatch(ns) -> int:
         v = _checked(build, p.scaling, T, targets, p.N, g=p.g, n_min=p.n_min)
         outdir = Path(ns.out)
         arts = {"fu_vector": vector_csv(outdir, "fu_vector.csv", v.x)}
-        pairs = verify_fu(v)
         tables = {}
-        for i, (h, ds) in enumerate(pairs):
+        for i, h in enumerate(v.hits):
             arts[f"hitting_{i}"] = hitting_csv(outdir, f"hitting_{i}.csv", h)
-            tables[f"target_{i}"] = _density_table(ds)
+            tables[f"target_{i}"] = _density_table(density_stats(h))
         write_report(outdir, "build-fu", cfg, {
             "verdicts": {"fu_build": "ok"},
             "density_tables": tables,

@@ -6,7 +6,9 @@ so that lam_n T^n x reproduces y_i exactly on its support at every planned
 time. The classes have exact density 1/(r*g), pairwise separation >= g, and
 are themselves arithmetic progressions, which makes the downstream
 progression searches deterministic. Verification of every planned time is
-mandatory: a built vector without a clean report does not exist.
+mandatory: a built vector without a clean report does not exist. One scan
+per target over the whole horizon both checks the planned times and yields
+the target's hitting set.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lspace import Ball, CoefVec, Side
-from .orbits import DensityStats, HittingSet, density_stats, hitting_set, orbit_distances
+from .orbits import HittingSet, _ball_scan
 from .seqcore import ScalingSeq, eval_at, wrap_phase
 from .shiftops import ShiftOp
 
@@ -27,7 +29,6 @@ __all__ = [
     "InfeasibleDecayError",
     "VerificationFailedError",
     "build",
-    "verify_fu",
 ]
 
 
@@ -95,7 +96,8 @@ class BlockPlan:
 
 @dataclass(frozen=True)
 class FUVector:
-    """A built witness vector with its plan and verification report."""
+    """A built witness vector with its plan, verification report and the
+    hitting set of each target over the whole horizon."""
 
     x: CoefVec
     plan: BlockPlan
@@ -104,6 +106,7 @@ class FUVector:
     targets: tuple[tuple[CoefVec, float], ...]
     horizon: int
     report: dict
+    hits: tuple[HittingSet, ...]
 
     def planned_times(self, i: int) -> np.ndarray:
         return self.plan.planned(i, self.horizon)
@@ -125,8 +128,9 @@ def build(
     Placement: for n in A_i and j in supp(y_i),
     x_{j+n} = y_i(j) / (lam_n premult^n prod_{s=1..n} w_{j+s}), so the
     scaled orbit reproduces y_i exactly on its support. The mandatory
-    verification pass then measures the full distance (cross-block residual
-    included) at every planned time.
+    verification pass then scans each target's ball over 1..N once: the
+    full distance (cross-block residual included) at every planned time
+    must be a hit, and the hits are the target's hitting set.
     """
     if T.side is not Side.UNILATERAL:
         raise ValueError("the block builder needs a unilateral backward shift")
@@ -147,9 +151,33 @@ def build(
         raise ValueError(f"gap g={g} must exceed the largest target support {q_max}")
     if n_min is None:
         n_min = g
+    if n_min < 1:
+        raise ValueError(f"n_min={n_min} must be >= 1")
     plan = BlockPlan(supports, eps_list, int(g), int(n_min))
+    x = _place(lam, T, targets, plan, N)
 
-    pt = T.table(N + q_max + 1)
+    report: dict = {"targets": [], "planned_total": 0, "worst_miss": 0.0}
+    hits = []
+    for i, (y, eps) in enumerate(targets):
+        h, planned, worst = _verify_target(x, lam, T, plan, i, Ball(y, eps), N)
+        hits.append(h)
+        report["targets"].append({"planned": planned, "worst_residual": worst, "eps": eps})
+        report["planned_total"] += planned
+        report["worst_miss"] = max(report["worst_miss"], worst)
+
+    targets = tuple((y, float(e)) for y, e in targets)
+    return FUVector(x, plan, lam, T, targets, N, report, tuple(hits))
+
+
+def _place(
+    lam: ScalingSeq, T: ShiftOp, targets: list[tuple[CoefVec, float]], plan: BlockPlan, N: int
+) -> CoefVec:
+    """The vector x with every target's blocks placed along its class.
+
+    Its temporaries (one entry per placed coefficient, and the product
+    table) are freed on return, before the verification scans run.
+    """
+    pt = T.table(N + max(plan.supports) + 1)
     idx_parts, lm_parts, ph_parts = [], [], []
     per_class_blockmax: list[np.ndarray] = []
     for i, (y, _) in enumerate(targets):
@@ -190,60 +218,32 @@ def build(
     all_idx = all_idx[order]
     if np.any(np.diff(all_idx) == 0):
         raise BuildError("internal: block placements collided")
-    x = CoefVec(
+    return CoefVec(
         Side.UNILATERAL,
         all_idx,
         np.concatenate(lm_parts)[order],
         np.concatenate(ph_parts)[order],
     )
 
-    # mandatory verification: full distance at every planned time
-    report: dict = {"targets": [], "planned_total": 0, "worst_miss": 0.0}
-    for i, (y, eps) in enumerate(targets):
-        ns = plan.planned(i, N)
-        d2 = orbit_distances(x, lam, T, y, eps, ns)
-        d = np.sqrt(d2)
-        bad = np.flatnonzero(~(d < eps))
-        if bad.size:
-            b = int(bad[0])
-            raise VerificationFailedError(i, int(ns[b]), float(d[b]), eps, plan.g)
-        worst = float(d.max()) if d.size else 0.0
-        report["targets"].append(
-            {"planned": int(ns.size), "worst_residual": worst, "eps": eps}
-        )
-        report["planned_total"] += int(ns.size)
-        report["worst_miss"] = max(report["worst_miss"], worst)
 
-    return FUVector(x, plan, lam, T, tuple((y, float(e)) for y, e in targets), N, report)
+def _verify_target(
+    x: CoefVec, lam: ScalingSeq, T: ShiftOp, plan: BlockPlan, i: int, ball: Ball, N: int
+) -> tuple[HittingSet, int, float]:
+    """Scan target i's ball once over the horizon: its hitting set, its
+    number of planned times and the largest distance at one of them.
 
-
-def verify_fu(
-    v: FUVector,
-    ball_overrides: list[Ball] | None = None,
-) -> list[tuple[HittingSet, DensityStats]]:
-    """Recompute hitting sets from scratch and check they cover the plan.
-
-    Returns per-target (HittingSet, DensityStats); a planned time missing
-    from its recomputed hitting set means the builder is broken, which the
-    mandatory build pass is supposed to make impossible.
+    Raises VerificationFailedError at the first planned time that is no hit.
     """
-    out = []
-    for i, (y, eps) in enumerate(v.targets):
-        ball = ball_overrides[i] if ball_overrides else Ball(y, eps)
-        h = hitting_set(
-            v.x,
-            v.lam,
-            v.op,
-            ball,
-            v.horizon,
-            provenance={"builder_target": str(i)},
+    n_arr, d2, hit = _ball_scan(x, lam, T, ball, N)
+    # planned times start at n_min >= 1, inside lam's domain, so every one
+    # is a scanned time
+    at = np.searchsorted(n_arr, plan.planned(i, N))
+    missed = np.flatnonzero(~hit[at])
+    if missed.size:
+        b = at[missed[0]]
+        raise VerificationFailedError(
+            i, int(n_arr[b]), float(np.sqrt(d2[b])), ball.radius, plan.g
         )
-        planned = v.planned_times(i)
-        missing = np.setdiff1d(planned, h.indices)
-        if missing.size:
-            raise BuildError(
-                f"builder bug: planned time {int(missing[0])} missing from "
-                f"recomputed hitting set of target {i}"
-            )
-        out.append((h, density_stats(h)))
-    return out
+    worst = float(np.sqrt(d2[at].max())) if at.size else 0.0
+    return HittingSet(n_arr[hit], N), int(at.size), worst
+

@@ -36,6 +36,7 @@ __all__ = [
     "ap_k_members",
     "find_poly_pattern",
     "mr_witness_search",
+    "witness_distances",
     "recurrence_scan",
 ]
 
@@ -45,16 +46,15 @@ SCAN_CHUNK = 1 << 16
 
 
 class HittingSet:
-    """Sorted set {n <= n_max : lam_n T^n x in B(y, eps)} with provenance."""
+    """Sorted set {n <= n_max : lam_n T^n x in B(y, eps)}."""
 
-    def __init__(self, indices: np.ndarray, n_max: int, provenance: dict | None = None):
+    def __init__(self, indices: np.ndarray, n_max: int):
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size and (np.any(np.diff(idx) <= 0) or idx[0] < 1 or idx[-1] > n_max):
             raise ValueError("hitting set must be sorted, unique, inside [1, n_max]")
         idx.setflags(write=False)
         self.indices = idx
         self.n_max = int(n_max)
-        self.provenance = dict(provenance or {})
 
     def __len__(self) -> int:
         return int(self.indices.size)
@@ -74,7 +74,7 @@ class HittingSet:
         return np.searchsorted(self.indices, ns, side="right")
 
     def restrict(self, n_max: int) -> "HittingSet":
-        return HittingSet(self.indices[self.indices <= n_max], n_max, self.provenance)
+        return HittingSet(self.indices[self.indices <= n_max], n_max)
 
 
 @dataclass(frozen=True)
@@ -250,29 +250,22 @@ def orbit_distances(
     return _chunked(n_arr, run)
 
 
-def hitting_set(
-    x: CoefVec,
-    lam: ScalingSeq,
-    T: ShiftOp,
-    b: Ball,
-    N: int,
-    provenance: dict | None = None,
-) -> HittingSet:
-    """Scan n = 1..N for lam_n T^n x inside the open ball (strict distance)."""
+def _ball_scan(
+    x: CoefVec, lam: ScalingSeq, T: ShiftOp, b: Ball, N: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One scan of n = max(1, lam.min_n)..N: the times, their squared
+    distances to the center and the open-ball hit mask (strict d2 < r^2)."""
     if N < 1:
         raise ValueError("horizon must be >= 1")
-    n_lo = max(1, lam.min_n)
-    n_arr = np.arange(n_lo, N + 1, dtype=np.int64)
+    n_arr = np.arange(max(1, lam.min_n), N + 1, dtype=np.int64)
     d2 = orbit_distances(x, lam, T, b.center, b.radius, n_arr)
-    hits = n_arr[d2 < b.radius * b.radius]
-    if provenance is None:
-        provenance = {
-            "vector": f"nnz={x.nnz}",
-            "seq": lam.family,
-            "op": f"{T.side.value}:{T.weights.family}:pm={T.premultiplier}",
-            "ball": f"center_nnz={b.center.nnz},radius={b.radius!r}",
-        }
-    return HittingSet(hits, N, provenance)
+    return n_arr, d2, d2 < b.radius * b.radius
+
+
+def hitting_set(x: CoefVec, lam: ScalingSeq, T: ShiftOp, b: Ball, N: int) -> HittingSet:
+    """Scan n = 1..N for lam_n T^n x inside the open ball (strict distance)."""
+    n_arr, _, hit = _ball_scan(x, lam, T, b, N)
+    return HittingSet(n_arr[hit], N)
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +391,14 @@ class MRWitness:
     tau: int
 
     def verify(self, T: ShiftOp, tol: float = 0.0) -> bool:
-        for j in range(self.m + 1):
-            d = dist(T.power_apply(j * self.ell, self.u), self.center)
-            if not d < self.radius + tol:
-                return False
-        return True
+        dists = witness_distances(T, self.u, self.center, self.ell, self.m)
+        return all(d < self.radius + tol for d in dists)
+
+
+def witness_distances(T: ShiftOp, u: CoefVec, y: CoefVec, ell: int, m: int):
+    """dist(T^{j*ell} u, y) for j = 0..m, computed one at a time in order."""
+    for j in range(m + 1):
+        yield dist(T.power_apply(j * ell, u), y)
 
 
 @dataclass(frozen=True)
@@ -486,9 +482,7 @@ def mr_witness_search(
         if not ok:
             continue
         u = scaled_orbit_point(lam, T, a, x)
-        dists = tuple(
-            dist(T.power_apply(j * ell, u), y) for j in range(m + 1)
-        )
+        dists = tuple(witness_distances(T, u, y, ell, m))
         if all(d < eps for d in dists):
             return MRSearchResult(
                 MRWitness(u, ell, m, y, eps, dists, a=a, k=k_found, tau=tau), diag

@@ -18,9 +18,9 @@ from orbitlab.criteria import (
     superratio_decay_check,
 )
 from orbitlab.expcli import run_scenario
-from orbitlab.fhbuilder import build, verify_fu
+from orbitlab.fhbuilder import build
 from orbitlab.lspace import Ball, CoefVec, Side, dist, norm
-from orbitlab.orbits import find_ap, hitting_set, mr_witness_search
+from orbitlab.orbits import density_stats, find_ap, hitting_set, mr_witness_search
 from orbitlab.seqcore import ScalingSeq, ratio_classify
 from orbitlab.shiftops import ShiftOp, WeightSeq, product_table
 from orbitlab.symbolops import PolySymbol, RangeKind, classify_adjoint, eigen_check, range_circle_test
@@ -46,9 +46,7 @@ def fu_criterion2():
         (CoefVec.from_pairs(Side.UNILATERAL, [(1, 1.0), (2, 1.0)]), 1e-3),
         (e(2), 1e-3),
     ]
-    v = build(ONE, TWO_B, targets, 10**5, g=16)
-    pairs = verify_fu(v)
-    return v, pairs
+    return build(ONE, TWO_B, targets, 10**5, g=16)
 
 
 def test_criterion_1_ratio_classifier_table():
@@ -84,12 +82,12 @@ def test_criterion_1_ratio_classifier_table():
 
 
 def test_criterion_2_fu_builder_density(fu_criterion2):
-    v, pairs = fu_criterion2
-    lows = [ds.lower_est for _, ds in pairs]
+    v = fu_criterion2
+    lows = [density_stats(h).lower_est for h in v.hits]
     in_band = all(abs(lo - 1.0 / 48.0) <= 0.002 for lo in lows)
     zero_misses = v.report["worst_miss"] < 1e-3 and all(
         np.all(np.isin(v.planned_times(i), h.indices))
-        for i, (h, _) in enumerate(pairs)
+        for i, h in enumerate(v.hits)
     )
     ok = in_band and zero_misses
     report(2, ok, f"per-target lower_est {['%.6f' % v for v in lows]} "
@@ -97,8 +95,7 @@ def test_criterion_2_fu_builder_density(fu_criterion2):
 
 
 def test_criterion_3_progression_pipeline(fu_criterion2):
-    _, pairs = fu_criterion2
-    h0 = pairs[0][0]
+    h0 = fu_criterion2.hits[0]
 
     def brute(members, n_max, m, K):
         for k in range(1, K + 1):
@@ -140,7 +137,7 @@ def test_criterion_3_progression_pipeline(fu_criterion2):
 
 
 def test_criterion_4_mr_witness(fu_criterion2):
-    v, _ = fu_criterion2
+    v = fu_criterion2
     out = mr_witness_search(v.x, ONE, TWO_B, Ball(e(1), 0.01), 3, 1, 10**5)
     ok = bool(out)
     dmax = None

@@ -512,6 +512,12 @@ BAD_RUN_CONFIGS = {
     "E1_N_bool": {"scenario": "E1", "N": True},
     "E1_N_float": {"scenario": "E1", "N": 2e4},
     "E1_typo_key": {"scenario": "E1", "Nn": 100},
+    # a build's density window needs N >= 110 (E3: N // 2 >= 110)
+    "E1_no_room": {"scenario": "E1", "N": 10},
+    "E1_N_109": {"scenario": "E1", "N": 109},
+    "E2_N_60": {"scenario": "E2", "N": 60},
+    "E3_N_219": {"scenario": "E3", "N": 219},
+    "E6_N_60": {"scenario": "E6", "N": 60},
     "E2_recurrence_N_negative": {"scenario": "E2", "recurrence_N": -5},
     "E2_ratio_N_small": {"scenario": "E2", "ratio_N": 50},
     "E4_q_negative": {"scenario": "E4", "q": -1},
@@ -530,6 +536,7 @@ BAD_FU_CONFIGS = {
     "target_eps_zero": {"targets": [{"vector": "e(1)", "eps": 0}]},
     "target_typo_key": {"targets": [{"vector": "e(1)", "eps": 1e-3, "epss": 1}]},
     "N_string": {"N": "2000"},
+    "N_60": {"N": 60},
     "g_not_above_support": {"g": 1},
     "n_min_zero": {"n_min": 0},
     "typo_key": {"Nn": 5},
@@ -649,11 +656,10 @@ class TestConfigOutcomes:
         assert capsys.readouterr().err.startswith("resource cap: ")
 
     @pytest.mark.parametrize("command, cfg", [
-        ("run", {"scenario": "E1", "N": 10}),
-        ("build-fu", {**FU_CONFIG, "N": 10}),
+        ("build-fu", {**FU_CONFIG, "N": 200, "n_min": 300}),
         ("build-fu", {**FU_CONFIG, "operator": {**FU_CONFIG["operator"],
                                                 "premultiplier": [0.5, 0.0]}}),
-    ], ids=["E1_no_room", "build_fu_no_room", "build_fu_infeasible_decay"])
+    ], ids=["build_fu_no_room", "build_fu_infeasible_decay"])
     def test_failed_build_is_exit_3(self, tmp_path, capsys, command, cfg):
         assert _run_config(tmp_path, command, cfg) == EXIT_ASSERTION
         err = capsys.readouterr().err
@@ -840,7 +846,7 @@ class TestCliSubcommands:
         hits.write_text("n\n" + "\n".join(str(n) for n in range(2, 1001, 2)) + "\n")
         assert main(["ap-find", "--hits", str(hits), "--nmax", "1000",
                      "--m", "4"]) == EXIT_OK
-        assert "a=2 k=2" in capsys.readouterr().out
+        assert capsys.readouterr().out == "a=2 k=2 members=[2, 4, 6, 8, 10]\n"
 
     def test_classify_symbol(self, capsys):
         assert main(["classify-symbol", "--coeffs", "2,1"]) == EXIT_OK

@@ -1,18 +1,17 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from orbitlab import orbits
 from orbitlab.fhbuilder import (
     BuildError,
     InfeasibleDecayError,
     VerificationFailedError,
     build,
-    verify_fu,
 )
 from orbitlab.lspace import Ball, CoefVec, Side
-from orbitlab.orbits import find_ap
+from orbitlab.orbits import density_stats, find_ap, hitting_set
 from orbitlab.seqcore import ScalingSeq
 from orbitlab.shiftops import ShiftOp, WeightSeq, scaled_orbit_point
 
@@ -61,6 +60,9 @@ class TestBuild:
         with pytest.raises(VerificationFailedError) as exc:
             build(ONE, TWO_B, [(e(1), 1e-6)], 10**4, g=3)
         assert exc.value.suggestion == 6
+        # the first planned time, n_min = g, is the one named
+        assert (exc.value.target, exc.value.n) == (0, 3)
+        assert not exc.value.distance < 1e-6
 
     def test_doubling_gap_never_hurts(self):
         # once a gap succeeds, doubling it keeps succeeding with a smaller
@@ -109,31 +111,62 @@ class TestVerifyFU:
     def test_three_targets_density(self):
         targets = [(e(1), 1e-3), (e12(), 1e-3), (e(2), 1e-3)]
         v = build(ONE, TWO_B, targets, 10**5, g=16)
-        pairs = verify_fu(v)
-        assert len(pairs) == 3
-        for i, (h, ds) in enumerate(pairs):
+        assert len(v.hits) == 3
+        for i, h in enumerate(v.hits):
             planned = v.planned_times(i)
             assert np.all(np.isin(planned, h.indices))
-            assert abs(ds.lower_est - 1 / 48) <= 0.002
+            assert abs(density_stats(h).lower_est - 1 / 48) <= 0.002
 
     def test_hitting_sets_contain_long_progressions(self):
         v = build(ONE, TWO_B, [(e(1), 1e-3)], 10**4, g=16)
-        h = verify_fu(v)[0][0]
+        h = v.hits[0]
         for m in range(1, 11):
             w = find_ap(h, m, 1, K=v.plan.period)
             assert w is not None and w.k == v.plan.period
             assert w.verify(h)
 
-    def test_ball_overrides(self):
-        v = build(ONE, TWO_B, [(e(1), 1e-3)], 10**4, g=16)
-        wide = [Ball(e(1), 0.5)]
-        h, _ = verify_fu(v, ball_overrides=wide)[0]
-        assert np.all(np.isin(v.planned_times(0), h.indices))
 
-    def test_missing_planned_time_is_build_error(self):
-        # a vector other than the built one misses the plan; verify_fu must
-        # raise a BuildError (exit 3 in the CLI), not a bare AssertionError
-        v = build(ONE, TWO_B, [(e(1), 1e-3)], 10**3, g=16)
-        stray = dataclasses.replace(v, x=CoefVec.from_pairs(Side.UNILATERAL, [(1, 1.0)]))
-        with pytest.raises(BuildError, match="planned time 16 missing"):
-            verify_fu(stray)
+SQRT_RATIO_2B = ShiftOp(Side.UNILATERAL, WeightSeq.sqrt_ratio(), 2.0)
+
+# E6's three targets under the flat kernel, and one target under the general
+# (per-n) kernel that non-constant weights take
+ORACLE_BUILDS = {
+    "flat_e6_targets": (TWO_B, [(e(1), 1e-3), (e12(), 1e-3), (e(2), 1e-3)], 20_000, 16),
+    "general_sqrt_ratio": (SQRT_RATIO_2B, [(e(1), 1e-3)], 2_000, None),
+}
+
+
+class TestBuildScan:
+    @pytest.mark.parametrize("case", ORACLE_BUILDS.values(), ids=ORACLE_BUILDS)
+    def test_hits_match_hitting_set(self, case):
+        T, targets, N, g = case
+        v = build(ONE, T, targets, N, g=g)
+        assert len(v.hits) == len(targets)
+        for h, (y, eps) in zip(v.hits, targets):
+            want = hitting_set(v.x, ONE, T, Ball(y, eps), N)
+            assert h.n_max == want.n_max == N
+            assert np.array_equal(h.indices, want.indices)
+
+    @pytest.mark.parametrize("case", ORACLE_BUILDS.values(), ids=ORACLE_BUILDS)
+    def test_one_scan_per_target(self, monkeypatch, case):
+        T, targets, N, g = case
+        calls = []
+        real = orbits.orbit_distances
+        monkeypatch.setattr(
+            orbits, "orbit_distances", lambda *a: calls.append(a[-1].size) or real(*a)
+        )
+        build(ONE, T, targets, N, g=g)
+        # one call per target, each over the whole horizon 1..N
+        assert calls == [N] * len(targets)
+
+    def test_worst_residual_is_largest_planned_distance(self):
+        targets = [(e(1), 1e-3), (e12(), 1e-3)]
+        v = build(ONE, TWO_B, targets, 5_000, g=16)
+        for i, (y, eps) in enumerate(targets):
+            ns = v.planned_times(i)
+            d2 = orbits.orbit_distances(v.x, ONE, TWO_B, y, eps, ns)
+            assert v.report["targets"][i]["worst_residual"] == float(np.sqrt(d2).max())
+
+    def test_n_min_below_one_rejected(self):
+        with pytest.raises(ValueError, match="n_min"):
+            build(ONE, TWO_B, [(e(1), 1e-3)], 1000, g=16, n_min=0)

@@ -1,12 +1,14 @@
 """README's config tables are rendered from the tables in ``expcli``; this
 test renders them again and fails when README differs, so the docs cannot
 drift from the code. To update README, paste ``render()``'s output between
-the two markers."""
+the two markers. The lines of README's CLI block are run as well."""
 
+import shlex
+import shutil
 from pathlib import Path
 
 from orbitlab import expcli
-from orbitlab.expcli import FLAG_COMMANDS, PARAMS, REQUIRED
+from orbitlab.expcli import FLAG_COMMANDS, PARAMS, REQUIRED, main
 
 README = Path(__file__).parents[1] / "README.md"
 BEGIN = "<!-- config tables: rendered from src/orbitlab/expcli.py, checked by tests/test_readme.py -->"
@@ -70,3 +72,32 @@ def test_readme_config_tables_match_code():
     assert BEGIN in text and END in text
     block = text.split(BEGIN, 1)[1].split(END, 1)[0]
     assert block.strip("\n") == render().strip("\n")
+
+
+# CLI lines whose inputs (build.json, witness.json) are the user's own
+NOT_SHIPPED = ("build-fu", "mr-witness")
+
+
+def _cli_lines() -> list[list[str]]:
+    """The argv of each line of README's CLI block, in README's order."""
+    block = README.read_text().split("## CLI", 1)[1].split("```", 2)[1]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [words[1:] for words in lines if words and words[0] == "orbitlab"]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    """Every README CLI line with shipped inputs exits 0 and prints no numpy
+    reprs. The lines run in order in one directory, so `verify` and `ap-find`
+    read what `run` wrote."""
+    shutil.copytree(README.parent / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for argv in _cli_lines():
+        if argv[0] in NOT_SHIPPED:
+            continue
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 0, (argv, code)
+        assert "np." not in out, (argv, out)
+        ran.append(argv[0])
+    assert {"run", "ap-find", "verify"} <= set(ran)
