@@ -84,6 +84,16 @@ def _check_cap(n: int, what: str = "horizon") -> None:
         raise ResourceCapError(f"{what} {n} exceeds resource cap {RESOURCE_CAP_N}")
 
 
+def _product_search(weights, m: int, q: int, eps: float, n_max: int):
+    """The order-m product search (salas_check at m = 1, else mr_shift_check)
+    behind the resource cap on its work, m*(2q+1) passes over the n_max
+    candidates. The bound also covers its product table, m*n_max+q+1 logs."""
+    _check_cap(m * (2 * q + 1) * n_max, "product search m*(2q+1)*nmax")
+    if m == 1:
+        return salas_check(weights, eps, q, n_max)
+    return mr_shift_check(weights, m, q, eps, n_max)
+
+
 # ---------------------------------------------------------------------------
 # config schema
 # ---------------------------------------------------------------------------
@@ -842,7 +852,7 @@ def run_e3(p: SimpleNamespace, outdir: Path) -> dict:
 def run_e4(p: SimpleNamespace, outdir: Path) -> dict:
     """Universal-but-not-hypercyclic bilateral shift: product test must fail."""
     n_max = p.N
-    out = salas_check(WeightSeq.step_bilateral(), p.eps, p.q, n_max)
+    out = _product_search(WeightSeq.step_bilateral(), 1, p.q, p.eps, n_max)
     if out:
         raise ScenarioError(f"unexpected product witness n={out.certificate.n}")
     return {
@@ -1097,8 +1107,10 @@ def _verify_certificate(cert: dict, report_dir: Path, hits_cache: dict) -> bool:
             return False
         if path not in hits_cache:
             hits_cache[path] = _load_hits(path)
+        hits = hits_cache[path]
         members = a + tau * k * np.arange(m + 1)
-        return bool(np.all(np.isin(members, hits_cache[path])))
+        pos = np.searchsorted(hits, members)
+        return bool(np.all(pos < hits.size)) and bool(np.all(hits[pos] == members))
     if kind == "mr_witness":
         ell, m = _cert_field(cert, "ell", INT), _cert_field(cert, "m", INT)
         radius = _cert_field(cert, "radius", NUMBER)
@@ -1122,7 +1134,10 @@ def _verify_certificate(cert: dict, report_dir: Path, hits_cache: dict) -> bool:
 
 
 def _load_hits(path: Path) -> np.ndarray:
+    """The ``n`` column of a hit-set artifact; it must be strictly increasing."""
     (hits,) = _read_csv_columns(path, {"n": int})
+    if np.any(hits[1:] <= hits[:-1]):
+        raise ConfigError(f"artifact {path}: hits must be strictly increasing")
     return hits
 
 
@@ -1285,12 +1300,11 @@ def _dispatch(ns) -> int:
         return EXIT_OK
 
     if ns.cmd == "check-salas":
-        _print_search(salas_check(p.weights, p.eps, p.q, p.nmax), p.nmax)
+        _print_search(_product_search(p.weights, 1, p.q, p.eps, p.nmax), p.nmax)
         return EXIT_OK
 
     if ns.cmd == "check-mr":
-        _check_cap(p.m * p.nmax + p.q, "check-mr: product length m*nmax+q")
-        _print_search(mr_shift_check(p.weights, p.m, p.q, p.eps, p.nmax), p.nmax)
+        _print_search(_product_search(p.weights, p.m, p.q, p.eps, p.nmax), p.nmax)
         return EXIT_OK
 
     if ns.cmd == "check-series":

@@ -167,6 +167,7 @@ def norm(x: CoefVec) -> float:
     sq = np.exp(2.0 * np.sort(x.log_mags)[::-1])
     return math.sqrt(math.fsum(sq))
 
+
 def _positions(v: CoefVec, union: np.ndarray) -> np.ndarray:
     if v.nnz == 0:
         return np.full(union.shape, -1, dtype=np.int64)
@@ -176,8 +177,16 @@ def _positions(v: CoefVec, union: np.ndarray) -> np.ndarray:
 
 
 def _merge(x: CoefVec, y: CoefVec):
-    """Union of supports with positions into each vector (-1 where absent)."""
-    union = np.union1d(x.indices, y.indices)
+    """Union of supports with positions into each vector (-1 where absent).
+
+    Both index arrays are sorted, so a stable sort of their concatenation is
+    a linear merge of two runs; dropping adjacent duplicates leaves the
+    sorted union.
+    """
+    cat = np.sort(np.concatenate([x.indices, y.indices]), kind="stable")
+    fresh = np.ones(cat.size, dtype=bool)
+    np.not_equal(cat[1:], cat[:-1], out=fresh[1:])
+    union = cat[fresh]
     return union, _positions(x, union), _positions(y, union)
 
 
@@ -193,9 +202,6 @@ def axpy(a, x: CoefVec, y: CoefVec) -> CoefVec:
     if y.nnz == 0:
         return x.scale(a)
     union, px, py = _merge(x, y)
-    if union.size == 0:
-        return CoefVec.zero(x.side)
-
     lx = np.where(px >= 0, x.log_mags[np.maximum(px, 0)] + a.log_mag, -np.inf)
     tx = np.where(px >= 0, x.phases[np.maximum(px, 0)] + a.phase, 0.0)
     ly = np.where(py >= 0, y.log_mags[np.maximum(py, 0)], -np.inf)
@@ -219,26 +225,26 @@ def axpy(a, x: CoefVec, y: CoefVec) -> CoefVec:
 
 
 def dist(x: CoefVec, y: CoefVec) -> float:
-    """norm(x - y), computed on the merged support without materializing x - y."""
+    """norm(x - y): ``fsum`` over the sorted squares of the merged support.
+
+    Each vector's entries are materialized on its own support; one
+    ``searchsorted`` of x's indices into y's finds the shared ones. A shared
+    index contributes |vx - vy|^2, an index of one vector alone |v|^2, which
+    is the |vx - 0j|^2 or |0j - vy|^2 of a zero-padded merge bit for bit.
+    """
     _check_sides(x, y)
     if y.nnz == 0:
         return norm(x)
     if x.nnz == 0:
         return norm(y)
-    x._require_float_range()
-    y._require_float_range()
-    union, px, py = _merge(x, y)
-    vx = np.where(
-        px >= 0,
-        np.exp(x.log_mags[np.maximum(px, 0)]) * np.exp(1j * x.phases[np.maximum(px, 0)]),
-        0j,
-    )
-    vy = np.where(
-        py >= 0,
-        np.exp(y.log_mags[np.maximum(py, 0)]) * np.exp(1j * y.phases[np.maximum(py, 0)]),
-        0j,
-    )
-    sq = np.abs(vx - vy) ** 2
+    vx, vy = x.to_complex_array(), y.to_complex_array()
+    p = np.searchsorted(y.indices, x.indices)
+    shared = y.indices[np.minimum(p, y.nnz - 1)] == x.indices
+    py = p[shared]
+    vx[shared] -= vy[py]
+    y_only = np.ones(y.nnz, dtype=bool)
+    y_only[py] = False
+    sq = np.concatenate([np.abs(vx), np.abs(vy[y_only])]) ** 2
     return math.sqrt(math.fsum(np.sort(sq)[::-1]))
 
 

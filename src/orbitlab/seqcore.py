@@ -43,9 +43,16 @@ class SequenceDomainError(ValueError):
 
 
 def wrap_phase(theta):
-    """Wrap angles (scalar or ndarray) into the canonical interval ``(-pi, pi]``."""
+    """Wrap angles (scalar or ndarray) into the canonical interval ``(-pi, pi]``.
+
+    The result is ``pi - remainder(pi - theta, 2 pi)``. On an array the
+    ``np.remainder`` pass runs only if some ``pi - theta`` lies outside
+    ``[0, 2 pi)`` (or is NaN), since it returns such values unchanged.
+    """
     if isinstance(theta, np.ndarray):
-        r = np.remainder(math.pi - theta, TWO_PI)
+        r = math.pi - theta
+        if r.size and not (r.min() >= 0.0 and r.max() < TWO_PI):
+            r = np.remainder(r, TWO_PI)
         return math.pi - r
     r = math.fmod(math.pi - theta, TWO_PI)
     if r < 0.0:

@@ -213,16 +213,21 @@ class TestCsvReader:
         assert hits.dtype == np.int64 and hits.tolist() == h.indices.tolist()
 
 
-# the four malformed-artifact cases, as hit-set and as vector files
+# the malformed-artifact cases besides a missing file, as hit-set and as
+# vector files
 BAD_HITS = {
     "no_column": "m\n1\n2\n",
     "cell_count": "n\n1\n2,3\n",
     "non_numeric": "n\n1\nabc\n",
+    "unsorted": "n\n1\n3\n2\n",
+    "duplicate": "n\n1\n2\n2\n",
 }
 BAD_VECTOR = {
     "no_column": "index,log_mag\n1,0.0\n",
     "cell_count": "index,log_mag,phase\n1,0.0\n",
     "non_numeric": "index,log_mag,phase\n1,zero,0.0\n",
+    "unsorted": "index,log_mag,phase\n1,0.0,0.0\n3,0.0,0.0\n2,0.0,0.0\n",
+    "duplicate": "index,log_mag,phase\n1,0.0,0.0\n2,0.0,0.0\n2,0.0,0.0\n",
 }
 BAD_CASES = ["missing", *BAD_HITS]
 
@@ -584,6 +589,9 @@ BAD_HORIZON_FLAGS = {
     "check_salas_nmax": [*SALAS, "--nmax", str(RESOURCE_CAP_N + 1)],
     "check_mr_nmax": [*CHECK_MR, "--nmax", str(RESOURCE_CAP_N + 1)],
     "check_mr_product_length": [*CHECK_MR, "--nmax", str(RESOURCE_CAP_N // 2 + 1)],
+    # m*(2q+1)*nmax just above the cap, each factor well inside it
+    "check_salas_search": [*SALAS, "--q", "10", "--nmax", str(RESOURCE_CAP_N // 21 + 1)],
+    "check_mr_search": [*CHECK_MR, "--q", "1", "--nmax", str(RESOURCE_CAP_N // 6 + 1)],
     "check_series_nmax": [*SERIES, "--nmax", str(RESOURCE_CAP_N + 1)],
     "ap_find_nmax": [*AP_FIND, "--nmax", str(10**12)],
 }
@@ -650,7 +658,8 @@ class TestConfigOutcomes:
         {"scenario": "E2", "N": 10**9},
         {"scenario": "E2", "recurrence_N": 10**9},
         {"scenario": "E3", "ratio_N": 10**9},
-    ], ids=["E2_N", "E2_recurrence_N", "E3_ratio_N"])
+        {"scenario": "E4", "q": 1, "N": RESOURCE_CAP_N // 3 + 1},
+    ], ids=["E2_N", "E2_recurrence_N", "E3_ratio_N", "E4_search"])
     def test_horizon_above_cap_is_exit_4(self, tmp_path, capsys, cfg):
         assert _run_config(tmp_path, "run", cfg) == EXIT_RESOURCE
         assert capsys.readouterr().err.startswith("resource cap: ")

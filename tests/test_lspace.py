@@ -1,8 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from orbitlab import lspace
 from orbitlab.lspace import (
     Ball,
     CoefVec,
@@ -162,3 +167,82 @@ class TestConstruction:
         x = vec([(2, 1j)])
         assert x.entry(2).to_complex() == pytest.approx(1j)
         assert x.entry(3).zero
+
+
+# -- bit identity with the np.union1d merge (oracles.merge, oracles.dist) ----
+
+INDEX_RANGES = {Side.UNILATERAL: (1, 60), Side.BILATERAL: (-60, 60)}
+
+
+@st.composite
+def _entries(draw, side, indices, like=None):
+    """A vector on the sorted support; where ``like`` has the same index, the
+    entry may copy it, so that x - y cancels there exactly."""
+    entries = []
+    for i in indices:
+        if like is not None and i in like.indices and draw(st.booleans()):
+            e = like.entry(i)
+            entries.append((e.log_mag, e.phase))
+        else:
+            entries.append((draw(st.floats(-30.0, 30.0)), draw(st.floats(-math.pi, math.pi))))
+    return CoefVec.from_log_entries(side, indices, [lm for lm, _ in entries],
+                                    [ph for _, ph in entries])
+
+
+@st.composite
+def _vec_pairs(draw):
+    """Supports that are empty, disjoint, identical, overlapping or bilateral."""
+    side = draw(st.sampled_from(list(INDEX_RANGES)))
+    pool = st.integers(*INDEX_RANGES[side])
+    xi = sorted(draw(st.sets(pool, max_size=25)))
+    relation = draw(st.sampled_from(["any", "disjoint", "identical", "overlap"]))
+    yi = set(draw(st.sets(pool, max_size=25)))
+    if relation == "disjoint":
+        yi -= set(xi)
+    elif relation == "identical":
+        yi = set(xi)
+    elif relation == "overlap":
+        yi |= set(draw(st.lists(st.sampled_from(xi), max_size=10))) if xi else set()
+    x = draw(_entries(side, xi))
+    y = draw(_entries(side, sorted(yi), like=x))
+    return x, y
+
+
+def _same_vec(a: CoefVec, b: CoefVec) -> bool:
+    return (a.side is b.side and a.indices.tobytes() == b.indices.tobytes()
+            and a.log_mags.tobytes() == b.log_mags.tobytes()
+            and a.phases.tobytes() == b.phases.tobytes())
+
+
+class TestUnion1dOracle:
+    @settings(deadline=None)
+    @given(_vec_pairs())
+    def test_dist_merge_axpy_norm(self, pair):
+        x, y = pair
+        assert dist(x, y) == oracles.dist(x, y) and dist(y, x) == oracles.dist(y, x)
+        assert dist(x, CoefVec.zero(x.side)) == norm(x) and dist(x, x) == 0.0
+        for got, want in zip(lspace._merge(x, y), oracles.merge(x, y)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        with mock.patch.object(lspace, "_merge", oracles.merge):
+            want = [axpy(a, x, y) for a in (-1.0, 0.5 - 2j)]
+        assert all(_same_vec(axpy(a, x, y), w) for a, w in zip((-1.0, 0.5 - 2j), want))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_long_supports(self, seed):
+        # supports long enough for numpy's vector loops and their tails
+        rng = np.random.default_rng(seed)
+        side = Side.BILATERAL
+        xi = np.unique(rng.integers(-5000, 5000, rng.integers(1, 3000)))
+        yi = np.union1d(rng.choice(xi, xi.size // 2), rng.integers(-5000, 5000, 500))
+        x = CoefVec.from_log_entries(side, xi, rng.normal(0, 5, xi.size),
+                                     rng.uniform(-4, 4, xi.size))
+        lm = rng.normal(0, 5, yi.size)
+        ph = rng.uniform(-4, 4, yi.size)
+        src = np.minimum(np.searchsorted(xi, yi), xi.size - 1)
+        shared = np.flatnonzero(xi[src] == yi)[::3]  # planted cancellations
+        lm[shared], ph[shared] = x.log_mags[src[shared]], x.phases[src[shared]]
+        y = CoefVec.from_log_entries(side, yi, lm, ph)
+        assert dist(x, y) == oracles.dist(x, y) and dist(y, x) == oracles.dist(y, x)
+        with mock.patch.object(lspace, "_merge", oracles.merge):
+            want = axpy(-1.0, x, y)
+        assert _same_vec(axpy(-1.0, x, y), want)

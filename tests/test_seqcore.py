@@ -3,7 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from oracles import wrap_phase_formula
 from orbitlab.expcli import SCALING
 from orbitlab.seqcore import (
     AngleSpec,
@@ -25,6 +29,48 @@ def isclose(a: LogScalar, b: LogScalar, tol: float = 1e-12) -> bool:
     if a.zero or b.zero:
         return a.zero and b.zero
     return abs(a.log_mag - b.log_mag) <= tol and abs(wrap_phase(a.phase - b.phase)) <= tol
+
+
+PI_NEIGHBOURS = [np.nextafter(s * math.pi, t) for s in (-1.0, 1.0) for t in (-math.inf, math.inf)]
+EDGE_ANGLES = [math.pi, -math.pi, *PI_NEIGHBOURS, 0.0, -0.0, math.nan, math.inf, -math.inf,
+               1e300, -1e300, 2 * math.pi, -2 * math.pi, 3 * math.pi, 5e-324]
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in remainder")
+class TestWrapPhase:
+    """wrap_phase skips np.remainder when every pi - theta is in [0, 2 pi);
+    its result must still be pi - remainder(pi - theta, 2 pi) bit for bit."""
+
+    def test_edge_angles(self):
+        theta = np.array(EDGE_ANGLES)
+        assert _bits(wrap_phase(theta)) == _bits(wrap_phase_formula(theta))
+        for t in EDGE_ANGLES:
+            one = np.array([t])
+            assert _bits(wrap_phase(one)) == _bits(wrap_phase_formula(one))
+            assert _bits(wrap_phase(np.array(t))) == _bits(wrap_phase_formula(t))
+            if math.isfinite(t):
+                assert _bits(wrap_phase(t)) == _bits(wrap_phase_formula(t))
+
+    def test_empty(self):
+        assert wrap_phase(np.zeros(0)).shape == (0,)
+
+    @settings(deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(0, 300),
+                      elements=st.one_of(st.floats(-math.pi, math.pi),
+                                         st.floats(allow_nan=True, allow_infinity=True),
+                                         st.sampled_from(EDGE_ANGLES))))
+    def test_arrays_mixing_in_and_out_of_range(self, theta):
+        assert _bits(wrap_phase(theta)) == _bits(wrap_phase_formula(theta))
+        in_range = theta[np.abs(theta) <= math.pi]
+        assert _bits(wrap_phase(in_range)) == _bits(wrap_phase_formula(in_range))
+
+    @given(st.floats(allow_nan=True, allow_infinity=False))
+    def test_scalars(self, t):
+        assert _bits(wrap_phase(t)) == _bits(wrap_phase_formula(t))
 
 
 class TestLogScalar:
