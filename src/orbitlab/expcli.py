@@ -123,6 +123,10 @@ def _read_int(v) -> int:
 def _read_number(v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise TypeError
+    # finite only: not JSON's Infinity or NaN, flag text "inf", or an int
+    # beyond the float range
+    if not abs(v) <= sys.float_info.max:
+        raise TypeError
     return float(v)
 
 

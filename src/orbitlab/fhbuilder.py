@@ -234,16 +234,15 @@ def _verify_target(
 
     Raises VerificationFailedError at the first planned time that is no hit.
     """
-    n_arr, d2, hit = _ball_scan(x, lam, T, ball, N)
-    # planned times start at n_min >= 1, inside lam's domain, so every one
-    # is a scanned time
-    at = np.searchsorted(n_arr, plan.planned(i, N))
-    missed = np.flatnonzero(~hit[at])
+    planned = plan.planned(i, N)
+    # planned times start at n_min >= 1, inside lam's domain, so the scan
+    # covers every one
+    hits, d2 = _ball_scan(x, lam, T, ball, N, planned)
+    missed = np.flatnonzero(~(d2 < ball.radius * ball.radius))
     if missed.size:
-        b = at[missed[0]]
+        b = missed[0]
         raise VerificationFailedError(
-            i, int(n_arr[b]), float(np.sqrt(d2[b])), ball.radius, plan.g
+            i, int(planned[b]), float(np.sqrt(d2[b])), ball.radius, plan.g
         )
-    worst = float(np.sqrt(d2[at].max())) if at.size else 0.0
-    return HittingSet(n_arr[hit], N), int(at.size), worst
-
+    worst = float(np.sqrt(d2.max())) if d2.size else 0.0
+    return HittingSet(hits, N), int(planned.size), worst

@@ -3,9 +3,15 @@
 The scan engine computes dist(lam_n T^n x, y) for whole ranges of n at once:
 index-independent weights factor the coefficient magnitudes into a per-n
 scale plus per-entry logs, which turns the distance into a windowed sum plus
-log-sum-exp tails; general weights fall back to a per-n kernel over the
-support. A log-domain pre-filter skips float materialization whenever a
-single coefficient already exceeds |y| + eps.
+log-sum-exp tails; general weights, and flat weights whose target window is
+wider than the scan, take a per-n kernel over the support. A log-domain
+pre-filter skips float materialization whenever a single coefficient
+already exceeds |y| + eps.
+
+Every ball question (hitting sets, the FU build's planned-time check,
+return times) is one pass streamed over the SCAN_CHUNK grid of n that holds
+only the hits, the distances asked for and one chunk's arrays; the flat
+kernel's position table spans only the chunk's window of indices n + j.
 """
 
 from __future__ import annotations
@@ -135,10 +141,77 @@ def _prefix_lse(vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chunked(n_arr: np.ndarray, fn) -> np.ndarray:
-    """Apply fn to the fixed SCAN_CHUNK grid of n_arr; merge in chunk order."""
-    starts = range(0, n_arr.size, SCAN_CHUNK)
-    return np.concatenate([fn(lo, min(lo + SCAN_CHUNK, n_arr.size)) for lo in starts])
+def _orbit_scan(
+    x: CoefVec, lam: ScalingSeq, T: ShiftOp, y: CoefVec, eps: float, n_hi: int, count: int
+):
+    """Set up one target's distance kernel once: y's window, x's log-sum-exp
+    tails or the cumulative weight products. Returns the function that
+    gives dist(lam_n T^n x, y)^2 for an int64 array of times n <= n_hi.
+
+    ``count`` is the number of times the scan asks for. The flat kernel loops
+    over y's window and the per-n kernel over the times, so flat weights take
+    the per-n kernel only where the window is wider than the scan.
+    """
+    if x.side is not T.side or y.side is not T.side:
+        raise ValueError("vector sides must match the operator")
+    ny = norm(y)
+    if x.nnz == 0:
+        return lambda n_arr: np.full(n_arr.shape, ny * ny)
+
+    log_cap = math.log(ny + eps)
+    unilateral = T.side is Side.UNILATERAL
+    w_lo = 1 if unilateral else (int(y.indices.min()) if y.nnz else 0)
+    w_hi = int(y.indices.max()) if y.nnz else w_lo
+    w_hi = max(w_hi, w_lo)
+    width = w_hi - w_lo + 1
+    y_re = np.zeros(width)
+    y_im = np.zeros(width)
+    if y.nnz:
+        y._require_float_range()
+        vals = np.exp(y.log_mags) * np.exp(1j * y.phases)
+        y_re[y.indices - w_lo] = vals.real
+        y_im[y.indices - w_lo] = vals.imag
+
+    pm_lm, pm_arg = T.pm_log, T.pm_arg
+    flat = T.weights.is_flat and width <= count
+    # the flat kernel takes the index-independent log weight into the scale
+    c = float(T.weights.log_w(np.array([1], dtype=np.int64))[0]) if flat else 0.0
+
+    def scale(n_arr):
+        lam_lm, lam_ph, lam_zero = eval_at(lam, n_arr)
+        nf = n_arr.astype(np.float64)
+        return np.where(lam_zero, -np.inf, lam_lm) + nf * (pm_lm + c), lam_ph + nf * pm_arg
+
+    if flat:
+        suffix = _suffix_lse(2.0 * x.log_mags)
+        prefix = _prefix_lse(2.0 * x.log_mags)
+
+        def dist2(n_arr):
+            # positions in x of the indices n + j that the window reads
+            pos_lo = int(n_arr.min()) + w_lo
+            pos_hi = int(n_arr.max()) + w_hi
+            a, b = np.searchsorted(x.indices, [pos_lo, pos_hi + 1])
+            pos = np.full(pos_hi - pos_lo + 1, -1, dtype=np.int64)
+            pos[x.indices[a:b] - pos_lo] = np.arange(a, b, dtype=np.int64)
+            return _kernels.flat_orbit_dist2(
+                n_arr, *scale(n_arr), x.indices, x.log_mags, x.phases, pos, pos_lo,
+                prefix, suffix, w_lo, w_hi, y_re, y_im, log_cap, unilateral,
+            )
+
+        return dist2
+
+    # per-n kernel: cumulative log-products over every index the times touch
+    i_hi = int(x.indices.max())
+    cum_lo = 0 if unilateral else min(int(x.indices.min()) - n_hi, 0)
+    cum = T.table(max(i_hi, 1)).cum(np.arange(cum_lo, i_hi + 1, dtype=np.int64))
+
+    def dist2(n_arr):
+        return _kernels.general_orbit_dist2(
+            n_arr, *scale(n_arr), x.indices, x.log_mags, x.phases, cum, cum_lo,
+            w_lo, w_hi, y_re, y_im, ny * ny, log_cap, unilateral,
+        )
+
+    return dist2
 
 
 def orbit_distances(
@@ -154,118 +227,38 @@ def orbit_distances(
     Times where the log pre-filter fires (a coefficient alone outstrips
     |y| + eps) report +inf; they are guaranteed misses.
     """
-    if x.side is not T.side or y.side is not T.side:
-        raise ValueError("vector sides must match the operator")
     n_arr = np.asarray(n_arr, dtype=np.int64)
     if n_arr.size == 0:
         return np.zeros(0)
-
-    ny = norm(y)
-    if x.nnz == 0:
-        return np.full(n_arr.shape, ny * ny)
-
-    lam_lm, lam_ph, lam_zero = eval_at(lam, n_arr)
-    log_cap = math.log(ny + eps)
-    unilateral = T.side is Side.UNILATERAL
-
-    w_lo = 1 if unilateral else (int(y.indices.min()) if y.nnz else 0)
-    w_hi = int(y.indices.max()) if y.nnz else w_lo
-    w_hi = max(w_hi, w_lo)
-    width = w_hi - w_lo + 1
-    y_re = np.zeros(width)
-    y_im = np.zeros(width)
-    if y.nnz:
-        y._require_float_range()
-        vals = np.exp(y.log_mags) * np.exp(1j * y.phases)
-        y_re[y.indices - w_lo] = vals.real
-        y_im[y.indices - w_lo] = vals.imag
-
-    pm_lm, pm_arg = T.pm_log, T.pm_arg
-    nf = n_arr.astype(np.float64)
-
-    if T.weights.is_flat:
-        c = float(T.weights.log_w(np.array([1], dtype=np.int64))[0])
-        scale_lm = np.where(lam_zero, -np.inf, lam_lm) + nf * (pm_lm + c)
-        scale_ph = lam_ph + nf * pm_arg
-        pos_lo = min(int(n_arr.min()) + w_lo, int(x.indices.min()))
-        pos_hi = max(int(n_arr.max()) + w_hi, int(x.indices.max()))
-        pos = np.full(pos_hi - pos_lo + 2, -1, dtype=np.int64)
-        pos[x.indices - pos_lo] = np.arange(x.nnz, dtype=np.int64)
-        suffix = _suffix_lse(2.0 * x.log_mags)
-        prefix = _prefix_lse(2.0 * x.log_mags)
-
-        def run(lo, hi):
-            return _kernels.flat_orbit_dist2(
-                n_arr[lo:hi],
-                scale_lm[lo:hi],
-                scale_ph[lo:hi],
-                x.indices,
-                x.log_mags,
-                x.phases,
-                pos,
-                pos_lo,
-                prefix,
-                suffix,
-                w_lo,
-                w_hi,
-                y_re,
-                y_im,
-                log_cap,
-                unilateral,
-            )
-
-        return _chunked(n_arr, run)
-
-    # general weights: cumulative log-product array over every index touched
-    scale_lm = np.where(lam_zero, -np.inf, lam_lm) + nf * pm_lm
-    scale_ph = lam_ph + nf * pm_arg
-    i_hi = int(x.indices.max())
-    i_lo = int(x.indices.min()) - int(n_arr.max())
-    if unilateral:
-        i_lo = 0
-    cum_lo = min(i_lo, 0)
-    pt = T.table(max(i_hi, 1))
-    cum = pt.cum(np.arange(cum_lo, i_hi + 1, dtype=np.int64))
-    y_norm2 = ny * ny
-
-    def run(lo, hi):
-        return _kernels.general_orbit_dist2(
-            n_arr[lo:hi],
-            scale_lm[lo:hi],
-            scale_ph[lo:hi],
-            x.indices,
-            x.log_mags,
-            x.phases,
-            cum,
-            cum_lo,
-            w_lo,
-            w_hi,
-            y_re,
-            y_im,
-            y_norm2,
-            log_cap,
-            unilateral,
-        )
-
-    return _chunked(n_arr, run)
+    return _orbit_scan(x, lam, T, y, eps, int(n_arr.max()), n_arr.size)(n_arr)
 
 
 def _ball_scan(
-    x: CoefVec, lam: ScalingSeq, T: ShiftOp, b: Ball, N: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One scan of n = max(1, lam.min_n)..N: the times, their squared
-    distances to the center and the open-ball hit mask (strict d2 < r^2)."""
+    x: CoefVec, lam: ScalingSeq, T: ShiftOp, b: Ball, N: int, at: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """One pass over n = max(1, lam.min_n)..N, streamed on the SCAN_CHUNK
+    grid: the open-ball hit times (strict d2 < r^2) and the squared
+    distances at the sorted times ``at`` inside that range. Only the hits
+    and one chunk's arrays are held at a time."""
     if N < 1:
         raise ValueError("horizon must be >= 1")
-    n_arr = np.arange(max(1, lam.min_n), N + 1, dtype=np.int64)
-    d2 = orbit_distances(x, lam, T, b.center, b.radius, n_arr)
-    return n_arr, d2, d2 < b.radius * b.radius
+    n0 = max(1, lam.min_n)
+    dist2 = _orbit_scan(x, lam, T, b.center, b.radius, N, N - n0 + 1)
+    at = np.zeros(0, dtype=np.int64) if at is None else at
+    r2 = b.radius * b.radius
+    hits, at_d2 = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for lo in range(n0, N + 1, SCAN_CHUNK):
+        n_arr = np.arange(lo, min(lo + SCAN_CHUNK, N + 1), dtype=np.int64)
+        d2 = dist2(n_arr)
+        hits.append(n_arr[d2 < r2])
+        i, j = np.searchsorted(at, [lo, lo + n_arr.size])
+        at_d2.append(d2[at[i:j] - lo])
+    return np.concatenate(hits), np.concatenate(at_d2)
 
 
 def hitting_set(x: CoefVec, lam: ScalingSeq, T: ShiftOp, b: Ball, N: int) -> HittingSet:
     """Scan n = 1..N for lam_n T^n x inside the open ball (strict distance)."""
-    n_arr, _, hit = _ball_scan(x, lam, T, b, N)
-    return HittingSet(n_arr[hit], N)
+    return HittingSet(_ball_scan(x, lam, T, b, N)[0], N)
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +499,4 @@ def ratio_precheck(lam: ScalingSeq, tau: int):
 
 def recurrence_scan(T: ShiftOp, x: CoefVec, eps: float, N: int) -> np.ndarray:
     """All return times n <= N with dist(T^n x, x) < eps."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    hits = []
-    for n in range(1, N + 1):
-        if dist(T.power_apply(n, x), x) < eps:
-            hits.append(n)
-    return np.array(hits, dtype=np.int64)
+    return hitting_set(x, ScalingSeq.constant(1.0), T, Ball(x, eps), N).indices

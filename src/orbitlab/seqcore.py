@@ -54,7 +54,9 @@ def wrap_phase(theta):
         if r.size and not (r.min() >= 0.0 and r.max() < TWO_PI):
             r = np.remainder(r, TWO_PI)
         return math.pi - r
-    r = math.fmod(math.pi - theta, TWO_PI)
+    r = math.pi - theta
+    # math.fmod raises on +-inf; inf - inf is the NaN that np.remainder returns
+    r = r - r if math.isinf(r) else math.fmod(r, TWO_PI)
     if r < 0.0:
         r += TWO_PI
     return math.pi - r
@@ -138,10 +140,11 @@ class AngleSpec:
         if self.kind == "linear":
             return float(self.value) * n.astype(np.float64)
         if self.kind == "table":
-            tab = np.asarray(self.value, dtype=np.float64)
-            if np.any(n < 1) or np.any(n > tab.shape[0]):
+            lo, hi = (int(n.min()), int(n.max())) if n.size else (1, 0)
+            if lo < 1 or hi > len(self.value):
                 raise SequenceDomainError("angle table exhausted")
-            return tab[n - 1]
+            # converts only the entries n spans: scans ask chunk by chunk
+            return np.asarray(self.value[lo - 1 : hi], dtype=np.float64)[n - lo]
         raise ValueError(f"unknown angle spec kind {self.kind!r}")
 
     def to_config(self) -> dict:
@@ -372,7 +375,8 @@ def eval_at(seq: ScalingSeq, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
             raise SequenceDomainError(
                 f"table has {len(values)} entries, asked for n={int(n.max())}"
             )
-        vals = np.array(values, dtype=complex)[n - 1]
+        # converts only the entries n spans: scans ask chunk by chunk
+        vals = np.array(values[lo - 1 : int(n.max())], dtype=complex)[n - lo]
         zero = vals == 0
         with np.errstate(divide="ignore"):
             lm = np.where(zero, 0.0, np.log(np.abs(np.where(zero, 1, vals))))

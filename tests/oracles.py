@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from orbitlab import lspace
 from orbitlab.lspace import CoefVec, Side, SideMismatchError, _positions, norm
 from orbitlab.seqcore import wrap_phase
 from orbitlab.shiftops import ShiftOp
@@ -64,3 +65,9 @@ def wrap_phase_formula(theta):
     """pi - remainder(pi - theta, 2 pi), one ``np.remainder`` pass always."""
     return math.pi - np.remainder(math.pi - np.asarray(theta, dtype=np.float64),
                                   2.0 * math.pi)
+
+
+def return_distances(T: ShiftOp, x: CoefVec, N: int) -> np.ndarray:
+    """dist(T^n x, x) for n = 1..N, one ``power_apply`` and one ``lspace.dist``
+    per n; its entries below eps are the oracle for ``orbits.recurrence_scan``."""
+    return np.array([lspace.dist(T.power_apply(n, x), x) for n in range(1, N + 1)])

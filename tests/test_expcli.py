@@ -547,6 +547,11 @@ BAD_FU_CONFIGS = {
     "typo_key": {"Nn": 5},
     "operator_typo_key": {"operator": {**FU_CONFIG["operator"], "sied": "unilateral"}},
     "scaling_c_null": {"scaling": {"family": "constant", "c": None}},
+    # json.dumps writes these as Infinity and NaN
+    "scaling_c_infinity": {"scaling": {"family": "constant", "c": [1.0, math.inf]}},
+    "scaling_c_nan": {"scaling": {"family": "constant", "c": [math.nan, 0.0]}},
+    "target_eps_infinity": {"targets": [{"vector": "e(1)", "eps": math.inf}]},
+    "target_eps_int_beyond_float": {"targets": [{"vector": "e(1)", "eps": 10**400}]},
 }
 
 BAD_MR_CONFIGS = {
@@ -577,6 +582,8 @@ BAD_FLAGS = {
     "classify_seq_a_x": ["classify-seq", "--family", "exp_pow", "--a", "x"],
     "classify_seq_tau_0": [*SEQ, "--tau", "0"],
     "classify_seq_tol_0": [*SEQ, "--tol", "0"],
+    "classify_seq_tol_inf": ["classify-seq", "--family", "constant", "--c", "1", "--tol", "inf"],
+    "classify_seq_c_nan": ["classify-seq", "--family", "constant", "--c", "nan"],
     "classify_seq_restrict_mod_0": [*SEQ, "--restrict-mod", "0"],
     "classify_seq_horizon_below_100_tau": [*SEQ, "--tau", "5", "--horizon", "200"],
     "classify_seq_key_of_other_family": [*SEQ, "--a", "0.5"],

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from orbitlab import orbits
+from orbitlab import _kernels, orbits
 from orbitlab.fhbuilder import (
     BuildError,
     InfeasibleDecayError,
@@ -150,14 +150,27 @@ class TestBuildScan:
     @pytest.mark.parametrize("case", ORACLE_BUILDS.values(), ids=ORACLE_BUILDS)
     def test_one_scan_per_target(self, monkeypatch, case):
         T, targets, N, g = case
-        calls = []
-        real = orbits.orbit_distances
-        monkeypatch.setattr(
-            orbits, "orbit_distances", lambda *a: calls.append(a[-1].size) or real(*a)
-        )
+        scans = []  # per scan set-up, the times its kernel calls were given
+        real_setup = orbits._orbit_scan
+
+        def setup(*args):
+            scans.append([])
+            return real_setup(*args)
+
+        def recording(kernel):
+            def run(n_arr, *rest):
+                scans[-1].append(n_arr.copy())
+                return kernel(n_arr, *rest)
+            return run
+
+        monkeypatch.setattr(orbits, "_orbit_scan", setup)
+        for name in ("flat_orbit_dist2", "general_orbit_dist2"):
+            monkeypatch.setattr(_kernels, name, recording(getattr(_kernels, name)))
         build(ONE, T, targets, N, g=g)
-        # one call per target, each over the whole horizon 1..N
-        assert calls == [N] * len(targets)
+        # one set-up per target, whose kernel rows cover max(1, min_n)..N once
+        assert len(scans) == len(targets)
+        for rows in scans:
+            assert np.array_equal(np.concatenate(rows), np.arange(max(1, ONE.min_n), N + 1))
 
     def test_worst_residual_is_largest_planned_distance(self):
         targets = [(e(1), 1e-3), (e12(), 1e-3)]

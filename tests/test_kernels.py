@@ -1,13 +1,23 @@
 """Scan kernels against brute-force and direct-distance oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitlab import _kernels
-from orbitlab.lspace import CoefVec, Side
-from orbitlab.orbits import SCAN_CHUNK, HittingSet, ap_k_members, find_ap, orbit_distances
+from orbitlab.lspace import Ball, CoefVec, Side
+from orbitlab.orbits import (
+    SCAN_CHUNK,
+    HittingSet,
+    _ball_scan,
+    ap_k_members,
+    find_ap,
+    hitting_set,
+    orbit_distances,
+)
 from orbitlab.seqcore import ScalingSeq
 from orbitlab.shiftops import ShiftOp, WeightSeq
 
@@ -236,3 +246,37 @@ def test_chunk_grid_is_invisible():
     for b in range(SCAN_CHUNK, n_arr.size, SCAN_CHUNK):
         part = orbit_distances(x, lam, T, y, 0.5, n_arr[b - 7 : b + 5])
         assert part.tobytes() == full[b - 7 : b + 5].tobytes(), b
+    # the streamed pass: its hits and its distances at asked-for times,
+    # around every chunk boundary and spread over the horizon
+    r = float(np.sqrt(np.quantile(full, 0.3)))
+    ball = Ball(y, r)
+    full = orbit_distances(x, lam, T, y, r, n_arr)
+    want = n_arr[full < r * r]
+    assert 0 < want.size < n_max
+    assert np.array_equal(hitting_set(x, lam, T, ball, n_max).indices, want)
+    at = np.unique(np.concatenate(
+        [np.arange(b - 3, b + 3) for b in range(SCAN_CHUNK, n_max, SCAN_CHUNK)]
+        + [rng.choice(n_arr, size=200), [1, n_max]]
+    ))
+    hits, d2 = _ball_scan(x, lam, T, ball, n_max, at)
+    assert np.array_equal(hits, want)
+    assert d2.tobytes() == full[at - 1].tobytes()
+
+
+def test_streamed_hitting_set_memory():
+    # a one-target flat build at N = 2e6: the scan holds one chunk's arrays
+    # and the hits, not arrays of horizon length (about 74 bytes per time)
+    from orbitlab.fhbuilder import build
+
+    N = 2_000_000
+    T = ShiftOp(Side.UNILATERAL, WeightSeq.constant(1.0), 2.0)
+    e1 = CoefVec.basis(Side.UNILATERAL, 1)
+    v = build(ScalingSeq.constant(1.0), T, [(e1, 1e-3)], N, g=16)
+    tracemalloc.start()
+    try:
+        h = hitting_set(v.x, ScalingSeq.constant(1.0), T, Ball(e1, 1e-3), N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(h.indices, v.hits[0].indices)
+    assert peak < 32 * 2**20, peak

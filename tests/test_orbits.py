@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import return_distances
 
 from orbitlab import seqcore
 from orbitlab.lspace import Ball, CoefVec, Side, dist, norm
@@ -348,7 +349,50 @@ class TestRatioPrecheck:
             ratio_precheck(ONE, 1)
 
 
+# (side, weights, premultiplier, support bound, N): on a unilateral shift
+# y = x spans x's whole support, so a support bound above N takes the per-n
+# kernel even for flat weights
+RECURRENCE_CASES = {
+    "unilateral_flat": (Side.UNILATERAL, WeightSeq.constant(1.0), 1.0, 30, 200),
+    "unilateral_flat_wide": (Side.UNILATERAL, WeightSeq.constant(1.0), 1.5, 150, 60),
+    "unilateral_sqrt_ratio": (Side.UNILATERAL, WeightSeq.sqrt_ratio(), 0.8, 40, 120),
+    "bilateral_flat": (Side.BILATERAL, WeightSeq.constant(1.0), 1.0, 20, 150),
+    "bilateral_step": (Side.BILATERAL, WeightSeq.step_bilateral(), 0.5, 25, 100),
+    "bilateral_flat_wide": (Side.BILATERAL, WeightSeq.constant(1.0), 1.2, 60, 50),
+}
+
+
 class TestRecurrenceScan:
+    @pytest.mark.parametrize("case", RECURRENCE_CASES.values(), ids=RECURRENCE_CASES)
+    def test_matches_per_n_oracle(self, case):
+        side, weights, pm, support, N = case
+        T = ShiftOp(side, weights, pm)
+        rng = np.random.default_rng(support * 1000 + N)
+        lo = 1 if side is Side.UNILATERAL else -support
+        idx = np.unique(rng.integers(lo, support + 1, size=support))
+        x = CoefVec.from_pairs(
+            side, [(int(i), complex(rng.normal(), rng.normal()) * 0.9 ** abs(i)) for i in idx]
+        )
+        d = return_distances(T, x, N)
+        for eps in np.quantile(d[np.isfinite(d)], [0.2, 0.6]):
+            want = d < eps
+            assert want.any() and not want.all()
+            # times within relative 1e-9 of eps are the boundary band, where
+            # the scan's rounding may differ from dist's
+            clear = np.abs(d - eps) > 1e-9 * eps
+            got = np.zeros(N, dtype=bool)
+            got[recurrence_scan(T, x, float(eps), N) - 1] = True
+            assert np.array_equal(got[clear], want[clear])
+
+    @pytest.mark.parametrize("side", [Side.UNILATERAL, Side.BILATERAL])
+    def test_zero_vector_matches_per_n_oracle(self, side):
+        T = ShiftOp(side, WeightSeq.constant(1.0), 2.0)
+        z = CoefVec.zero(side)
+        d = return_distances(T, z, 30)
+        want = np.flatnonzero(d < 0.5) + 1
+        assert np.array_equal(recurrence_scan(T, z, 0.5, 30), want)
+        assert want.size == 30
+
     def test_zero_vector_always_returns(self):
         z = CoefVec.zero(Side.UNILATERAL)
         assert list(recurrence_scan(B, z, 0.5, 10)) == list(range(1, 11))

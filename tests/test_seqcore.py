@@ -14,6 +14,7 @@ from orbitlab.seqcore import (
     LogScalar,
     ScalingSeq,
     SequenceDomainError,
+    eval_at,
     eval_log,
     eval_log_mags,
     log_mul,
@@ -52,8 +53,7 @@ class TestWrapPhase:
             one = np.array([t])
             assert _bits(wrap_phase(one)) == _bits(wrap_phase_formula(one))
             assert _bits(wrap_phase(np.array(t))) == _bits(wrap_phase_formula(t))
-            if math.isfinite(t):
-                assert _bits(wrap_phase(t)) == _bits(wrap_phase_formula(t))
+            assert _bits(wrap_phase(t)) == _bits(wrap_phase_formula(t))
 
     def test_empty(self):
         assert wrap_phase(np.zeros(0)).shape == (0,)
@@ -170,6 +170,25 @@ class TestEvalLog:
             eval_log(ScalingSeq.log_log(), 2)
         with pytest.raises(SequenceDomainError):
             eval_log(ScalingSeq.table([1.0, 2.0]), 3)
+
+    def test_tables_evaluate_any_part_alike(self):
+        # a table is read only over the span the times ask for; any part of
+        # the times gives the same bits as the whole array
+        rng = np.random.default_rng(3)
+        vals = [complex(a, b) for a, b in rng.normal(size=(500, 2))] + [0j, 2.0]
+        angles = AngleSpec("table", list(rng.uniform(-9, 9, size=len(vals))))
+        n = np.arange(1, len(vals) + 1, dtype=np.int64)
+        for seq in (ScalingSeq.table(vals), rotate_seq(ScalingSeq.table(vals), angles)):
+            whole = eval_at(seq, n)
+            for part in (n[200:263], n[-2:], rng.permutation(n)[:40], n[[7, 7, 3]]):
+                got = eval_at(seq, part)
+                for g, w in zip(got, whole):
+                    assert g.tobytes() == w[part - 1].tobytes()
+        assert angles.angles(np.zeros(0, dtype=np.int64)).shape == (0,)
+        with pytest.raises(SequenceDomainError):
+            angles.angles(np.array([3, len(vals) + 1]))
+        with pytest.raises(SequenceDomainError):
+            angles.angles(np.array([0, 3]))
 
     def test_rational_poly_guard(self):
         with pytest.raises(ValueError):
