@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lspace import CoefVec, Side, norm
-from .seqcore import ScalingSeq, eval_log_mags, ratio_classify
+from .seqcore import ScalingSeq, eval_log_mags, ratio_classify, scan_grid
 from .shiftops import ProductTable, ShiftOp, WeightSeq, product_table
 
 __all__ = [
@@ -97,7 +97,7 @@ class MRShiftCertificate:
     backward_logs: tuple[float, ...]
 
     def verify(self, pt: ProductTable | None = None, tol: float = REVERIFY_LOG_TOL) -> bool:
-        pt = pt or product_table(self.weights, True, self.m * self.n + self.q + 1)
+        pt = pt or product_table(self.weights, True)
         thresh = math.log(1.0 / self.eps)
         pos = 0
         for l in range(1, self.m + 1):
@@ -126,16 +126,6 @@ class MRShiftCertificate:
         }
 
 
-def _forward_logs_all_n(pt: ProductTable, j: int, n_arr: np.ndarray, l: int = 1) -> np.ndarray:
-    """log prod_{i=1..l*n} w_{j+i} for a whole vector of n."""
-    return pt.cum(j + l * n_arr) - pt.cum(np.full(n_arr.shape, j, dtype=np.int64))
-
-
-def _backward_logs_all_n(pt: ProductTable, j: int, n_arr: np.ndarray, l: int = 1) -> np.ndarray:
-    """log prod_{i=0..l*n-1} w_{j-i} for a whole vector of n."""
-    return pt.cum(np.full(n_arr.shape, j, dtype=np.int64)) - pt.cum(j - l * n_arr)
-
-
 def salas_check(w: WeightSeq, eps: float, q: int, n_max: int) -> SearchOutcome:
     """Smallest n in (2q, n_max] satisfying the hypercyclicity inequalities."""
     if not 0 < eps < 1:
@@ -151,7 +141,11 @@ def salas_check(w: WeightSeq, eps: float, q: int, n_max: int) -> SearchOutcome:
 
 
 def mr_shift_check(w: WeightSeq, m: int, q: int, eps: float, n_max: int) -> SearchOutcome:
-    """Smallest witness n for the order-m product inequalities (n > 2q)."""
+    """Smallest witness n for the order-m product inequalities (n > 2q).
+
+    Streams n over the scan grid and stops at the chunk holding the first
+    witness; without one, the diagnostics name the first n of largest margin.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
     if not 0 < eps < 1:
@@ -161,50 +155,55 @@ def mr_shift_check(w: WeightSeq, m: int, q: int, eps: float, n_max: int) -> Sear
     n_lo = 2 * q + 1
     if n_lo > n_max:
         return SearchOutcome(None, {"reason": f"no n in ({2*q}, {n_max}]"})
-    pt = product_table(w, True, m * n_max + q + 1)
-    n_arr = np.arange(n_lo, n_max + 1, dtype=np.int64)
+    pt = product_table(w, True)
+    pt.ensure(pos_hi=q + m * n_max, neg_lo=-q - m * n_max)
     thresh = math.log(1.0 / eps)
+    cum_j = {j: pt.cum(np.array([j]))[0] for j in range(-q, q + 1)}
 
-    ok = np.ones(n_arr.shape, dtype=bool)
-    margin = np.full(n_arr.shape, np.inf)
-    for l in range(1, m + 1):
-        for j in range(-q, q + 1):
-            f = _forward_logs_all_n(pt, j, n_arr, l)
-            b = _backward_logs_all_n(pt, j, n_arr, l)
-            ok &= (f > thresh) & (b < -thresh)
-            margin = np.minimum(margin, np.minimum(f - thresh, -thresh - b))
-    hits = np.flatnonzero(ok)
-    if hits.size == 0:
-        best = int(np.argmax(margin))
-        # name one failing (j, l) pair at the best n for diagnostics
-        fail = None
-        nb = int(n_arr[best])
+    best_n, best_margin = None, None
+    for n_arr in scan_grid(n_lo, n_max):
+        ok = np.ones(n_arr.shape, dtype=bool)
+        margin = np.full(n_arr.shape, np.inf)
         for l in range(1, m + 1):
             for j in range(-q, q + 1):
-                if not (
-                    pt.forward_log(j, l * nb) > thresh
-                    and pt.backward_log(j, l * nb) < -thresh
-                ):
-                    fail = (j, l)
-                    break
-            if fail:
-                break
-        return SearchOutcome(
-            None,
-            {
-                "best_n": nb,
-                "best_margin": float(margin[best]),
-                "failing_j_l": fail,
-            },
-        )
-    n = int(n_arr[hits[0]])
-    fwd, bwd = [], []
+                f = pt.cum(j + l * n_arr) - cum_j[j]  # log prod_{i=1..ln} w_{j+i}
+                b = cum_j[j] - pt.cum(j - l * n_arr)  # log prod_{i=0..ln-1} w_{j-i}
+                ok &= (f > thresh) & (b < -thresh)
+                margin = np.minimum(margin, np.minimum(f - thresh, -thresh - b))
+        hits = np.flatnonzero(ok)
+        if hits.size:
+            n = int(n_arr[hits[0]])
+            ljs = [(l, j) for l in range(1, m + 1) for j in range(-q, q + 1)]
+            fwd = tuple(pt.forward_log(j, l * n) for l, j in ljs)
+            bwd = tuple(pt.backward_log(j, l * n) for l, j in ljs)
+            return SearchOutcome(MRShiftCertificate(w, n, m, q, eps, fwd, bwd), {"n": n})
+        # the first largest margin, NaN first, as np.argmax over all n picks it
+        i = int(np.argmax(margin))
+        if best_n is None or (
+            not np.isnan(best_margin) and (np.isnan(margin[i]) or margin[i] > best_margin)
+        ):
+            best_n, best_margin = int(n_arr[i]), margin[i]
+
+    # name one failing (j, l) pair at the best n for diagnostics
+    fail = None
     for l in range(1, m + 1):
         for j in range(-q, q + 1):
-            fwd.append(pt.forward_log(j, l * n))
-            bwd.append(pt.backward_log(j, l * n))
-    cert = MRShiftCertificate(w, n, m, q, eps, tuple(fwd), tuple(bwd))
-    return SearchOutcome(cert, {"n": n})
+            if not (
+                pt.forward_log(j, l * best_n) > thresh
+                and pt.backward_log(j, l * best_n) < -thresh
+            ):
+                fail = (j, l)
+                break
+        if fail:
+            break
+    return SearchOutcome(
+        None,
+        {
+            "best_n": best_n,
+            "best_margin": float(best_margin),
+            "failing_j_l": fail,
+        },
+    )
 
 
 def mr_invertible_check(w: WeightSeq, m: int, n_max: int, threshold: float) -> np.ndarray:
@@ -219,16 +218,20 @@ def mr_invertible_check(w: WeightSeq, m: int, n_max: int, threshold: float) -> n
         raise ValueError("weights must be bounded away from zero (invertibility)")
     if not w.bilateral_ok:
         raise ValueError("mr_invertible_check needs bilateral weights")
-    pt = product_table(w, True, m * n_max + 1)
-    n_arr = np.arange(1, n_max + 1, dtype=np.int64)
+    pt = product_table(w, True)
+    if n_max >= 1:
+        pt.ensure(pos_hi=m * n_max, neg_lo=-m * n_max - 1)
     g = math.log(threshold)
-    ok = np.ones(n_arr.shape, dtype=bool)
-    for l in range(1, m + 1):
-        fwd = pt.cum(l * n_arr)
-        # prod_{i=0..ln} 1/w_{-i} = exp(C(-ln - 1)) with C the signed cumulative
-        bwd = pt.cum(-l * n_arr - 1)
-        ok &= (fwd > g) & (bwd > g)
-    return n_arr[ok]
+    found = [np.zeros(0, dtype=np.int64)]
+    for n_arr in scan_grid(1, n_max):
+        ok = np.ones(n_arr.shape, dtype=bool)
+        for l in range(1, m + 1):
+            fwd = pt.cum(l * n_arr)
+            # prod_{i=0..ln} 1/w_{-i} = exp(C(-ln - 1)) with C the signed cumulative
+            bwd = pt.cum(-l * n_arr - 1)
+            ok &= (fwd > g) & (bwd > g)
+        found.append(n_arr[ok])
+    return np.concatenate(found)
 
 
 @dataclass(frozen=True)
@@ -271,62 +274,84 @@ PSERIES_P_MIN = 1.1
 
 
 def fhc_series_check(w: WeightSeq, n_max: int = 10**6, cap: float = 12.0) -> SeriesVerdict:
-    """Partial sums of (w_1...w_n)^{-2} with divergence cap and tail certificates."""
+    """Partial sums of (w_1...w_n)^{-2} with divergence cap and tail certificates.
+
+    Streams n over the scan grid, holding across chunks only the sums at the
+    grid points, the first cap crossing, the last term and the extremes of
+    the last decade's decay ratios.
+    """
     if n_max < 10:
         raise ValueError("need n_max >= 10")
-    pt = product_table(w, False, n_max + 1)
-    n_arr = np.arange(1, n_max + 1, dtype=np.int64)
-    log_terms = -2.0 * pt.cum(n_arr)
-    with np.errstate(over="ignore"):
-        terms = np.exp(log_terms)
-    sums = np.cumsum(terms)
-    grid_pts = [10]
-    while grid_pts[-1] < n_max:
-        grid_pts.append(min(grid_pts[-1] * 2, n_max))
-    grid = np.array(grid_pts, dtype=np.int64)
-    grid_sums = tuple(float(sums[g - 1]) for g in grid)
-    total = float(sums[-1])
+    pt = product_table(w, False)
+    pt.ensure(pos_hi=n_max)
+    grid = [10]
+    while grid[-1] < n_max:
+        grid.append(min(grid[-1] * 2, n_max))
+    grid = tuple(grid)
+    decade_lo = max(1, n_max // 10)
 
-    crossed = np.flatnonzero(~(sums <= cap))
-    if crossed.size:
+    total = 0.0
+    grid_sums = []
+    crossed_at = None
+    ratio_max, p_min = -np.inf, np.inf  # of log(t_{n+1}/t_n) and of p
+    for n_arr in scan_grid(1, n_max):
+        lo, hi = int(n_arr[0]), int(n_arr[-1])
+        with np.errstate(over="ignore"):
+            terms = np.exp(-2.0 * pt.cum(n_arr))
+        # the running sum leads the chunk, so cumsum adds in the same order
+        # as one cumsum over all n
+        sums = np.cumsum(np.concatenate(([total], terms)))[1:]
+        total = sums[-1]
+        grid_sums += [float(sums[g - lo]) for g in grid if lo <= g <= hi]
+        if crossed_at is None:
+            crossed = np.flatnonzero(~(sums <= cap))
+            if crossed.size:
+                crossed_at = int(n_arr[crossed[0]])
+        # last-decade decay ratios, n in [decade_lo, n_max), from log weights
+        # (no underflow); not needed once the sums have crossed the cap
+        dn = n_arr[max(decade_lo - lo, 0) : n_max - lo]
+        if crossed_at is None and dn.size:
+            log_ratio = -2.0 * w.log_w(dn + 1)  # log(t_{n+1}/t_n)
+            # dominated by a p-series: t_{n+1}/t_n <= (n/(n+1))^p pointwise
+            p_vals = -log_ratio / np.log1p(1.0 / dn)
+            ratio_max = np.maximum(ratio_max, np.max(log_ratio))
+            p_min = np.minimum(p_min, np.min(p_vals))
+    total = float(total)
+    t_last = float(terms[-1])
+    grid_sums = tuple(grid_sums)
+
+    if crossed_at is not None:
         return SeriesVerdict(
             "diverges_observed",
             n_max,
             total,
-            tuple(int(g) for g in grid),
+            grid,
             grid_sums,
-            crossed_cap_at=int(n_arr[crossed[0]]),
+            crossed_cap_at=crossed_at,
             cap=cap,
         )
 
-    # last-decade decay ratios, from log weights (no underflow)
-    decade_lo = max(1, n_max // 10)
-    dn = np.arange(decade_lo, n_max, dtype=np.int64)
-    log_ratio = -2.0 * w.log_w(dn + 1)  # log(t_{n+1}/t_n)
-    rho_max = float(np.exp(np.max(log_ratio)))
-    t_last = float(terms[-1])
+    rho_max = float(np.exp(ratio_max))
     if rho_max <= GEOM_RHO_MAX:
         tail = t_last * rho_max / (1.0 - rho_max)
         return SeriesVerdict(
             "converges_certified",
             n_max,
             total,
-            tuple(int(g) for g in grid),
+            grid,
             grid_sums,
             tail_bound=tail,
             mode="geometric",
             cap=cap,
         )
-    # dominated by a p-series: t_{n+1}/t_n <= (n/(n+1))^p pointwise
-    p_vals = -log_ratio / np.log1p(1.0 / dn)
-    p = float(np.min(p_vals))
+    p = float(p_min)
     if p >= PSERIES_P_MIN:
         tail = t_last * n_max / (p - 1.0)
         return SeriesVerdict(
             "converges_certified",
             n_max,
             total,
-            tuple(int(g) for g in grid),
+            grid,
             grid_sums,
             tail_bound=tail,
             mode=f"p_series(p={p:.4f})",
@@ -336,7 +361,7 @@ def fhc_series_check(w: WeightSeq, n_max: int = 10**6, cap: float = 12.0) -> Ser
         "inconclusive",
         n_max,
         total,
-        tuple(int(g) for g in grid),
+        grid,
         grid_sums,
         cap=cap,
     )
@@ -346,7 +371,7 @@ def orbit_norm_logs(T: ShiftOp, x: CoefVec, n_arr: np.ndarray) -> np.ndarray:
     """log ||T^n x|| for each n (-inf once the support has died)."""
     if x.nnz == 0:
         return np.full(len(n_arr), -np.inf)
-    pt = T.table(int(x.indices.max()) + 1)
+    pt = T.table()
     out = np.empty(len(n_arr), dtype=np.float64)
     cum_x = pt.cum(x.indices)
     for t, n in enumerate(np.asarray(n_arr, dtype=np.int64)):

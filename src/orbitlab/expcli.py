@@ -87,7 +87,7 @@ def _check_cap(n: int, what: str = "horizon") -> None:
 def _product_search(weights, m: int, q: int, eps: float, n_max: int):
     """The order-m product search (salas_check at m = 1, else mr_shift_check)
     behind the resource cap on its work, m*(2q+1) passes over the n_max
-    candidates. The bound also covers its product table, m*n_max+q+1 logs."""
+    candidates."""
     _check_cap(m * (2 * q + 1) * n_max, "product search m*(2q+1)*nmax")
     if m == 1:
         return salas_check(weights, eps, q, n_max)
@@ -876,7 +876,7 @@ def run_e5(p: SimpleNamespace, outdir: Path) -> dict:
     """Mixing but not frequently hypercyclic: sqrt-ratio weights."""
     n_max = p.N
     w = WeightSeq.sqrt_ratio()
-    pt = product_table(w, False, n_max)
+    pt = product_table(w, False)
     sample = np.unique(np.geomspace(1, n_max, 200).astype(np.int64))
     worst = 0.0
     for n in sample:

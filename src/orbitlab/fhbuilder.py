@@ -174,10 +174,10 @@ def _place(
 ) -> CoefVec:
     """The vector x with every target's blocks placed along its class.
 
-    Its temporaries (one entry per placed coefficient, and the product
-    table) are freed on return, before the verification scans run.
+    Its temporaries, one entry per placed coefficient, are freed on return,
+    before the verification scans run.
     """
-    pt = T.table(N + max(plan.supports) + 1)
+    pt = T.table()
     idx_parts, lm_parts, ph_parts = [], [], []
     per_class_blockmax: list[np.ndarray] = []
     for i, (y, _) in enumerate(targets):

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .lspace import Ball, CoefVec, Side, dist, norm
-from .seqcore import ScalingSeq, eval_at, eval_log
+from .seqcore import ScalingSeq, eval_at, eval_log, scan_grid
 from .shiftops import ShiftOp, scaled_orbit_point
 
 __all__ = [
@@ -45,11 +45,6 @@ __all__ = [
     "witness_distances",
     "recurrence_scan",
 ]
-
-# scans run over a fixed grid of n-chunks so that the per-call temporaries of
-# the distance kernels stay bounded, whatever the horizon
-SCAN_CHUNK = 1 << 16
-
 
 class HittingSet:
     """Sorted set {n <= n_max : lam_n T^n x in B(y, eps)}."""
@@ -203,7 +198,7 @@ def _orbit_scan(
     # per-n kernel: cumulative log-products over every index the times touch
     i_hi = int(x.indices.max())
     cum_lo = 0 if unilateral else min(int(x.indices.min()) - n_hi, 0)
-    cum = T.table(max(i_hi, 1)).cum(np.arange(cum_lo, i_hi + 1, dtype=np.int64))
+    cum = T.table().cum(np.arange(cum_lo, i_hi + 1, dtype=np.int64))
 
     def dist2(n_arr):
         return _kernels.general_orbit_dist2(
@@ -247,8 +242,8 @@ def _ball_scan(
     at = np.zeros(0, dtype=np.int64) if at is None else at
     r2 = b.radius * b.radius
     hits, at_d2 = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    for lo in range(n0, N + 1, SCAN_CHUNK):
-        n_arr = np.arange(lo, min(lo + SCAN_CHUNK, N + 1), dtype=np.int64)
+    for n_arr in scan_grid(n0, N):
+        lo = int(n_arr[0])
         d2 = dist2(n_arr)
         hits.append(n_arr[d2 < r2])
         i, j = np.searchsorted(at, [lo, lo + n_arr.size])

@@ -29,6 +29,8 @@ __all__ = [
     "ratio_classify",
     "rotate_seq",
     "wrap_phase",
+    "SCAN_CHUNK",
+    "scan_grid",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -36,6 +38,17 @@ TWO_PI = 2.0 * math.pi
 # exp(log_mag) stays inside double range up to ~709; contracts in lspace ask
 # for exact round trips only below 700.
 FLOAT_SAFE_LOG = 700.0
+
+# every pass over a range of n (the orbit scans, the series test, the product
+# searches) runs over a fixed grid of n-chunks, so that its temporaries stay
+# bounded whatever the horizon
+SCAN_CHUNK = 1 << 16
+
+
+def scan_grid(lo: int, hi: int):
+    """n = lo..hi as consecutive int64 arrays of at most SCAN_CHUNK times."""
+    for a in range(lo, hi + 1, SCAN_CHUNK):
+        yield np.arange(a, min(a + SCAN_CHUNK, hi + 1), dtype=np.int64)
 
 
 class SequenceDomainError(ValueError):

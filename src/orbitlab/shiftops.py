@@ -8,7 +8,6 @@ computed exactly through prefix sums of ``log w`` rather than by iteration.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,72 +179,49 @@ class WeightSeq:
 class ProductTable:
     """Prefix sums of log w with O(1) range-product queries.
 
-    The positive-side array holds C(i) = sum_{s=1..i} log w_s; the bilateral
-    negative array holds T(k) = sum_{s=-(k-1)..0} log w_s, so that the
-    cumulative C extends to all of Z via C(i) = -T(-i) for i < 0. Extension is
-    lazy and geometric; queries after construction are read-only.
+    C(i) = sum_{s=1..i} log w_s on the positive side; on the bilateral
+    negative side T(k) = sum_{s=-(k-1)..0} log w_s, so that C extends to all
+    of Z via C(i) = -T(-i) for i < 0. Families with closed-form sums
+    (``log_prefix_pos``/``log_prefix_neg``) are evaluated at the queried
+    indices and hold no array; ``table_w`` weights hold both sums over the
+    table's whole range, built once.
     """
 
-    def __init__(self, weights: WeightSeq, bilateral: bool, horizon: int = 1024):
-        self.weights = weights
-        self.bilateral = bilateral and weights.bilateral_ok
+    def __init__(self, weights: WeightSeq, bilateral: bool):
         if bilateral and not weights.bilateral_ok:
             raise ValueError(f"{weights.family} weights have no bilateral extension")
-        self._lock = threading.Lock()
-        pos_h = max(horizon, 16)
+        self.weights = weights
+        self.bilateral = bilateral
+        self._pos = self._neg = None
         if weights.pos_capacity is not None:
-            pos_h = min(pos_h, weights.pos_capacity)
-        neg_h = max(horizon, 16)
-        if weights.neg_capacity is not None:
-            neg_h = min(neg_h, 1 - weights.neg_capacity)
-        self._pos = self._build_pos(max(pos_h, 0))
-        self._neg = self._build_neg(max(neg_h, 0)) if self.bilateral else None
-
-    def _build_pos(self, n: int) -> np.ndarray:
-        ns = np.arange(0, n + 1, dtype=np.int64)
-        closed = self.weights.log_prefix_pos(ns)
-        if closed is not None:
-            out = closed
-            out[0] = 0.0
-            return out
-        out = np.zeros(n + 1)
-        out[1:] = np.cumsum(self.weights.log_w(np.arange(1, n + 1)))
-        return out
-
-    def _build_neg(self, n: int) -> np.ndarray:
-        ks = np.arange(0, n + 1, dtype=np.int64)
-        closed = self.weights.log_prefix_neg(ks)
-        if closed is not None:
-            out = closed
-            out[0] = 0.0
-            return out
-        out = np.zeros(n + 1)
-        out[1:] = np.cumsum(self.weights.log_w(-np.arange(0, n)))
-        return out
+            self._pos = _prefix(weights.log_w(np.arange(1, max(weights.pos_capacity, 0) + 1)))
+            if bilateral:
+                self._neg = _prefix(weights.log_w(-np.arange(0, 1 - weights.neg_capacity)))
 
     def ensure(self, pos_hi: int = 0, neg_lo: int = 0) -> None:
-        """Grow the table to cover indices up to pos_hi and down to neg_lo."""
+        """Check that indices up to pos_hi and down to neg_lo carry products."""
+        if neg_lo < 0 and not self.bilateral:
+            raise ValueError("negative indices require a bilateral table")
         cap_hi = self.weights.pos_capacity
         if cap_hi is not None and pos_hi > cap_hi:
             raise ValueError(f"index {pos_hi} exits the table's range (max {cap_hi})")
         cap_lo = self.weights.neg_capacity
         if cap_lo is not None and neg_lo < 0 and neg_lo + 1 < cap_lo:
             raise ValueError(f"index {neg_lo} exits the table's range (min {cap_lo})")
-        with self._lock:
-            if pos_hi >= self._pos.shape[0]:
-                want = max(pos_hi, 2 * (self._pos.shape[0] - 1))
-                if cap_hi is not None:
-                    want = min(want, cap_hi)
-                self._pos = self._build_pos(want)
-            need_neg = max(0, -neg_lo) + 1
-            if neg_lo < 0:
-                if not self.bilateral:
-                    raise ValueError("negative indices require a bilateral table")
-                if need_neg >= self._neg.shape[0]:
-                    want = max(need_neg, 2 * (self._neg.shape[0] - 1))
-                    if cap_lo is not None:
-                        want = min(want, 1 - cap_lo)
-                    self._neg = self._build_neg(want)
+
+    def _pos_cum(self, i: np.ndarray) -> np.ndarray:
+        """C(i) for indices i >= 0."""
+        if self._pos is not None:
+            return self._pos[i]
+        out = self.weights.log_prefix_pos(i)
+        out[i == 0] = 0.0  # the empty sum; 0 * log c is -0.0 for c < 1
+        return out
+
+    def _neg_cum(self, k: np.ndarray) -> np.ndarray:
+        """T(k) for k >= 1."""
+        if self._neg is not None:
+            return self._neg[k]
+        return self.weights.log_prefix_neg(k)
 
     def cum(self, idx: np.ndarray) -> np.ndarray:
         """Cumulative C(i) for any integer indices (vectorized)."""
@@ -253,14 +229,13 @@ class ProductTable:
         if idx.size == 0:
             return np.zeros(0)
         lo, hi = int(idx.min()), int(idx.max())
-        if lo < 0 and not self.bilateral:
-            raise ValueError("negative indices require a bilateral table")
         self.ensure(pos_hi=max(hi, 0), neg_lo=min(lo, 0))
+        if lo >= 0:
+            return self._pos_cum(idx)
         out = np.empty(idx.shape, dtype=np.float64)
         pos = idx >= 0
-        out[pos] = self._pos[idx[pos]]
-        if (~pos).any():
-            out[~pos] = -self._neg[-idx[~pos]]
+        out[pos] = self._pos_cum(idx[pos])
+        out[~pos] = -self._neg_cum(-idx[~pos])
         return out
 
     def log_range(self, a: int, b: int) -> float:
@@ -290,21 +265,22 @@ class ProductTable:
         return LogScalar(self.backward_log(j, n), 0.0)
 
 
+def _prefix(log_w: np.ndarray) -> np.ndarray:
+    """0 followed by the running sums of log_w."""
+    out = np.zeros(log_w.size + 1)
+    out[1:] = np.cumsum(log_w)
+    return out
+
+
 _TABLES: dict[tuple[WeightSeq, bool], ProductTable] = {}
-_TABLES_LOCK = threading.Lock()
 
 
-def product_table(weights: WeightSeq, bilateral: bool, horizon: int = 1024) -> ProductTable:
-    """Shared lazily-extended table for a weight family."""
+def product_table(weights: WeightSeq, bilateral: bool) -> ProductTable:
+    """The shared table for a weight family and side."""
     key = (weights, bilateral)
-    with _TABLES_LOCK:
-        pt = _TABLES.get(key)
-        if pt is None:
-            pt = ProductTable(weights, bilateral, horizon)
-            _TABLES[key] = pt
-    hi = horizon if weights.pos_capacity is None else min(horizon, weights.pos_capacity)
-    lo = -horizon if weights.neg_capacity is None else max(-horizon, weights.neg_capacity)
-    pt.ensure(pos_hi=max(hi, 0), neg_lo=min(lo, 0) if bilateral else 0)
+    pt = _TABLES.get(key)
+    if pt is None:
+        pt = _TABLES[key] = ProductTable(weights, bilateral)
     return pt
 
 
@@ -341,8 +317,8 @@ class ShiftOp:
     def pm_arg(self) -> float:
         return math.atan2(self.premultiplier.imag, self.premultiplier.real)
 
-    def table(self, horizon: int = 1024) -> ProductTable:
-        return product_table(self.weights, self.side is Side.BILATERAL, horizon)
+    def table(self) -> ProductTable:
+        return product_table(self.weights, self.side is Side.BILATERAL)
 
     def power_apply(self, n: int, x: CoefVec) -> CoefVec:
         """T^n x via weight-product formula, O(nnz) regardless of n.
@@ -362,7 +338,7 @@ class ShiftOp:
         src = x.indices[keep]
         if src.size == 0:
             return CoefVec.zero(self.side)
-        pt = self.table(int(src.max()) + 1)
+        pt = self.table()
         prod = pt.cum(src) - pt.cum(src - n)
         lm = x.log_mags[keep] + prod + n * self.pm_log
         ph = wrap_phase(x.phases[keep] + n * self.pm_arg)

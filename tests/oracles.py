@@ -9,9 +9,16 @@ import math
 import numpy as np
 
 from orbitlab import lspace
+from orbitlab.criteria import (
+    GEOM_RHO_MAX,
+    PSERIES_P_MIN,
+    MRShiftCertificate,
+    SearchOutcome,
+    SeriesVerdict,
+)
 from orbitlab.lspace import CoefVec, Side, SideMismatchError, _positions, norm
 from orbitlab.seqcore import wrap_phase
-from orbitlab.shiftops import ShiftOp
+from orbitlab.shiftops import ShiftOp, WeightSeq
 
 
 def to_complex_dict(x: CoefVec) -> dict[int, complex]:
@@ -71,3 +78,121 @@ def return_distances(T: ShiftOp, x: CoefVec, N: int) -> np.ndarray:
     """dist(T^n x, x) for n = 1..N, one ``power_apply`` and one ``lspace.dist``
     per n; its entries below eps are the oracle for ``orbits.recurrence_scan``."""
     return np.array([lspace.dist(T.power_apply(n, x), x) for n in range(1, N + 1)])
+
+
+def stored_prefix_pos(w: WeightSeq, n: int, lo: int = 0) -> np.ndarray:
+    """Rows lo..n of the table C(i) = sum_{s=1..i} log w_s, built whole: the
+    closed form ``log_prefix_pos`` over one contiguous arange with C(0) set
+    to +0.0, else a cumsum of log w from s = 1. ``ProductTable.cum`` must
+    equal it bit for bit. A window lo > 0 (closed forms only) evaluates the
+    same closed form over the contiguous arange lo..n, which keeps a check
+    near the 2e7 cap small."""
+    closed = w.log_prefix_pos(np.arange(lo, n + 1, dtype=np.int64))
+    if closed is not None:
+        if lo == 0:
+            closed[0] = 0.0
+        return closed
+    assert lo == 0, "windows need a closed form"
+    out = np.zeros(n + 1)
+    out[1:] = np.cumsum(w.log_w(np.arange(1, n + 1)))
+    return out
+
+
+def stored_prefix_neg(w: WeightSeq, n: int) -> np.ndarray:
+    """The table T(k) = sum_{s=-(k-1)..0} log w_s for k = 0..n, built whole
+    like ``stored_prefix_pos``; C(i) = -T(-i) for i < 0."""
+    closed = w.log_prefix_neg(np.arange(0, n + 1, dtype=np.int64))
+    if closed is not None:
+        closed[0] = 0.0
+        return closed
+    out = np.zeros(n + 1)
+    out[1:] = np.cumsum(w.log_w(-np.arange(0, n)))
+    return out
+
+
+def stored_cum(w: WeightSeq, idx) -> np.ndarray:
+    """C(i) looked up in whole tables that reach every index asked for."""
+    idx = np.asarray(idx, dtype=np.int64)
+    out = np.empty(idx.shape)
+    if idx.size == 0:
+        return out
+    pos = idx >= 0
+    out[pos] = stored_prefix_pos(w, max(int(idx.max()), 0))[idx[pos]]
+    if not pos.all():
+        out[~pos] = -stored_prefix_neg(w, -int(idx.min()))[-idx[~pos]]
+    return out
+
+
+def series_check(w: WeightSeq, n_max: int, cap: float = 12.0) -> SeriesVerdict:
+    """``criteria.fhc_series_check`` over whole arrays of length n_max: one
+    cumsum of all terms, the decade's ratios in one pass."""
+    n_arr = np.arange(1, n_max + 1, dtype=np.int64)
+    with np.errstate(over="ignore"):
+        terms = np.exp(-2.0 * stored_cum(w, n_arr))
+    sums = np.cumsum(terms)
+    grid = [10]
+    while grid[-1] < n_max:
+        grid.append(min(grid[-1] * 2, n_max))
+    head = (n_max, float(sums[-1]), tuple(grid), tuple(float(sums[g - 1]) for g in grid))
+    crossed = np.flatnonzero(~(sums <= cap))
+    if crossed.size:
+        return SeriesVerdict("diverges_observed", *head,
+                             crossed_cap_at=int(n_arr[crossed[0]]), cap=cap)
+    dn = np.arange(max(1, n_max // 10), n_max, dtype=np.int64)
+    log_ratio = -2.0 * w.log_w(dn + 1)
+    rho_max = float(np.exp(np.max(log_ratio)))
+    t_last = float(terms[-1])
+    if rho_max <= GEOM_RHO_MAX:
+        return SeriesVerdict("converges_certified", *head, mode="geometric", cap=cap,
+                             tail_bound=t_last * rho_max / (1.0 - rho_max))
+    p = float(np.min(-log_ratio / np.log1p(1.0 / dn)))
+    if p >= PSERIES_P_MIN:
+        return SeriesVerdict("converges_certified", *head, mode=f"p_series(p={p:.4f})",
+                             cap=cap, tail_bound=t_last * n_max / (p - 1.0))
+    return SeriesVerdict("inconclusive", *head, cap=cap)
+
+
+def mr_shift_check(w: WeightSeq, m: int, q: int, eps: float, n_max: int) -> SearchOutcome:
+    """``criteria.mr_shift_check`` over the whole array of candidates
+    n = 2q+1..n_max: every (l, j) pair's products for all n at once, then
+    the first witness, or ``np.argmax`` of the margins over all n."""
+    n_arr = np.arange(2 * q + 1, n_max + 1, dtype=np.int64)
+    thresh = math.log(1.0 / eps)
+
+    def fwd(j, ln):  # log prod_{i=1..ln} w_{j+i}
+        return stored_cum(w, j + ln) - stored_cum(w, np.full(np.shape(ln), j))
+
+    def bwd(j, ln):  # log prod_{i=0..ln-1} w_{j-i}
+        return stored_cum(w, np.full(np.shape(ln), j)) - stored_cum(w, j - ln)
+
+    ok = np.ones(n_arr.shape, dtype=bool)
+    margin = np.full(n_arr.shape, np.inf)
+    pairs = [(l, j) for l in range(1, m + 1) for j in range(-q, q + 1)]
+    for l, j in pairs:
+        f, b = fwd(j, l * n_arr), bwd(j, l * n_arr)
+        ok &= (f > thresh) & (b < -thresh)
+        margin = np.minimum(margin, np.minimum(f - thresh, -thresh - b))
+    hits = np.flatnonzero(ok)
+    if hits.size == 0:
+        best = int(np.argmax(margin))
+        nb = int(n_arr[best])
+        ln = {l: np.array([l * nb]) for l in range(1, m + 1)}
+        fail = next(((j, l) for l, j in pairs
+                     if not (fwd(j, ln[l])[0] > thresh and bwd(j, ln[l])[0] < -thresh)), None)
+        return SearchOutcome(None, {"best_n": nb, "best_margin": float(margin[best]),
+                                    "failing_j_l": fail})
+    n = int(n_arr[hits[0]])
+    logs = [(float(fwd(j, np.array([l * n]))[0]), float(bwd(j, np.array([l * n]))[0]))
+            for l, j in pairs]
+    cert = MRShiftCertificate(w, n, m, q, eps, *(tuple(c) for c in zip(*logs)))
+    return SearchOutcome(cert, {"n": n})
+
+
+def mr_invertible_check(w: WeightSeq, m: int, n_max: int, threshold: float) -> np.ndarray:
+    """``criteria.mr_invertible_check`` over the whole array n = 1..n_max."""
+    n_arr = np.arange(1, n_max + 1, dtype=np.int64)
+    g = math.log(threshold)
+    ok = np.ones(n_arr.shape, dtype=bool)
+    for l in range(1, m + 1):
+        ok &= (stored_cum(w, l * n_arr) > g) & (stored_cum(w, -l * n_arr - 1) > g)
+    return n_arr[ok]

@@ -165,7 +165,7 @@ def test_criterion_5_shift_criteria():
 
 
 def test_criterion_6_products_and_series():
-    pt = product_table(WeightSeq.sqrt_ratio(), False, 10**6)
+    pt = product_table(WeightSeq.sqrt_ratio(), False)
     n = np.arange(1, 10**6 + 1, dtype=np.int64)
     got = pt.cum(n)  # forward(0, n) = C(n)
     want = 0.5 * np.log(n.astype(np.float64) + 1.0)

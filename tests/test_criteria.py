@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import oracles
 
 from orbitlab.criteria import (
     MRShiftCertificate,
@@ -15,7 +18,7 @@ from orbitlab.criteria import (
     superratio_decay_check,
 )
 from orbitlab.lspace import CoefVec, Side, norm
-from orbitlab.seqcore import ScalingSeq
+from orbitlab.seqcore import SCAN_CHUNK, ScalingSeq
 from orbitlab.shiftops import ShiftOp, WeightSeq, product_table
 
 STEP = WeightSeq.step_bilateral()
@@ -69,7 +72,7 @@ class TestMRShift:
         # <= 0 contributes 1/2 instead of 2, so the log is (ln - 2*neg)*log 2
         out = mr_shift_check(INV_STEP, 2, 1, 0.25, 100)
         cert = out.certificate
-        pt = product_table(INV_STEP, True, 1000)
+        pt = product_table(INV_STEP, True)
         pos = 0
         for l in range(1, 3):
             for j in (-1, 0, 1):
@@ -153,6 +156,115 @@ class TestSeries:
         sv = fhc_series_check(WeightSeq.constant(c), 200)
         assert sv.kind == "converges_certified"
         assert abs(sv.partial_sum - 1.0 / (c * c - 1.0)) <= 1e-9
+
+
+C = SCAN_CHUNK
+# horizons one before, at and one after the k-th chunk boundary of the grid
+# from n = 1, whose chunks end at n = k * SCAN_CHUNK
+EDGES = [k * C + d for k in (1, 2) for d in (-1, 0, 1)]
+# w_n = (n+1)/n: products n+1, terms 1/(n+1)^2, a p-series with p = 2
+P_SERIES = WeightSeq.table([(n + 1) / n for n in range(1, 2 * C + 2)])
+SQRT_TABLE = WeightSeq.table(list(np.sqrt(np.arange(2, 2 * C + 3) / np.arange(1, 2 * C + 2))))
+
+
+class TestStreamedSeries:
+    """fhc_series_check streams n over the scan grid; it must equal one pass
+    over whole arrays (tests/oracles.py) in every field, bit for bit."""
+
+    @pytest.mark.parametrize("n_max", EDGES)
+    @pytest.mark.parametrize("w, cap, verdict", [
+        (WeightSeq.constant(2.0), 12.0, "converges_certified geometric"),
+        (P_SERIES, 12.0, "converges_certified p_series"),
+        (WeightSeq.sqrt_ratio(), 50.0, "inconclusive"),
+        (SQRT_TABLE, 50.0, "inconclusive"),
+        (WeightSeq.sqrt_ratio(), 10.0, "diverges_observed"),  # crosses at n = 33616
+        (WeightSeq.constant(1.0), 6e4, "diverges_observed"),  # crosses at n = 60001
+    ], ids=["geometric", "p_series", "sqrt_ratio", "sqrt_table", "diverges", "diverges_unit"])
+    def test_chunk_edges(self, w, cap, verdict, n_max):
+        got = fhc_series_check(w, n_max, cap=cap)
+        assert f"{got.kind} {got.mode}".startswith(verdict)
+        assert got == oracles.series_check(w, n_max, cap=cap)
+
+    @pytest.mark.parametrize("at", [C, C + 1, 2 * C, 2 * C + 1])
+    @pytest.mark.parametrize("w", [WeightSeq.sqrt_ratio(), SQRT_TABLE], ids=["closed", "table"])
+    def test_cap_crossing_at_a_chunk_edge(self, w, at):
+        # with the cap at S_{at-1}, the sums first exceed it at n = at, the
+        # last slot of a chunk (C, 2C) or its first (C + 1, 2C + 1)
+        cap = float(np.cumsum(np.exp(-2.0 * oracles.stored_cum(w, np.arange(1, at))))[-1])
+        got = fhc_series_check(w, 2 * C + 1, cap=cap)
+        assert got.crossed_cap_at == at
+        assert got == oracles.series_check(w, 2 * C + 1, cap=cap)
+
+    def test_table_range_error_names_the_horizon(self):
+        with pytest.raises(ValueError, match=r"index 300000 exits the table's range \(max 131073\)"):
+            fhc_series_check(P_SERIES, 300_000)
+
+
+def _ramp_weights(n_max: int, drop: int) -> WeightSeq:
+    """Large forward weights, and backward weights 0.999 on -(drop-1)..0 and
+    1 below: the backward products fall until n = drop and then stay put, so
+    the margin of every n >= drop ties at the largest value."""
+    back = [1.0] * (n_max - drop + 1) + [0.999] * drop
+    return WeightSeq.table(back + [1e10] * n_max, start=-n_max)
+
+
+class TestStreamedProductSearch:
+    """mr_shift_check stops at the chunk holding the first witness and keeps
+    the first largest margin across chunks, as one pass over all n would."""
+
+    @pytest.mark.parametrize("n_max", EDGES)
+    @pytest.mark.parametrize("w, m, q, eps", [
+        (STEP, 1, 0, 0.5),  # no witness: backward products stay 1
+        (INV_STEP, 2, 1, 0.25),  # witness at n = 4
+        (WeightSeq.constant(0.7), 2, 1, 0.5),  # no witness: forward products shrink
+    ], ids=["step", "inverse_step", "contracting"])
+    def test_chunk_edges(self, w, m, q, eps, n_max):
+        assert mr_shift_check(w, m, q, eps, n_max) == oracles.mr_shift_check(w, m, q, eps, n_max)
+
+    def test_witness_in_the_second_chunk(self):
+        # log-weights +-a: the products first pass the threshold at n = C + 6
+        n_max = 2 * C + 10
+        a = math.log(1e300) / (C + 5.5)
+        w = WeightSeq.table([math.exp(-a)] * n_max + [math.exp(a)] * n_max, start=1 - n_max)
+        out = mr_shift_check(w, 1, 0, 1e-300, n_max)
+        assert out.certificate.n == C + 6
+        assert out.certificate.verify()
+        assert out == oracles.mr_shift_check(w, 1, 0, 1e-300, n_max)
+
+    @pytest.mark.parametrize("drop", [C, C + 1])
+    def test_tied_best_margin_across_a_chunk_edge(self, drop):
+        # the margins tie from n = drop on, across the edge after n = C;
+        # the first of them is the best n
+        n_max = 2 * C + 10
+        w = _ramp_weights(n_max, drop)
+        out = mr_shift_check(w, 1, 0, 1e-30, n_max)
+        assert not out and out.diagnostics["best_n"] == drop
+        assert out == oracles.mr_shift_check(w, 1, 0, 1e-30, n_max)
+
+    def test_invertible_chunk_edges(self):
+        for n_max in EDGES:
+            got = mr_invertible_check(INV_STEP, 2, n_max, 1e3)
+            assert got.tobytes() == oracles.mr_invertible_check(INV_STEP, 2, n_max, 1e3).tobytes()
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_series_check_memory():
+    # E5's pass at N = 2e6 holds one chunk's arrays, not five of horizon
+    # length (16 MB each)
+    assert _traced_peak(fhc_series_check, WeightSeq.sqrt_ratio(), 2_000_000) < 16 * 2**20
+
+
+def test_salas_check_memory():
+    # E4's search at N = 2e6 holds one chunk's arrays and no product table
+    assert _traced_peak(salas_check, STEP, 0.5, 0, 2_000_000) < 16 * 2**20
 
 
 class TestNormDecay:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from orbitlab import _kernels
 from orbitlab.lspace import Ball, CoefVec, Side
 from orbitlab.orbits import (
-    SCAN_CHUNK,
     HittingSet,
     _ball_scan,
     ap_k_members,
@@ -18,7 +17,7 @@ from orbitlab.orbits import (
     hitting_set,
     orbit_distances,
 )
-from orbitlab.seqcore import ScalingSeq
+from orbitlab.seqcore import SCAN_CHUNK, ScalingSeq
 from orbitlab.shiftops import ShiftOp, WeightSeq
 
 

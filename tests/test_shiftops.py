@@ -6,7 +6,7 @@ import pytest
 from orbitlab.lspace import CoefVec, Side, norm
 from orbitlab.seqcore import ScalingSeq
 from orbitlab.shiftops import ProductTable, ShiftOp, WeightSeq, product_table, scaled_orbit_point
-from oracles import shift_once, to_complex_dict
+from oracles import shift_once, stored_prefix_neg, stored_prefix_pos, to_complex_dict
 
 LN2 = math.log(2.0)
 
@@ -124,24 +124,24 @@ class TestPowerApply:
 
 class TestProductTable:
     def test_sqrt_ratio_closed_form(self):
-        pt = product_table(WeightSeq.sqrt_ratio(), False, 1000)
+        pt = product_table(WeightSeq.sqrt_ratio(), False)
         for n in (1, 7, 999):
             assert pt.forward_log(0, n) == pytest.approx(
                 math.log(math.sqrt(n + 1)), abs=1e-12
             )
 
     def test_constant_forward(self):
-        pt = product_table(WeightSeq.constant(2.0), True, 100)
+        pt = product_table(WeightSeq.constant(2.0), True)
         for j in (-5, 0, 11):
             assert pt.forward_log(j, 7) == pytest.approx(7 * LN2, abs=1e-12)
 
     def test_step_backward_ones(self):
-        pt = product_table(WeightSeq.step_bilateral(), True, 100)
+        pt = product_table(WeightSeq.step_bilateral(), True)
         for n in (1, 5, 50):
             assert pt.backward_log(0, n) == 0.0
 
     def test_prefix_sum_identity(self):
-        pt = product_table(WeightSeq.sqrt_ratio(), False, 10**4)
+        pt = product_table(WeightSeq.sqrt_ratio(), False)
         rng = np.random.default_rng(9)
         for _ in range(200):
             j = int(rng.integers(0, 500))
@@ -152,22 +152,102 @@ class TestProductTable:
 
     def test_matches_direct_multiplication(self):
         w = WeightSeq.table(list(np.random.default_rng(2).uniform(0.2, 3.0, 200)))
-        pt = product_table(w, False, 200)
+        pt = product_table(w, False)
         vals = np.array(w.params[0])
         for a, b in [(1, 10), (5, 200), (100, 150)]:
             direct = float(np.sum(np.log(vals[a - 1 : b])))
             assert pt.log_range(a, b) == pytest.approx(direct, abs=1e-10)
 
     def test_unilateral_range_guard(self):
-        pt = product_table(WeightSeq.sqrt_ratio(), False, 100)
+        pt = product_table(WeightSeq.sqrt_ratio(), False)
         with pytest.raises(ValueError):
             pt.backward_log(0, 5)
 
     def test_table_capacity_guard(self):
-        pt = ProductTable(WeightSeq.table([1.0, 2.0, 3.0]), False, 3)
+        pt = ProductTable(WeightSeq.table([1.0, 2.0, 3.0]), False)
         assert pt.forward_log(0, 3) == pytest.approx(math.log(6.0))
         with pytest.raises(ValueError):
             pt.forward_log(0, 4)
+
+
+CLOSED_FORM = [
+    WeightSeq.constant(2.0),
+    WeightSeq.constant(0.7),
+    WeightSeq.constant(1.0),
+    WeightSeq.sqrt_ratio(),
+    WeightSeq.step_bilateral(),
+    WeightSeq.inverse_step_bilateral(),
+]
+
+
+def _index_arrays(n: int, rng) -> list[np.ndarray]:
+    """Index arrays in 0..n of every layout a query can have: contiguous,
+    a strided view, a gathered set, single entries and none."""
+    base = np.arange(0, n + 1, dtype=np.int64)
+    return [
+        base,
+        base[3::7],
+        base[::-1][::5],
+        np.sort(rng.choice(base, size=1000)),
+        *(np.array([i], dtype=np.int64) for i in (0, 1, 2, 17, n)),
+        np.zeros(0, dtype=np.int64),
+    ]
+
+
+class TestClosedFormProducts:
+    """Closed-form families hold no table: cum evaluates the closed form at
+    the queried indices and must give the doubles a whole stored table gives."""
+
+    @pytest.mark.parametrize("w", CLOSED_FORM, ids=lambda w: f"{w.family}{w.params}")
+    def test_cum_equals_stored_table(self, w):
+        n = 3 * 2**16 + 5
+        rng = np.random.default_rng(4)
+        pos = stored_prefix_pos(w, n)
+        neg = stored_prefix_neg(w, n) if w.bilateral_ok else None
+        pt = ProductTable(w, w.bilateral_ok)
+        for idx in _index_arrays(n, rng):
+            assert pt.cum(idx).tobytes() == pos[idx].tobytes()
+            if w.bilateral_ok:
+                k = idx[idx > 0]
+                assert pt.cum(-k).tobytes() == (-neg[k]).tobytes()
+        if w.bilateral_ok:
+            mixed = rng.integers(-n, n + 1, size=5000)
+            want = np.where(mixed >= 0, pos[np.abs(mixed)], -neg[np.abs(mixed)])
+            assert pt.cum(mixed).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("w", CLOSED_FORM, ids=lambda w: f"{w.family}{w.params}")
+    def test_cum_near_the_resource_cap(self, w):
+        hi = 20_000_000
+        lo = hi - 2**16  # a multiple of 64, like the table's own start
+        window = stored_prefix_pos(w, hi, lo)
+        pt = ProductTable(w, False)
+        for idx in _index_arrays(hi - lo, np.random.default_rng(5))[:4]:
+            assert pt.cum(lo + idx).tobytes() == window[idx].tobytes()
+        assert pt.cum(np.array([hi])).tobytes() == window[-1:].tobytes()
+
+    def test_index_zero_is_positive_zero(self):
+        # 0 * log c is -0.0 for c < 1; the empty product's log is +0.0
+        for w in CLOSED_FORM:
+            c = ProductTable(w, False).cum(np.array([0, 0, 1]))
+            assert c[0] == 0.0 and not np.signbit(c[:2]).any(), w
+
+    def test_no_array_for_closed_forms(self):
+        for w in CLOSED_FORM:
+            pt = ProductTable(w, w.bilateral_ok)
+            pt.cum(np.arange(-10**6 if w.bilateral_ok else 0, 10**6))
+            assert pt._pos is None and pt._neg is None
+
+    def test_table_weights_stored_once_at_capacity(self):
+        w = ALL_WEIGHTS[-1]  # table_w over indices -100..139
+        pt = ProductTable(w, True)
+        assert pt._pos.tobytes() == stored_prefix_pos(w, 139).tobytes()
+        assert pt._neg.tobytes() == stored_prefix_neg(w, 101).tobytes()
+        want = np.concatenate((-pt._neg[:0:-1], pt._pos))  # C(-101..139)
+        assert pt.cum(np.arange(-101, 140)).tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="exits the table's range"):
+            pt.cum(np.array([140]))
+        with pytest.raises(ValueError, match="exits the table's range"):
+            pt.cum(np.array([-102]))
 
 
 class TestScaledOrbitPoint:
