@@ -5,7 +5,10 @@ Kernel families:
     narrows the members offset by offset, over the gaps that can occur
     (every k when the set has many member pairs, else the pair differences),
   * orbit distance scans for scaled shift powers (factorized fast path for
-    index-independent weights, cumulative-sum path for general weights).
+    index-independent weights, cumulative-sum path for general weights),
+    the window part of the general-weight distance vectorized over the
+    times, and the a-priori rounding bound that lets that window part
+    decide a time in place of the per-n kernel.
 
 Callers reach these through the module attribute (``_kernels.ap_scan``), so
 a profiler can wrap a kernel by rebinding its name here.
@@ -169,3 +172,90 @@ def general_orbit_dist2(
             acc += np.sum(cre[~inwin] ** 2 + cim[~inwin] ** 2)
             out[t] = acc
     return out
+
+
+def window_dist2(
+    n_arr,
+    scale_lm,
+    scale_ph,
+    sup_lm,
+    sup_ph,
+    pos,
+    pos_lo,
+    cum,
+    w_lo,
+    w_hi,
+    y_re,
+    y_im,
+):
+    """The window part sum_{j=w_lo..w_hi} |c_{n+j} - y_j|^2 of the unilateral
+    per-n distance, one pass per offset j over all times n at once, with
+    c_{n+j} = exp(scale + (cum[n+j] - cum[j]) + log|x_{n+j}|) formed in
+    ``general_orbit_dist2``'s order, and the largest log-magnitude read.
+    Returns (window sums, largest log-magnitudes; -inf where none)."""
+    m = n_arr.shape[0]
+    acc = np.zeros(m)
+    lm_max = np.full(m, -np.inf)
+    i_top = cum.shape[0] - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(w_lo, w_hi + 1):
+            p = pos[n_arr + j - pos_lo]
+            present = p >= 0
+            q = np.maximum(p, 0)
+            i = np.minimum(n_arr + j, i_top)
+            lm = np.where(present, scale_lm + (cum[i] - cum[j]) + sup_lm[q], -np.inf)
+            lm_max = np.maximum(lm_max, lm)
+            mag = np.exp(lm)
+            ph = np.where(present, scale_ph + sup_ph[q], 0.0)
+            acc += (mag * np.cos(ph) - y_re[j - w_lo]) ** 2
+            acc += (mag * np.sin(ph) - y_im[j - w_lo]) ** 2
+    return acc, lm_max
+
+
+# ---------------------------------------------------------------------------
+# a-priori rounding bounds (Higham, Accuracy and Stability of Numerical
+# Algorithms, ch. 3-4: gamma_k = k u / (1 - k u) per chain of k roundings)
+# ---------------------------------------------------------------------------
+
+U = 2.0**-53  # unit roundoff of float64
+# exp, log1p, cos and sin are taken to be within 64 ulp (relative 2^-46),
+# a wide margin over the few ulp that glibc and numpy's SIMD loops document
+FN_ERR = 2.0**-46
+
+
+def lm_error_bound(lm_terms):
+    """Bound on |computed - exact| of a log-magnitude a + (b - c) + d formed
+    in that order from floats, given lm_terms >= |a| + |b| + |c| + |d|:
+    three roundings, each of at most u times a partial sum of those."""
+    return 3.01 * U * lm_terms
+
+
+def d2_error_bound(lm_terms, ph_terms, terms, r2, y2, dy):
+    """Half-width eta of the band around r2 outside which two float
+    evaluations of one squared distance give the same answer to d2 < r2.
+
+    D = sum_i |c_i - y_i|^2 with c_i = exp(lm_i) e^{i ph_i}, where each lm_i
+    is formed as in ``lm_error_bound`` from addends whose magnitudes sum to
+    at most ``lm_terms``, and each ph_i = a + b with |a| + |b| <= ph_terms.
+    An evaluation that sums at most k rounded terms (squares of c_i - y_i or
+    of c_i, minus |y_i|^2, on top of y2) is off by at most
+    kappa(k) (D + |y|^2): 4 rho for the rounding of each c_i (relative rho:
+    the log-magnitude, exp, the phase sum, cos, sin and the two products)
+    and 2.2 k u for the term-wise squares and any order of summation. y2 is
+    the float |y|^2 an evaluation starts from, within dy of the exact
+    sum of y_i^2 over y's window.
+
+    With ``terms`` counting the summands of the two evaluations together
+    (the per-n kernel's and the window's) and kappa = 8 rho + 2.2 (terms +
+    16) u, eta = (2 kappa (r2 + y2 + dy) + dy + terms 2^-1000) / (1 - kappa)
+    makes both decisions exact: a window sum W >= r2 + eta means the per-n
+    kernel's d2 >= r2, and W plus an upper bound on the rest of D below
+    r2 - eta means its d2 < r2 (once its overflow pre-filter cannot fire).
+    The last term covers underflow to subnormals. Where the inputs are too
+    large for a first-order bound (rho > 0.01 or kappa > 1/4) eta is +inf.
+    """
+    rho = 1.25 * (lm_error_bound(lm_terms) + U * ph_terms + 3.0 * FN_ERR + 3.0 * U)
+    kappa = 8.0 * rho + 2.2 * (terms + 16) * U
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = (2.0 * kappa * (r2 + y2 + dy) + dy + terms * 2.0**-1000) / (1.0 - kappa)
+    return np.where((rho <= 0.01) & (kappa <= 0.25), eta, np.inf)

@@ -1058,8 +1058,9 @@ def _verify_products(cert: dict, kind: str) -> bool:
             or not len(fwd) == len(bwd) == m * (2 * q + 1)):
         return False
     _check_cap(m * n + q, f"{kind} product length")
-    # a salas certificate is the m = 1 case of an mr_shift one
-    return MRShiftCertificate(weights, n, m, q, eps, fwd, bwd).verify()
+    # a salas certificate is the m = 1 case of an mr_shift one; a weight
+    # table too short for its products is a malformed certificate
+    return _checked(MRShiftCertificate(weights, n, m, q, eps, fwd, bwd).verify)
 
 
 def _verify_range(cert: dict) -> bool:
@@ -1092,7 +1093,7 @@ def _verify_series(cert: dict) -> bool:
     if n_max < 10:
         return False
     _check_cap(n_max, "series n_max")
-    sv = fhc_series_check(weights, n_max, cap=cap)
+    sv = _checked(fhc_series_check, weights, n_max, cap=cap)
     return sv.kind == recorded_kind and _close(sv.partial_sum, partial_sum)
 
 

@@ -12,6 +12,16 @@ Every ball question (hitting sets, the FU build's planned-time check,
 return times) is one pass streamed over the SCAN_CHUNK grid of n that holds
 only the hits, the distances asked for and one chunk's arrays; the flat
 kernel's position table spans only the chunk's window of indices n + j.
+
+With general weights on a unilateral shift, a certified enclosure decides
+most times before the per-n kernel runs: y's window summed in full for the
+whole chunk, plus an upper bound on the non-negative tail beyond it from one
+suffix log-sum-exp per target. A decision is taken only outside the band
+eta(n) = ``_kernels.d2_error_bound`` around r^2, which bounds the rounding of
+the kernel and of the enclosure, so it equals the kernel's own float answer.
+The kernel runs on the undecided times and on the times whose distances are
+asked for. Return-time scans (y = x), bilateral shifts and windows wider
+than the scan take the kernel at every time.
 """
 
 from __future__ import annotations
@@ -140,18 +150,26 @@ def _orbit_scan(
     x: CoefVec, lam: ScalingSeq, T: ShiftOp, y: CoefVec, eps: float, n_hi: int, count: int
 ):
     """Set up one target's distance kernel once: y's window, x's log-sum-exp
-    tails or the cumulative weight products. Returns the function that
-    gives dist(lam_n T^n x, y)^2 for an int64 array of times n <= n_hi.
+    tails or the cumulative weight products. Returns (dist2, decide):
+    dist2 gives dist(lam_n T^n x, y)^2 for an int64 array of times n <= n_hi,
+    and decide(n_arr, r2) splits the sorted times n_arr into (inside, rest):
+    the times certain to have dist2 < r2, and the times left open; the
+    others are certain misses.
 
     ``count`` is the number of times the scan asks for. The flat kernel loops
     over y's window and the per-n kernel over the times, so flat weights take
-    the per-n kernel only where the window is wider than the scan.
+    the per-n kernel only where the window is wider than the scan. decide
+    is the window-plus-tail enclosure (``_enclosure``) where the per-n
+    kernel runs on a unilateral shift, y's window is no wider than the scan
+    and x's support reaches past it; everywhere else (flat weights, bilateral
+    shifts, and return-time scans, whose window y = x is all of x's support)
+    it decides nothing and dist2 answers every time.
     """
     if x.side is not T.side or y.side is not T.side:
         raise ValueError("vector sides must match the operator")
     ny = norm(y)
     if x.nnz == 0:
-        return lambda n_arr: np.full(n_arr.shape, ny * ny)
+        return (lambda n_arr: np.full(n_arr.shape, ny * ny)), _undecided
 
     log_cap = math.log(ny + eps)
     unilateral = T.side is Side.UNILATERAL
@@ -182,18 +200,13 @@ def _orbit_scan(
         prefix = _prefix_lse(2.0 * x.log_mags)
 
         def dist2(n_arr):
-            # positions in x of the indices n + j that the window reads
-            pos_lo = int(n_arr.min()) + w_lo
-            pos_hi = int(n_arr.max()) + w_hi
-            a, b = np.searchsorted(x.indices, [pos_lo, pos_hi + 1])
-            pos = np.full(pos_hi - pos_lo + 1, -1, dtype=np.int64)
-            pos[x.indices[a:b] - pos_lo] = np.arange(a, b, dtype=np.int64)
+            pos, pos_lo = _window_positions(x, n_arr, w_lo, w_hi)
             return _kernels.flat_orbit_dist2(
                 n_arr, *scale(n_arr), x.indices, x.log_mags, x.phases, pos, pos_lo,
                 prefix, suffix, w_lo, w_hi, y_re, y_im, log_cap, unilateral,
             )
 
-        return dist2
+        return dist2, _undecided
 
     # per-n kernel: cumulative log-products over every index the times touch
     i_hi = int(x.indices.max())
@@ -206,7 +219,92 @@ def _orbit_scan(
             w_lo, w_hi, y_re, y_im, ny * ny, log_cap, unilateral,
         )
 
-    return dist2
+    # the enclosure needs a window no wider than the scan and a support
+    # that reaches past it (else the window is the whole distance, as for
+    # y = x); bilateral tails are left to the kernel
+    if not unilateral or width > count or i_hi <= w_hi:
+        return dist2, _undecided
+    return dist2, _enclosure(x, scale, cum, w_lo, w_hi, y_re, y_im, ny * ny, log_cap)
+
+
+def _window_positions(x: CoefVec, n_arr: np.ndarray, w_lo: int, w_hi: int):
+    """Positions in x of the indices n + j (j in [w_lo, w_hi]) that a window
+    over the times n_arr reads, -1 where x has no entry; the table spans
+    only min(n) + w_lo..max(n) + w_hi. Returns (table, its first index)."""
+    pos_lo = int(n_arr.min()) + w_lo
+    pos_hi = int(n_arr.max()) + w_hi
+    a, b = np.searchsorted(x.indices, [pos_lo, pos_hi + 1])
+    pos = np.full(pos_hi - pos_lo + 1, -1, dtype=np.int64)
+    pos[x.indices[a:b] - pos_lo] = np.arange(a, b, dtype=np.int64)
+    return pos, pos_lo
+
+
+def _undecided(n_arr: np.ndarray, r2: float):
+    """No enclosure: every time is left to the distance kernel."""
+    return n_arr[:0], n_arr
+
+
+def _enclosure(
+    x: CoefVec, scale, cum: np.ndarray, w_lo: int, w_hi: int,
+    y_re: np.ndarray, y_im: np.ndarray, y2: float, log_cap: float,
+):
+    """Certified window-plus-tail decisions for a unilateral per-n scan.
+
+    d2(n) = W(n) + tail(n): the window W over i - n in [w_lo, w_hi] is
+    summed in full (``_kernels.window_dist2``), and the tail over i - n >
+    w_hi has non-negative terms with C(i) - C(i - n) <= C(i) - C_min, C_min
+    the least cum[j] over j > w_hi, so it is at most
+    exp(2 (s(n) - C_min) + S(n + w_hi)) with S(k) the log-sum-exp of
+    2 (C(i) + log|x_i|) over i > k, one suffix array per target. Returns
+    decide(n_arr, r2) -> (inside, rest), the hit times and the open times:
+    a miss where W >= r2 + eta, a hit where W + tail < r2 - eta and no
+    coefficient can reach log_cap (so the kernel's overflow pre-filter
+    stays off), eta from ``_kernels.d2_error_bound``; each decided answer is
+    the per-n kernel's own float answer to d2 < r2.
+    """
+    U, FN_ERR = _kernels.U, _kernels.FN_ERR
+    c_min = float(cum[w_hi + 1:].min())
+    v = 2.0 * (cum[x.indices] + x.log_mags)
+    lse = _suffix_lse(v)
+    cum_abs = float(np.abs(cum).max())
+    xlm_abs = float(np.abs(x.log_mags).max())
+    xph_abs = float(np.abs(x.phases).max())
+    # the suffix log-sum-exp: each logaddexp step is 1-Lipschitz in what it
+    # carries and adds at most 3 u max|value| + 2 exp/log1p errors, on top
+    # of the rounding of the values v themselves
+    lse_abs = max(float(np.abs(v).max()), float(np.abs(lse[:-1]).max())) + 1.0
+    lse_err = x.nnz * (3.0 * U * lse_abs + 2.0 * FN_ERR) + 4.0 * U * (cum_abs + xlm_abs)
+    # y2 against the exact sum of y's squares over the window
+    ysq = math.fsum(np.concatenate([y_re * y_re, y_im * y_im]).tolist())
+    dy = 1.01 * abs(y2 - ysq) + 3.0 * U * ysq
+    terms = x.nnz + 2 * (w_hi - w_lo + 1)
+
+    def decide(n_arr, r2):
+        s_lm, s_ph = scale(n_arr)
+        pos, pos_lo = _window_positions(x, n_arr, w_lo, w_hi)
+        W, lm_max = _kernels.window_dist2(
+            n_arr, s_lm, s_ph, x.log_mags, x.phases, pos, pos_lo, cum, w_lo, w_hi,
+            y_re, y_im,
+        )
+        # a vanished scaling makes every coefficient exactly zero
+        s_abs = np.where(s_lm == -np.inf, 0.0, np.abs(s_lm))
+        lm_terms = s_abs + 2.0 * cum_abs + xlm_abs
+        eta = _kernels.d2_error_bound(lm_terms, np.abs(s_ph) + xph_abs, terms, r2, y2, dy)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = np.searchsorted(x.indices, n_arr + w_hi, side="right")
+            tail_lm2 = 2.0 * (s_lm - c_min) + lse[t]
+            tail_lm2 += lse_err + 8.0 * U * (s_abs + abs(c_min) + lse_abs)
+            tail = np.exp(tail_lm2) * (1.0 + 4.0 * FN_ERR)
+            # every coefficient's log-magnitude, rounding included, below log_cap
+            lm_err = _kernels.lm_error_bound(lm_terms)
+            lm_top = np.maximum(lm_max + lm_err, 0.5 * tail_lm2) + lm_err
+            capped = lm_top + 4.0 * U * (lm_terms + abs(log_cap)) < log_cap
+            ok = np.isfinite(eta)
+            miss = ok & (W >= r2 + eta)
+            hit = ok & capped & (W + tail < r2 - eta)
+        return n_arr[hit], n_arr[~(hit | miss)]
+
+    return decide
 
 
 def orbit_distances(
@@ -225,7 +323,7 @@ def orbit_distances(
     n_arr = np.asarray(n_arr, dtype=np.int64)
     if n_arr.size == 0:
         return np.zeros(0)
-    return _orbit_scan(x, lam, T, y, eps, int(n_arr.max()), n_arr.size)(n_arr)
+    return _orbit_scan(x, lam, T, y, eps, int(n_arr.max()), n_arr.size)[0](n_arr)
 
 
 def _ball_scan(
@@ -234,20 +332,26 @@ def _ball_scan(
     """One pass over n = max(1, lam.min_n)..N, streamed on the SCAN_CHUNK
     grid: the open-ball hit times (strict d2 < r^2) and the squared
     distances at the sorted times ``at`` inside that range. Only the hits
-    and one chunk's arrays are held at a time."""
+    and one chunk's arrays are held at a time. Each chunk is first put to
+    the enclosure; the distance kernel runs on the times it leaves open and
+    on the times in ``at``, whose distances are reported exactly."""
     if N < 1:
         raise ValueError("horizon must be >= 1")
     n0 = max(1, lam.min_n)
-    dist2 = _orbit_scan(x, lam, T, b.center, b.radius, N, N - n0 + 1)
+    dist2, decide = _orbit_scan(x, lam, T, b.center, b.radius, N, N - n0 + 1)
     at = np.zeros(0, dtype=np.int64) if at is None else at
     r2 = b.radius * b.radius
     hits, at_d2 = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for n_arr in scan_grid(n0, N):
         lo = int(n_arr[0])
-        d2 = dist2(n_arr)
-        hits.append(n_arr[d2 < r2])
         i, j = np.searchsorted(at, [lo, lo + n_arr.size])
-        at_d2.append(d2[at[i:j] - lo])
+        inside, rest = decide(n_arr, r2)
+        # the kernel answers the open times and the times asked for
+        ns = rest if rest.size == n_arr.size else np.union1d(rest, at[i:j])
+        d2 = dist2(ns)
+        got = ns[d2 < r2]
+        hits.append(np.union1d(inside, got) if inside.size else got)
+        at_d2.append(d2[np.searchsorted(ns, at[i:j])])
     return np.concatenate(hits), np.concatenate(at_d2)
 
 

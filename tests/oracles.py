@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from orbitlab import lspace
+from orbitlab import lspace, orbits
 from orbitlab.criteria import (
     GEOM_RHO_MAX,
     PSERIES_P_MIN,
@@ -17,7 +17,7 @@ from orbitlab.criteria import (
     SeriesVerdict,
 )
 from orbitlab.lspace import CoefVec, Side, SideMismatchError, _positions, norm
-from orbitlab.seqcore import wrap_phase
+from orbitlab.seqcore import scan_grid, wrap_phase
 from orbitlab.shiftops import ShiftOp, WeightSeq
 
 
@@ -66,6 +66,25 @@ def dist(x: CoefVec, y: CoefVec) -> float:
               for v, p in ((x, px), (y, py)))
     sq = np.abs(vx - vy) ** 2
     return math.sqrt(math.fsum(np.sort(sq)[::-1]))
+
+
+def exact_ball_scan(x, lam, T, b, N: int, at=None):
+    """``orbits._ball_scan`` with the distance kernel at every time
+    n = max(1, lam.min_n)..N and no enclosure: the open-ball hit times
+    (strict d2 < r^2) and the squared distances at the sorted times ``at``.
+    The enclosure's decisions must leave both unchanged, bit for bit."""
+    n0 = max(1, lam.min_n)
+    dist2 = orbits._orbit_scan(x, lam, T, b.center, b.radius, N, N - n0 + 1)[0]
+    at = np.zeros(0, dtype=np.int64) if at is None else at
+    r2 = b.radius * b.radius
+    hits, at_d2 = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for n_arr in scan_grid(n0, N):
+        lo = int(n_arr[0])
+        d2 = dist2(n_arr)
+        hits.append(n_arr[d2 < r2])
+        i, j = np.searchsorted(at, [lo, lo + n_arr.size])
+        at_d2.append(d2[at[i:j] - lo])
+    return np.concatenate(hits), np.concatenate(at_d2)
 
 
 def wrap_phase_formula(theta):

@@ -455,6 +455,13 @@ class TestMalformedOtherCertificates:
         assert main(argv) == EXIT_ASSERTION
         assert capsys.readouterr().out.startswith(f"0:{kind}: FAILED")
 
+    @pytest.mark.parametrize("kind", ["salas", "mr_shift", "series"])
+    def test_weight_table_too_short(self, tmp_path, capsys, kind):
+        # a table_w table that ends before the indices the certificate needs
+        short = {"family": "table_w", "values": [2, 2, 2], "start": -1}
+        argv = _verify_argv(tmp_path, {"certificates": [_edited(kind, {"weights": short})]})
+        _assert_schema_error(main(argv), capsys)
+
     def test_series_beyond_cap(self, tmp_path, capsys):
         argv = _verify_argv(tmp_path, {"certificates": [_edited("series", {"n_max": 10**9})]})
         assert main(argv) == EXIT_RESOURCE

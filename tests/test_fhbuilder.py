@@ -147,30 +147,49 @@ class TestBuildScan:
             assert h.n_max == want.n_max == N
             assert np.array_equal(h.indices, want.indices)
 
-    @pytest.mark.parametrize("case", ORACLE_BUILDS.values(), ids=ORACLE_BUILDS)
+    @pytest.mark.parametrize(
+        "case", [*ORACLE_BUILDS.values(), (SQRT_RATIO_2B, [(e(1), 1e-3)], 20_000, None)],
+        ids=[*ORACLE_BUILDS, "general_sqrt_ratio_2e4"])
     def test_one_scan_per_target(self, monkeypatch, case):
         T, targets, N, g = case
-        scans = []  # per scan set-up, the times its kernel calls were given
+        scans = []  # per scan set-up: decision calls (times, undecided), kernel calls
         real_setup = orbits._orbit_scan
 
         def setup(*args):
-            scans.append([])
-            return real_setup(*args)
+            scan = {"decided": [], "undecided": [], "kernel": []}
+            scans.append(scan)
+            dist2, decide = real_setup(*args)
+
+            def recording_decide(n_arr, r2):
+                inside, rest = decide(n_arr, r2)
+                scan["decided"].append(n_arr.copy())
+                scan["undecided"].append(rest.copy())
+                return inside, rest
+
+            return dist2, recording_decide
 
         def recording(kernel):
             def run(n_arr, *rest):
-                scans[-1].append(n_arr.copy())
+                scans[-1]["kernel"].append(n_arr.copy())
                 return kernel(n_arr, *rest)
             return run
 
         monkeypatch.setattr(orbits, "_orbit_scan", setup)
         for name in ("flat_orbit_dist2", "general_orbit_dist2"):
             monkeypatch.setattr(_kernels, name, recording(getattr(_kernels, name)))
-        build(ONE, T, targets, N, g=g)
-        # one set-up per target, whose kernel rows cover max(1, min_n)..N once
+        v = build(ONE, T, targets, N, g=g)
+        # one set-up per target; its decision pass covers max(1, min_n)..N
+        # once, and the kernel runs on exactly the planned and the undecided
+        # times, in order
         assert len(scans) == len(targets)
-        for rows in scans:
-            assert np.array_equal(np.concatenate(rows), np.arange(max(1, ONE.min_n), N + 1))
+        for i, scan in enumerate(scans):
+            assert np.array_equal(np.concatenate(scan["decided"]),
+                                  np.arange(max(1, ONE.min_n), N + 1))
+            undecided = np.concatenate(scan["undecided"])
+            want = np.union1d(v.planned_times(i), undecided)
+            assert np.array_equal(np.concatenate(scan["kernel"]), want)
+            if T is SQRT_RATIO_2B and N == 20_000:
+                assert undecided.size == 0
 
     def test_worst_residual_is_largest_planned_distance(self):
         targets = [(e(1), 1e-3), (e12(), 1e-3)]

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from oracles import return_distances
+from oracles import exact_ball_scan, return_distances
 
 from orbitlab import seqcore
 from orbitlab.lspace import Ball, CoefVec, Side, dist, norm
 from orbitlab.orbits import (
     HittingSet,
     IntPolynomial,
+    _ball_scan,
     ap_k_members,
     density_stats,
     find_ap,
@@ -362,17 +363,28 @@ RECURRENCE_CASES = {
 }
 
 
+GENERAL_RECURRENCE_CASES = {
+    k: c for k, c in RECURRENCE_CASES.items() if not c[1].is_flat
+}
+
+
+def _recurrence_case(side, weights, pm, support, N):
+    """The operator and a random vector on [1 or -support, support]."""
+    T = ShiftOp(side, weights, pm)
+    rng = np.random.default_rng(support * 1000 + N)
+    lo = 1 if side is Side.UNILATERAL else -support
+    idx = np.unique(rng.integers(lo, support + 1, size=support))
+    x = CoefVec.from_pairs(
+        side, [(int(i), complex(rng.normal(), rng.normal()) * 0.9 ** abs(i)) for i in idx]
+    )
+    return T, x
+
+
 class TestRecurrenceScan:
     @pytest.mark.parametrize("case", RECURRENCE_CASES.values(), ids=RECURRENCE_CASES)
     def test_matches_per_n_oracle(self, case):
-        side, weights, pm, support, N = case
-        T = ShiftOp(side, weights, pm)
-        rng = np.random.default_rng(support * 1000 + N)
-        lo = 1 if side is Side.UNILATERAL else -support
-        idx = np.unique(rng.integers(lo, support + 1, size=support))
-        x = CoefVec.from_pairs(
-            side, [(int(i), complex(rng.normal(), rng.normal()) * 0.9 ** abs(i)) for i in idx]
-        )
+        N = case[-1]
+        T, x = _recurrence_case(*case)
         d = return_distances(T, x, N)
         for eps in np.quantile(d[np.isfinite(d)], [0.2, 0.6]):
             want = d < eps
@@ -383,6 +395,23 @@ class TestRecurrenceScan:
             got = np.zeros(N, dtype=bool)
             got[recurrence_scan(T, x, float(eps), N) - 1] = True
             assert np.array_equal(got[clear], want[clear])
+
+    @pytest.mark.parametrize(
+        "case", GENERAL_RECURRENCE_CASES.values(), ids=GENERAL_RECURRENCE_CASES)
+    def test_scans_match_exact_oracle(self, case):
+        # return-time scans and off-center balls under general weights: hits
+        # and distances bit for bit those of the kernel at every time
+        N = case[-1]
+        T, x = _recurrence_case(*case)
+        at = np.arange(2, N + 1, 5)
+        for y in (x, e(1, x.side)):
+            d2 = exact_ball_scan(x, ONE, T, Ball(y, 1.0), N, np.arange(1, N + 1))[1]
+            for q in (0.2, 0.6):
+                ball = Ball(y, float(np.sqrt(np.quantile(d2[np.isfinite(d2)], q))))
+                got = _ball_scan(x, ONE, T, ball, N, at)
+                want = exact_ball_scan(x, ONE, T, ball, N, at)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
 
     @pytest.mark.parametrize("side", [Side.UNILATERAL, Side.BILATERAL])
     def test_zero_vector_matches_per_n_oracle(self, side):
