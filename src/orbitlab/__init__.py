@@ -19,7 +19,7 @@ from .seqcore import (
     rotate_seq,
 )
 from .lspace import Ball, CoefVec, Side, SideMismatchError, axpy, dist, in_ball, norm
-from .shiftops import ProductTable, ShiftOp, WeightSeq, product_table, scaled_orbit_point
+from .shiftops import ShiftOp, WeightSeq, scaled_orbit_point
 
 __all__ = [
     "AngleSpec",
@@ -39,10 +39,8 @@ __all__ = [
     "dist",
     "in_ball",
     "norm",
-    "ProductTable",
     "ShiftOp",
     "WeightSeq",
-    "product_table",
     "scaled_orbit_point",
 ]
 

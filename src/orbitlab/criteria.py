@@ -15,7 +15,7 @@ import numpy as np
 
 from .lspace import CoefVec, Side, norm
 from .seqcore import ScalingSeq, eval_log_mags, ratio_classify, scan_grid
-from .shiftops import ProductTable, ShiftOp, WeightSeq, product_table
+from .shiftops import ShiftOp, WeightSeq
 
 __all__ = [
     "SalasCertificate",
@@ -61,11 +61,11 @@ class SalasCertificate:
     forward_logs: tuple[float, ...]
     backward_logs: tuple[float, ...]
 
-    def verify(self, pt: ProductTable | None = None, tol: float = REVERIFY_LOG_TOL) -> bool:
+    def verify(self, tol: float = REVERIFY_LOG_TOL) -> bool:
         """The m = 1 case of MRShiftCertificate.verify."""
         return MRShiftCertificate(
             self.weights, self.n, 1, self.q, self.eps, self.forward_logs, self.backward_logs
-        ).verify(pt, tol)
+        ).verify(tol)
 
     def to_config(self) -> dict:
         return {
@@ -96,14 +96,14 @@ class MRShiftCertificate:
     forward_logs: tuple[float, ...]
     backward_logs: tuple[float, ...]
 
-    def verify(self, pt: ProductTable | None = None, tol: float = REVERIFY_LOG_TOL) -> bool:
-        pt = pt or product_table(self.weights, True)
+    def verify(self, tol: float = REVERIFY_LOG_TOL) -> bool:
+        w = self.weights
         thresh = math.log(1.0 / self.eps)
         pos = 0
         for l in range(1, self.m + 1):
             for j in range(-self.q, self.q + 1):
-                f = pt.forward_log(j, l * self.n)
-                b = pt.backward_log(j, l * self.n)
+                f = w.forward_log(j, l * self.n)
+                b = w.backward_log(j, l * self.n)
                 if abs(f - self.forward_logs[pos]) > tol:
                     return False
                 if abs(b - self.backward_logs[pos]) > tol:
@@ -155,10 +155,9 @@ def mr_shift_check(w: WeightSeq, m: int, q: int, eps: float, n_max: int) -> Sear
     n_lo = 2 * q + 1
     if n_lo > n_max:
         return SearchOutcome(None, {"reason": f"no n in ({2*q}, {n_max}]"})
-    pt = product_table(w, True)
-    pt.ensure(pos_hi=q + m * n_max, neg_lo=-q - m * n_max)
+    w.check_range(-q - m * n_max, q + m * n_max)
     thresh = math.log(1.0 / eps)
-    cum_j = {j: pt.cum(np.array([j]))[0] for j in range(-q, q + 1)}
+    cum_j = {j: w.cum(np.array([j]))[0] for j in range(-q, q + 1)}
 
     best_n, best_margin = None, None
     for n_arr in scan_grid(n_lo, n_max):
@@ -166,16 +165,16 @@ def mr_shift_check(w: WeightSeq, m: int, q: int, eps: float, n_max: int) -> Sear
         margin = np.full(n_arr.shape, np.inf)
         for l in range(1, m + 1):
             for j in range(-q, q + 1):
-                f = pt.cum(j + l * n_arr) - cum_j[j]  # log prod_{i=1..ln} w_{j+i}
-                b = cum_j[j] - pt.cum(j - l * n_arr)  # log prod_{i=0..ln-1} w_{j-i}
+                f = w.cum(j + l * n_arr) - cum_j[j]  # log prod_{i=1..ln} w_{j+i}
+                b = cum_j[j] - w.cum(j - l * n_arr)  # log prod_{i=0..ln-1} w_{j-i}
                 ok &= (f > thresh) & (b < -thresh)
                 margin = np.minimum(margin, np.minimum(f - thresh, -thresh - b))
         hits = np.flatnonzero(ok)
         if hits.size:
             n = int(n_arr[hits[0]])
             ljs = [(l, j) for l in range(1, m + 1) for j in range(-q, q + 1)]
-            fwd = tuple(pt.forward_log(j, l * n) for l, j in ljs)
-            bwd = tuple(pt.backward_log(j, l * n) for l, j in ljs)
+            fwd = tuple(w.forward_log(j, l * n) for l, j in ljs)
+            bwd = tuple(w.backward_log(j, l * n) for l, j in ljs)
             return SearchOutcome(MRShiftCertificate(w, n, m, q, eps, fwd, bwd), {"n": n})
         # the first largest margin, NaN first, as np.argmax over all n picks it
         i = int(np.argmax(margin))
@@ -189,8 +188,8 @@ def mr_shift_check(w: WeightSeq, m: int, q: int, eps: float, n_max: int) -> Sear
     for l in range(1, m + 1):
         for j in range(-q, q + 1):
             if not (
-                pt.forward_log(j, l * best_n) > thresh
-                and pt.backward_log(j, l * best_n) < -thresh
+                w.forward_log(j, l * best_n) > thresh
+                and w.backward_log(j, l * best_n) < -thresh
             ):
                 fail = (j, l)
                 break
@@ -218,17 +217,16 @@ def mr_invertible_check(w: WeightSeq, m: int, n_max: int, threshold: float) -> n
         raise ValueError("weights must be bounded away from zero (invertibility)")
     if not w.bilateral_ok:
         raise ValueError("mr_invertible_check needs bilateral weights")
-    pt = product_table(w, True)
     if n_max >= 1:
-        pt.ensure(pos_hi=m * n_max, neg_lo=-m * n_max - 1)
+        w.check_range(-m * n_max - 1, m * n_max)
     g = math.log(threshold)
     found = [np.zeros(0, dtype=np.int64)]
     for n_arr in scan_grid(1, n_max):
         ok = np.ones(n_arr.shape, dtype=bool)
         for l in range(1, m + 1):
-            fwd = pt.cum(l * n_arr)
+            fwd = w.cum(l * n_arr)
             # prod_{i=0..ln} 1/w_{-i} = exp(C(-ln - 1)) with C the signed cumulative
-            bwd = pt.cum(-l * n_arr - 1)
+            bwd = w.cum(-l * n_arr - 1)
             ok &= (fwd > g) & (bwd > g)
         found.append(n_arr[ok])
     return np.concatenate(found)
@@ -282,8 +280,7 @@ def fhc_series_check(w: WeightSeq, n_max: int = 10**6, cap: float = 12.0) -> Ser
     """
     if n_max < 10:
         raise ValueError("need n_max >= 10")
-    pt = product_table(w, False)
-    pt.ensure(pos_hi=n_max)
+    w.check_range(0, n_max)
     grid = [10]
     while grid[-1] < n_max:
         grid.append(min(grid[-1] * 2, n_max))
@@ -297,7 +294,7 @@ def fhc_series_check(w: WeightSeq, n_max: int = 10**6, cap: float = 12.0) -> Ser
     for n_arr in scan_grid(1, n_max):
         lo, hi = int(n_arr[0]), int(n_arr[-1])
         with np.errstate(over="ignore"):
-            terms = np.exp(-2.0 * pt.cum(n_arr))
+            terms = np.exp(-2.0 * w.cum(n_arr))
         # the running sum leads the chunk, so cumsum adds in the same order
         # as one cumsum over all n
         sums = np.cumsum(np.concatenate(([total], terms)))[1:]
@@ -371,9 +368,9 @@ def orbit_norm_logs(T: ShiftOp, x: CoefVec, n_arr: np.ndarray) -> np.ndarray:
     """log ||T^n x|| for each n (-inf once the support has died)."""
     if x.nnz == 0:
         return np.full(len(n_arr), -np.inf)
-    pt = T.table()
+    w = T.weights
     out = np.empty(len(n_arr), dtype=np.float64)
-    cum_x = pt.cum(x.indices)
+    cum_x = w.cum(x.indices)
     for t, n in enumerate(np.asarray(n_arr, dtype=np.int64)):
         idx = x.indices
         keep = (idx - n) >= 1 if T.side is Side.UNILATERAL else slice(None)
@@ -383,7 +380,7 @@ def orbit_norm_logs(T: ShiftOp, x: CoefVec, n_arr: np.ndarray) -> np.ndarray:
             continue
         lm = (
             x.log_mags[keep]
-            + (cum_x[keep] - pt.cum(src - n))
+            + (cum_x[keep] - w.cum(src - n))
             + float(n) * T.pm_log
         )
         m = float(np.max(lm))

@@ -45,7 +45,7 @@ from .orbits import (
     witness_distances,
 )
 from .seqcore import AngleSpec, ScalingSeq, ratio_classify, rotate_seq
-from .shiftops import ShiftOp, WeightSeq, product_table, scaled_orbit_point
+from .shiftops import ShiftOp, WeightSeq, scaled_orbit_point
 from .symbolops import PolySymbol, RangeCertificate, RangeKind, classify_adjoint
 
 EXIT_OK = 0
@@ -514,7 +514,7 @@ def parse_vector(spec: str, side: Side = Side.UNILATERAL) -> CoefVec:
         pairs.append((int(m.group("k")), coef))
     try:
         return CoefVec.from_pairs(side, pairs)
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         raise ConfigError(f"bad vector {spec!r}: {e}") from e
 
 
@@ -876,11 +876,10 @@ def run_e5(p: SimpleNamespace, outdir: Path) -> dict:
     """Mixing but not frequently hypercyclic: sqrt-ratio weights."""
     n_max = p.N
     w = WeightSeq.sqrt_ratio()
-    pt = product_table(w, False)
     sample = np.unique(np.geomspace(1, n_max, 200).astype(np.int64))
     worst = 0.0
     for n in sample:
-        got = pt.forward_log(0, int(n))
+        got = w.forward_log(0, int(n))
         want = 0.5 * math.log(float(n) + 1.0)
         worst = max(worst, abs(got - want))
     if worst > 1e-9:
@@ -1108,11 +1107,15 @@ def _verify_certificate(cert: dict, report_dir: Path, hits_cache: dict) -> bool:
     if kind == "ap_witness":
         path = report_dir / _cert_field(cert, "hits_artifact", STRING)
         a, k, m, tau = (_cert_field(cert, key, INT) for key in ("a", "k", "m", "tau"))
-        if min(k, m, tau) < 1:
+        if min(a, k, m, tau) < 1:
             return False
         if path not in hits_cache:
             hits_cache[path] = _load_hits(path)
         hits = hits_cache[path]
+        # in Python ints: the progression must fit below the last hit, so
+        # its int64 members cannot wrap
+        if m + 1 > hits.size or a + m * tau * k > int(hits[-1]):
+            return False
         members = a + tau * k * np.arange(m + 1)
         pos = np.searchsorted(hits, members)
         return bool(np.all(pos < hits.size)) and bool(np.all(hits[pos] == members))
@@ -1122,7 +1125,7 @@ def _verify_certificate(cert: dict, report_dir: Path, hits_cache: dict) -> bool:
         op_cfg = _cert_field(cert, "operator", OBJECT)
         u_artifact = _cert_field(cert, "u_artifact", STRING)
         center = _cert_field(cert, "center", STRING)
-        if ell < 1 or m < 0:
+        if ell < 1 or m < 0 or m * ell >= 2**63:
             return False
         try:
             recorded = [float(d) for d in cert.get("distances", [])]
@@ -1132,6 +1135,9 @@ def _verify_certificate(cert: dict, report_dir: Path, hits_cache: dict) -> bool:
             return False
         T = operator_from_config(op_cfg)
         u = read_vector_csv(report_dir / u_artifact, T.side)
+        # T^{m*ell} moves index i to i - m*ell, which must stay an int64
+        if u.nnz and int(u.indices[0]) - m * ell < -(2**63):
+            return False
         y = parse_vector(center, T.side)
         dists = witness_distances(T, u, y, ell, m)
         return all(d < radius and _close(d, rec) for d, rec in zip(dists, recorded))

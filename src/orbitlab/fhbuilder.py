@@ -177,7 +177,7 @@ def _place(
     Its temporaries, one entry per placed coefficient, are freed on return,
     before the verification scans run.
     """
-    pt = T.table()
+    w = T.weights
     idx_parts, lm_parts, ph_parts = [], [], []
     per_class_blockmax: list[np.ndarray] = []
     for i, (y, _) in enumerate(targets):
@@ -192,7 +192,7 @@ def _place(
         block_max = np.full(ns.shape, -np.inf)
         for pos in range(y.nnz):
             j = int(y.indices[pos])
-            prod = pt.cum(ns + j) - pt.cum(np.full(ns.shape, j, dtype=np.int64))
+            prod = w.cum(ns + j) - w.cum(np.full(ns.shape, j, dtype=np.int64))
             lm = y.log_mags[pos] - lam_lm - nf * T.pm_log - prod
             ph = wrap_phase(y.phases[pos] - lam_ph - nf * T.pm_arg)
             idx_parts.append(ns + j)

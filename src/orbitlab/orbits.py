@@ -211,7 +211,7 @@ def _orbit_scan(
     # per-n kernel: cumulative log-products over every index the times touch
     i_hi = int(x.indices.max())
     cum_lo = 0 if unilateral else min(int(x.indices.min()) - n_hi, 0)
-    cum = T.table().cum(np.arange(cum_lo, i_hi + 1, dtype=np.int64))
+    cum = T.weights.cum(np.arange(cum_lo, i_hi + 1, dtype=np.int64))
 
     def dist2(n_arr):
         return _kernels.general_orbit_dist2(
@@ -389,7 +389,9 @@ def find_ap(h: HittingSet, m: int, tau: int = 1, K: int | None = None) -> APWitn
     if m < 1 or tau < 1:
         raise ValueError("need m >= 1 and tau >= 1")
     K = _default_k(h, m, tau) if K is None else K
-    if K < 1 or len(h) == 0:
+    # a + m*tau*k lies in [1, n_max] only if m*tau < n_max (in Python ints,
+    # before ap_scan builds its int64 steps)
+    if K < 1 or len(h) == 0 or m * tau >= h.n_max:
         return None
     k, starts, _ = _kernels.ap_scan(h.lookup, h.indices, h.n_max, m, tau, K, 1)
     if k < 0:
@@ -544,6 +546,8 @@ def mr_witness_search(
             MRWitness(u, tau, 0, y, eps, (d0,), a=n0, k=0, tau=tau), diag
         )
 
+    if m * tau >= h.n_max:  # no progression of m + 1 hits fits, as in find_ap
+        return MRSearchResult(None, diag)
     K = _default_k(h, m, tau) if K is None else K
     # k's with no pair of hits tau*k apart hold no start and are skipped
     k_found, members, diag["largest_ap"] = _kernels.ap_scan(

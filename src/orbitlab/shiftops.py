@@ -9,18 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .lspace import CoefVec, Side, SideMismatchError
-from .seqcore import LogScalar, ScalingSeq, eval_log, wrap_phase
+from .seqcore import ScalingSeq, eval_log, wrap_phase
 
 __all__ = [
     "WeightSeq",
     "ShiftOp",
-    "ProductTable",
     "scaled_orbit_point",
-    "product_table",
 ]
 
 
@@ -152,84 +151,55 @@ class WeightSeq:
             return -k * math.log(2.0)
         return None
 
-    @property
-    def pos_capacity(self) -> int | None:
-        """Largest positive index carrying a weight (None = unbounded)."""
+    # -- products ------------------------------------------------------------
+    # C(i) = sum_{s=1..i} log w_s for i >= 0 and C(i) = -T(-i) for i < 0, with
+    # T(k) = sum_{s=-(k-1)..0} log w_s, so that log prod_{s=a..b} w_s is
+    # C(b) - C(a-1) on all of Z. Closed-form families evaluate C at the
+    # queried indices; table_w weights look it up in prefix sums over their
+    # table, built on first use and freed with the instance.
+
+    def check_range(self, lo: int, hi: int) -> None:
+        """Check that C(i) is defined for every i in [lo, hi]."""
+        lo, hi = min(lo, 0), max(hi, 0)
+        if lo < 0 and not self.bilateral_ok:
+            raise ValueError(f"{self.family} weights have no bilateral extension")
         if self.family == "table_w":
             vals, start = self.params
-            return start + len(vals) - 1
-        return None
+            cap_hi = start + len(vals) - 1
+            if hi > cap_hi:
+                raise ValueError(f"index {hi} exits the table's range (max {cap_hi})")
+            if lo < 0 and lo + 1 < start:
+                raise ValueError(f"index {lo} exits the table's range (min {start})")
 
-    @property
-    def neg_capacity(self) -> int | None:
-        """Smallest index carrying a weight (None = unbounded below)."""
-        if self.family == "table_w":
-            return self.params[1]
-        return None
-
-    def to_config(self) -> dict:
-        f = self.family
-        if f == "constant_w":
-            return {"family": f, "c": self.params[0]}
-        if f == "table_w":
-            return {"family": f, "values": list(self.params[0]), "start": self.params[1]}
-        return {"family": f}
-
-
-class ProductTable:
-    """Prefix sums of log w with O(1) range-product queries.
-
-    C(i) = sum_{s=1..i} log w_s on the positive side; on the bilateral
-    negative side T(k) = sum_{s=-(k-1)..0} log w_s, so that C extends to all
-    of Z via C(i) = -T(-i) for i < 0. Families with closed-form sums
-    (``log_prefix_pos``/``log_prefix_neg``) are evaluated at the queried
-    indices and hold no array; ``table_w`` weights hold both sums over the
-    table's whole range, built once.
-    """
-
-    def __init__(self, weights: WeightSeq, bilateral: bool):
-        if bilateral and not weights.bilateral_ok:
-            raise ValueError(f"{weights.family} weights have no bilateral extension")
-        self.weights = weights
-        self.bilateral = bilateral
-        self._pos = self._neg = None
-        if weights.pos_capacity is not None:
-            self._pos = _prefix(weights.log_w(np.arange(1, max(weights.pos_capacity, 0) + 1)))
-            if bilateral:
-                self._neg = _prefix(weights.log_w(-np.arange(0, 1 - weights.neg_capacity)))
-
-    def ensure(self, pos_hi: int = 0, neg_lo: int = 0) -> None:
-        """Check that indices up to pos_hi and down to neg_lo carry products."""
-        if neg_lo < 0 and not self.bilateral:
-            raise ValueError("negative indices require a bilateral table")
-        cap_hi = self.weights.pos_capacity
-        if cap_hi is not None and pos_hi > cap_hi:
-            raise ValueError(f"index {pos_hi} exits the table's range (max {cap_hi})")
-        cap_lo = self.weights.neg_capacity
-        if cap_lo is not None and neg_lo < 0 and neg_lo + 1 < cap_lo:
-            raise ValueError(f"index {neg_lo} exits the table's range (min {cap_lo})")
+    @cached_property
+    def _table_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """table_w only: C(0..max) and T(0..1-start) from one log_w pass."""
+        vals, start = self.params
+        lo = min(start, 1)
+        log_w = self.log_w(np.arange(lo, start + len(vals)))
+        return _prefix(log_w[1 - lo:]), _prefix(log_w[: 1 - lo][::-1])
 
     def _pos_cum(self, i: np.ndarray) -> np.ndarray:
         """C(i) for indices i >= 0."""
-        if self._pos is not None:
-            return self._pos[i]
-        out = self.weights.log_prefix_pos(i)
+        if self.family == "table_w":
+            return self._table_sums[0][i]
+        out = self.log_prefix_pos(i)
         out[i == 0] = 0.0  # the empty sum; 0 * log c is -0.0 for c < 1
         return out
 
     def _neg_cum(self, k: np.ndarray) -> np.ndarray:
         """T(k) for k >= 1."""
-        if self._neg is not None:
-            return self._neg[k]
-        return self.weights.log_prefix_neg(k)
+        if self.family == "table_w":
+            return self._table_sums[1][k]
+        return self.log_prefix_neg(k)
 
     def cum(self, idx: np.ndarray) -> np.ndarray:
-        """Cumulative C(i) for any integer indices (vectorized)."""
+        """The signed cumulative C(i) at any integer indices (vectorized)."""
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size == 0:
             return np.zeros(0)
         lo, hi = int(idx.min()), int(idx.max())
-        self.ensure(pos_hi=max(hi, 0), neg_lo=min(lo, 0))
+        self.check_range(lo, hi)
         if lo >= 0:
             return self._pos_cum(idx)
         out = np.empty(idx.shape, dtype=np.float64)
@@ -242,14 +212,9 @@ class ProductTable:
         """log prod_{s=a..b} w_s (empty ranges give 0)."""
         if a > b:
             return 0.0
-        if a < 1 and not self.bilateral:
-            raise ValueError(
-                f"product over [{a}, {b}] exits the unilateral index range"
-            )
         c = self.cum(np.array([b, a - 1], dtype=np.int64))
         return float(c[0] - c[1])
 
-    # spec-facing product queries -------------------------------------------
     def forward_log(self, j: int, n: int) -> float:
         """log prod_{i=1..n} w_{j+i}."""
         return self.log_range(j + 1, j + n)
@@ -258,11 +223,13 @@ class ProductTable:
         """log prod_{i=0..n-1} w_{j-i}."""
         return self.log_range(j - n + 1, j)
 
-    def forward(self, j: int, n: int) -> LogScalar:
-        return LogScalar(self.forward_log(j, n), 0.0)
-
-    def backward(self, j: int, n: int) -> LogScalar:
-        return LogScalar(self.backward_log(j, n), 0.0)
+    def to_config(self) -> dict:
+        f = self.family
+        if f == "constant_w":
+            return {"family": f, "c": self.params[0]}
+        if f == "table_w":
+            return {"family": f, "values": list(self.params[0]), "start": self.params[1]}
+        return {"family": f}
 
 
 def _prefix(log_w: np.ndarray) -> np.ndarray:
@@ -270,18 +237,6 @@ def _prefix(log_w: np.ndarray) -> np.ndarray:
     out = np.zeros(log_w.size + 1)
     out[1:] = np.cumsum(log_w)
     return out
-
-
-_TABLES: dict[tuple[WeightSeq, bool], ProductTable] = {}
-
-
-def product_table(weights: WeightSeq, bilateral: bool) -> ProductTable:
-    """The shared table for a weight family and side."""
-    key = (weights, bilateral)
-    pt = _TABLES.get(key)
-    if pt is None:
-        pt = _TABLES[key] = ProductTable(weights, bilateral)
-    return pt
 
 
 @dataclass(frozen=True)
@@ -317,9 +272,6 @@ class ShiftOp:
     def pm_arg(self) -> float:
         return math.atan2(self.premultiplier.imag, self.premultiplier.real)
 
-    def table(self) -> ProductTable:
-        return product_table(self.weights, self.side is Side.BILATERAL)
-
     def power_apply(self, n: int, x: CoefVec) -> CoefVec:
         """T^n x via weight-product formula, O(nnz) regardless of n.
 
@@ -338,8 +290,7 @@ class ShiftOp:
         src = x.indices[keep]
         if src.size == 0:
             return CoefVec.zero(self.side)
-        pt = self.table()
-        prod = pt.cum(src) - pt.cum(src - n)
+        prod = self.weights.cum(src) - self.weights.cum(src - n)
         lm = x.log_mags[keep] + prod + n * self.pm_log
         ph = wrap_phase(x.phases[keep] + n * self.pm_arg)
         return CoefVec(self.side, new_idx[keep], lm, ph)

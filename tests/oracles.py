@@ -102,7 +102,7 @@ def return_distances(T: ShiftOp, x: CoefVec, N: int) -> np.ndarray:
 def stored_prefix_pos(w: WeightSeq, n: int, lo: int = 0) -> np.ndarray:
     """Rows lo..n of the table C(i) = sum_{s=1..i} log w_s, built whole: the
     closed form ``log_prefix_pos`` over one contiguous arange with C(0) set
-    to +0.0, else a cumsum of log w from s = 1. ``ProductTable.cum`` must
+    to +0.0, else a cumsum of log w from s = 1. ``WeightSeq.cum`` must
     equal it bit for bit. A window lo > 0 (closed forms only) evaluates the
     same closed form over the contiguous arange lo..n, which keeps a check
     near the 2e7 cap small."""

@@ -22,7 +22,7 @@ from orbitlab.fhbuilder import build
 from orbitlab.lspace import Ball, CoefVec, Side, dist, norm
 from orbitlab.orbits import density_stats, find_ap, hitting_set, mr_witness_search
 from orbitlab.seqcore import ScalingSeq, ratio_classify
-from orbitlab.shiftops import ShiftOp, WeightSeq, product_table
+from orbitlab.shiftops import ShiftOp, WeightSeq
 from orbitlab.symbolops import PolySymbol, RangeKind, classify_adjoint, eigen_check, range_circle_test
 from oracles import shift_once
 
@@ -165,9 +165,8 @@ def test_criterion_5_shift_criteria():
 
 
 def test_criterion_6_products_and_series():
-    pt = product_table(WeightSeq.sqrt_ratio(), False)
     n = np.arange(1, 10**6 + 1, dtype=np.int64)
-    got = pt.cum(n)  # forward(0, n) = C(n)
+    got = WeightSeq.sqrt_ratio().cum(n)  # forward(0, n) = C(n)
     want = 0.5 * np.log(n.astype(np.float64) + 1.0)
     max_dev = float(np.max(np.abs(got - want)))
     sv_div = fhc_series_check(WeightSeq.sqrt_ratio(), 10**6, cap=12.0)

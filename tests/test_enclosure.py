@@ -177,7 +177,7 @@ def test_kernel_within_error_bound_of_50_digits(seed, family, data):
     lam_lm, lam_ph, _ = eval_at(lam, n_arr)
     s_lm = lam_lm + n * T.pm_log
     s_ph = lam_ph + n * T.pm_arg
-    cum = T.table().cum(np.arange(0, int(x.indices.max()) + 1, dtype=np.int64))
+    cum = T.weights.cum(np.arange(0, int(x.indices.max()) + 1, dtype=np.int64))
     width = int(y.indices.max())
     y_vals = np.zeros(width, dtype=complex)
     y_vals[y.indices - 1] = y.to_complex_array()

@@ -60,6 +60,11 @@ EDGE = CoefVec(
 )
 
 
+# an index or progression parameter no int64 holds; numpy refuses an array
+# of this length without allocating it
+BEYOND_INT64 = 2**70
+
+
 class TestVectorLiterals:
     def test_basis(self):
         v = parse_vector("e(3)")
@@ -86,6 +91,10 @@ class TestVectorLiterals:
             parse_vector("f(1)")
         with pytest.raises(ConfigError):
             parse_vector("e(one)")
+
+    def test_index_beyond_int64(self):
+        with pytest.raises(ConfigError, match="bad vector"):
+            parse_vector(f"e({BEYOND_INT64})")
 
 
 class TestVectorCSV:
@@ -321,8 +330,8 @@ AP_CERT = {"type": "ap_witness", "a": 48, "k": 1, "m": 1, "tau": 1,
 
 class TestMalformedCertificates:
     @staticmethod
-    def _ap_report(tmp_path, **fields):
-        (tmp_path / "hits.csv").write_text("n\n48\n49\n")
+    def _ap_report(tmp_path, hits=(48, 49), **fields):
+        (tmp_path / "hits.csv").write_text("n\n" + "".join(f"{n}\n" for n in hits))
         cert = {key: v for key, v in {**AP_CERT, **fields}.items() if v is not None}
         (tmp_path / "report.json").write_text(json.dumps({"certificates": [cert]}))
         return ["verify", "--report", str(tmp_path / "report.json")]
@@ -371,6 +380,41 @@ class TestMalformedCertificates:
     def test_mr_witness_degenerate(self, tmp_path, capsys, fields):
         # T^0 u = u and an empty progression both repeat the start distance
         assert main(self._mr_report(tmp_path, **fields)) == EXIT_ASSERTION
+        assert capsys.readouterr().out.startswith("0:mr_witness: FAILED")
+
+    @pytest.mark.parametrize("hits, fields", [
+        # int64 members 5 + 2**62*j wrap onto the hits below 5 and past it:
+        # four hits certified as a five-term progression
+        ((-(2**63) + 5, -(2**62) + 5, 5, 2**62 + 5), {"a": 5, "k": 2**60, "tau": 4, "m": 4}),
+        ((48, 49), {"k": 2**64}),
+        ((48, 49), {"tau": BEYOND_INT64}),
+        ((-1, 0, 1), {"a": -1, "m": 2}),
+    ], ids=["members_wrap", "k_beyond_int64", "tau_beyond_int64", "start_below_1"])
+    def test_ap_witness_outside_int64(self, tmp_path, capsys, hits, fields):
+        assert main(self._ap_report(tmp_path, hits, **fields)) == EXIT_ASSERTION
+        captured = capsys.readouterr()
+        assert captured.out.startswith("0:ap_witness: FAILED") and not captured.err
+
+    def test_mr_witness_ell_beyond_int64(self, tmp_path, capsys):
+        assert main(self._mr_report(tmp_path, ell=BEYOND_INT64)) == EXIT_ASSERTION
+        captured = capsys.readouterr()
+        assert captured.out.startswith("0:mr_witness: FAILED") and not captured.err
+
+    def test_mr_witness_shifted_index_beyond_int64(self, tmp_path, capsys):
+        # T^ell e(-5) is e(-2**63 - 4), which an int64 index would wrap onto
+        # the center e(2**63 - 4): the recorded distance 1.0 at j = 1 is
+        # sqrt(3) in truth
+        u = CoefVec.from_pairs(Side.BILATERAL, [(-5, 1.0), (1, 1.0)])
+        cert = {
+            "type": "mr_witness", "ell": 2**63 - 1, "m": 1, "a": 1, "k": 1, "tau": 1,
+            "radius": 2.0, "center": f"e({2**63 - 4})",
+            "distances": [repr(math.sqrt(3.0)), repr(1.0)],
+            "u_artifact": vector_csv(tmp_path, "witness_u.csv", u),
+            "operator": {"side": "bilateral",
+                         "weights": {"family": "constant_w", "c": 1.0},
+                         "premultiplier": [1.0, 0.0]},
+        }
+        assert main(_verify_argv(tmp_path, {"certificates": [cert]})) == EXIT_ASSERTION
         assert capsys.readouterr().out.startswith("0:mr_witness: FAILED")
 
 
@@ -540,6 +584,9 @@ BAD_RUN_CONFIGS = {
     "E6_tau_zero": {"scenario": "E6", "tau": 0},
     "E6_ap_order_string": {"scenario": "E6", "N": 20000, "ap_orders": [3, "4"]},
     "E6_target_index_zero": {"scenario": "E6", "targets": ["e(0)"]},
+    "E6_target_beyond_int64": {"scenario": "E6", "targets": [f"e({BEYOND_INT64})"]},
+    "E6_witness_center_beyond_int64": {"scenario": "E6", "N": 20000,
+                                       "witness_center": f"e({BEYOND_INT64})"},
     "E7_unknown_key": {"scenario": "E7", "N": 10},
 }
 
@@ -559,6 +606,7 @@ BAD_FU_CONFIGS = {
     "scaling_c_nan": {"scaling": {"family": "constant", "c": [math.nan, 0.0]}},
     "target_eps_infinity": {"targets": [{"vector": "e(1)", "eps": math.inf}]},
     "target_eps_int_beyond_float": {"targets": [{"vector": "e(1)", "eps": 10**400}]},
+    "target_index_beyond_int64": {"targets": [{"vector": f"e({BEYOND_INT64})", "eps": 1e-3}]},
 }
 
 BAD_MR_CONFIGS = {
@@ -567,6 +615,7 @@ BAD_MR_CONFIGS = {
     "K_zero": {"K": 0},
     "N_bool": {"N": True},
     "factorial_scaling": {"scaling": {"family": "factorial"}},
+    "center_beyond_int64": {"center": f"e({BEYOND_INT64})"},
 }
 
 
@@ -687,6 +736,22 @@ class TestConfigOutcomes:
         assert _run_config(tmp_path, command, cfg) == EXIT_ASSERTION
         err = capsys.readouterr().err
         assert err.startswith("FU build failed: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--m", "--tau"])
+    def test_ap_find_progression_beyond_horizon(self, tmp_path, capsys, flag):
+        argv = _flag_argv(tmp_path, [*AP_FIND, flag, str(BEYOND_INT64)])
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == "none\n" and not captured.err
+
+    @pytest.mark.parametrize("key, value", [
+        ("tau", BEYOND_INT64), ("ap_orders", [BEYOND_INT64]), ("witness_m", BEYOND_INT64),
+    ])
+    def test_e6_progression_beyond_horizon_is_exit_3(self, tmp_path, capsys, key, value):
+        cfg = {"scenario": "E6", "N": 20000, key: value}
+        assert _run_config(tmp_path, "run", cfg) == EXIT_ASSERTION
+        err = capsys.readouterr().err
+        assert err.startswith("scenario assertion failed: ") and err.count("\n") == 1
 
     def test_optional_key_may_be_null(self, tmp_path):
         assert _run_config(tmp_path, "build-fu", {**FU_CONFIG, "g": None}) == EXIT_OK

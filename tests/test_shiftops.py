@@ -1,11 +1,14 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from orbitlab import shiftops
 from orbitlab.lspace import CoefVec, Side, norm
 from orbitlab.seqcore import ScalingSeq
-from orbitlab.shiftops import ProductTable, ShiftOp, WeightSeq, product_table, scaled_orbit_point
+from orbitlab.shiftops import ShiftOp, WeightSeq, scaled_orbit_point
 from oracles import shift_once, stored_prefix_neg, stored_prefix_pos, to_complex_dict
 
 LN2 = math.log(2.0)
@@ -124,50 +127,48 @@ class TestPowerApply:
 
 class TestProductTable:
     def test_sqrt_ratio_closed_form(self):
-        pt = product_table(WeightSeq.sqrt_ratio(), False)
+        w = WeightSeq.sqrt_ratio()
         for n in (1, 7, 999):
-            assert pt.forward_log(0, n) == pytest.approx(
+            assert w.forward_log(0, n) == pytest.approx(
                 math.log(math.sqrt(n + 1)), abs=1e-12
             )
 
     def test_constant_forward(self):
-        pt = product_table(WeightSeq.constant(2.0), True)
+        w = WeightSeq.constant(2.0)
         for j in (-5, 0, 11):
-            assert pt.forward_log(j, 7) == pytest.approx(7 * LN2, abs=1e-12)
+            assert w.forward_log(j, 7) == pytest.approx(7 * LN2, abs=1e-12)
 
     def test_step_backward_ones(self):
-        pt = product_table(WeightSeq.step_bilateral(), True)
+        w = WeightSeq.step_bilateral()
         for n in (1, 5, 50):
-            assert pt.backward_log(0, n) == 0.0
+            assert w.backward_log(0, n) == 0.0
 
     def test_prefix_sum_identity(self):
-        pt = product_table(WeightSeq.sqrt_ratio(), False)
+        w = WeightSeq.sqrt_ratio()
         rng = np.random.default_rng(9)
         for _ in range(200):
             j = int(rng.integers(0, 500))
             n = int(rng.integers(1, 500))
             m = int(rng.integers(1, 500))
-            lhs = pt.forward_log(j, n) + pt.forward_log(j + n, m)
-            assert lhs == pytest.approx(pt.forward_log(j, n + m), abs=1e-12)
+            lhs = w.forward_log(j, n) + w.forward_log(j + n, m)
+            assert lhs == pytest.approx(w.forward_log(j, n + m), abs=1e-12)
 
     def test_matches_direct_multiplication(self):
         w = WeightSeq.table(list(np.random.default_rng(2).uniform(0.2, 3.0, 200)))
-        pt = product_table(w, False)
         vals = np.array(w.params[0])
         for a, b in [(1, 10), (5, 200), (100, 150)]:
             direct = float(np.sum(np.log(vals[a - 1 : b])))
-            assert pt.log_range(a, b) == pytest.approx(direct, abs=1e-10)
+            assert w.log_range(a, b) == pytest.approx(direct, abs=1e-10)
 
     def test_unilateral_range_guard(self):
-        pt = product_table(WeightSeq.sqrt_ratio(), False)
         with pytest.raises(ValueError):
-            pt.backward_log(0, 5)
+            WeightSeq.sqrt_ratio().backward_log(0, 5)
 
     def test_table_capacity_guard(self):
-        pt = ProductTable(WeightSeq.table([1.0, 2.0, 3.0]), False)
-        assert pt.forward_log(0, 3) == pytest.approx(math.log(6.0))
+        w = WeightSeq.table([1.0, 2.0, 3.0])
+        assert w.forward_log(0, 3) == pytest.approx(math.log(6.0))
         with pytest.raises(ValueError):
-            pt.forward_log(0, 4)
+            w.forward_log(0, 4)
 
 
 CLOSED_FORM = [
@@ -204,50 +205,67 @@ class TestClosedFormProducts:
         rng = np.random.default_rng(4)
         pos = stored_prefix_pos(w, n)
         neg = stored_prefix_neg(w, n) if w.bilateral_ok else None
-        pt = ProductTable(w, w.bilateral_ok)
         for idx in _index_arrays(n, rng):
-            assert pt.cum(idx).tobytes() == pos[idx].tobytes()
+            assert w.cum(idx).tobytes() == pos[idx].tobytes()
             if w.bilateral_ok:
                 k = idx[idx > 0]
-                assert pt.cum(-k).tobytes() == (-neg[k]).tobytes()
+                assert w.cum(-k).tobytes() == (-neg[k]).tobytes()
         if w.bilateral_ok:
             mixed = rng.integers(-n, n + 1, size=5000)
             want = np.where(mixed >= 0, pos[np.abs(mixed)], -neg[np.abs(mixed)])
-            assert pt.cum(mixed).tobytes() == want.tobytes()
+            assert w.cum(mixed).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("w", CLOSED_FORM, ids=lambda w: f"{w.family}{w.params}")
     def test_cum_near_the_resource_cap(self, w):
         hi = 20_000_000
         lo = hi - 2**16  # a multiple of 64, like the table's own start
         window = stored_prefix_pos(w, hi, lo)
-        pt = ProductTable(w, False)
         for idx in _index_arrays(hi - lo, np.random.default_rng(5))[:4]:
-            assert pt.cum(lo + idx).tobytes() == window[idx].tobytes()
-        assert pt.cum(np.array([hi])).tobytes() == window[-1:].tobytes()
+            assert w.cum(lo + idx).tobytes() == window[idx].tobytes()
+        assert w.cum(np.array([hi])).tobytes() == window[-1:].tobytes()
 
     def test_index_zero_is_positive_zero(self):
         # 0 * log c is -0.0 for c < 1; the empty product's log is +0.0
         for w in CLOSED_FORM:
-            c = ProductTable(w, False).cum(np.array([0, 0, 1]))
+            c = w.cum(np.array([0, 0, 1]))
             assert c[0] == 0.0 and not np.signbit(c[:2]).any(), w
 
     def test_no_array_for_closed_forms(self):
         for w in CLOSED_FORM:
-            pt = ProductTable(w, w.bilateral_ok)
-            pt.cum(np.arange(-10**6 if w.bilateral_ok else 0, 10**6))
-            assert pt._pos is None and pt._neg is None
+            w.cum(np.arange(-10**6 if w.bilateral_ok else 0, 10**6))
+            assert "_table_sums" not in vars(w)
 
     def test_table_weights_stored_once_at_capacity(self):
         w = ALL_WEIGHTS[-1]  # table_w over indices -100..139
-        pt = ProductTable(w, True)
-        assert pt._pos.tobytes() == stored_prefix_pos(w, 139).tobytes()
-        assert pt._neg.tobytes() == stored_prefix_neg(w, 101).tobytes()
-        want = np.concatenate((-pt._neg[:0:-1], pt._pos))  # C(-101..139)
-        assert pt.cum(np.arange(-101, 140)).tobytes() == want.tobytes()
+        pos, neg = w._table_sums
+        assert pos.tobytes() == stored_prefix_pos(w, 139).tobytes()
+        assert neg.tobytes() == stored_prefix_neg(w, 101).tobytes()
+        want = np.concatenate((-neg[:0:-1], pos))  # C(-101..139)
+        assert w.cum(np.arange(-101, 140)).tobytes() == want.tobytes()
         with pytest.raises(ValueError, match="exits the table's range"):
-            pt.cum(np.array([140]))
+            w.cum(np.array([140]))
         with pytest.raises(ValueError, match="exits the table's range"):
-            pt.cum(np.array([-102]))
+            w.cum(np.array([-102]))
+
+    def test_table_sums_built_once_per_instance(self, monkeypatch):
+        calls = []
+        log_w = WeightSeq.log_w
+        monkeypatch.setattr(WeightSeq, "log_w", lambda w, idx: calls.append(1) or log_w(w, idx))
+        w = WeightSeq.table([0.5, 1.5, 2.0] * 30, start=-40)
+        first = w.cum(np.arange(-41, 50))
+        second = w.cum(np.array([-7, 0, 13]))
+        assert len(calls) == 1
+        assert second.tobytes() == first[[34, 41, 54]].tobytes()
+
+    def test_table_sums_freed_with_instance(self):
+        w = WeightSeq.table([0.5, 1.5, 2.0] * 30, start=-40)
+        w.cum(np.arange(-41, 50))
+        refs = [weakref.ref(w), *map(weakref.ref, w._table_sums)]
+        del w
+        gc.collect()
+        assert all(r() is None for r in refs)
+        held = [v for v in vars(shiftops).values() if isinstance(v, dict)]
+        assert not any(isinstance(k, WeightSeq) for d in held for k in d)
 
 
 class TestScaledOrbitPoint:
