@@ -4,11 +4,11 @@ Kernel families:
   * progression search over a boolean member table: one start probe that
     narrows the members offset by offset, over the gaps that can occur
     (every k when the set has many member pairs, else the pair differences),
-  * orbit distance scans for scaled shift powers (factorized fast path for
-    index-independent weights, cumulative-sum path for general weights),
-    the window part of the general-weight distance vectorized over the
-    times, and the a-priori rounding bound that lets that window part
-    decide a time in place of the per-n kernel.
+  * orbit distance scans for scaled shift powers: one window kernel over
+    y's window, vectorized over the times, to which the flat-weight scan
+    adds x's exact log-sum-exp tails, the per-n kernel for general weights,
+    and the a-priori rounding bound that lets the window part plus a tail
+    bound decide a time in place of the per-n kernel.
 
 Callers reach these through the module attribute (``_kernels.ap_scan``), so
 a profiler can wrap a kernel by rebinding its name here.
@@ -105,24 +105,20 @@ def flat_orbit_dist2(
     log_cap,
     unilateral,
 ):
-    m = n_arr.shape[0]
+    """The flat-weight distance: the exact log-sum-exp tails of x beyond
+    y's window, summed on by ``window_dist2`` with no weight term (the
+    index-independent weight is already in the scale)."""
     with np.errstate(over="ignore", invalid="ignore"):
         t_hi = np.searchsorted(sup_idx, n_arr + w_hi, side="right")
         acc = np.exp(2.0 * scale_lm + suffix_lse[t_hi])
         if not unilateral:
             t_lo = np.searchsorted(sup_idx, n_arr + w_lo, side="left")
             acc = acc + np.exp(2.0 * scale_lm + prefix_lse[t_lo])
-        overflow = np.zeros(m, dtype=bool)
-        for j in range(w_lo, w_hi + 1):
-            p = pos[n_arr + j - pos_lo]
-            present = p >= 0
-            lm = np.where(present, scale_lm + sup_lm[np.maximum(p, 0)], -np.inf)
-            overflow |= lm > log_cap
-            mag = np.exp(np.where(lm > log_cap, -np.inf, lm))
-            ph = scale_ph + np.where(present, sup_ph[np.maximum(p, 0)], 0.0)
-            acc = acc + (mag * np.cos(ph) - y_re[j - w_lo]) ** 2
-            acc = acc + (mag * np.sin(ph) - y_im[j - w_lo]) ** 2
-    return np.where(overflow, np.inf, acc)
+    acc, lm_max = window_dist2(
+        n_arr, scale_lm, scale_ph, sup_lm, sup_ph, pos, pos_lo, None, w_lo, w_hi,
+        y_re, y_im, acc,
+    )
+    return np.where(lm_max > log_cap, np.inf, acc)
 
 
 def general_orbit_dist2(
@@ -187,23 +183,27 @@ def window_dist2(
     w_hi,
     y_re,
     y_im,
+    acc=None,
 ):
-    """The window part sum_{j=w_lo..w_hi} |c_{n+j} - y_j|^2 of the unilateral
-    per-n distance, one pass per offset j over all times n at once, with
+    """The window part sum_{j=w_lo..w_hi} |c_{n+j} - y_j|^2 of the per-n
+    distance, one pass per offset j over all times n at once, with
     c_{n+j} = exp(scale + (cum[n+j] - cum[j]) + log|x_{n+j}|) formed in
-    ``general_orbit_dist2``'s order, and the largest log-magnitude read.
-    Returns (window sums, largest log-magnitudes; -inf where none)."""
+    ``general_orbit_dist2``'s order (no weight term where cum is None), and
+    the largest log-magnitude read. The sums start from ``acc`` (in place)
+    or from zero. Returns (sums, largest log-magnitudes; -inf where none)."""
     m = n_arr.shape[0]
-    acc = np.zeros(m)
+    acc = np.zeros(m) if acc is None else acc
     lm_max = np.full(m, -np.inf)
-    i_top = cum.shape[0] - 1
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(w_lo, w_hi + 1):
             p = pos[n_arr + j - pos_lo]
             present = p >= 0
             q = np.maximum(p, 0)
-            i = np.minimum(n_arr + j, i_top)
-            lm = np.where(present, scale_lm + (cum[i] - cum[j]) + sup_lm[q], -np.inf)
+            lm = scale_lm
+            if cum is not None:
+                i = np.minimum(n_arr + j, cum.shape[0] - 1)
+                lm = lm + (cum[i] - cum[j])
+            lm = np.where(present, lm + sup_lm[q], -np.inf)
             lm_max = np.maximum(lm_max, lm)
             mag = np.exp(lm)
             ph = np.where(present, scale_ph + sup_ph[q], 0.0)

@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lspace import CoefVec, Side, norm
+from .lspace import CoefVec, norm
 from .seqcore import ScalingSeq, eval_log_mags, ratio_classify, scan_grid
 from .shiftops import ShiftOp, WeightSeq
 
 __all__ = [
-    "SalasCertificate",
     "MRShiftCertificate",
     "SeriesVerdict",
     "SearchOutcome",
@@ -44,39 +43,6 @@ class SearchOutcome:
 
     def __bool__(self) -> bool:
         return self.certificate is not None
-
-
-@dataclass(frozen=True)
-class SalasCertificate:
-    """Witness power n for the bilateral hypercyclicity product inequalities.
-
-    For every |j| <= q: prod_{i=1..n} w_{j+i} > 1/eps and
-    prod_{i=0..n-1} w_{j-i} < eps (stored and compared as logs).
-    """
-
-    weights: WeightSeq
-    n: int
-    q: int
-    eps: float
-    forward_logs: tuple[float, ...]
-    backward_logs: tuple[float, ...]
-
-    def verify(self, tol: float = REVERIFY_LOG_TOL) -> bool:
-        """The m = 1 case of MRShiftCertificate.verify."""
-        return MRShiftCertificate(
-            self.weights, self.n, 1, self.q, self.eps, self.forward_logs, self.backward_logs
-        ).verify(tol)
-
-    def to_config(self) -> dict:
-        return {
-            "type": "salas",
-            "weights": self.weights.to_config(),
-            "n": self.n,
-            "q": self.q,
-            "eps": self.eps,
-            "forward_logs": list(self.forward_logs),
-            "backward_logs": list(self.backward_logs),
-        }
 
 
 @dataclass(frozen=True)
@@ -127,17 +93,9 @@ class MRShiftCertificate:
 
 
 def salas_check(w: WeightSeq, eps: float, q: int, n_max: int) -> SearchOutcome:
-    """Smallest n in (2q, n_max] satisfying the hypercyclicity inequalities."""
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
-    if q < 0:
-        raise ValueError("q must be >= 0")
-    out = mr_shift_check(w, 1, q, eps, n_max)
-    if not out:
-        return out
-    c: MRShiftCertificate = out.certificate
-    cert = SalasCertificate(w, c.n, q, eps, c.forward_logs, c.backward_logs)
-    return SearchOutcome(cert, out.diagnostics)
+    """Smallest n in (2q, n_max] satisfying the hypercyclicity inequalities:
+    the order-1 product search."""
+    return mr_shift_check(w, 1, q, eps, n_max)
 
 
 def mr_shift_check(w: WeightSeq, m: int, q: int, eps: float, n_max: int) -> SearchOutcome:
@@ -366,23 +324,12 @@ def fhc_series_check(w: WeightSeq, n_max: int = 10**6, cap: float = 12.0) -> Ser
 
 def orbit_norm_logs(T: ShiftOp, x: CoefVec, n_arr: np.ndarray) -> np.ndarray:
     """log ||T^n x|| for each n (-inf once the support has died)."""
-    if x.nnz == 0:
-        return np.full(len(n_arr), -np.inf)
-    w = T.weights
     out = np.empty(len(n_arr), dtype=np.float64)
-    cum_x = w.cum(x.indices)
-    for t, n in enumerate(np.asarray(n_arr, dtype=np.int64)):
-        idx = x.indices
-        keep = (idx - n) >= 1 if T.side is Side.UNILATERAL else slice(None)
-        src = idx[keep]
-        if src.size == 0:
+    for t, n in enumerate(n_arr):
+        lm = T.power_apply(int(n), x).log_mags
+        if lm.size == 0:
             out[t] = -np.inf
             continue
-        lm = (
-            x.log_mags[keep]
-            + (cum_x[keep] - w.cum(src - n))
-            + float(n) * T.pm_log
-        )
         m = float(np.max(lm))
         out[t] = m + 0.5 * math.log(float(np.sum(np.exp(2.0 * (lm - m)))))
     return out

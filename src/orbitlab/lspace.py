@@ -66,7 +66,7 @@ class CoefVec:
         ph = np.asarray(self.phases, dtype=np.float64)
         if not (idx.shape == lm.shape == ph.shape):
             raise ValueError("index/magnitude/phase arrays must align")
-        if idx.size and np.any(np.diff(idx) <= 0):
+        if np.any(idx[1:] <= idx[:-1]):
             raise ValueError("indices must be strictly increasing")
         lo = self.side.min_index
         if lo is not None and idx.size and idx[0] < lo:

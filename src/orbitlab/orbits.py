@@ -2,11 +2,11 @@
 
 The scan engine computes dist(lam_n T^n x, y) for whole ranges of n at once:
 index-independent weights factor the coefficient magnitudes into a per-n
-scale plus per-entry logs, which turns the distance into a windowed sum plus
-log-sum-exp tails; general weights, and flat weights whose target window is
-wider than the scan, take a per-n kernel over the support. A log-domain
-pre-filter skips float materialization whenever a single coefficient
-already exceeds |y| + eps.
+scale plus per-entry logs, which turns the distance into the window kernel's
+sum over y's window plus exact log-sum-exp tails; general weights, and flat
+weights whose target window is wider than the scan, take a per-n kernel over
+the support. A log-domain pre-filter skips float materialization whenever a
+single coefficient already exceeds |y| + eps.
 
 Every ball question (hitting sets, the FU build's planned-time check,
 return times) is one pass streamed over the SCAN_CHUNK grid of n that holds
@@ -15,13 +15,14 @@ kernel's position table spans only the chunk's window of indices n + j.
 
 With general weights on a unilateral shift, a certified enclosure decides
 most times before the per-n kernel runs: y's window summed in full for the
-whole chunk, plus an upper bound on the non-negative tail beyond it from one
-suffix log-sum-exp per target. A decision is taken only outside the band
-eta(n) = ``_kernels.d2_error_bound`` around r^2, which bounds the rounding of
-the kernel and of the enclosure, so it equals the kernel's own float answer.
-The kernel runs on the undecided times and on the times whose distances are
-asked for. Return-time scans (y = x), bilateral shifts and windows wider
-than the scan take the kernel at every time.
+whole chunk by the same window kernel, plus an upper bound on the
+non-negative tail beyond it from one suffix log-sum-exp per target. A
+decision is taken only outside the band eta(n) = ``_kernels.d2_error_bound``
+around r^2, which bounds the rounding of the kernel and of the enclosure, so
+it equals the kernel's own float answer. The kernel runs on the undecided
+times and on the times whose distances are asked for. Return-time scans
+(y = x), bilateral shifts and windows wider than the scan take the kernel
+at every time.
 """
 
 from __future__ import annotations

@@ -283,6 +283,8 @@ class ShiftOp:
             raise SideMismatchError(f"{x.side.value} vector under {self.side.value} shift")
         if n == 0 or x.nnz == 0:
             return x
+        if int(x.indices[0]) - int(n) < -(2**63):
+            raise ValueError(f"index {int(x.indices[0])} - {n} leaves int64")
         new_idx = x.indices - n
         keep = slice(None)
         if self.side is Side.UNILATERAL:

@@ -215,3 +215,51 @@ def mr_invertible_check(w: WeightSeq, m: int, n_max: int, threshold: float) -> n
     for l in range(1, m + 1):
         ok &= (stored_cum(w, l * n_arr) > g) & (stored_cum(w, -l * n_arr - 1) > g)
     return n_arr[ok]
+
+
+def flat_orbit_dist2(n_arr, scale_lm, scale_ph, sup_idx, sup_lm, sup_ph, pos, pos_lo,
+                     prefix_lse, suffix_lse, w_lo, w_hi, y_re, y_im, log_cap, unilateral):
+    """``_kernels.flat_orbit_dist2`` as its own loop over y's window: each
+    entry past log_cap is masked to zero before ``exp`` and flags its row
+    +inf. The kernel, which sums the window in ``window_dist2``, must equal
+    it bit for bit."""
+    m = n_arr.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_hi = np.searchsorted(sup_idx, n_arr + w_hi, side="right")
+        acc = np.exp(2.0 * scale_lm + suffix_lse[t_hi])
+        if not unilateral:
+            t_lo = np.searchsorted(sup_idx, n_arr + w_lo, side="left")
+            acc = acc + np.exp(2.0 * scale_lm + prefix_lse[t_lo])
+        overflow = np.zeros(m, dtype=bool)
+        for j in range(w_lo, w_hi + 1):
+            p = pos[n_arr + j - pos_lo]
+            present = p >= 0
+            lm = np.where(present, scale_lm + sup_lm[np.maximum(p, 0)], -np.inf)
+            overflow |= lm > log_cap
+            mag = np.exp(np.where(lm > log_cap, -np.inf, lm))
+            ph = scale_ph + np.where(present, sup_ph[np.maximum(p, 0)], 0.0)
+            acc = acc + (mag * np.cos(ph) - y_re[j - w_lo]) ** 2
+            acc = acc + (mag * np.sin(ph) - y_im[j - w_lo]) ** 2
+    return np.where(overflow, np.inf, acc)
+
+
+def orbit_norm_logs(T: ShiftOp, x: CoefVec, n_arr: np.ndarray) -> np.ndarray:
+    """``criteria.orbit_norm_logs`` with the weight products of T^n x formed
+    here, from the kept indices i, C(i) - C(i - n) and n log|premult|, rather
+    than by ``power_apply``; the two must agree bit for bit."""
+    if x.nnz == 0:
+        return np.full(len(n_arr), -np.inf)
+    w = T.weights
+    out = np.empty(len(n_arr), dtype=np.float64)
+    cum_x = w.cum(x.indices)
+    for t, n in enumerate(np.asarray(n_arr, dtype=np.int64)):
+        idx = x.indices
+        keep = (idx - n) >= 1 if T.side is Side.UNILATERAL else slice(None)
+        src = idx[keep]
+        if src.size == 0:
+            out[t] = -np.inf
+            continue
+        lm = x.log_mags[keep] + (cum_x[keep] - w.cum(src - n)) + float(n) * T.pm_log
+        m = float(np.max(lm))
+        out[t] = m + 0.5 * math.log(float(np.sum(np.exp(2.0 * (lm - m)))))
+    return out

@@ -8,7 +8,6 @@ import oracles
 
 from orbitlab.criteria import (
     MRShiftCertificate,
-    SalasCertificate,
     fhc_series_check,
     mr_invertible_check,
     mr_shift_check,
@@ -47,8 +46,8 @@ class TestSalas:
     def test_certificate_tamper_detected(self):
         out = salas_check(INV_STEP, 0.5, 1, 100)
         c = out.certificate
-        bad = SalasCertificate(
-            c.weights, c.n, c.q, c.eps,
+        bad = MRShiftCertificate(
+            c.weights, c.n, 1, c.q, c.eps,
             tuple(v + 1.0 for v in c.forward_logs), c.backward_logs,
         )
         assert not bad.verify()
@@ -309,18 +308,29 @@ class TestSuperratioDecay:
 
 class TestOrbitNormLogs:
     def test_matches_direct_norms(self):
-        T = ShiftOp(Side.UNILATERAL, WeightSeq.sqrt_ratio(), 0.5)
+        # against the norms of power_apply, and bit for bit against weight
+        # products formed directly (oracles.orbit_norm_logs): every weight
+        # family, both sides where the weights allow, n = 0 included
         rng = np.random.default_rng(19)
-        x = CoefVec.from_pairs(
-            Side.UNILATERAL,
-            [(int(i), complex(rng.normal(), rng.normal()))
-             for i in np.unique(rng.integers(1, 60, size=25))],
-        )
-        ns = np.arange(1, 80, dtype=np.int64)
-        logs = orbit_norm_logs(T, x, ns)
-        for t, n in enumerate(ns):
-            want = norm(T.power_apply(int(n), x))
-            if want == 0.0:
-                assert logs[t] == -np.inf
-            else:
-                assert logs[t] == pytest.approx(math.log(want), abs=1e-9)
+        ns = np.arange(0, 200, dtype=np.int64)
+        for w in (WeightSeq.constant(0.7), WeightSeq.sqrt_ratio(),
+                  WeightSeq.step_bilateral(), WeightSeq.inverse_step_bilateral(),
+                  WeightSeq.table([0.5, 1.5, 2.0, 1.0, 0.25, 3.0] * 120, start=-300)):
+            for side in [Side.UNILATERAL] + ([Side.BILATERAL] if w.bilateral_ok else []):
+                lo = 1 if side is Side.UNILATERAL else -60
+                for pm in (0.5, 1.3 - 0.4j):
+                    T = ShiftOp(side, w, pm)
+                    x = CoefVec.from_pairs(
+                        side,
+                        [(int(i), complex(rng.normal(), rng.normal()))
+                         for i in np.unique(rng.integers(lo, 150, size=40))],
+                    )
+                    logs = orbit_norm_logs(T, x, ns)
+                    want = oracles.orbit_norm_logs(T, x, ns)
+                    assert np.array_equal(logs.view(np.int64), want.view(np.int64))
+                    for t, n in enumerate(ns):
+                        direct = norm(T.power_apply(int(n), x))
+                        if direct == 0.0:
+                            assert logs[t] == -np.inf
+                        else:
+                            assert logs[t] == pytest.approx(math.log(direct), abs=1e-9)

@@ -419,7 +419,9 @@ class TestMalformedCertificates:
 
 
 INVERSE_STEP = WeightSeq.inverse_step_bilateral()
-SALAS_CERT = salas_check(INVERSE_STEP, 0.5, 0, 200).certificate.to_config()
+# a salas certificate is the order-1 mr_shift one without its m
+SALAS_CERT = salas_check(INVERSE_STEP, 0.5, 0, 200).certificate.to_config() | {"type": "salas"}
+del SALAS_CERT["m"]
 MR_SHIFT_CERT = mr_shift_check(INVERSE_STEP, 2, 0, 0.5, 100).certificate.to_config()
 _PHI = PolySymbol((0.8, 1))
 RANGE_CERT = {"type": "range", "symbol": "z+0.8", "phi": _PHI.to_config(),

@@ -7,11 +7,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from orbitlab import _kernels
 from orbitlab.lspace import Ball, CoefVec, Side
 from orbitlab.orbits import (
     HittingSet,
     _ball_scan,
+    _prefix_lse,
+    _suffix_lse,
+    _window_positions,
     ap_k_members,
     find_ap,
     hitting_set,
@@ -174,6 +178,40 @@ def test_orbit_distance_matches_direct(flat):
             assert d2[t] == pytest.approx(want, rel=1e-9, abs=1e-250)
         else:
             assert want > 0.25  # pre-filtered rows are certain misses
+
+
+@pytest.mark.parametrize("side", [Side.UNILATERAL, Side.BILATERAL], ids=lambda s: s.value)
+def test_flat_kernel_matches_window_loop_oracle(side):
+    # the flat kernel sums y's window in window_dist2; bit for bit a loop of
+    # its own over the window (oracles.flat_orbit_dist2), on windows of
+    # width 1-6, vanished scalings (-inf) and rows whose entries pass
+    # log_cap, some beyond exp's range, which the pre-filter reports as +inf
+    unilateral = side is Side.UNILATERAL
+    rng = np.random.default_rng(31 if unilateral else 32)
+    fired = vanished = 0
+    for _ in range(300):
+        lo = 1 if unilateral else -60
+        idx = np.unique(rng.integers(lo, 200, size=int(rng.integers(1, 80))))
+        x = CoefVec.from_log_entries(side, idx, rng.normal(-1.0, 2.0, idx.size),
+                                     rng.uniform(-4.0, 4.0, idx.size))
+        w_lo = 1 if unilateral else int(rng.integers(-5, 3))
+        w_hi = w_lo + int(rng.integers(0, 6))
+        n_arr = np.unique(rng.integers(1, 250, size=int(rng.integers(1, 120))))
+        scale_lm = rng.normal(0.0, 2.0, n_arr.size)
+        scale_lm[rng.random(n_arr.size) < 0.1] = -np.inf
+        scale_lm[rng.random(n_arr.size) < 0.05] = 800.0
+        scale_ph = rng.uniform(-30.0, 30.0, n_arr.size)
+        y_re, y_im = rng.normal(size=(2, w_hi - w_lo + 1))
+        pos, pos_lo = _window_positions(x, n_arr, w_lo, w_hi)
+        args = (n_arr, scale_lm, scale_ph, x.indices, x.log_mags, x.phases, pos, pos_lo,
+                _prefix_lse(2.0 * x.log_mags), _suffix_lse(2.0 * x.log_mags), w_lo, w_hi,
+                y_re, y_im, float(rng.uniform(0.0, 4.0)), unilateral)
+        got = _kernels.flat_orbit_dist2(*args)
+        want = oracles.flat_orbit_dist2(*args)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        fired += int(np.isposinf(want).sum())
+        vanished += int(np.isneginf(scale_lm).sum())
+    assert fired > 100 and vanished > 100
 
 
 def test_bilateral_negative_support_matches_direct():

@@ -152,6 +152,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CoefVec(Side.UNILATERAL, np.array([2, 2]), np.zeros(2), np.zeros(2))
 
+    def test_order_across_int64_range(self):
+        # index gaps beyond int64 (here 2^63 + 1) are ordered, not wrapped
+        x = CoefVec.from_pairs(Side.BILATERAL, [(-5, 1.0), (2**63 - 4, 1.0)])
+        assert x.indices.tolist() == [-5, 2**63 - 4]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            CoefVec(Side.BILATERAL, np.array([2**63 - 4, -5]), np.zeros(2), np.zeros(2))
+
     def test_side_minimum(self):
         with pytest.raises(ValueError):
             CoefVec.basis(Side.UNILATERAL, 0)

@@ -117,6 +117,16 @@ class TestPowerApply:
                     1.0, float(np.max(np.abs(one.log_mags)))
                 )
 
+    def test_index_below_int64_refused(self):
+        # e(-5) would land on -2^63 - 4, which wraps to 2^63 - 4 in int64
+        T = ShiftOp(Side.BILATERAL, WeightSeq.constant(1.0))
+        x = CoefVec.from_pairs(Side.BILATERAL, [(-5, 1.0), (3, 1.0)])
+        with pytest.raises(ValueError, match="int64"):
+            T.power_apply(2**63 - 1, x)
+        with pytest.raises(ValueError, match="int64"):
+            T.power_apply(np.int64(2**63 - 1), x)
+        assert T.power_apply(2**63 - 6, x).indices.tolist() == [-(2**63) + 1, -(2**63) + 9]
+
     def test_contraction_norm_bound(self):
         T = ShiftOp(Side.BILATERAL, WeightSeq.constant(1.0), 0.8)
         x = rand_vec(np.random.default_rng(5), Side.BILATERAL, max_support=20)
