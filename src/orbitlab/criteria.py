@@ -62,7 +62,7 @@ class MRShiftCertificate:
     forward_logs: tuple[float, ...]
     backward_logs: tuple[float, ...]
 
-    def verify(self, tol: float = REVERIFY_LOG_TOL) -> bool:
+    def verify(self) -> bool:
         w = self.weights
         thresh = math.log(1.0 / self.eps)
         pos = 0
@@ -70,9 +70,9 @@ class MRShiftCertificate:
             for j in range(-self.q, self.q + 1):
                 f = w.forward_log(j, l * self.n)
                 b = w.backward_log(j, l * self.n)
-                if abs(f - self.forward_logs[pos]) > tol:
+                if abs(f - self.forward_logs[pos]) > REVERIFY_LOG_TOL:
                     return False
-                if abs(b - self.backward_logs[pos]) > tol:
+                if abs(b - self.backward_logs[pos]) > REVERIFY_LOG_TOL:
                     return False
                 if not (f > thresh and b < -thresh):
                     return False

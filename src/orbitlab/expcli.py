@@ -513,9 +513,12 @@ def parse_vector(spec: str, side: Side = Side.UNILATERAL) -> CoefVec:
             raise ConfigError(f"bad coefficient in {term!r}: {e}") from e
         pairs.append((int(m.group("k")), coef))
     try:
-        return CoefVec.from_pairs(side, pairs)
+        x = CoefVec.from_pairs(side, pairs)
     except (ValueError, OverflowError) as e:
         raise ConfigError(f"bad vector {spec!r}: {e}") from e
+    if not np.isfinite(x.log_mags).all():  # inf, nan or 1e400 coefficients
+        raise ConfigError(f"bad vector {spec!r}: coefficients must be finite numbers")
+    return x
 
 
 def operator_from_config(cfg: dict) -> ShiftOp:
@@ -597,7 +600,7 @@ def _read_csv_columns(path: Path, wanted: dict[str, type]) -> list[np.ndarray]:
     Rows may end in LF or CRLF; blank lines are skipped. Each wanted column
     is converted with its type (``int`` or ``float``), one batch of rows at
     a time. A missing file or column, a row with the wrong number of cells
-    or a non-numeric cell raises ConfigError.
+    or a non-numeric or non-finite cell raises ConfigError.
     """
     try:
         lines = path.read_text().splitlines()
@@ -622,6 +625,8 @@ def _read_csv_columns(path: Path, wanted: dict[str, type]) -> list[np.ndarray]:
                 arr[lo:lo + CSV_BATCH_ROWS] = list(map(kind, cells[header.index(col)::ncols]))
             except (ValueError, OverflowError) as e:
                 raise ConfigError(f"artifact {path}, column {col!r}: {e}") from e
+            if not np.isfinite(arr[lo:lo + CSV_BATCH_ROWS]).all():
+                raise ConfigError(f"artifact {path}, column {col!r}: a cell is not a finite number")
     return out
 
 
@@ -1365,8 +1370,7 @@ def _dispatch(ns) -> int:
         ball = Ball(parse_vector(p.center, T.side), p.eps)
         out = _checked(mr_witness_search, x, p.scaling, T, ball, p.m, p.tau, p.N, K=p.K)
         if not out:
-            print(f"none: {out.diagnostics}")
-            return EXIT_ASSERTION
+            raise ScenarioError(f"witness search failed: {out.diagnostics}")
         w = out.witness
         outdir = Path(ns.out)
         art = vector_csv(outdir, "witness_u.csv", w.u)

@@ -105,7 +105,8 @@ class DensityStats:
     label: str = "windowed estimate"
 
 
-def density_stats(h: HittingSet, n0: int | None = None, grid_ratio: float = 2.0) -> DensityStats:
+def density_stats(h: HittingSet, n0: int | None = None) -> DensityStats:
+    """Densities on the doubling grid n0, 2 n0, 4 n0, ..., n_max."""
     if n0 is None:
         n0 = math.isqrt(h.n_max - 1) + 1
     if n0 < 10:
@@ -114,7 +115,7 @@ def density_stats(h: HittingSet, n0: int | None = None, grid_ratio: float = 2.0)
         raise ValueError("density window too short: need n0 <= n_max/10")
     pts = [n0]
     while pts[-1] < h.n_max:
-        pts.append(min(max(int(pts[-1] * grid_ratio), pts[-1] + 1), h.n_max))
+        pts.append(min(2 * pts[-1], h.n_max))
     grid = np.array(pts, dtype=np.int64)
     counts = h.counts_upto(grid)
     dens = counts / grid
@@ -131,20 +132,17 @@ def density_stats(h: HittingSet, n0: int | None = None, grid_ratio: float = 2.0)
 # orbit scan engine
 # ---------------------------------------------------------------------------
 
-def _suffix_lse(vals: np.ndarray) -> np.ndarray:
-    """suffix[t] = log sum_{u >= t} exp(vals[u]), with suffix[len] = -inf."""
-    out = np.full(vals.size + 1, -np.inf)
-    if vals.size:
-        out[:-1] = np.logaddexp.accumulate(vals[::-1])[::-1]
-    return out
-
-
 def _prefix_lse(vals: np.ndarray) -> np.ndarray:
     """prefix[t] = log sum_{u < t} exp(vals[u]), with prefix[0] = -inf."""
     out = np.full(vals.size + 1, -np.inf)
     if vals.size:
         out[1:] = np.logaddexp.accumulate(vals)
     return out
+
+
+def _suffix_lse(vals: np.ndarray) -> np.ndarray:
+    """suffix[t] = log sum_{u >= t} exp(vals[u]), with suffix[len] = -inf."""
+    return _prefix_lse(vals[::-1])[::-1]
 
 
 def _orbit_scan(
@@ -181,8 +179,7 @@ def _orbit_scan(
     y_re = np.zeros(width)
     y_im = np.zeros(width)
     if y.nnz:
-        y._require_float_range()
-        vals = np.exp(y.log_mags) * np.exp(1j * y.phases)
+        vals = y.to_complex_array()
         y_re[y.indices - w_lo] = vals.real
         y_im[y.indices - w_lo] = vals.imag
 
@@ -485,9 +482,9 @@ class MRWitness:
     k: int
     tau: int
 
-    def verify(self, T: ShiftOp, tol: float = 0.0) -> bool:
+    def verify(self, T: ShiftOp) -> bool:
         dists = witness_distances(T, self.u, self.center, self.ell, self.m)
-        return all(d < self.radius + tol for d in dists)
+        return all(d < self.radius for d in dists)
 
 
 def witness_distances(T: ShiftOp, u: CoefVec, y: CoefVec, ell: int, m: int):

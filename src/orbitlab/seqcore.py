@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -312,8 +312,6 @@ class ScalingSeq:
             return {"family": f, "base": self.params[0].to_config()}
         if f == "rotated":
             base, theta = self.params
-            if not isinstance(theta, AngleSpec):
-                raise ValueError("callable rotations are not serializable")
             return {"family": f, "base": base.to_config(), "theta": theta.to_config()}
         return {"family": f}
 
@@ -403,10 +401,7 @@ def eval_at(seq: ScalingSeq, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     elif f == "rotated":
         base, theta = seq.params
         blm, bph, bzero = eval_at(base, n)
-        ang = theta.angles(n) if isinstance(theta, AngleSpec) else np.array(
-            [theta(int(v)) for v in n], dtype=np.float64
-        )
-        ph = wrap_phase(bph + ang)
+        ph = wrap_phase(bph + theta.angles(n))
         ph[bzero] = 0.0
         return blm, ph, bzero
     else:
@@ -431,10 +426,12 @@ def eval_log(seq: ScalingSeq, n: int) -> LogScalar:
     return LogScalar(float(lm[0]), float(ph[0]))
 
 
-def rotate_seq(seq: ScalingSeq, theta: AngleSpec | float | Callable[[int], float]) -> ScalingSeq:
+def rotate_seq(seq: ScalingSeq, theta: AngleSpec | float) -> ScalingSeq:
     """The sequence n -> exp(i*theta_n) * lam_n; magnitudes unchanged."""
     if isinstance(theta, (int, float)):
         theta = AngleSpec("constant", float(theta))
+    if not isinstance(theta, AngleSpec):
+        raise TypeError("theta must be an AngleSpec or a number")
     return ScalingSeq("rotated", (seq, theta))
 
 

@@ -2,7 +2,8 @@
 
 Convention fixed once: ``(T x)_j = premult * w_{j+1} * x_{j+1}``; a unilateral
 shift drops anything landing below index 1 (so ``T e_1 = 0``). Powers are
-computed exactly through prefix sums of ``log w`` rather than by iteration.
+computed from the log weight products C(i), one closed form on all of Z per
+shape of weights, rather than by iteration.
 """
 
 from __future__ import annotations
@@ -60,32 +61,29 @@ class WeightSeq:
 
     # -- structure -----------------------------------------------------------
     @property
-    def sup_weight(self) -> float:
+    def _pair(self) -> tuple[float, float]:
+        """(w_n for n <= 0, w_n for n >= 1) of a family with one weight on
+        each side of 0."""
         f = self.family
         if f == "constant_w":
-            return self.params[0]
-        if f == "sqrt_ratio":
-            return math.sqrt(2.0)  # w_1, weights decrease toward 1
-        if f in ("step_bilateral", "inverse_step_bilateral"):
-            return 2.0
-        if f == "table_w":
-            return max(self.params[0])
+            return self.params[0], self.params[0]
+        if f == "step_bilateral":
+            return 1.0, 2.0
+        if f == "inverse_step_bilateral":
+            return 0.5, 2.0
         raise ValueError(f"unknown weight family {f!r}")
 
     @property
+    def sup_weight(self) -> float:
+        if self.family == "sqrt_ratio":
+            return math.sqrt(2.0)  # w_1, weights decrease toward 1
+        return max(self.params[0] if self.family == "table_w" else self._pair)
+
+    @property
     def inf_weight(self) -> float:
-        f = self.family
-        if f == "constant_w":
-            return self.params[0]
-        if f == "sqrt_ratio":
+        if self.family == "sqrt_ratio":
             return 1.0
-        if f == "step_bilateral":
-            return 1.0
-        if f == "inverse_step_bilateral":
-            return 0.5
-        if f == "table_w":
-            return min(self.params[0])
-        raise ValueError(f"unknown weight family {f!r}")
+        return min(self.params[0] if self.family == "table_w" else self._pair)
 
     @property
     def bilateral_ok(self) -> bool:
@@ -103,60 +101,29 @@ class WeightSeq:
     def log_w(self, idx: np.ndarray) -> np.ndarray:
         """log w at the given integer indices (vectorized)."""
         idx = np.asarray(idx, dtype=np.int64)
-        f = self.family
-        if f == "constant_w":
-            return np.full(idx.shape, math.log(self.params[0]))
-        if f == "sqrt_ratio":
+        if self.family == "sqrt_ratio":
             if idx.size and idx.min() < 1:
                 raise ValueError("sqrt_ratio weights defined for n >= 1 only")
             nf = idx.astype(np.float64)
             return 0.5 * (np.log(nf + 1.0) - np.log(nf))
-        if f == "step_bilateral":
-            return np.where(idx >= 1, math.log(2.0), 0.0)
-        if f == "inverse_step_bilateral":
-            return np.where(idx >= 1, math.log(2.0), -math.log(2.0))
-        if f == "table_w":
+        if self.family == "table_w":
             vals, start = self.params
             off = idx - start
             if idx.size and (off.min() < 0 or off.max() >= len(vals)):
                 raise ValueError("index outside table_w range")
             return np.log(np.array(vals))[off]
-        raise ValueError(f"unknown weight family {f!r}")
-
-    def log_prefix_pos(self, n: np.ndarray) -> np.ndarray | None:
-        """Closed-form prefix sum over s = 1..n of log w, when available.
-
-        Exactness here matters: cumsum over 1e6 terms loses ~1e-9 which the
-        product contracts cannot afford.
-        """
-        n = np.asarray(n, dtype=np.float64)
-        f = self.family
-        if f == "constant_w":
-            return n * math.log(self.params[0])
-        if f == "sqrt_ratio":
-            return 0.5 * np.log(n + 1.0)
-        if f in ("step_bilateral", "inverse_step_bilateral"):
-            return n * math.log(2.0)
-        return None
-
-    def log_prefix_neg(self, k: np.ndarray) -> np.ndarray | None:
-        """Closed-form sum over s = -(k-1)..0 of log w (k terms), when available."""
-        k = np.asarray(k, dtype=np.float64)
-        f = self.family
-        if f == "constant_w":
-            return k * math.log(self.params[0])
-        if f == "step_bilateral":
-            return np.zeros(k.shape)
-        if f == "inverse_step_bilateral":
-            return -k * math.log(2.0)
-        return None
+        w_neg, w_pos = self._pair
+        return np.where(idx >= 1, math.log(w_pos), math.log(w_neg))
 
     # -- products ------------------------------------------------------------
-    # C(i) = sum_{s=1..i} log w_s for i >= 0 and C(i) = -T(-i) for i < 0, with
-    # T(k) = sum_{s=-(k-1)..0} log w_s, so that log prod_{s=a..b} w_s is
-    # C(b) - C(a-1) on all of Z. Closed-form families evaluate C at the
-    # queried indices; table_w weights look it up in prefix sums over their
-    # table, built on first use and freed with the instance.
+    # C(i) = sum_{s=1..i} log w_s for i >= 0 and C(i) = -sum_{s=i+1..0} log w_s
+    # for i < 0, so that log prod_{s=a..b} w_s is C(b) - C(a-1) on all of Z.
+    # Each closed-form shape evaluates C on all of Z at the queried indices:
+    # 0.5 log(i+1) for sqrt_ratio; i log w_+ for i >= 1 and i log w_- for
+    # i <= -1 for the families with one weight on each side of 0. Exactness
+    # here matters: a cumsum over 1e6 terms loses ~1e-9, which the product
+    # contracts cannot afford. table_w weights look C up in one array over
+    # their table, built on first use and freed with the instance.
 
     def check_range(self, lo: int, hi: int) -> None:
         """Check that C(i) is defined for every i in [lo, hi]."""
@@ -172,26 +139,15 @@ class WeightSeq:
                 raise ValueError(f"index {lo} exits the table's range (min {start})")
 
     @cached_property
-    def _table_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """table_w only: C(0..max) and T(0..1-start) from one log_w pass."""
+    def _table_cum(self) -> np.ndarray:
+        """table_w only: C(0..max) then C(start-1..-1), from one log_w pass
+        with each side summed outward from 0; numpy's negative indexing
+        then reads C(i) at [i] for every i in range."""
         vals, start = self.params
         lo = min(start, 1)
         log_w = self.log_w(np.arange(lo, start + len(vals)))
-        return _prefix(log_w[1 - lo:]), _prefix(log_w[: 1 - lo][::-1])
-
-    def _pos_cum(self, i: np.ndarray) -> np.ndarray:
-        """C(i) for indices i >= 0."""
-        if self.family == "table_w":
-            return self._table_sums[0][i]
-        out = self.log_prefix_pos(i)
-        out[i == 0] = 0.0  # the empty sum; 0 * log c is -0.0 for c < 1
-        return out
-
-    def _neg_cum(self, k: np.ndarray) -> np.ndarray:
-        """T(k) for k >= 1."""
-        if self.family == "table_w":
-            return self._table_sums[1][k]
-        return self.log_prefix_neg(k)
+        neg = np.cumsum(log_w[: 1 - lo][::-1])  # -C(-1), -C(-2), ...
+        return np.concatenate(([0.0], np.cumsum(log_w[1 - lo:]), -neg[::-1]))
 
     def cum(self, idx: np.ndarray) -> np.ndarray:
         """The signed cumulative C(i) at any integer indices (vectorized)."""
@@ -200,12 +156,17 @@ class WeightSeq:
             return np.zeros(0)
         lo, hi = int(idx.min()), int(idx.max())
         self.check_range(lo, hi)
-        if lo >= 0:
-            return self._pos_cum(idx)
-        out = np.empty(idx.shape, dtype=np.float64)
-        pos = idx >= 0
-        out[pos] = self._pos_cum(idx[pos])
-        out[~pos] = -self._neg_cum(-idx[~pos])
+        if self.family == "table_w":
+            return self._table_cum[idx]
+        i = idx.astype(np.float64)
+        if self.family == "sqrt_ratio":
+            return 0.5 * np.log(i + 1.0)
+        log_neg, log_pos = map(math.log, self._pair)
+        # a chunk on one side of 0 needs one slope, not a per-index choice
+        out = i * (log_pos if lo >= 0 else log_neg if hi <= 0
+                   else np.where(idx > 0, log_pos, log_neg))
+        if lo <= 0 <= hi:
+            out[idx == 0] = 0.0  # the empty sum; 0 * log c is -0.0 for c < 1
         return out
 
     def log_range(self, a: int, b: int) -> float:
@@ -230,13 +191,6 @@ class WeightSeq:
         if f == "table_w":
             return {"family": f, "values": list(self.params[0]), "start": self.params[1]}
         return {"family": f}
-
-
-def _prefix(log_w: np.ndarray) -> np.ndarray:
-    """0 followed by the running sums of log_w."""
-    out = np.zeros(log_w.size + 1)
-    out[1:] = np.cumsum(log_w)
-    return out
 
 
 @dataclass(frozen=True)

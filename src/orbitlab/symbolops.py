@@ -86,8 +86,7 @@ def apply_adjoint(phi: PolySymbol, x: CoefVec, trunc: int) -> CoefVec:
         return x
     if int(x.indices.max()) > trunc:
         raise ValueError(f"support exceeds truncation {trunc}")
-    x._require_float_range()
-    vals = np.exp(x.log_mags) * np.exp(1j * x.phases)
+    vals = x.to_complex_array()
     top = int(x.indices.max())
     out = np.zeros(top + 1, dtype=complex)
     for j, c in enumerate(phi.coeffs):
@@ -360,9 +359,11 @@ def _find_high_point(phi: PolySymbol, theta: np.ndarray, mods: np.ndarray) -> co
     return None
 
 
-def range_circle_test(
-    phi: PolySymbol, grid: int = 4096, tol: float = 1e-9, refinements: int = 1
-) -> RangeCertificate:
+# an intersection witness w must have ||phi(w)| - 1| <= RANGE_TOL
+RANGE_TOL = 1e-9
+
+
+def range_circle_test(phi: PolySymbol, grid: int = 4096) -> RangeCertificate:
     """Classify the range of phi over the open unit disk against the circle.
 
     Decision ladder (phi non-constant):
@@ -373,26 +374,28 @@ def range_circle_test(
       * an interior point below 1 and one above 1  =>  intersects, with a
         bisected witness on the segment between them;
       * otherwise uncertain, with the achieved margins recorded.
+
+    An undecided grid is refined once, to twice its samples.
     """
     if grid < 256:
         raise ValueError("need at least 256 boundary samples")
     if phi.is_constant:
         a = abs(phi.coeffs[0])
-        if abs(a - 1.0) <= tol:
+        if abs(a - 1.0) <= RANGE_TOL:
             kind, witness = RangeKind.INTERSECTS, 0j
         elif a < 1.0:
             kind, witness = RangeKind.DISJOINT_INSIDE, None
         else:
             kind, witness = RangeKind.DISJOINT_OUTSIDE, None
         return RangeCertificate(
-            kind, tol, 1, a, a, 0.0, a, a, winding=0, witness=witness,
+            kind, RANGE_TOL, 1, a, a, 0.0, a, a, winding=0, witness=witness,
             margin=abs(a - 1.0),
         )
 
     lip = phi.derivative_sup()
     m_star, M_star = boundary_extrema(phi, grid)
     cert = None
-    for round_idx in range(refinements + 1):
+    for round_idx in range(2):
         g = grid << round_idx
         theta = np.linspace(0.0, 2.0 * math.pi, g, endpoint=False)
         mods = np.abs(phi(np.exp(1j * theta)))
@@ -402,12 +405,12 @@ def range_circle_test(
 
         if m_hi + slack < 1.0 or M_star <= 1.0 + BOUNDARY_EQ_TOL:
             return RangeCertificate(
-                RangeKind.DISJOINT_INSIDE, tol, g, m_lo, m_hi, slack,
+                RangeKind.DISJOINT_INSIDE, RANGE_TOL, g, m_lo, m_hi, slack,
                 m_star, M_star, winding=winding, margin=1.0 - m_hi,
             )
         if winding == 0 and (m_lo - slack > 1.0 or m_star >= 1.0 - BOUNDARY_EQ_TOL):
             return RangeCertificate(
-                RangeKind.DISJOINT_OUTSIDE, tol, g, m_lo, m_hi, slack,
+                RangeKind.DISJOINT_OUTSIDE, RANGE_TOL, g, m_lo, m_hi, slack,
                 m_star, M_star, winding=winding, margin=m_lo - 1.0,
             )
 
@@ -416,15 +419,15 @@ def range_circle_test(
             p_lo = _find_low_point(phi, theta, mods, lip)
             p_hi = _find_high_point(phi, theta, mods)
             if p_lo is not None and p_hi is not None:
-                witness = _interior_crossing(phi, p_lo, p_hi, tol)
+                witness = _interior_crossing(phi, p_lo, p_hi, RANGE_TOL)
         if witness is not None and abs(witness) < 1.0:
             return RangeCertificate(
-                RangeKind.INTERSECTS, tol, g, m_lo, m_hi, slack,
+                RangeKind.INTERSECTS, RANGE_TOL, g, m_lo, m_hi, slack,
                 m_star, M_star, winding=winding, witness=witness,
                 margin=abs(abs(complex(phi(witness))) - 1.0),
             )
         cert = RangeCertificate(
-            RangeKind.UNCERTAIN, tol, g, m_lo, m_hi, slack,
+            RangeKind.UNCERTAIN, RANGE_TOL, g, m_lo, m_hi, slack,
             m_star, M_star, winding=winding,
             margin=min(abs(m_hi - 1.0), abs(m_lo - 1.0)),
         )
@@ -448,7 +451,7 @@ class SymbolVerdict:
 CONSTANT_UNIMODULAR_TOL = 1e-12
 
 
-def classify_adjoint(phi: PolySymbol, grid: int = 4096, tol: float = 1e-9) -> SymbolVerdict:
+def classify_adjoint(phi: PolySymbol) -> SymbolVerdict:
     """Dynamics of the adjoint multiplier from the range of its symbol.
 
     Non-constant symbols: range meets the circle iff the adjoint is
@@ -461,7 +464,7 @@ def classify_adjoint(phi: PolySymbol, grid: int = 4096, tol: float = 1e-9) -> Sy
         if abs(a - 1.0) <= CONSTANT_UNIMODULAR_TOL:
             return SymbolVerdict(AdjointClass.CONSTANT_RECURRENT, None)
         return SymbolVerdict(AdjointClass.CONSTANT_NOT_RECURRENT, None)
-    cert = range_circle_test(phi, grid=grid, tol=tol)
+    cert = range_circle_test(phi)
     if cert.kind is RangeKind.INTERSECTS:
         return SymbolVerdict(AdjointClass.FH_AND_TMR, cert)
     if cert.kind in (RangeKind.DISJOINT_INSIDE, RangeKind.DISJOINT_OUTSIDE):

@@ -99,6 +99,54 @@ def return_distances(T: ShiftOp, x: CoefVec, N: int) -> np.ndarray:
     return np.array([lspace.dist(T.power_apply(n, x), x) for n in range(1, N + 1)])
 
 
+def log_prefix_pos(w: WeightSeq, n) -> np.ndarray | None:
+    """The half-line closed form of sum_{s=1..n} log w_s, as float64 n times
+    one slope (or 0.5 log(n+1)), or None for ``table_w``."""
+    n = np.asarray(n, dtype=np.float64)
+    if w.family == "constant_w":
+        return n * math.log(w.params[0])
+    if w.family == "sqrt_ratio":
+        return 0.5 * np.log(n + 1.0)
+    if w.family in ("step_bilateral", "inverse_step_bilateral"):
+        return n * math.log(2.0)
+    return None
+
+
+def log_prefix_neg(w: WeightSeq, k) -> np.ndarray | None:
+    """The half-line closed form of sum_{s=-(k-1)..0} log w_s (k terms), or
+    None for ``table_w``."""
+    k = np.asarray(k, dtype=np.float64)
+    if w.family == "constant_w":
+        return k * math.log(w.params[0])
+    if w.family == "step_bilateral":
+        return np.zeros(k.shape)
+    if w.family == "inverse_step_bilateral":
+        return -k * math.log(2.0)
+    return None
+
+
+def half_line_cum(w: WeightSeq, idx) -> np.ndarray:
+    """C(i) from the two half-line closed forms, one index at a time:
+    ``log_prefix_pos`` at i > 0, -``log_prefix_neg``(-i) at i < 0 and +0.0
+    at 0 (closed forms only)."""
+    return np.array([0.0 if i == 0 else float(log_prefix_pos(w, i)) if i > 0
+                     else -float(log_prefix_neg(w, -i)) for i in idx])
+
+
+def weight_at(w: WeightSeq, n: int) -> float:
+    """w_n straight from its family's definition."""
+    if w.family == "constant_w":
+        return w.params[0]
+    if w.family == "sqrt_ratio":
+        return math.sqrt((n + 1) / n)
+    if w.family == "step_bilateral":
+        return 1.0 if n <= 0 else 2.0
+    if w.family == "inverse_step_bilateral":
+        return 0.5 if n <= 0 else 2.0
+    vals, start = w.params
+    return vals[n - start]
+
+
 def stored_prefix_pos(w: WeightSeq, n: int, lo: int = 0) -> np.ndarray:
     """Rows lo..n of the table C(i) = sum_{s=1..i} log w_s, built whole: the
     closed form ``log_prefix_pos`` over one contiguous arange with C(0) set
@@ -106,7 +154,7 @@ def stored_prefix_pos(w: WeightSeq, n: int, lo: int = 0) -> np.ndarray:
     equal it bit for bit. A window lo > 0 (closed forms only) evaluates the
     same closed form over the contiguous arange lo..n, which keeps a check
     near the 2e7 cap small."""
-    closed = w.log_prefix_pos(np.arange(lo, n + 1, dtype=np.int64))
+    closed = log_prefix_pos(w, np.arange(lo, n + 1, dtype=np.int64))
     if closed is not None:
         if lo == 0:
             closed[0] = 0.0
@@ -120,7 +168,7 @@ def stored_prefix_pos(w: WeightSeq, n: int, lo: int = 0) -> np.ndarray:
 def stored_prefix_neg(w: WeightSeq, n: int) -> np.ndarray:
     """The table T(k) = sum_{s=-(k-1)..0} log w_s for k = 0..n, built whole
     like ``stored_prefix_pos``; C(i) = -T(-i) for i < 0."""
-    closed = w.log_prefix_neg(np.arange(0, n + 1, dtype=np.int64))
+    closed = log_prefix_neg(w, np.arange(0, n + 1, dtype=np.int64))
     if closed is not None:
         closed[0] = 0.0
         return closed

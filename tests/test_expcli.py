@@ -64,6 +64,11 @@ EDGE = CoefVec(
 # of this length without allocating it
 BEYOND_INT64 = 2**70
 
+# vector literals whose coefficients complex() reads but which are no finite
+# numbers (the last one's terms are, their sum is not)
+NON_FINITE_LITERALS = ["inf*e(1)", "nan*e(1)", "1e400*e(1)", "(1+infj)*e(2)",
+                       "1e308*e(1)+1e308*e(1)"]
+
 
 class TestVectorLiterals:
     def test_basis(self):
@@ -95,6 +100,11 @@ class TestVectorLiterals:
     def test_index_beyond_int64(self):
         with pytest.raises(ConfigError, match="bad vector"):
             parse_vector(f"e({BEYOND_INT64})")
+
+    @pytest.mark.parametrize("spec", NON_FINITE_LITERALS)
+    def test_rejects_non_finite_coefficients(self, spec):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_vector(spec)
 
 
 class TestVectorCSV:
@@ -238,6 +248,14 @@ BAD_VECTOR = {
     "unsorted": "index,log_mag,phase\n1,0.0,0.0\n3,0.0,0.0\n2,0.0,0.0\n",
     "duplicate": "index,log_mag,phase\n1,0.0,0.0\n2,0.0,0.0\n2,0.0,0.0\n",
 }
+# vector files whose cells float() reads but which are no finite numbers
+NON_FINITE_VECTOR = {
+    "log_mag_inf": "index,log_mag,phase\n1,inf,0.0\n",
+    "log_mag_minus_inf": "index,log_mag,phase\n1,-inf,0.0\n",
+    "log_mag_1e400": "index,log_mag,phase\n1,1e400,0.0\n",
+    "phase_nan": "index,log_mag,phase\n1,0.0,nan\n",
+}
+BAD_VECTOR.update(NON_FINITE_VECTOR)
 BAD_CASES = ["missing", *BAD_HITS]
 
 
@@ -262,7 +280,7 @@ class TestMalformedArtifacts:
         code = main(["ap-find", "--hits", str(path), "--nmax", "100", "--m", "3"])
         _assert_schema_error(code, capsys)
 
-    @pytest.mark.parametrize("case", BAD_CASES)
+    @pytest.mark.parametrize("case", ["missing", *BAD_VECTOR])
     def test_mr_witness_vector(self, tmp_path, capsys, case):
         path = _bad_artifact(tmp_path, case, BAD_VECTOR)
         cfg = tmp_path / "mw.json"
@@ -284,6 +302,14 @@ class TestMalformedArtifacts:
         (tmp_path / "report.json").write_text(json.dumps({"certificates": [cert]}))
         code = main(["verify", "--report", str(tmp_path / "report.json")])
         _assert_schema_error(code, capsys)
+
+    @pytest.mark.parametrize("case", NON_FINITE_VECTOR)
+    def test_verify_u_artifact(self, tmp_path, capsys, case):
+        argv = TestScenarios._bilateral_mr_report(
+            tmp_path, 1.5, [repr(0.1), repr(math.sqrt(2.01))]
+        )
+        (tmp_path / "witness_u.csv").write_text(NON_FINITE_VECTOR[case])
+        _assert_schema_error(main(argv), capsys)
 
     def test_verify_missing_report(self, tmp_path, capsys):
         code = main(["verify", "--report", str(tmp_path / "report.json")])
@@ -361,8 +387,9 @@ class TestMalformedCertificates:
     @pytest.mark.parametrize("fields", [
         {"m": "x"}, {"ell": None}, {"ell": 1.0}, {"m": False}, {"radius": "1.5"},
         {"center": None}, {"u_artifact": None}, {"operator": "bilateral"},
+        {"center": "inf*e(-2)"},
     ], ids=["m_string", "no_ell", "ell_float", "m_bool", "radius_string",
-            "no_center", "no_u_artifact", "operator_string"])
+            "no_center", "no_u_artifact", "operator_string", "center_inf"])
     def test_mr_witness_bad_field(self, tmp_path, capsys, fields):
         _assert_schema_error(main(self._mr_report(tmp_path, **fields)), capsys)
 
@@ -589,6 +616,8 @@ BAD_RUN_CONFIGS = {
     "E6_target_beyond_int64": {"scenario": "E6", "targets": [f"e({BEYOND_INT64})"]},
     "E6_witness_center_beyond_int64": {"scenario": "E6", "N": 20000,
                                        "witness_center": f"e({BEYOND_INT64})"},
+    "E6_target_1e400": {"scenario": "E6", "targets": ["1e400*e(2)"]},
+    "E6_witness_center_nan": {"scenario": "E6", "N": 20000, "witness_center": "nan*e(1)"},
     "E7_unknown_key": {"scenario": "E7", "N": 10},
 }
 
@@ -609,6 +638,8 @@ BAD_FU_CONFIGS = {
     "target_eps_infinity": {"targets": [{"vector": "e(1)", "eps": math.inf}]},
     "target_eps_int_beyond_float": {"targets": [{"vector": "e(1)", "eps": 10**400}]},
     "target_index_beyond_int64": {"targets": [{"vector": f"e({BEYOND_INT64})", "eps": 1e-3}]},
+    "target_infinite": {"targets": [{"vector": "inf*e(1)", "eps": 1e-3}]},
+    "target_complex_infinite": {"targets": [{"vector": "(1+infj)*e(2)", "eps": 1e-3}]},
 }
 
 BAD_MR_CONFIGS = {
@@ -618,6 +649,7 @@ BAD_MR_CONFIGS = {
     "N_bool": {"N": True},
     "factorial_scaling": {"scaling": {"family": "factorial"}},
     "center_beyond_int64": {"center": f"e({BEYOND_INT64})"},
+    "center_nan": {"center": "nan*e(1)"},
 }
 
 
@@ -739,6 +771,13 @@ class TestConfigOutcomes:
         err = capsys.readouterr().err
         assert err.startswith("FU build failed: ") and err.count("\n") == 1
 
+    def test_mr_witness_none_found_is_exit_3(self, tmp_path, capsys):
+        # 2B carries e(3) to 4e(1) and then to 0: no orbit point comes near e(1)
+        assert main(_mr_config(tmp_path)) == EXIT_ASSERTION
+        captured = capsys.readouterr()
+        assert not captured.out and captured.err.count("\n") == 1
+        assert captured.err.startswith("scenario assertion failed: witness search failed")
+
     @pytest.mark.parametrize("flag", ["--m", "--tau"])
     def test_ap_find_progression_beyond_horizon(self, tmp_path, capsys, flag):
         argv = _flag_argv(tmp_path, [*AP_FIND, flag, str(BEYOND_INT64)])
@@ -782,14 +821,22 @@ class TestParamTable:
     def test_weights_round_trip(self, w):
         assert expcli.WEIGHTS.read(w.to_config()) == w
 
-    def test_run_by_scenario_id_matches_shipped_config(self, tmp_path):
-        path = next(p for p in SHIPPED_CONFIGS if p.stem == "e4")
-        assert main(["run", "--scenario", "E4", "--out", str(tmp_path / "a")]) == EXIT_OK
-        assert main(["run", "--config", str(path), "--out", str(tmp_path / "b")]) == EXIT_OK
-        a, b = (json.loads((tmp_path / d / "report.json").read_text()) for d in "ab")
-        assert a.pop("config") == {"scenario": "E4"}
-        assert b.pop("config") == json.loads(path.read_text())
-        assert a == b
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+    def test_run_by_scenario_id_matches_shipped_config(self, tmp_path, capsys, path):
+        cfg = json.loads(path.read_text())
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "--scenario", cfg["scenario"], "--out", str(a)]) == EXIT_OK
+        assert main(["run", "--config", str(path), "--out", str(b)]) == EXIT_OK
+        ra, rb = (json.loads((d / "report.json").read_text()) for d in (a, b))
+        assert ra.pop("config") == {"scenario": cfg["scenario"]}
+        assert rb.pop("config") == cfg
+        assert ra == rb
+        csvs = sorted(p.name for p in a.glob("*.csv"))
+        assert csvs == sorted(p.name for p in b.glob("*.csv"))
+        assert all((a / n).read_bytes() == (b / n).read_bytes() for n in csvs)
+        for d in (a, b):
+            assert main(["verify", "--report", str(d / "report.json")]) == EXIT_OK
+        assert not capsys.readouterr().err
 
 
 class TestScenarios:

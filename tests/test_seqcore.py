@@ -269,6 +269,12 @@ class TestRotateSeq:
         v2 = ratio_classify(rot, 1, N=10**5)
         assert v1.kind == v2.kind and v1.evidence == v2.evidence
 
+    def test_angle_is_a_spec_or_a_number(self):
+        # a per-n callable would need a Python loop and could not be written
+        # back to a config
+        with pytest.raises(TypeError, match="AngleSpec"):
+            rotate_seq(ScalingSeq.constant(1.0), lambda n: 0.5 * n)
+
 
 class TestRatioClassify:
     def test_factorial_bad_zero(self):

@@ -9,7 +9,15 @@ from orbitlab import shiftops
 from orbitlab.lspace import CoefVec, Side, norm
 from orbitlab.seqcore import ScalingSeq
 from orbitlab.shiftops import ShiftOp, WeightSeq, scaled_orbit_point
-from oracles import shift_once, stored_prefix_neg, stored_prefix_pos, to_complex_dict
+from oracles import (
+    half_line_cum,
+    shift_once,
+    stored_cum,
+    stored_prefix_neg,
+    stored_prefix_pos,
+    to_complex_dict,
+    weight_at,
+)
 
 LN2 = math.log(2.0)
 
@@ -243,13 +251,13 @@ class TestClosedFormProducts:
     def test_no_array_for_closed_forms(self):
         for w in CLOSED_FORM:
             w.cum(np.arange(-10**6 if w.bilateral_ok else 0, 10**6))
-            assert "_table_sums" not in vars(w)
+            assert "_table_cum" not in vars(w)
 
     def test_table_weights_stored_once_at_capacity(self):
         w = ALL_WEIGHTS[-1]  # table_w over indices -100..139
-        pos, neg = w._table_sums
-        assert pos.tobytes() == stored_prefix_pos(w, 139).tobytes()
-        assert neg.tobytes() == stored_prefix_neg(w, 101).tobytes()
+        pos, neg = stored_prefix_pos(w, 139), stored_prefix_neg(w, 101)
+        # one array: C(0..139), then C(-101..-1)
+        assert w._table_cum.tobytes() == np.concatenate((pos, -neg[:0:-1])).tobytes()
         want = np.concatenate((-neg[:0:-1], pos))  # C(-101..139)
         assert w.cum(np.arange(-101, 140)).tobytes() == want.tobytes()
         with pytest.raises(ValueError, match="exits the table's range"):
@@ -270,12 +278,43 @@ class TestClosedFormProducts:
     def test_table_sums_freed_with_instance(self):
         w = WeightSeq.table([0.5, 1.5, 2.0] * 30, start=-40)
         w.cum(np.arange(-41, 50))
-        refs = [weakref.ref(w), *map(weakref.ref, w._table_sums)]
+        refs = [weakref.ref(w), weakref.ref(w._table_cum)]
         del w
         gc.collect()
         assert all(r() is None for r in refs)
         held = [v for v in vars(shiftops).values() if isinstance(v, dict)]
         assert not any(isinstance(k, WeightSeq) for d in held for k in d)
+
+
+class TestEveryFamilyOnZ:
+    """Every reading of a weight sequence agrees with its definition, on both
+    sides of 0 and out to the 2e7 cap: C(i) and log_range bit for bit with
+    the half-line closed forms (whole tables for table_w), log_w with log of
+    the defined weight, sup/inf with the extreme weights."""
+
+    @pytest.mark.parametrize("w", ALL_WEIGHTS, ids=lambda w: f"{w.family}{w.params[:1]}")
+    def test_readings_match_the_definitions(self, w):
+        cap = 20_000_000
+        if w.family == "table_w":
+            vals, start = w.params
+            idx = list(range(start - 1, start + len(vals)))
+            want = stored_cum(w, idx)
+        else:
+            near = [0, 1, 2, 3, 17, cap - 2**16, cap - 1, cap]
+            idx = sorted({s * i for i in near for s in (-1, 1) if w.bilateral_ok or s > 0})
+            want = half_line_cum(w, idx)
+        assert w.cum(np.array(idx)).tobytes() == want.tobytes()
+        C = dict(zip(idx, want.tolist()))
+        for a in idx[::3]:
+            for b in idx[::2]:
+                got = w.log_range(a + 1, b)
+                assert got == (C[b] - C[a] if a < b else 0.0), (a, b)
+        defined = [n for n in idx if n >= 1 or (w.bilateral_ok and n >= idx[0] + 1)]
+        lw = w.log_w(np.array(defined))
+        assert lw == pytest.approx([math.log(weight_at(w, n)) for n in defined], abs=1e-15)
+        weights = [weight_at(w, n) for n in defined]
+        assert w.sup_weight == pytest.approx(max(weights), rel=1e-15)
+        assert w.inf_weight == pytest.approx(min(weights), rel=1e-7)
 
 
 class TestScaledOrbitPoint:
