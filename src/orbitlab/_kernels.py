@@ -5,10 +5,12 @@ Kernel families:
     narrows the members offset by offset, over the gaps that can occur
     (every k when the set has many member pairs, else the pair differences),
   * orbit distance scans for scaled shift powers: one window kernel over
-    y's window, vectorized over the times, to which the flat-weight scan
-    adds x's exact log-sum-exp tails, the per-n kernel for general weights,
-    and the a-priori rounding bound that lets the window part plus a tail
-    bound decide a time in place of the per-n kernel.
+    y's window, vectorized over the times, whose exp, cos and sin run only
+    where x has an entry (an absent entry adds y_j's squares), to which the
+    flat-weight scan adds x's exact log-sum-exp tails, found from the
+    position table's running count of x's support; the per-n kernel for
+    general weights, and the a-priori rounding bound that lets the window
+    part plus a tail bound decide a time in place of the per-n kernel.
 
 Callers reach these through the module attribute (``_kernels.ap_scan``), so
 a profiler can wrap a kernel by rebinding its name here.
@@ -107,12 +109,16 @@ def flat_orbit_dist2(
 ):
     """The flat-weight distance: the exact log-sum-exp tails of x beyond
     y's window, summed on by ``window_dist2`` with no weight term (the
-    index-independent weight is already in the scale)."""
+    index-independent weight is already in the scale). The tails start at
+    running counts of x's support read off the position table: below[k] is
+    the number of support indices <= pos_lo + k."""
+    below = np.cumsum(pos >= 0) + np.searchsorted(sup_idx, pos_lo)
     with np.errstate(over="ignore", invalid="ignore"):
-        t_hi = np.searchsorted(sup_idx, n_arr + w_hi, side="right")
+        t_hi = below[n_arr + w_hi - pos_lo]
         acc = np.exp(2.0 * scale_lm + suffix_lse[t_hi])
         if not unilateral:
-            t_lo = np.searchsorted(sup_idx, n_arr + w_lo, side="left")
+            k = n_arr + w_lo - pos_lo
+            t_lo = below[k] - (pos[k] >= 0)
             acc = acc + np.exp(2.0 * scale_lm + prefix_lse[t_lo])
     acc, lm_max = window_dist2(
         n_arr, scale_lm, scale_ph, sup_lm, sup_ph, pos, pos_lo, None, w_lo, w_hi,
@@ -189,26 +195,34 @@ def window_dist2(
     distance, one pass per offset j over all times n at once, with
     c_{n+j} = exp(scale + (cum[n+j] - cum[j]) + log|x_{n+j}|) formed in
     ``general_orbit_dist2``'s order (no weight term where cum is None), and
-    the largest log-magnitude read. The sums start from ``acc`` (in place)
-    or from zero. Returns (sums, largest log-magnitudes; -inf where none)."""
+    the largest log-magnitude read. exp, cos and sin run only on the times
+    whose n + j holds an entry of x; where it holds none, c_{n+j} = 0 and
+    the two terms are exactly y_j's squares, added to every time in one
+    pass. The sums start from ``acc`` (in place) or from zero. Returns
+    (sums, largest log-magnitudes; -inf where none)."""
     m = n_arr.shape[0]
     acc = np.zeros(m) if acc is None else acc
     lm_max = np.full(m, -np.inf)
+    off = n_arr - pos_lo
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(w_lo, w_hi + 1):
-            p = pos[n_arr + j - pos_lo]
-            present = p >= 0
-            q = np.maximum(p, 0)
-            lm = scale_lm
+            p = pos[off + j]
+            t = np.flatnonzero(p >= 0)
+            q = p[t]
+            lm = scale_lm[t]
             if cum is not None:
-                i = np.minimum(n_arr + j, cum.shape[0] - 1)
-                lm = lm + (cum[i] - cum[j])
-            lm = np.where(present, lm + sup_lm[q], -np.inf)
-            lm_max = np.maximum(lm_max, lm)
+                lm = lm + (cum[n_arr[t] + j] - cum[j])
+            lm = lm + sup_lm[q]
+            lm_max[t] = np.maximum(lm_max[t], lm)
             mag = np.exp(lm)
-            ph = np.where(present, scale_ph + sup_ph[q], 0.0)
-            acc += (mag * np.cos(ph) - y_re[j - w_lo]) ** 2
-            acc += (mag * np.sin(ph) - y_im[j - w_lo]) ** 2
+            ph = scale_ph[t] + sup_ph[q]
+            yr, yi = y_re[j - w_lo], y_im[j - w_lo]
+            a = acc[t]
+            acc += yr * yr
+            acc[t] = a + (mag * np.cos(ph) - yr) ** 2
+            a = acc[t]
+            acc += yi * yi
+            acc[t] = a + (mag * np.sin(ph) - yi) ** 2
     return acc, lm_max
 
 

@@ -326,7 +326,7 @@ def orbit_norm_logs(T: ShiftOp, x: CoefVec, n_arr: np.ndarray) -> np.ndarray:
     """log ||T^n x|| for each n (-inf once the support has died)."""
     out = np.empty(len(n_arr), dtype=np.float64)
     for t, n in enumerate(n_arr):
-        lm = T.power_apply(int(n), x).log_mags
+        lm = T.power_log_mags(int(n), x)
         if lm.size == 0:
             out[t] = -np.inf
             continue

@@ -516,8 +516,13 @@ def ratio_classify(
         ns = ns[ns % mod == res % mod]
     if ns.size < 8:
         raise ValueError("scan window is empty or too short")
-    lm1, _, z1 = eval_at(seq, ns)
-    lm2, _, z2 = eval_at(seq, ns + tau)
+    if restrict is None:
+        # ns and ns + tau overlap in all but tau times: evaluate lo..N+tau once
+        lm, _, z = eval_at(seq, np.arange(lo, N + tau + 1, dtype=np.int64))
+        lm1, z1, lm2, z2 = lm[:-tau], z[:-tau], lm[tau:], z[tau:]
+    else:
+        lm1, _, z1 = eval_at(seq, ns)
+        lm2, _, z2 = eval_at(seq, ns + tau)
     window = (int(ns[0]), int(ns[-1]))
     if z1.any() or z2.any():
         return RatioVerdict(

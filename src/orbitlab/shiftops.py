@@ -57,6 +57,10 @@ class WeightSeq:
         vals = tuple(float(v) for v in values)
         if not vals or min(vals) <= 0:
             raise ValueError("weights must be strictly positive")
+        if start > 1:
+            # C is anchored at 0, so every product reads w_1 onward
+            raise ValueError(f"start must be <= 1 (got {start}): "
+                             "the weight products need w_1 onward")
         return cls("table_w", (vals, int(start)))
 
     # -- structure -----------------------------------------------------------
@@ -226,30 +230,41 @@ class ShiftOp:
     def pm_arg(self) -> float:
         return math.atan2(self.premultiplier.imag, self.premultiplier.real)
 
-    def power_apply(self, n: int, x: CoefVec) -> CoefVec:
-        """T^n x via weight-product formula, O(nnz) regardless of n.
+    def power_log_mags(self, n: int, x: CoefVec) -> np.ndarray:
+        """Log-magnitudes of T^n x's entries in index order, O(nnz) regardless
+        of n, without building the vector.
 
-        Coefficient at j of T^n x is premult^n * prod_{i=1..n} w_{j+i} * x_{j+n}.
+        Coefficient at j of T^n x is premult^n * prod_{i=1..n} w_{j+i} * x_{j+n};
+        a unilateral shift keeps only x's entries past index n, a suffix of
+        its support.
         """
         if n < 0:
             raise ValueError("power must be >= 0")
         if x.side is not self.side:
             raise SideMismatchError(f"{x.side.value} vector under {self.side.value} shift")
         if n == 0 or x.nnz == 0:
-            return x
+            return x.log_mags
         if int(x.indices[0]) - int(n) < -(2**63):
             raise ValueError(f"index {int(x.indices[0])} - {n} leaves int64")
-        new_idx = x.indices - n
-        keep = slice(None)
+        start = 0
         if self.side is Side.UNILATERAL:
-            keep = new_idx >= 1
-        src = x.indices[keep]
+            start = int(np.searchsorted(x.indices, n, side="right"))
+        src = x.indices[start:]
         if src.size == 0:
-            return CoefVec.zero(self.side)
+            return x.log_mags[:0]
         prod = self.weights.cum(src) - self.weights.cum(src - n)
-        lm = x.log_mags[keep] + prod + n * self.pm_log
-        ph = wrap_phase(x.phases[keep] + n * self.pm_arg)
-        return CoefVec(self.side, new_idx[keep], lm, ph)
+        return x.log_mags[start:] + prod + n * self.pm_log
+
+    def power_apply(self, n: int, x: CoefVec) -> CoefVec:
+        """T^n x: the entries of ``power_log_mags`` moved n places down."""
+        lm = self.power_log_mags(n, x)
+        if n == 0 or x.nnz == 0:
+            return x
+        if lm.size == 0:
+            return CoefVec.zero(self.side)
+        start = x.nnz - lm.size
+        ph = wrap_phase(x.phases[start:] + n * self.pm_arg)
+        return CoefVec(self.side, x.indices[start:] - n, lm, ph)
 
 
 def scaled_orbit_point(lam: ScalingSeq, T: ShiftOp, n: int, x: CoefVec) -> CoefVec:

@@ -267,10 +267,11 @@ def mr_invertible_check(w: WeightSeq, m: int, n_max: int, threshold: float) -> n
 
 def flat_orbit_dist2(n_arr, scale_lm, scale_ph, sup_idx, sup_lm, sup_ph, pos, pos_lo,
                      prefix_lse, suffix_lse, w_lo, w_hi, y_re, y_im, log_cap, unilateral):
-    """``_kernels.flat_orbit_dist2`` as its own loop over y's window: each
+    """``_kernels.flat_orbit_dist2`` as its own loop over y's window, with
+    the tails' starts found by binary searches of x's support per time: each
     entry past log_cap is masked to zero before ``exp`` and flags its row
-    +inf. The kernel, which sums the window in ``window_dist2``, must equal
-    it bit for bit."""
+    +inf. The kernel, which sums the window in ``window_dist2`` and reads
+    the starts off the position table, must equal it bit for bit."""
     m = n_arr.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         t_hi = np.searchsorted(sup_idx, n_arr + w_hi, side="right")
@@ -289,6 +290,46 @@ def flat_orbit_dist2(n_arr, scale_lm, scale_ph, sup_idx, sup_lm, sup_ph, pos, po
             acc = acc + (mag * np.cos(ph) - y_re[j - w_lo]) ** 2
             acc = acc + (mag * np.sin(ph) - y_im[j - w_lo]) ** 2
     return np.where(overflow, np.inf, acc)
+
+
+def window_dist2(n_arr, scale_lm, scale_ph, sup_lm, sup_ph, pos, pos_lo, cum, w_lo, w_hi,
+                 y_re, y_im, acc=None):
+    """``_kernels.window_dist2`` with exp, cos and sin on every (n, j) slot:
+    an absent entry is read at position 0 and masked to magnitude 0 and
+    phase 0, and cum is read at n + j clamped to its last index. The
+    kernel, which works only at present entries, must equal it bit for bit
+    (sums and largest log-magnitudes)."""
+    m = n_arr.shape[0]
+    acc = np.zeros(m) if acc is None else acc
+    lm_max = np.full(m, -np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(w_lo, w_hi + 1):
+            p = pos[n_arr + j - pos_lo]
+            present = p >= 0
+            q = np.maximum(p, 0)
+            lm = scale_lm
+            if cum is not None:
+                i = np.minimum(n_arr + j, cum.shape[0] - 1)
+                lm = lm + (cum[i] - cum[j])
+            lm = np.where(present, lm + sup_lm[q], -np.inf)
+            lm_max = np.maximum(lm_max, lm)
+            mag = np.exp(lm)
+            ph = np.where(present, scale_ph + sup_ph[q], 0.0)
+            acc += (mag * np.cos(ph) - y_re[j - w_lo]) ** 2
+            acc += (mag * np.sin(ph) - y_im[j - w_lo]) ** 2
+    return acc, lm_max
+
+
+def power_log_mags(T: ShiftOp, n: int, x: CoefVec) -> np.ndarray:
+    """Log-magnitudes of T^n x from the weight-product formula, with the kept
+    entries picked by a mask on the moved indices (i - n >= 1 on a
+    unilateral shift); ``ShiftOp.power_log_mags`` must equal it bit for bit."""
+    if n == 0:
+        return x.log_mags
+    keep = (x.indices - n) >= 1 if T.side is Side.UNILATERAL else slice(None)
+    src = x.indices[keep]
+    w = T.weights
+    return x.log_mags[keep] + (w.cum(src) - w.cum(src - n)) + n * T.pm_log
 
 
 def orbit_norm_logs(T: ShiftOp, x: CoefVec, n_arr: np.ndarray) -> np.ndarray:

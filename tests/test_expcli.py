@@ -535,6 +535,13 @@ class TestMalformedOtherCertificates:
         argv = _verify_argv(tmp_path, {"certificates": [_edited(kind, {"weights": short})]})
         _assert_schema_error(main(argv), capsys)
 
+    @pytest.mark.parametrize("kind", ["salas", "mr_shift", "series"])
+    def test_weight_table_start_after_one(self, tmp_path, capsys, kind):
+        # weight products are anchored at 0, so a table must start by w_1
+        late = {"family": "table_w", "values": [2] * 40, "start": 5}
+        argv = _verify_argv(tmp_path, {"certificates": [_edited(kind, {"weights": late})]})
+        _assert_schema_error(main(argv), capsys)
+
     def test_series_beyond_cap(self, tmp_path, capsys):
         argv = _verify_argv(tmp_path, {"certificates": [_edited("series", {"n_max": 10**9})]})
         assert main(argv) == EXIT_RESOURCE
@@ -640,6 +647,8 @@ BAD_FU_CONFIGS = {
     "target_index_beyond_int64": {"targets": [{"vector": f"e({BEYOND_INT64})", "eps": 1e-3}]},
     "target_infinite": {"targets": [{"vector": "inf*e(1)", "eps": 1e-3}]},
     "target_complex_infinite": {"targets": [{"vector": "(1+infj)*e(2)", "eps": 1e-3}]},
+    "weights_table_start_5": {"operator": {**FU_CONFIG["operator"], "weights": {
+        "family": "table_w", "values": [1.5] * 40, "start": 5}}},
 }
 
 BAD_MR_CONFIGS = {

@@ -214,6 +214,77 @@ def test_flat_kernel_matches_window_loop_oracle(side):
     assert fired > 100 and vanished > 100
 
 
+def _window_case(rng, side, density):
+    """A random window-kernel case: x present at about ``density`` of the
+    indices the times read, plus entries below them and, in half the cases,
+    above them; windows of width 1-6, vanished scalings (-inf) and rows
+    past exp's range (scale 800)."""
+    unilateral = side is Side.UNILATERAL
+    w_lo = 1 if unilateral else int(rng.integers(-5, 3))
+    w_hi = w_lo + int(rng.integers(0, 6))
+    n_arr = np.unique(rng.integers(1, 250, size=int(rng.integers(1, 120))))
+    lo, hi = int(n_arr[0]) + w_lo, int(n_arr[-1]) + w_hi
+    idx = np.flatnonzero(rng.random(hi - lo + 1) < density) + lo
+    # lo >= 2 on a unilateral shift, so index 1 lies below every slot read
+    far = [1] if unilateral else [lo - 1 - int(rng.integers(0, 40)) for _ in range(3)]
+    if rng.random() < 0.5:
+        far += [hi + 1 + int(rng.integers(0, 40)) for _ in range(3)]
+    idx = np.unique(np.concatenate([idx, far])).astype(np.int64)
+    x = CoefVec.from_log_entries(side, idx, rng.normal(-1.0, 2.0, idx.size),
+                                 rng.uniform(-4.0, 4.0, idx.size))
+    scale_lm = rng.normal(0.0, 2.0, n_arr.size)
+    scale_lm[rng.random(n_arr.size) < 0.1] = -np.inf
+    scale_lm[rng.random(n_arr.size) < 0.05] = 800.0
+    scale_ph = rng.uniform(-30.0, 30.0, n_arr.size)
+    y_re, y_im = rng.normal(size=(2, w_hi - w_lo + 1))
+    pos, pos_lo = _window_positions(x, n_arr, w_lo, w_hi)
+    return x, n_arr, scale_lm, scale_ph, pos, pos_lo, w_lo, w_hi, y_re, y_im
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("density", [0.0, 0.1, 1.0], ids=["none", "tenth", "all"])
+@pytest.mark.parametrize("side", [Side.UNILATERAL, Side.BILATERAL], ids=lambda s: s.value)
+def test_window_kernels_match_every_slot_oracles(side, density):
+    # window_dist2 runs exp, cos and sin only where x has an entry and
+    # flat_orbit_dist2 reads its tails' starts off the position table; bit
+    # for bit the every-slot window (oracles.window_dist2, with and without
+    # cum, from zero and from given sums) and the binary-search tails
+    # (oracles.flat_orbit_dist2), at presence densities 0, 1/10 and 1
+    unilateral = side is Side.UNILATERAL
+    rng = np.random.default_rng(int(density * 10) + (40 if unilateral else 50))
+    present = fired = past_cum = 0
+    for _ in range(150):
+        x, n_arr, s_lm, s_ph, pos, pos_lo, w_lo, w_hi, y_re, y_im = _window_case(
+            rng, side, density
+        )
+        present += int((pos >= 0).sum())
+        # cum covers x's support and no further: absent slots past its end
+        # (where x ends below the last slot) must not be read; a bilateral
+        # support reads negative indices from its end, as numpy does, in
+        # both kernels
+        cum = rng.normal(0.0, 3.0, max(int(x.indices.max()) + 1, 2 * w_hi + 2,
+                                       -2 * int(x.indices.min())))
+        past_cum += int(n_arr[-1]) + w_hi >= cum.size
+        for c in (None, cum):
+            for start in (None, rng.uniform(0.0, 2.0, n_arr.size)):
+                args = (n_arr, s_lm, s_ph, x.log_mags, x.phases, pos, pos_lo, c,
+                        w_lo, w_hi, y_re, y_im)
+                got = _kernels.window_dist2(*args, None if start is None else start.copy())
+                want = oracles.window_dist2(*args, None if start is None else start.copy())
+                assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+        args = (n_arr, s_lm, s_ph, x.indices, x.log_mags, x.phases, pos, pos_lo,
+                _prefix_lse(2.0 * x.log_mags), _suffix_lse(2.0 * x.log_mags), w_lo, w_hi,
+                y_re, y_im, float(rng.uniform(0.0, 4.0)), unilateral)
+        want = oracles.flat_orbit_dist2(*args)
+        assert _same_bits(_kernels.flat_orbit_dist2(*args), want)
+        fired += int(np.isposinf(want).sum())
+    assert (present == 0) == (density == 0.0)
+    assert fired > 0 and (past_cum > 0 or density == 1.0)
+
+
 def test_bilateral_negative_support_matches_direct():
     # negative target support exercises the prefix tail and the offset lookup
     from orbitlab.lspace import dist

@@ -327,6 +327,36 @@ class TestRatioClassify:
         assert ratio_classify(seq, 2, N=1800).is_good
         assert ratio_classify(seq, 1, N=1800).kind == "inconclusive"
 
+    @pytest.mark.parametrize("tau", [1, 2])
+    @pytest.mark.parametrize("seq", [
+        ScalingSeq.constant(2.0 - 1.0j),
+        ScalingSeq.constant(0.0),
+        ScalingSeq.log_pow(1.5),
+        ScalingSeq.log_log(),
+        ScalingSeq.rational_poly([1.0, 2.0, 1.0j], [3.0, 1.0]),
+        ScalingSeq.rational_poly([-300.0, 1.0], [1.0]),
+        ScalingSeq.exp_pow(0.7),
+        ScalingSeq.exp_over_log(),
+        ScalingSeq.exp_over_log_log(),
+        ScalingSeq.factorial(),
+        ScalingSeq.geom_even_odd(),
+        ScalingSeq.dyadic_tower(),
+        ScalingSeq.power_of_w(1.1 * cmath.exp(0.3j)),
+        ScalingSeq.geom_inverse(0.9j),
+        ScalingSeq.table([1.0 if n % 3 else 2.0 - 1.0j for n in range(1, 4003)]),
+        ScalingSeq.inverse(ScalingSeq.log_pow(2.0)),
+        rotate_seq(ScalingSeq.exp_pow(0.5), AngleSpec("linear", 0.7)),
+    ], ids=lambda s: s.family)
+    def test_one_evaluation_matches_two(self, seq, tau):
+        # the window lo..N and its shift by tau are read from one eval_at
+        # over lo..N+tau; restrict=(1, 0) keeps every n and evaluates the
+        # two separately, as the classifier did before: same verdict, field
+        # by field (repr tells -0.0 and nan apart)
+        for N in (400, 4000):
+            one = ratio_classify(seq, tau, N=N)
+            two = ratio_classify(seq, tau, N=N, restrict=(1, 0))
+            assert repr(one) == repr(two)
+
     def test_horizon_precondition(self):
         with pytest.raises(ValueError):
             ratio_classify(ScalingSeq.factorial(), 7, N=500)

@@ -9,6 +9,7 @@ from orbitlab import shiftops
 from orbitlab.lspace import CoefVec, Side, norm
 from orbitlab.seqcore import ScalingSeq
 from orbitlab.shiftops import ShiftOp, WeightSeq, scaled_orbit_point
+import oracles
 from oracles import (
     half_line_cum,
     shift_once,
@@ -124,6 +125,36 @@ class TestPowerApply:
                 assert np.max(np.abs(one.log_mags - two.log_mags)) <= 1e-9 * max(
                     1.0, float(np.max(np.abs(one.log_mags)))
                 )
+
+    @pytest.mark.parametrize("w", ALL_WEIGHTS, ids=lambda w: f"{w.family}{w.params[:1]}")
+    @pytest.mark.parametrize("side", [Side.UNILATERAL, Side.BILATERAL], ids=lambda s: s.value)
+    def test_power_log_mags_are_power_apply_log_mags(self, w, side):
+        # bit for bit with power_apply's vector and with the formula
+        # (oracles.power_log_mags), out to powers past the whole support (a
+        # unilateral T^n x is then 0, a bilateral one lies below index 0)
+        if side is Side.BILATERAL and not w.bilateral_ok:
+            return
+        T = ShiftOp(side, w, 1.5 - 0.5j)
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            x = rand_vec(rng, side, max_idx=60, max_support=30)
+            last = max(int(x.indices[-1]), 1)
+            for n in (0, 1, 2, 7, last - 1, last, last + 1, 60):
+                got = T.power_log_mags(n, x).tobytes()
+                assert got == T.power_apply(n, x).log_mags.tobytes(), n
+                assert got == oracles.power_log_mags(T, n, x).tobytes(), n
+        empty = CoefVec.zero(side)
+        assert T.power_log_mags(3, empty).size == 0
+
+    def test_power_log_mags_checks(self):
+        T = ShiftOp(Side.BILATERAL, WeightSeq.constant(1.0))
+        x = CoefVec.from_pairs(Side.BILATERAL, [(-5, 1.0), (3, 1.0)])
+        with pytest.raises(ValueError, match=">= 0"):
+            T.power_log_mags(-1, x)
+        with pytest.raises(ValueError, match="int64"):
+            T.power_log_mags(2**63 - 1, x)
+        with pytest.raises(shiftops.SideMismatchError):
+            T.power_log_mags(1, CoefVec.basis(Side.UNILATERAL, 2))
 
     def test_index_below_int64_refused(self):
         # e(-5) would land on -2^63 - 4, which wraps to 2^63 - 4 in int64
@@ -315,6 +346,27 @@ class TestEveryFamilyOnZ:
         weights = [weight_at(w, n) for n in defined]
         assert w.sup_weight == pytest.approx(max(weights), rel=1e-15)
         assert w.inf_weight == pytest.approx(min(weights), rel=1e-7)
+
+
+class TestTableStart:
+    """C is anchored at 0, so a table must hold w_1 onward: a later start is
+    refused, and every start <= 1 reads the products of the table's own
+    weights."""
+
+    def test_start_after_one_refused(self):
+        with pytest.raises(ValueError, match="start must be <= 1"):
+            WeightSeq.table([1.5, 2.0, 0.5] * 4, start=5)
+
+    @pytest.mark.parametrize("start", [1, 0, -3])
+    def test_start_up_to_one_reads_the_table(self, start):
+        vals = [1.5, 2.0, 0.5, 3.0] * 3
+        w = WeightSeq.table(vals, start=start)
+        last = start + len(vals) - 1
+        for a, b in [(6, 7), (1, last), (start, 5), (start + 2, last)]:
+            want = math.fsum(math.log(vals[n - start]) for n in range(a, b + 1))
+            assert w.log_range(a, b) == pytest.approx(want, abs=1e-14), (a, b)
+        with pytest.raises(ValueError, match="exits the table's range"):
+            w.log_range(1, last + 1)
 
 
 class TestScaledOrbitPoint:
