@@ -1,10 +1,10 @@
 """orbitlab: deterministic experiments on orbits of scaled operator sequences.
 
-Simulates powers of weighted backward shifts and adjoint multipliers in
-log-domain arithmetic, measures hitting-set densities, finds arithmetic and
-polynomial progressions inside them, constructs frequently-universal witness
-vectors, and checks recurrence/hypercyclicity criteria with re-verifiable
-certificates.
+Simulates powers of weighted backward shifts in log-domain arithmetic,
+measures hitting-set densities, finds arithmetic progressions inside them,
+constructs frequently-universal witness vectors, classifies adjoint
+multipliers by their symbol's range, and checks recurrence/hypercyclicity
+criteria with re-verifiable certificates.
 """
 
 from .seqcore import (
@@ -18,7 +18,7 @@ from .seqcore import (
     ratio_classify,
     rotate_seq,
 )
-from .lspace import Ball, CoefVec, Side, SideMismatchError, axpy, dist, in_ball, norm
+from .lspace import Ball, CoefVec, Side, SideMismatchError, dist, norm
 from .shiftops import ShiftOp, WeightSeq, scaled_orbit_point
 
 __all__ = [
@@ -35,9 +35,7 @@ __all__ = [
     "CoefVec",
     "Side",
     "SideMismatchError",
-    "axpy",
     "dist",
-    "in_ball",
     "norm",
     "ShiftOp",
     "WeightSeq",

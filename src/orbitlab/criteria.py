@@ -325,8 +325,7 @@ def fhc_series_check(w: WeightSeq, n_max: int = 10**6, cap: float = 12.0) -> Ser
 def orbit_norm_logs(T: ShiftOp, x: CoefVec, n_arr: np.ndarray) -> np.ndarray:
     """log ||T^n x|| for each n (-inf once the support has died)."""
     out = np.empty(len(n_arr), dtype=np.float64)
-    for t, n in enumerate(n_arr):
-        lm = T.power_log_mags(int(n), x)
+    for t, lm in enumerate(T._power_log_mags_at(n_arr, x)):
         if lm.size == 0:
             out[t] = -np.inf
             continue

@@ -108,9 +108,6 @@ class FUVector:
     report: dict
     hits: tuple[HittingSet, ...]
 
-    def planned_times(self, i: int) -> np.ndarray:
-        return self.plan.planned(i, self.horizon)
-
 
 DEFAULT_GAP_MARGIN = 8
 

@@ -22,15 +22,10 @@ __all__ = [
     "SideMismatchError",
     "norm",
     "dist",
-    "in_ball",
-    "axpy",
 ]
 
 # norm/dist refuse entries beyond exp(350): |entry|^2 would leave float range
 NORM_LOG_CAP = 350.0
-
-# contributions cancelling below this relative size are dropped by axpy
-CANCEL_REL = 1e-15
 
 
 class SideMismatchError(ValueError):
@@ -111,12 +106,6 @@ class CoefVec:
     def nnz(self) -> int:
         return int(self.indices.size)
 
-    def entry(self, i: int) -> LogScalar:
-        pos = np.searchsorted(self.indices, i)
-        if pos < self.indices.size and self.indices[pos] == i:
-            return LogScalar(float(self.log_mags[pos]), float(self.phases[pos]))
-        return LogScalar(zero=True)
-
     def to_complex_array(self) -> np.ndarray:
         """Entries as complex128, aligned with ``indices``."""
         self._require_float_range()
@@ -168,62 +157,6 @@ def norm(x: CoefVec) -> float:
     return math.sqrt(math.fsum(sq))
 
 
-def _positions(v: CoefVec, union: np.ndarray) -> np.ndarray:
-    if v.nnz == 0:
-        return np.full(union.shape, -1, dtype=np.int64)
-    p = np.searchsorted(v.indices, union)
-    hit = (p < v.nnz) & (v.indices[np.minimum(p, v.nnz - 1)] == union)
-    return np.where(hit, p, -1)
-
-
-def _merge(x: CoefVec, y: CoefVec):
-    """Union of supports with positions into each vector (-1 where absent).
-
-    Both index arrays are sorted, so a stable sort of their concatenation is
-    a linear merge of two runs; dropping adjacent duplicates leaves the
-    sorted union.
-    """
-    cat = np.sort(np.concatenate([x.indices, y.indices]), kind="stable")
-    fresh = np.ones(cat.size, dtype=bool)
-    np.not_equal(cat[1:], cat[:-1], out=fresh[1:])
-    union = cat[fresh]
-    return union, _positions(x, union), _positions(y, union)
-
-
-def axpy(a, x: CoefVec, y: CoefVec) -> CoefVec:
-    """a*x + y with exact index-wise merging in log domain.
-
-    Entries cancelling below relative 1e-15 of the larger operand are dropped.
-    """
-    _check_sides(x, y)
-    a = a if isinstance(a, LogScalar) else LogScalar.from_complex(a)
-    if a.zero or x.nnz == 0:
-        return y
-    if y.nnz == 0:
-        return x.scale(a)
-    union, px, py = _merge(x, y)
-    lx = np.where(px >= 0, x.log_mags[np.maximum(px, 0)] + a.log_mag, -np.inf)
-    tx = np.where(px >= 0, x.phases[np.maximum(px, 0)] + a.phase, 0.0)
-    ly = np.where(py >= 0, y.log_mags[np.maximum(py, 0)], -np.inf)
-    ty = np.where(py >= 0, y.phases[np.maximum(py, 0)], 0.0)
-
-    m = np.maximum(lx, ly)
-    with np.errstate(invalid="ignore"):
-        s = np.where(np.isfinite(lx), np.exp(lx - m), 0.0) * np.exp(1j * tx) + np.where(
-            np.isfinite(ly), np.exp(ly - m), 0.0
-        ) * np.exp(1j * ty)
-    r = np.abs(s)
-    keep = r > CANCEL_REL
-    if not keep.any():
-        return CoefVec.zero(x.side)
-    return CoefVec(
-        x.side,
-        union[keep],
-        m[keep] + np.log(r[keep]),
-        wrap_phase(np.angle(s[keep])),
-    )
-
-
 def dist(x: CoefVec, y: CoefVec) -> float:
     """norm(x - y): ``fsum`` over the sorted squares of the merged support.
 
@@ -247,7 +180,3 @@ def dist(x: CoefVec, y: CoefVec) -> float:
     sq = np.concatenate([np.abs(vx), np.abs(vy[y_only])]) ** 2
     return math.sqrt(math.fsum(np.sort(sq)[::-1]))
 
-
-def in_ball(x: CoefVec, b: Ball) -> bool:
-    """Strict membership test dist(x, center) < radius."""
-    return dist(x, b.center) < b.radius

@@ -43,15 +43,12 @@ __all__ = [
     "HittingSet",
     "DensityStats",
     "APWitness",
-    "IntPolynomial",
     "MRWitness",
     "MRSearchResult",
     "hitting_set",
     "orbit_distances",
     "density_stats",
     "find_ap",
-    "ap_k_members",
-    "find_poly_pattern",
     "mr_witness_search",
     "witness_distances",
     "recurrence_scan",
@@ -395,73 +392,6 @@ def find_ap(h: HittingSet, m: int, tau: int = 1, K: int | None = None) -> APWitn
     if k < 0:
         return None
     return APWitness(a=int(starts[0]), k=k, m=m, tau=tau)
-
-
-def ap_k_members(h: HittingSet, k: int, m: int, tau: int = 1) -> np.ndarray:
-    """All starts a of full progressions with gap tau*k (a <= n_max - m*tau*k)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    offsets = (tau * k * np.arange(1, m + 1)).astype(np.int64)
-    return _kernels.progression_members(h.lookup, h.indices, h.n_max, offsets)
-
-
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Integer-valued polynomial with p(0) = 0, stored in the binomial basis.
-
-    p(k) = sum_{j>=1} c_j * C(k, j); integer coefficients c_j make the values
-    integers at every integer argument, which is exactly the class of
-    rational-coefficient integer-valued polynomials vanishing at 0.
-    """
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-
-    def eval(self, k: int) -> int:
-        # C(k, j) via falling factorials, valid for every integer k
-        total = 0
-        for j, c in enumerate(self.coeffs, start=1):
-            num = 1
-            for t in range(j):
-                num *= k - t
-            total += c * (num // math.factorial(j))
-        return total
-
-    @property
-    def degree(self) -> int:
-        d = len(self.coeffs)
-        while d and self.coeffs[d - 1] == 0:
-            d -= 1
-        return d
-
-
-def find_poly_pattern(
-    h: HittingSet, polys: list[IntPolynomial], K: int | None = None
-) -> tuple[int, int] | None:
-    """Smallest k (all p_j(k) nonzero), then smallest a, with the pattern
-    a, a + p_1(k), ..., a + p_m(k) inside the set. Returns (a, k).
-
-    Polynomials must take positive values on the scanned range (negative
-    values violate the positive-pattern form and raise).
-    """
-    if not polys:
-        raise ValueError("need at least one polynomial")
-    if K is None:
-        K = _default_k(h, max(1, max(p.degree for p in polys)), 1)
-    for k in range(1, K + 1):
-        offsets = [p.eval(k) for p in polys]
-        if any(v < 0 for v in offsets):
-            raise ValueError(f"polynomial takes negative value {min(offsets)} at k={k}")
-        if any(v == 0 for v in offsets):
-            continue
-        starts = _kernels.progression_members(
-            h.lookup, h.indices, h.n_max, np.array(sorted(set(offsets)), dtype=np.int64)
-        )
-        if starts.size:
-            return int(starts[0]), k
-    return None
 
 
 # ---------------------------------------------------------------------------

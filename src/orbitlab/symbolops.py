@@ -1,24 +1,19 @@
-"""Adjoints of polynomial multiplication operators on Hardy coefficients.
+"""Dynamics of adjoints of polynomial multiplication operators on the Hardy space.
 
-On the coefficient side the adjoint acts as a banded backward operator:
-``(M* f)_n = sum_j conj(c_j) f_{n+j}``. Reproducing kernels ``k_z`` with
-coefficients ``conj(z)^n`` are its eigenvectors, and the dynamics of the
-adjoint is decided entirely by whether the symbol's range over the open disk
-meets the unit circle. The range test returns a certificate: an interior
-witness for intersection, or a max/min-modulus boundary certificate with
-Lipschitz slack (plus a winding-number zero count) for disjointness.
+The dynamics of the adjoint of multiplication by phi is decided entirely by
+whether the symbol's range over the open disk meets the unit circle. The
+range test returns a certificate: an interior witness for intersection, or a
+max/min-modulus boundary certificate with Lipschitz slack (plus a
+winding-number zero count) for disjointness.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .lspace import CoefVec, Side
 
 __all__ = [
     "PolySymbol",
@@ -26,16 +21,10 @@ __all__ = [
     "RangeCertificate",
     "AdjointClass",
     "SymbolVerdict",
-    "KernelTruncation",
-    "apply_adjoint",
-    "kernel_vector",
-    "eigen_check",
     "winding_number",
     "range_circle_test",
     "classify_adjoint",
 ]
-
-KERNEL_MAX_MODULUS = 0.95  # beyond this the geometric tail bound is useless
 
 
 @dataclass(frozen=True)
@@ -71,108 +60,8 @@ class PolySymbol:
         """sup |phi'| on the closed disk, bounded by sum j*|c_j|."""
         return float(sum(j * abs(c) for j, c in enumerate(self.coeffs)))
 
-    def scale(self, a: complex) -> "PolySymbol":
-        return PolySymbol(tuple(c * a for c in self.coeffs))
-
     def to_config(self) -> list:
         return [[c.real, c.imag] for c in self.coeffs]
-
-
-def apply_adjoint(phi: PolySymbol, x: CoefVec, trunc: int) -> CoefVec:
-    """(M* x)_n = sum_{j=0..d} conj(c_j) x_{n+j}; exact on finite supports."""
-    if x.side is not Side.HARDY:
-        raise ValueError("adjoint multipliers act on Hardy coefficient vectors")
-    if x.nnz == 0:
-        return x
-    if int(x.indices.max()) > trunc:
-        raise ValueError(f"support exceeds truncation {trunc}")
-    vals = x.to_complex_array()
-    top = int(x.indices.max())
-    out = np.zeros(top + 1, dtype=complex)
-    for j, c in enumerate(phi.coeffs):
-        if c == 0:
-            continue
-        keep = x.indices >= j
-        out[x.indices[keep] - j] += np.conj(c) * vals[keep]
-    nz = np.flatnonzero(np.abs(out) > 0.0)
-    return CoefVec.from_pairs(Side.HARDY, [(int(i), out[i]) for i in nz])
-
-
-@dataclass(frozen=True)
-class KernelTruncation:
-    """Truncated reproducing kernel plus the exact geometric tail bound."""
-
-    vec: CoefVec
-    z: complex
-    trunc: int
-    tail_sq_bound: float
-
-
-def kernel_vector(z: complex, trunc: int) -> KernelTruncation:
-    """Coefficients conj(z)^n for n = 0..trunc; tail_sq = |z|^(2(N+1))/(1-|z|^2)."""
-    z = complex(z)
-    r = abs(z)
-    if r >= 1.0:
-        raise ValueError(f"kernel point must satisfy |z| < 1, got |z| = {r}")
-    if r > KERNEL_MAX_MODULUS:
-        raise ValueError(
-            f"kernel point too close to the boundary: |z| = {r} > {KERNEL_MAX_MODULUS}"
-        )
-    if trunc < 0:
-        raise ValueError("truncation must be >= 0")
-    n = np.arange(trunc + 1, dtype=np.int64)
-    if z == 0:
-        vec = CoefVec.basis(Side.HARDY, 0)
-        return KernelTruncation(vec, z, trunc, 0.0)
-    lm = n * math.log(r)
-    ph = np.remainder(-n * cmath.phase(z) + math.pi, 2 * math.pi) - math.pi
-    keep = lm > -745.0  # drop entries that underflow to exactly 0
-    vec = CoefVec.from_log_entries(Side.HARDY, n[keep], lm[keep], ph[keep])
-    tail = r ** (2 * (trunc + 1)) / (1.0 - r * r)
-    return KernelTruncation(vec, z, trunc, tail)
-
-
-def eigen_check(phi: PolySymbol, z: complex, trunc: int) -> tuple[float, float]:
-    """Relative eigen-residual of the truncated kernel under the adjoint.
-
-    Returns (residual, bound): residual = |M* k - conj(phi(z)) k| / |k| and
-    the analytic contract bound (d+1) * max|c| * (1 + |phi(z)|) * sqrt(tail).
-
-    The residual lives at the scale of the kernel tail, far below double
-    rounding on the large entries, so it is evaluated from the coefficient
-    definition in multiprecision with enough digits to resolve |z|^trunc.
-    """
-    import mpmath as mp
-
-    kernel_vector(z, trunc)  # validates |z| and the truncation
-    d = phi.degree
-    r = abs(z)
-    dps = 50
-    if 0 < r < 1:
-        dps = max(50, int((trunc + d + 2) * (-math.log10(r))) + 30)
-    with mp.workdps(dps):
-        zb = mp.conj(mp.mpc(z))
-        cbar = [mp.conj(mp.mpc(c)) for c in phi.coeffs]
-        k = [zb**n for n in range(trunc + 1)]
-        lam = mp.fsum(cbar[j] * zb**j for j in range(d + 1))
-        res2 = mp.mpf(0)
-        for n in range(trunc + 1):
-            v = mp.fsum(cbar[j] * k[n + j] for j in range(d + 1) if n + j <= trunc)
-            res2 += abs(v - lam * k[n]) ** 2
-        k2 = mp.fsum(abs(v) ** 2 for v in k)
-        residual = float(mp.sqrt(res2 / k2))
-        lam_abs = float(abs(lam))
-    cmax = max(abs(c) for c in phi.coeffs)
-    # sqrt(tail) evaluated in log form: squaring first would underflow for
-    # small |z| at large truncations and turn the bound into a spurious 0
-    if r == 0:
-        return residual, 0.0
-    log_bound = (
-        math.log((d + 1) * cmax * (1.0 + lam_abs))
-        + (trunc + 1) * math.log(r)
-        - 0.5 * math.log1p(-r * r)
-    )
-    return residual, math.exp(log_bound) if log_bound > -745.0 else 0.0
 
 
 class RangeKind(enum.Enum):

@@ -16,7 +16,7 @@ from orbitlab.criteria import (
     SearchOutcome,
     SeriesVerdict,
 )
-from orbitlab.lspace import CoefVec, Side, SideMismatchError, _positions, norm
+from orbitlab.lspace import CoefVec, Side, SideMismatchError, norm
 from orbitlab.seqcore import scan_grid, wrap_phase
 from orbitlab.shiftops import ShiftOp, WeightSeq
 
@@ -24,6 +24,13 @@ from orbitlab.shiftops import ShiftOp, WeightSeq
 def to_complex_dict(x: CoefVec) -> dict[int, complex]:
     """The entries of a float-range vector as {index: complex}."""
     return dict(zip(x.indices.tolist(), x.to_complex_array().tolist()))
+
+
+def log_entry(x: CoefVec, i: int) -> tuple[float, float]:
+    """(log-magnitude, phase) of x's entry at an index of its support."""
+    pos = int(np.searchsorted(x.indices, i))
+    assert pos < x.nnz and x.indices[pos] == i, f"index {i} is not in the support"
+    return float(x.log_mags[pos]), float(x.phases[pos])
 
 
 def shift_once(T: ShiftOp, x: CoefVec) -> CoefVec:
@@ -42,11 +49,13 @@ def shift_once(T: ShiftOp, x: CoefVec) -> CoefVec:
     return CoefVec(T.side, new_idx[keep], lm, ph)
 
 
-def merge(x: CoefVec, y: CoefVec):
-    """Union of supports by ``np.union1d``, with positions into each vector
-    (-1 where absent); the oracle for ``lspace._merge``."""
-    union = np.union1d(x.indices, y.indices)
-    return union, _positions(x, union), _positions(y, union)
+def _positions(v: CoefVec, union: np.ndarray) -> np.ndarray:
+    """Position of each index of ``union`` in v's support (-1 where absent)."""
+    if v.nnz == 0:
+        return np.full(union.shape, -1, dtype=np.int64)
+    p = np.searchsorted(v.indices, union)
+    hit = (p < v.nnz) & (v.indices[np.minimum(p, v.nnz - 1)] == union)
+    return np.where(hit, p, -1)
 
 
 def dist(x: CoefVec, y: CoefVec) -> float:
@@ -60,7 +69,8 @@ def dist(x: CoefVec, y: CoefVec) -> float:
         return norm(y)
     x._require_float_range()
     y._require_float_range()
-    _, px, py = merge(x, y)
+    union = np.union1d(x.indices, y.indices)
+    px, py = _positions(x, union), _positions(y, union)
     vx, vy = (np.where(p >= 0, np.exp(v.log_mags[np.maximum(p, 0)])
                        * np.exp(1j * v.phases[np.maximum(p, 0)]), 0j)
               for v, p in ((x, px), (y, py)))

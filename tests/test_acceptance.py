@@ -23,7 +23,7 @@ from orbitlab.lspace import Ball, CoefVec, Side, dist, norm
 from orbitlab.orbits import density_stats, find_ap, hitting_set, mr_witness_search
 from orbitlab.seqcore import ScalingSeq, ratio_classify
 from orbitlab.shiftops import ShiftOp, WeightSeq
-from orbitlab.symbolops import PolySymbol, RangeKind, classify_adjoint, eigen_check, range_circle_test
+from orbitlab.symbolops import PolySymbol, RangeKind, classify_adjoint, range_circle_test
 from oracles import shift_once
 
 TWO_B = ShiftOp(Side.UNILATERAL, WeightSeq.constant(1.0), 2.0)
@@ -86,7 +86,7 @@ def test_criterion_2_fu_builder_density(fu_criterion2):
     lows = [density_stats(h).lower_est for h in v.hits]
     in_band = all(abs(lo - 1.0 / 48.0) <= 0.002 for lo in lows)
     zero_misses = v.report["worst_miss"] < 1e-3 and all(
-        np.all(np.isin(v.planned_times(i), h.indices))
+        np.all(np.isin(v.plan.planned(i, v.horizon), h.indices))
         for i, h in enumerate(v.hits)
     )
     ok = in_band and zero_misses
@@ -196,25 +196,8 @@ def test_criterion_7_symbol_classification():
     )
     ok = ok and classify_adjoint(PolySymbol.constant(1j)).kind.value == "constant_recurrent"
     ok = ok and classify_adjoint(PolySymbol.constant(2)).kind.value == "constant_not_recurrent"
-
-    rng = np.random.default_rng(2024)
-    grid_ok = True
-    worst = 0.0
-    for zi in range(5):
-        z = 0.9 * (zi + 1) / 5 * np.exp(2j * math.pi * zi / 5)
-        for pj in range(4):
-            deg = pj + 1
-            coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-            r, bound = eigen_check(PolySymbol(tuple(coeffs)), complex(z), 400)
-            grid_ok &= r <= bound
-            if bound > 0:
-                worst = max(worst, r / bound)
-            else:
-                grid_ok &= r == 0.0
-    ok = ok and grid_ok
     report(7, ok, f"z/2 inside, z+2 outside (winding 0), z+0.8 witness "
-                  f"|phi|-1 = {c_cross.margin:.1e}; eigen grid 5x4 residual/bound "
-                  f"max {worst:.2e} <= 1")
+                  f"|phi|-1 = {c_cross.margin:.1e}; constants i and 2 classified")
 
 
 def test_criterion_8_decay_checks():

@@ -75,7 +75,7 @@ def test_build_scan_matches_exact_oracle(case):
     T, targets, N, g = case
     v = build(ONE, T, targets, N, g=g)
     for i, (y, eps) in enumerate(targets):
-        b, at = Ball(y, eps), v.planned_times(i)
+        b, at = Ball(y, eps), v.plan.planned(i, v.horizon)
         (hits, d2), rows = _recorded_rows(lambda: _ball_scan(v.x, ONE, T, b, N, at))
         want_hits, want_d2 = exact_ball_scan(v.x, ONE, T, b, N, at)
         assert hits.tobytes() == want_hits.tobytes()

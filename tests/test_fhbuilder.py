@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import log_entry
 
 from orbitlab import _kernels, orbits
 from orbitlab.fhbuilder import (
@@ -32,16 +33,16 @@ class TestBuild:
     def test_doubling_shift_geometric_coefficients(self):
         v = build(ONE, TWO_B, [(e(1), 1e-3)], 10**4, g=16)
         # placed coefficient at index n+1 is 2^-n
-        for n in v.planned_times(0)[:5]:
-            entry = v.x.entry(int(n) + 1)
-            assert entry.log_mag == pytest.approx(-n * math.log(2.0), rel=1e-12)
+        for n in v.plan.planned(0, v.horizon)[:5]:
+            log_mag, _ = log_entry(v.x, int(n) + 1)
+            assert log_mag == pytest.approx(-n * math.log(2.0), rel=1e-12)
         assert v.report["worst_miss"] <= 2.0 ** (-16 + 1)
 
     def test_factorial_with_unweighted_shift(self):
         lam = ScalingSeq.factorial()
         v = build(lam, B, [(e(1), 1e-3)], 3000)
-        n0 = int(v.planned_times(0)[0])
-        assert v.x.entry(n0 + 1).log_mag == pytest.approx(-math.lgamma(n0 + 1))
+        n0 = int(v.plan.planned(0, v.horizon)[0])
+        assert log_entry(v.x, n0 + 1)[0] == pytest.approx(-math.lgamma(n0 + 1))
         assert v.report["worst_miss"] < 1e-3
 
     def test_unit_scaling_unweighted_shift_infeasible(self):
@@ -50,11 +51,12 @@ class TestBuild:
 
     def test_on_support_exactness(self):
         v = build(ONE, TWO_B, [(e12(), 1e-3)], 10**4, g=16)
-        for n in v.planned_times(0)[:8]:
+        for n in v.plan.planned(0, v.horizon)[:8]:
             pt = scaled_orbit_point(ONE, TWO_B, int(n), v.x)
             for j in (1, 2):
-                assert abs(pt.entry(j).log_mag) <= 1e-10
-                assert abs(pt.entry(j).phase) <= 1e-10
+                log_mag, phase = log_entry(pt, j)
+                assert abs(log_mag) <= 1e-10
+                assert abs(phase) <= 1e-10
 
     def test_gap_too_small_fails_verification(self):
         with pytest.raises(VerificationFailedError) as exc:
@@ -113,7 +115,7 @@ class TestVerifyFU:
         v = build(ONE, TWO_B, targets, 10**5, g=16)
         assert len(v.hits) == 3
         for i, h in enumerate(v.hits):
-            planned = v.planned_times(i)
+            planned = v.plan.planned(i, v.horizon)
             assert np.all(np.isin(planned, h.indices))
             assert abs(density_stats(h).lower_est - 1 / 48) <= 0.002
 
@@ -186,7 +188,7 @@ class TestBuildScan:
             assert np.array_equal(np.concatenate(scan["decided"]),
                                   np.arange(max(1, ONE.min_n), N + 1))
             undecided = np.concatenate(scan["undecided"])
-            want = np.union1d(v.planned_times(i), undecided)
+            want = np.union1d(v.plan.planned(i, v.horizon), undecided)
             assert np.array_equal(np.concatenate(scan["kernel"]), want)
             if T is SQRT_RATIO_2B and N == 20_000:
                 assert undecided.size == 0
@@ -195,7 +197,7 @@ class TestBuildScan:
         targets = [(e(1), 1e-3), (e12(), 1e-3)]
         v = build(ONE, TWO_B, targets, 5_000, g=16)
         for i, (y, eps) in enumerate(targets):
-            ns = v.planned_times(i)
+            ns = v.plan.planned(i, v.horizon)
             d2 = orbits.orbit_distances(v.x, ONE, TWO_B, y, eps, ns)
             assert v.report["targets"][i]["worst_residual"] == float(np.sqrt(d2).max())
 

@@ -16,7 +16,6 @@ from orbitlab.orbits import (
     _prefix_lse,
     _suffix_lse,
     _window_positions,
-    ap_k_members,
     find_ap,
     hitting_set,
     orbit_distances,
@@ -64,7 +63,13 @@ def test_find_ap_matches_brute_force(tau):
                 None if k < 0 else (k, starts[0]))
 
 
-def test_ap_k_members_matches_brute_force():
+def _members(h: HittingSet, k: int, m: int, tau: int) -> list:
+    """Every start a of a full progression a, a + tau*k, ..., a + m*tau*k in h."""
+    offsets = tau * k * np.arange(1, m + 1, dtype=np.int64)
+    return _kernels.progression_members(h.lookup, h.indices, h.n_max, offsets).tolist()
+
+
+def test_progression_members_matches_brute_force():
     rng = np.random.default_rng(78)
     for h in _random_sets(rng, 10):
         members = set(map(int, h.indices))
@@ -72,7 +77,7 @@ def test_ap_k_members_matches_brute_force():
         m = int(rng.integers(1, 5))
         tau = int(rng.integers(1, 4))
         want = _brute_starts(members, h.n_max, m, tau, k)
-        assert ap_k_members(h, k, m, tau).tolist() == want
+        assert _members(h, k, m, tau) == want
 
 
 def _pairs(members: set) -> int:
@@ -113,7 +118,7 @@ def _check_against_brute(members, n_max, m, tau, K, k):
     got = _kernels.ap_scan(h.lookup, h.indices, n_max, m, tau, K, 2)
     assert (got[0], got[1].tolist(), got[2]) == _brute_scan(members, n_max, m, tau, K, 2)
     for kk in {k, max(k1, 1)}:
-        assert ap_k_members(h, kk, m, tau).tolist() == _brute_starts(members, n_max, m, tau, kk)
+        assert _members(h, kk, m, tau) == _brute_starts(members, n_max, m, tau, kk)
 
 
 @settings(deadline=None)
