@@ -110,12 +110,14 @@ class TestBall:
 
 
 class TestScale:
-    def test_identity_and_log_scalar(self):
+    def test_identity(self):
         x = vec([(1, 1.5), (3, -2j)])
         assert to_complex_dict(x.scale(1.0)) == to_complex_dict(x)
+        assert x.scale(0.0).nnz == 0
+
+    def test_log_scalar_coefficient(self):
         out = CoefVec.basis(Side.UNILATERAL, 1).scale(LogScalar(math.log(3.0), math.pi))
         assert to_complex_dict(out)[1] == pytest.approx(-3.0)
-        assert x.scale(0.0).nnz == 0
 
 
 class TestConstruction:
