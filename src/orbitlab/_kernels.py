@@ -9,8 +9,10 @@ Kernel families:
     where x has an entry (an absent entry adds y_j's squares), to which the
     flat-weight scan adds x's exact log-sum-exp tails, found from the
     position table's running count of x's support; the per-n kernel for
-    general weights, and the a-priori rounding bound that lets the window
-    part plus a tail bound decide a time in place of the per-n kernel.
+    general weights, one row per time sliced into y's window and the rest
+    at binary searches made for all times at once, and the a-priori
+    rounding bound that lets the window part plus a tail bound, or a norm
+    bound, decide a time in place of the per-n kernel.
 
 Callers reach these through the module attribute (``_kernels.ap_scan``), so
 a profiler can wrap a kernel by rebinding its name here.
@@ -144,16 +146,27 @@ def general_orbit_dist2(
     log_cap,
     unilateral,
 ):
+    """The per-n distance, one row per time n over x's support from n + w_lo
+    on (all of it on a bilateral shift): |y|^2 plus, over y's window,
+    |c_i - y_{i-n}|^2 - |y_{i-n}|^2, plus |c_i|^2 over the rest of the row,
+    with c_i = exp(scale + (cum[i] - cum[i - n]) + log|x_i|) e^{i (phase +
+    phase_i)}. y's window over row n is the run of x's support from
+    searchsorted(n + w_lo) to searchsorted(n + w_hi, side="right"), so the
+    window and the rest are slices of the row: a suffix on a unilateral
+    shift, prefix then suffix on a bilateral one. A row whose support is
+    empty is |y|^2, one with a coefficient past log_cap is +inf."""
     m = n_arr.shape[0]
     out = np.empty(m)
+    win_lo = np.searchsorted(sup_idx, n_arr + w_lo)
+    win_hi = np.searchsorted(sup_idx, n_arr + w_hi, side="right")
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(m):
             n = int(n_arr[t])
-            start = np.searchsorted(sup_idx, n + w_lo) if unilateral else 0
-            idx = sup_idx[start:]
-            if idx.size == 0:
+            start = int(win_lo[t]) if unilateral else 0
+            if start == sup_idx.size:
                 out[t] = y_norm2
                 continue
+            idx = sup_idx[start:]
             lm = scale_lm[t] + (cum[idx - cum_lo] - cum[idx - n - cum_lo]) + sup_lm[start:]
             if np.max(lm) > log_cap:
                 out[t] = np.inf
@@ -162,16 +175,18 @@ def general_orbit_dist2(
             mag = np.exp(lm)
             cre = mag * np.cos(ph)
             cim = mag * np.sin(ph)
-            j = idx - n
-            acc = y_norm2
-            inwin = (j >= w_lo) & (j <= w_hi)
-            jw = j[inwin] - w_lo
+            a, b = int(win_lo[t]) - start, int(win_hi[t]) - start
+            jw = idx[a:b] - (n + w_lo)
             yr = y_re[jw]
             yi = y_im[jw]
-            acc += np.sum(
-                (cre[inwin] - yr) ** 2 + (cim[inwin] - yi) ** 2 - yr**2 - yi**2
-            )
-            acc += np.sum(cre[~inwin] ** 2 + cim[~inwin] ** 2)
+            acc = y_norm2
+            acc += np.sum((cre[a:b] - yr) ** 2 + (cim[a:b] - yi) ** 2 - yr**2 - yi**2)
+            if unilateral:
+                tre, tim = cre[b:], cim[b:]
+            else:
+                tre = np.concatenate((cre[:a], cre[b:]))
+                tim = np.concatenate((cim[:a], cim[b:]))
+            acc += np.sum(tre**2 + tim**2)
             out[t] = acc
     return out
 
@@ -265,8 +280,10 @@ def d2_error_bound(lm_terms, ph_terms, terms, r2, y2, dy):
     makes both decisions exact: a window sum W >= r2 + eta means the per-n
     kernel's d2 >= r2, and W plus an upper bound on the rest of D below
     r2 - eta means its d2 < r2 (once its overflow pre-filter cannot fire).
-    The last term covers underflow to subnormals. Where the inputs are too
-    large for a first-order bound (rho > 0.01 or kappa > 1/4) eta is +inf.
+    A fortiori a certified lower bound L <= D with L >= r2 + eta means the
+    kernel's d2 >= r2, which is how the norm bound decides. The last term
+    covers underflow to subnormals. Where the inputs are too large for a
+    first-order bound (rho > 0.01 or kappa > 1/4) eta is +inf.
     """
     rho = 1.25 * (lm_error_bound(lm_terms) + U * ph_terms + 3.0 * FN_ERR + 3.0 * U)
     kappa = 8.0 * rho + 2.2 * (terms + 16) * U

@@ -123,10 +123,15 @@ def mr_shift_check(w: WeightSeq, m: int, q: int, eps: float, n_max: int) -> Sear
         margin = np.full(n_arr.shape, np.inf)
         for l in range(1, m + 1):
             for j in range(-q, q + 1):
-                f = w.cum(j + l * n_arr) - cum_j[j]  # log prod_{i=1..ln} w_{j+i}
-                b = cum_j[j] - w.cum(j - l * n_arr)  # log prod_{i=0..ln-1} w_{j-i}
-                ok &= (f > thresh) & (b < -thresh)
-                margin = np.minimum(margin, np.minimum(f - thresh, -thresh - b))
+                f = w.cum(j + l * n_arr)
+                f -= cum_j[j]  # log prod_{i=1..ln} w_{j+i}
+                b = w.cum(j - l * n_arr)
+                np.subtract(cum_j[j], b, out=b)  # log prod_{i=0..ln-1} w_{j-i}
+                ok &= f > thresh
+                ok &= b < -thresh
+                f -= thresh
+                np.subtract(-thresh, b, out=b)
+                np.minimum(margin, np.minimum(f, b, out=f), out=margin)
         hits = np.flatnonzero(ok)
         if hits.size:
             n = int(n_arr[hits[0]])
@@ -251,11 +256,15 @@ def fhc_series_check(w: WeightSeq, n_max: int = 10**6, cap: float = 12.0) -> Ser
     ratio_max, p_min = -np.inf, np.inf  # of log(t_{n+1}/t_n) and of p
     for n_arr in scan_grid(1, n_max):
         lo, hi = int(n_arr[0]), int(n_arr[-1])
+        sums = w.cum(n_arr)
+        sums *= -2.0
         with np.errstate(over="ignore"):
-            terms = np.exp(-2.0 * w.cum(n_arr))
-        # the running sum leads the chunk, so cumsum adds in the same order
-        # as one cumsum over all n
-        sums = np.cumsum(np.concatenate(([total], terms)))[1:]
+            np.exp(sums, out=sums)
+        t_last = float(sums[-1])
+        # the running sum goes into the chunk's first term, so cumsum adds
+        # in the same order as one cumsum over all n
+        sums[0] += total
+        np.cumsum(sums, out=sums)
         total = sums[-1]
         grid_sums += [float(sums[g - lo]) for g in grid if lo <= g <= hi]
         if crossed_at is None:
@@ -272,7 +281,6 @@ def fhc_series_check(w: WeightSeq, n_max: int = 10**6, cap: float = 12.0) -> Ser
             ratio_max = np.maximum(ratio_max, np.max(log_ratio))
             p_min = np.minimum(p_min, np.min(p_vals))
     total = float(total)
-    t_last = float(terms[-1])
     grid_sums = tuple(grid_sums)
 
     if crossed_at is not None:

@@ -154,7 +154,7 @@ def norm(x: CoefVec) -> float:
         return 0.0
     x._require_float_range()
     sq = np.exp(2.0 * np.sort(x.log_mags)[::-1])
-    return math.sqrt(math.fsum(sq))
+    return math.sqrt(math.fsum(sq.tolist()))
 
 
 def dist(x: CoefVec, y: CoefVec) -> float:
@@ -178,5 +178,5 @@ def dist(x: CoefVec, y: CoefVec) -> float:
     y_only = np.ones(y.nnz, dtype=bool)
     y_only[py] = False
     sq = np.concatenate([np.abs(vx), np.abs(vy[y_only])]) ** 2
-    return math.sqrt(math.fsum(np.sort(sq)[::-1]))
+    return math.sqrt(math.fsum(np.sort(sq)[::-1].tolist()))
 

@@ -19,10 +19,12 @@ whole chunk by the same window kernel, plus an upper bound on the
 non-negative tail beyond it from one suffix log-sum-exp per target. A
 decision is taken only outside the band eta(n) = ``_kernels.d2_error_bound``
 around r^2, which bounds the rounding of the kernel and of the enclosure, so
-it equals the kernel's own float answer. The kernel runs on the undecided
-times and on the times whose distances are asked for. Return-time scans
-(y = x), bilateral shifts and windows wider than the scan take the kernel
-at every time.
+it equals the kernel's own float answer. Return-time scans (y = x) and
+windows wider than the scan leave no tail to enclose; there the same suffix
+log-sum-exp bounds |lam_n T^n x|, and the reverse triangle inequality
+d >= |y| - |lam_n T^n x| decides misses. The kernel runs on the undecided
+times and on the times whose distances are asked for. Bilateral shifts take
+the kernel at every time.
 """
 
 from __future__ import annotations
@@ -154,12 +156,14 @@ def _orbit_scan(
 
     ``count`` is the number of times the scan asks for. The flat kernel loops
     over y's window and the per-n kernel over the times, so flat weights take
-    the per-n kernel only where the window is wider than the scan. decide
-    is the window-plus-tail enclosure (``_enclosure``) where the per-n
-    kernel runs on a unilateral shift, y's window is no wider than the scan
-    and x's support reaches past it; everywhere else (flat weights, bilateral
-    shifts, and return-time scans, whose window y = x is all of x's support)
-    it decides nothing and dist2 answers every time.
+    the per-n kernel only where the window is wider than the scan. Where
+    the per-n kernel runs on a unilateral shift, decide is the
+    window-plus-tail enclosure (``_enclosure``) when y's window is no wider
+    than the scan and x's support reaches past it, and else the norm bound
+    (``_norm_bound``), which decides misses only: return-time scans, whose
+    window y = x is all of x's support, and windows wider than the scan.
+    With the flat kernel and on bilateral shifts it decides nothing and
+    dist2 answers every time.
     """
     if x.side is not T.side or y.side is not T.side:
         raise ValueError("vector sides must match the operator")
@@ -214,11 +218,14 @@ def _orbit_scan(
             w_lo, w_hi, y_re, y_im, ny * ny, log_cap, unilateral,
         )
 
-    # the enclosure needs a window no wider than the scan and a support
-    # that reaches past it (else the window is the whole distance, as for
-    # y = x); bilateral tails are left to the kernel
-    if not unilateral or width > count or i_hi <= w_hi:
+    # bilateral tails are left to the kernel; the enclosure needs a window
+    # no wider than the scan and a support that reaches past it (else the
+    # window is the whole distance, as for y = x), and the norm bound
+    # decides misses where it cannot
+    if not unilateral:
         return dist2, _undecided
+    if width > count or i_hi <= w_hi:
+        return dist2, _norm_bound(x, scale, cum, y_re, y_im, ny * ny)
     return dist2, _enclosure(x, scale, cum, w_lo, w_hi, y_re, y_im, ny * ny, log_cap)
 
 
@@ -239,6 +246,62 @@ def _undecided(n_arr: np.ndarray, r2: float):
     return n_arr[:0], n_arr
 
 
+def _tail_bound(x: CoefVec, cum: np.ndarray, k: int):
+    """Certified upper bound on the tail of a unilateral per-n row: the sum
+    of |c_i|^2 over i - n > k, c_i = exp(s(n) + C(i) - C(i - n) + log|x_i|).
+    Its terms have C(i) - C(i - n) <= C(i) - C_min, C_min the least cum[j]
+    over j > k, so the tail is at most exp(2 (s(n) - C_min) + S(n + k)) with
+    S(l) the log-sum-exp of 2 (C(i) + log|x_i|) over i > l, one suffix array
+    per target. Returns tail(n_arr, s_lm, s_abs) -> (log of the bound, the
+    bound), both rounded up; s_abs is |s(n)|, 0 where the scaling vanished.
+    """
+    U, FN_ERR = _kernels.U, _kernels.FN_ERR
+    c_min = float(cum[k + 1:].min())
+    v = 2.0 * (cum[x.indices] + x.log_mags)
+    lse = _suffix_lse(v)
+    # the suffix log-sum-exp: each logaddexp step is 1-Lipschitz in what it
+    # carries and adds at most 3 u max|value| + 2 exp/log1p errors, on top
+    # of the rounding of the values v themselves
+    lse_abs = max(float(np.abs(v).max()), float(np.abs(lse[:-1]).max())) + 1.0
+    lse_err = x.nnz * (3.0 * U * lse_abs + 2.0 * FN_ERR) + 4.0 * U * (
+        float(np.abs(cum).max()) + float(np.abs(x.log_mags).max()))
+
+    def tail(n_arr, s_lm, s_abs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = np.searchsorted(x.indices, n_arr + k, side="right")
+            tail_lm2 = 2.0 * (s_lm - c_min) + lse[t]
+            tail_lm2 += lse_err + 8.0 * U * (s_abs + abs(c_min) + lse_abs)
+            return tail_lm2, np.exp(tail_lm2) * (1.0 + 4.0 * FN_ERR)
+
+    return tail
+
+
+def _error_band(x: CoefVec, cum: np.ndarray, y_re: np.ndarray, y_im: np.ndarray, y2: float):
+    """The rounding band of a unilateral per-n row (``_kernels.d2_error_bound``).
+    Returns (band, ysq): band(s_lm, s_ph, r2) -> (eta, lm_terms, s_abs), with
+    lm_terms bounding each coefficient's log-magnitude addends and s_abs as
+    in ``_tail_bound``; ysq is the float fsum of y's squares over the window.
+    """
+    cum_abs = float(np.abs(cum).max())
+    xlm_abs = float(np.abs(x.log_mags).max())
+    xph_abs = float(np.abs(x.phases).max())
+    # y2 against the exact sum of y's squares over the window, to which
+    # its zeros add nothing
+    ysq = math.fsum(np.square(y_re[y_re != 0.0]).tolist()
+                    + np.square(y_im[y_im != 0.0]).tolist())
+    dy = 1.01 * abs(y2 - ysq) + 3.0 * _kernels.U * ysq
+    terms = x.nnz + 2 * y_re.size
+
+    def band(s_lm, s_ph, r2):
+        # a vanished scaling makes every coefficient exactly zero
+        s_abs = np.where(s_lm == -np.inf, 0.0, np.abs(s_lm))
+        lm_terms = s_abs + 2.0 * cum_abs + xlm_abs
+        eta = _kernels.d2_error_bound(lm_terms, np.abs(s_ph) + xph_abs, terms, r2, y2, dy)
+        return eta, lm_terms, s_abs
+
+    return band, ysq
+
+
 def _enclosure(
     x: CoefVec, scale, cum: np.ndarray, w_lo: int, w_hi: int,
     y_re: np.ndarray, y_im: np.ndarray, y2: float, log_cap: float,
@@ -247,32 +310,16 @@ def _enclosure(
 
     d2(n) = W(n) + tail(n): the window W over i - n in [w_lo, w_hi] is
     summed in full (``_kernels.window_dist2``), and the tail over i - n >
-    w_hi has non-negative terms with C(i) - C(i - n) <= C(i) - C_min, C_min
-    the least cum[j] over j > w_hi, so it is at most
-    exp(2 (s(n) - C_min) + S(n + w_hi)) with S(k) the log-sum-exp of
-    2 (C(i) + log|x_i|) over i > k, one suffix array per target. Returns
-    decide(n_arr, r2) -> (inside, rest), the hit times and the open times:
-    a miss where W >= r2 + eta, a hit where W + tail < r2 - eta and no
-    coefficient can reach log_cap (so the kernel's overflow pre-filter
-    stays off), eta from ``_kernels.d2_error_bound``; each decided answer is
-    the per-n kernel's own float answer to d2 < r2.
+    w_hi is at most ``_tail_bound``'s bound. Returns decide(n_arr, r2) ->
+    (inside, rest), the hit times and the open times: a miss where W >= r2
+    + eta, a hit where W + tail < r2 - eta and no coefficient can reach
+    log_cap (so the kernel's overflow pre-filter stays off), eta from
+    ``_kernels.d2_error_bound``; each decided answer is the per-n kernel's
+    own float answer to d2 < r2.
     """
-    U, FN_ERR = _kernels.U, _kernels.FN_ERR
-    c_min = float(cum[w_hi + 1:].min())
-    v = 2.0 * (cum[x.indices] + x.log_mags)
-    lse = _suffix_lse(v)
-    cum_abs = float(np.abs(cum).max())
-    xlm_abs = float(np.abs(x.log_mags).max())
-    xph_abs = float(np.abs(x.phases).max())
-    # the suffix log-sum-exp: each logaddexp step is 1-Lipschitz in what it
-    # carries and adds at most 3 u max|value| + 2 exp/log1p errors, on top
-    # of the rounding of the values v themselves
-    lse_abs = max(float(np.abs(v).max()), float(np.abs(lse[:-1]).max())) + 1.0
-    lse_err = x.nnz * (3.0 * U * lse_abs + 2.0 * FN_ERR) + 4.0 * U * (cum_abs + xlm_abs)
-    # y2 against the exact sum of y's squares over the window
-    ysq = math.fsum(np.concatenate([y_re * y_re, y_im * y_im]).tolist())
-    dy = 1.01 * abs(y2 - ysq) + 3.0 * U * ysq
-    terms = x.nnz + 2 * (w_hi - w_lo + 1)
+    U = _kernels.U
+    tail_bound = _tail_bound(x, cum, w_hi)
+    band, _ = _error_band(x, cum, y_re, y_im, y2)
 
     def decide(n_arr, r2):
         s_lm, s_ph = scale(n_arr)
@@ -281,15 +328,9 @@ def _enclosure(
             n_arr, s_lm, s_ph, x.log_mags, x.phases, pos, pos_lo, cum, w_lo, w_hi,
             y_re, y_im,
         )
-        # a vanished scaling makes every coefficient exactly zero
-        s_abs = np.where(s_lm == -np.inf, 0.0, np.abs(s_lm))
-        lm_terms = s_abs + 2.0 * cum_abs + xlm_abs
-        eta = _kernels.d2_error_bound(lm_terms, np.abs(s_ph) + xph_abs, terms, r2, y2, dy)
+        eta, lm_terms, s_abs = band(s_lm, s_ph, r2)
+        tail_lm2, tail = tail_bound(n_arr, s_lm, s_abs)
         with np.errstate(over="ignore", invalid="ignore"):
-            t = np.searchsorted(x.indices, n_arr + w_hi, side="right")
-            tail_lm2 = 2.0 * (s_lm - c_min) + lse[t]
-            tail_lm2 += lse_err + 8.0 * U * (s_abs + abs(c_min) + lse_abs)
-            tail = np.exp(tail_lm2) * (1.0 + 4.0 * FN_ERR)
             # every coefficient's log-magnitude, rounding included, below log_cap
             lm_err = _kernels.lm_error_bound(lm_terms)
             lm_top = np.maximum(lm_max + lm_err, 0.5 * tail_lm2) + lm_err
@@ -298,6 +339,38 @@ def _enclosure(
             miss = ok & (W >= r2 + eta)
             hit = ok & capped & (W + tail < r2 - eta)
         return n_arr[hit], n_arr[~(hit | miss)]
+
+    return decide
+
+
+def _norm_bound(x: CoefVec, scale, cum: np.ndarray, y_re: np.ndarray, y_im: np.ndarray,
+                y2: float):
+    """Certified misses for a unilateral per-n scan whose window leaves no
+    tail to enclose (y's window covers x's support, as for y = x, or is
+    wider than the scan), from the reverse triangle inequality
+    d(n) >= |y| - |lam_n T^n x|. The whole row is the tail beyond offset 0,
+    so |lam_n T^n x|^2 <= U(n)^2 = exp(2 (s(n) - C_min) + S(n)) by
+    ``_tail_bound``. Returns decide(n_arr, r2) -> (no times, open times): a
+    miss where |y| > U(n) and (|y| - U(n))^2 >= r2 + eta, eta from
+    ``_kernels.d2_error_bound``, which then is the kernel's own float answer
+    d2 >= r2. It never decides a hit.
+    """
+    U = _kernels.U
+    tail_bound = _tail_bound(x, cum, 0)
+    band, ysq = _error_band(x, cum, y_re, y_im, y2)
+    # below the exact |y| of the float window: ysq is within 2 u of the sum
+    # of the exact squares, and sqrt and the product round once each
+    y_lo = math.sqrt(ysq) * (1.0 - 8.0 * U)
+
+    def decide(n_arr, r2):
+        s_lm, s_ph = scale(n_arr)
+        eta, _, s_abs = band(s_lm, s_ph, r2)
+        _, tail = tail_bound(n_arr, s_lm, s_abs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the gap and its square rounded down, U(n) rounded up
+            gap = y_lo - np.sqrt(tail) * (1.0 + 4.0 * U)
+            miss = (gap > 0.0) & (gap * gap * (1.0 - 8.0 * U) >= r2 + eta)
+        return n_arr[:0], n_arr[~miss]
 
     return decide
 

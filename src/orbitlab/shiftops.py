@@ -162,13 +162,16 @@ class WeightSeq:
         self.check_range(lo, hi)
         if self.family == "table_w":
             return self._table_cum[idx]
-        i = idx.astype(np.float64)
+        out = idx.astype(np.float64)  # a copy, worked on in place
         if self.family == "sqrt_ratio":
-            return 0.5 * np.log(i + 1.0)
+            out += 1.0
+            np.log(out, out=out)
+            out *= 0.5
+            return out
         log_neg, log_pos = map(math.log, self._pair)
         # a chunk on one side of 0 needs one slope, not a per-index choice
-        out = i * (log_pos if lo >= 0 else log_neg if hi <= 0
-                   else np.where(idx > 0, log_pos, log_neg))
+        out *= (log_pos if lo >= 0 else log_neg if hi <= 0
+                else np.where(idx > 0, log_pos, log_neg))
         if lo <= 0 <= hi:
             out[idx == 0] = 0.0  # the empty sum; 0 * log c is -0.0 for c < 1
         return out

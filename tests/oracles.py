@@ -302,6 +302,45 @@ def flat_orbit_dist2(n_arr, scale_lm, scale_ph, sup_idx, sup_lm, sup_ph, pos, po
     return np.where(overflow, np.inf, acc)
 
 
+def general_orbit_dist2(n_arr, scale_lm, scale_ph, sup_idx, sup_lm, sup_ph, cum, cum_lo,
+                        w_lo, w_hi, y_re, y_im, y_norm2, log_cap, unilateral):
+    """``_kernels.general_orbit_dist2`` with y's window and the rest of each
+    row picked by boolean masks on the moved indices j = i - n, and each
+    row's start found by its own binary search. The kernel, which slices
+    the row at binary searches made for all times at once, must equal it
+    bit for bit."""
+    m = n_arr.shape[0]
+    out = np.empty(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(m):
+            n = int(n_arr[t])
+            start = np.searchsorted(sup_idx, n + w_lo) if unilateral else 0
+            idx = sup_idx[start:]
+            if idx.size == 0:
+                out[t] = y_norm2
+                continue
+            lm = scale_lm[t] + (cum[idx - cum_lo] - cum[idx - n - cum_lo]) + sup_lm[start:]
+            if np.max(lm) > log_cap:
+                out[t] = np.inf
+                continue
+            ph = scale_ph[t] + sup_ph[start:]
+            mag = np.exp(lm)
+            cre = mag * np.cos(ph)
+            cim = mag * np.sin(ph)
+            j = idx - n
+            acc = y_norm2
+            inwin = (j >= w_lo) & (j <= w_hi)
+            jw = j[inwin] - w_lo
+            yr = y_re[jw]
+            yi = y_im[jw]
+            acc += np.sum(
+                (cre[inwin] - yr) ** 2 + (cim[inwin] - yi) ** 2 - yr**2 - yi**2
+            )
+            acc += np.sum(cre[~inwin] ** 2 + cim[~inwin] ** 2)
+            out[t] = acc
+    return out
+
+
 def window_dist2(n_arr, scale_lm, scale_ph, sup_lm, sup_ph, pos, pos_lo, cum, w_lo, w_hi,
                  y_re, y_im, acc=None):
     """``_kernels.window_dist2`` with exp, cos and sin on every (n, j) slot:

@@ -1,14 +1,19 @@
-"""The certified window-plus-tail enclosure of the per-n orbit scan.
+"""The certified decisions of the per-n orbit scan: the window-plus-tail
+enclosure and the norm bound.
 
 Decided times must give the per-n kernel's own float answer: hits and the
 distances at planned times equal, bit for bit, a scan that runs the kernel at
 every time (``oracles.exact_ball_scan``). Points on the open-ball boundary
 stay undecided and go to the kernel, and the kernel's squared distance stays
-within ``d2_error_bound`` of a 50-digit evaluation.
+within ``d2_error_bound`` of a 50-digit evaluation. Every miss the norm bound
+decides is a kernel miss, also next to the bound, and times where the bound
+is too loose go to the kernel.
 """
 
 import cmath
+import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -18,10 +23,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import exact_ball_scan
 
-from orbitlab import _kernels, orbits
+from orbitlab import _kernels, expcli, orbits
 from orbitlab.fhbuilder import build
 from orbitlab.lspace import Ball, CoefVec, Side
-from orbitlab.orbits import _ball_scan
+from orbitlab.orbits import _ball_scan, recurrence_scan
 from orbitlab.seqcore import ScalingSeq, eval_at
 from orbitlab.shiftops import ShiftOp, WeightSeq
 
@@ -199,3 +204,118 @@ def test_kernel_within_error_bound_of_50_digits(seed, family, data):
     with mpmath.workdps(50):
         err = abs(mpmath.mpf(float(d2)) - want)
     assert err <= eta, (float(err), float(eta))
+
+
+# ---------------------------------------------------------------------------
+# the norm bound: certified misses where y's window leaves no tail
+# ---------------------------------------------------------------------------
+
+def _decided_misses(x, lam, T, b, N):
+    """The times the norm bound decides over n = 1..N; it decides no hit."""
+    inside, rest = _decisions(x, lam, T, b, N)
+    assert inside.size == 0
+    return np.setdiff1d(np.arange(1, N + 1), rest)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(FAMILIES), st.data())
+def test_norm_bound_misses_are_kernel_misses(seed, family, data):
+    # return-time balls (y = x) and a target whose window covers x's support
+    # and is wider than the scan: every decided miss has the kernel's
+    # d2 >= r^2, also at radii planted on a time's own distance
+    x, lam, T, _, N = _random_case(seed, family)
+    far = CoefVec.from_pairs(Side.UNILATERAL, [(int(x.indices[-1]) + 1, 0.5)])
+    n = data.draw(st.integers(1, N), label="n")
+    for y in (x, far):
+        d2 = exact_ball_scan(x, lam, T, Ball(y, 1.0), N, np.arange(1, N + 1))[1]
+        finite = d2[np.isfinite(d2)]
+        radii = [float(np.sqrt(q)) for q in np.quantile(finite, [0.05, 0.5])
+                 ] if finite.size else []
+        if np.isfinite(d2[n - 1]) and d2[n - 1] > 0.0:
+            r = math.sqrt(d2[n - 1])
+            radii += [math.nextafter(r, 0.0), r, math.nextafter(r, math.inf)]
+        for radius in radii:
+            b = Ball(y, radius)
+            missed = _decided_misses(x, lam, T, b, N)
+            want_hits, want_d2 = exact_ball_scan(x, lam, T, b, N, np.arange(1, N + 1))
+            assert (want_d2[missed - 1] >= radius * radius).all()
+            assert _ball_scan(x, lam, T, b, N)[0].tobytes() == want_hits.tobytes()
+
+
+@settings(deadline=None)
+@given(st.integers(5, 30), st.integers(0, 3), st.sampled_from([2.0, 1e-4]), st.data())
+def test_norm_bound_planted_near_its_boundary(q, count, delta, data):
+    # y = (1 + delta) c e(q) and x = a e(q + n0) plus ``count`` small entries
+    # past it, unweighted, c = a pm^n0: at n0, T^n0 x points along y, so the
+    # exact d2 is the bound L = (|y| - |T^n0 x|)^2 (count = 0) or just above
+    # it; the scan (N < q) is narrower than y's window. With delta = 1e-4 the
+    # kernel's d2 cancels |y|^2 down to about 1e-8 |y|^2, so its rounding is
+    # about 1e-8 of L, and the band eta must keep the decided misses sound.
+    # Radii a few thousand ulp around L and on to the kernel's d2: each
+    # decided miss is a kernel miss, and r^2 = L (1 - 1e-9) (delta = 2) or
+    # L (1 - 1e-3) (delta = 1e-4) is decided, so the band stays tight
+    pm = data.draw(st.floats(0.5, 2.0), label="pm")
+    N = data.draw(st.integers(1, q - 1), label="N")
+    n0 = data.draw(st.integers(1, N), label="n0")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    T = ShiftOp(Side.UNILATERAL, WeightSeq.constant(1.0), pm)
+    a = float(rng.uniform(0.5, 2.0))
+    small = [(q + n0 + k, complex(*rng.normal(0.0, 1e-6, 2))) for k in range(1, count + 1)]
+    x = CoefVec.from_pairs(Side.UNILATERAL, [(q + n0, a), *small])
+    y = CoefVec.from_pairs(Side.UNILATERAL, [(q, (1.0 + delta) * a * pm**n0)])
+    d2 = exact_ball_scan(x, ONE, T, Ball(y, 1.0), N, np.array([n0]))[1][0]
+    with mpmath.workdps(50):
+        cx = mpmath.sqrt(sum(mpmath.mpf(pm) ** (2 * n0) * abs(mpmath.mpc(v)) ** 2
+                             for v in x.to_complex_array().tolist()))
+        L = float((abs(mpmath.mpc(y.to_complex_array()[0])) - cx) ** 2)
+    r2s = [*(L * (1.0 + np.arange(-16, 17) * 2.0**-40)), *np.linspace(L, max(L, d2), 5),
+           math.nextafter(d2, 0.0), d2, math.nextafter(d2, math.inf)]
+    for r2 in r2s:
+        b = Ball(y, math.sqrt(r2))
+        if n0 in _decided_misses(x, ONE, T, b, N):
+            assert d2 >= b.radius * b.radius
+    tight = L * (1.0 - (1e-9 if delta == 2.0 else 1e-3))
+    assert n0 in _decided_misses(x, ONE, T, Ball(y, math.sqrt(tight)), N)
+
+
+def test_norm_bound_too_loose_goes_to_the_kernel():
+    # x = e(5) + e(6) and y = x under unit table weights (the per-n kernel):
+    # T^n x keeps norm |x| for n <= 4 and norm 1 at n = 5, so
+    # (|x| - |T^n x|)^2 < r^2 = 1.5 although every d2 >= 2; those times run
+    # the kernel, and only n >= 6 (T^n x = 0) is decided
+    x = CoefVec.from_pairs(Side.UNILATERAL, [(5, 1.0), (6, 1.0)])
+    T = ShiftOp(Side.UNILATERAL, WeightSeq.table([1.0] * 20))
+    b = Ball(x, math.sqrt(1.5))
+    assert _decided_misses(x, ONE, T, b, 10).tolist() == list(range(6, 11))
+    (hits, _), rows = _recorded_rows(lambda: _ball_scan(x, ONE, T, b, 10))
+    assert rows.tolist() == [1, 2, 3, 4, 5] and hits.size == 0
+    assert exact_ball_scan(x, ONE, T, b, 10)[0].size == 0
+
+
+E2_CONFIGS = {
+    "shipped": Path(__file__).parents[1] / "configs" / "e2.json",
+    "N2e4_recurrence300": {"scenario": "E2", "N": 20_000, "recurrence_N": 300},
+}
+
+
+@pytest.mark.parametrize("config", E2_CONFIGS.values(), ids=E2_CONFIGS)
+def test_e2_return_scan_runs_the_kernel_below_the_first_index(config, tmp_path):
+    # lam_n = n! builds x from index 11 on; for n >= 11 the norm bound puts
+    # T^n x far from x, and below it T^n x keeps all of x's norm, so the
+    # kernel runs at exactly n = 1..10 and the scan comes back empty
+    if isinstance(config, dict):
+        path = tmp_path / "e2.json"
+        path.write_text(json.dumps(config))
+        config = path
+    seen = {}
+
+    def scan(T, x, eps, N):
+        seen["x"] = x
+        return recurrence_scan(T, x, eps, N)
+
+    run = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+    with mock.patch.object(expcli, "recurrence_scan", scan):
+        code, rows = _recorded_rows(lambda: expcli.main(run))
+    first = int(seen["x"].indices[0])
+    assert code == 0 and first == 11
+    assert rows.tolist() == list(range(1, first))

@@ -290,6 +290,52 @@ def test_window_kernels_match_every_slot_oracles(side, density):
     assert fired > 0 and (past_cum > 0 or density == 1.0)
 
 
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([Side.UNILATERAL, Side.BILATERAL]),
+       st.integers(1, 6))
+def test_general_kernel_matches_mask_oracle(seed, side, width):
+    # the per-n kernel slices each row at binary searches made for all
+    # times at once; bit for bit the boolean-mask row loop
+    # (oracles.general_orbit_dist2) at every time up to past x's support,
+    # with y's window at either end of the support, vanished scalings (-inf)
+    # and rows past exp's range (scale 800), which the pre-filter makes +inf
+    unilateral = side is Side.UNILATERAL
+    rng = np.random.default_rng(seed)
+    lo = int(rng.integers(2, 20) if unilateral else rng.integers(-40, 20))
+    idx = np.unique(rng.integers(lo, lo + 100, size=int(rng.integers(1, 60))))
+    idx[0] = lo
+    x = CoefVec.from_log_entries(side, idx, rng.normal(-1.0, 2.0, idx.size),
+                                 rng.uniform(-4.0, 4.0, idx.size))
+    i_lo, i_hi = int(idx[0]), int(idx[-1])
+    # row n_low's window starts at x's first index, row n_high's ends at (or
+    # past) its last; rows n > i_hi hold no entry of a unilateral x
+    n_low = i_lo - 1 if unilateral else int(rng.integers(1, 5))
+    w_lo = 1 if unilateral else i_lo - n_low
+    w_hi = w_lo + width - 1
+    n_high = max(1, i_hi - w_hi)
+    n_hi = max(i_hi, n_low, n_high) + 5
+    n_arr = np.arange(1, n_hi + 1, dtype=np.int64)
+    scale_lm = rng.normal(0.0, 1.0, n_arr.size)
+    others = np.setdiff1d(np.arange(n_arr.size), [n_low - 1, n_high - 1])
+    scale_lm[rng.choice(others, size=others.size // 10)] = -np.inf
+    vanished, past = rng.choice(others, size=2, replace=False)
+    scale_lm[vanished] = -np.inf
+    scale_lm[past] = 800.0
+    scale_ph = rng.uniform(-30.0, 30.0, n_arr.size)
+    cum_lo = 0 if unilateral else min(i_lo - n_hi, 0)
+    cum = rng.normal(0.0, 1.0, i_hi - cum_lo + 1)
+    y_re, y_im = rng.normal(size=(2, width))
+    y_norm2 = float(np.sum(y_re**2 + y_im**2))
+    args = (n_arr, scale_lm, scale_ph, x.indices, x.log_mags, x.phases, cum, cum_lo,
+            w_lo, w_hi, y_re, y_im, y_norm2, 20.0, unilateral)
+    got = _kernels.general_orbit_dist2(*args)
+    want = oracles.general_orbit_dist2(*args)
+    assert _same_bits(got, want)
+    assert np.isfinite(want[[n_low - 1, n_high - 1, vanished]]).all()
+    assert np.isposinf(want[past]) == (not unilateral or past + 1 < i_hi)
+    assert not unilateral or (want[i_hi - 1:] == y_norm2).all()
+
+
 def test_bilateral_negative_support_matches_direct():
     # negative target support exercises the prefix tail and the offset lookup
     from orbitlab.lspace import dist
