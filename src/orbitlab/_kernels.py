@@ -113,7 +113,8 @@ def flat_orbit_dist2(
     y's window, summed on by ``window_dist2`` with no weight term (the
     index-independent weight is already in the scale). The tails start at
     running counts of x's support read off the position table: below[k] is
-    the number of support indices <= pos_lo + k."""
+    the number of support indices <= pos_lo + k. Only a bilateral shift
+    reads ``prefix_lse``; a unilateral one may pass None."""
     below = np.cumsum(pos >= 0) + np.searchsorted(sup_idx, pos_lo)
     with np.errstate(over="ignore", invalid="ignore"):
         t_hi = below[n_arr + w_hi - pos_lo]

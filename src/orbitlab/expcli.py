@@ -234,6 +234,17 @@ def _show(v) -> str:
     return s if len(s) <= 60 else s[:57] + "..."
 
 
+def _read(kind: Kind, raw, where: str):
+    """``raw`` read as ``kind``; a value of another kind is a config error
+    that starts with ``where``."""
+    try:
+        return kind.read(raw)
+    except TypeError:
+        raise ConfigError(f"{where} must be {kind.name}, got {_show(raw)}") from None
+    except ConfigError as e:
+        raise ConfigError(f"{where}: {e}") from None
+
+
 def resolve(cfg: dict, rows: dict[str, Param], where: str) -> SimpleNamespace:
     """Read a config through its table: every key known, every required key
     present, every value of its kind and in its range, defaults filled in.
@@ -251,14 +262,7 @@ def resolve(cfg: dict, rows: dict[str, Param], where: str) -> SimpleNamespace:
         if raw is None and p.default is None:
             out[key] = None
             continue
-        try:
-            value = p.kind.read(raw)
-        except TypeError:
-            raise ConfigError(
-                f"{where}: {key!r} must be {p.kind.name}, got {_show(raw)}"
-            ) from None
-        except ConfigError as e:
-            raise ConfigError(f"{where}: {key!r}: {e}") from None
+        value = _read(p.kind, raw, f"{where}: {key!r}")
         if p.range is not None and not p.range.holds(value):
             raise ConfigError(f"{where}: {key!r} must be {p.range.text}, got {_show(raw)}")
         if p.horizon:
@@ -540,9 +544,12 @@ def canonical_json(obj) -> str:
 def write_report(outdir: Path, scenario: str, cfg: dict, body: dict) -> dict:
     """Wrap a command's results in the report envelope and write report.json.
 
-    ``config`` is the config as the user typed it, not the resolved one.
+    ``config`` is the config as the user typed it, not the resolved one. A
+    body without ``density_tables``, ``certificates`` or ``artifacts`` gets
+    them empty.
     """
-    report = {"format": REPORT_FORMAT, "scenario": scenario, "config": cfg, **body}
+    report = {"format": REPORT_FORMAT, "scenario": scenario, "config": cfg,
+              "density_tables": {}, "certificates": [], "artifacts": {}, **body}
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(canonical_json(report))
     return report
@@ -640,6 +647,21 @@ def read_vector_csv(path: Path, side: Side) -> CoefVec:
         raise ConfigError(f"artifact {path}: {e}") from e
 
 
+def _fu_outputs(outdir: Path, v, densities: bool = True) -> dict:
+    """Write an FU build's evidence: ``fu_vector.csv`` and each target's
+    ``hitting_i.csv``, plus its ``density_i.csv`` when ``densities`` is true.
+    Returns the report's ``density_tables``, ``fu_plan`` and ``artifacts``."""
+    arts = {"fu_vector": vector_csv(outdir, "fu_vector.csv", v.x)}
+    tables = {}
+    for i, h in enumerate(v.hits):
+        ds = density_stats(h)
+        arts[f"hitting_{i}"] = hitting_csv(outdir, f"hitting_{i}.csv", h)
+        if densities:
+            arts[f"density_{i}"] = density_csv(outdir, f"density_{i}.csv", ds)
+        tables[f"target_{i}"] = _density_table(ds)
+    return {"density_tables": tables, "fu_plan": v.plan.to_config(), "artifacts": arts}
+
+
 def _density_table(ds) -> dict:
     return {
         "lower_est": ds.lower_est,
@@ -732,8 +754,6 @@ def run_e1(p: SimpleNamespace, outdir: Path) -> dict:
 
     e1 = CoefVec.basis(Side.UNILATERAL, 1)
     v = build(lam, T, [(e1, p.eps)], N)
-    h = v.hits[0]
-    ds = density_stats(h)
 
     rep_decay = norm_decay_check(T, CoefVec.basis(Side.UNILATERAL, 5), 200)
     if not rep_decay.ok:
@@ -743,11 +763,6 @@ def run_e1(p: SimpleNamespace, outdir: Path) -> dict:
             and abs(verdict.limit - abs(a)) <= 1e-6):
         raise ScenarioError(f"expected Bad({abs(a)}), got {verdict.kind}")
 
-    arts = {
-        "hitting_0": hitting_csv(outdir, "hitting_0.csv", h),
-        "density_0": density_csv(outdir, "density_0.csv", ds),
-        "fu_vector": vector_csv(outdir, "fu_vector.csv", v.x),
-    }
     return {
         "verdicts": {
             "scaled_power_identity": "ok",
@@ -755,11 +770,8 @@ def run_e1(p: SimpleNamespace, outdir: Path) -> dict:
             "norm_decay": rep_decay.conclusion,
             "ratio": _ratio_verdict_dict(verdict),
         },
-        "density_tables": {"target_0": _density_table(ds)},
-        "certificates": [],
-        "stats": {"hits": len(h), "planned": v.report["planned_total"], "N": N},
-        "fu_plan": v.plan.to_config(),
-        "artifacts": arts,
+        "stats": {"hits": len(v.hits[0]), "planned": v.report["planned_total"], "N": N},
+        **_fu_outputs(outdir, v),
     }
 
 
@@ -770,8 +782,6 @@ def run_e2(p: SimpleNamespace, outdir: Path) -> dict:
     T = ShiftOp(Side.UNILATERAL, WeightSeq.constant(1.0))
     e1 = CoefVec.basis(Side.UNILATERAL, 1)
     v = build(lam, T, [(e1, p.eps)], N)
-    h = v.hits[0]
-    ds = density_stats(h)
 
     eps_rec = 0.5 * norm(v.x)
     returns = recurrence_scan(T, v.x, eps_rec, scan_N)
@@ -781,22 +791,14 @@ def run_e2(p: SimpleNamespace, outdir: Path) -> dict:
     if not (verdict.is_bad and verdict.limit == 0.0):
         raise ScenarioError(f"expected Bad(0), got {verdict.kind}")
 
-    arts = {
-        "hitting_0": hitting_csv(outdir, "hitting_0.csv", h),
-        "density_0": density_csv(outdir, "density_0.csv", ds),
-        "fu_vector": vector_csv(outdir, "fu_vector.csv", v.x),
-    }
     return {
         "verdicts": {
             "fu_build": "ok",
             "recurrence_scan": "empty",
             "ratio": _ratio_verdict_dict(verdict),
         },
-        "density_tables": {"target_0": _density_table(ds)},
-        "certificates": [],
-        "stats": {"hits": len(h), "recurrence_horizon": scan_N, "N": N},
-        "fu_plan": v.plan.to_config(),
-        "artifacts": arts,
+        "stats": {"hits": len(v.hits[0]), "recurrence_horizon": scan_N, "N": N},
+        **_fu_outputs(outdir, v),
     }
 
 
@@ -851,7 +853,6 @@ def run_e3(p: SimpleNamespace, outdir: Path) -> dict:
             "ratio_evens": _ratio_verdict_dict(evens),
         },
         "density_tables": {"compressed_target": _density_table(ds)},
-        "certificates": [],
         "stats": {"hits": len(h_comp), "N": N, "compressed_N": n_comp},
         "fu_plan": v.plan.to_config(),
         "artifacts": arts,
@@ -869,11 +870,8 @@ def run_e4(p: SimpleNamespace, outdir: Path) -> dict:
             "salas": f"none found up to N_max={n_max}",
             "context": "universal scaled orbit exists; operator is not hypercyclic",
         },
-        "density_tables": {},
-        "certificates": [],
         "stats": {"best_margin": out.diagnostics.get("best_margin"),
                   "best_n": out.diagnostics.get("best_n"), "N": n_max},
-        "artifacts": {},
     }
 
 
@@ -897,11 +895,9 @@ def run_e5(p: SimpleNamespace, outdir: Path) -> dict:
             "product_formula": f"max deviation {worst:.3e}",
             "series": sv.kind,
         },
-        "density_tables": {},
         "certificates": [sv.to_config() | {"weights": w.to_config()}],
         "stats": {"partial_sum": sv.partial_sum, "crossed_cap_at": sv.crossed_cap_at,
                   "N": n_max},
-        "artifacts": {},
     }
 
 
@@ -913,13 +909,8 @@ def run_e6(p: SimpleNamespace, outdir: Path) -> dict:
     targets = [(parse_vector(s), p.eps) for s in p.targets]
     v = _checked(build, lam, T2, targets, N, g=p.g)
 
-    arts: dict = {"fu_vector": vector_csv(outdir, "fu_vector.csv", v.x)}
-    density_tables = {}
-    for i, h in enumerate(v.hits):
-        ds = density_stats(h)
-        arts[f"hitting_{i}"] = hitting_csv(outdir, f"hitting_{i}.csv", h)
-        arts[f"density_{i}"] = density_csv(outdir, f"density_{i}.csv", ds)
-        density_tables[f"target_{i}"] = _density_table(ds)
+    fu = _fu_outputs(outdir, v)
+    arts = fu["artifacts"]
 
     h0 = v.hits[0]
     certificates = []
@@ -954,15 +945,13 @@ def run_e6(p: SimpleNamespace, outdir: Path) -> dict:
                 "max_distance": repr(max(w.distances)),
             },
         },
-        "density_tables": density_tables,
         "certificates": certificates,
         "stats": {
             "hits_per_target": [len(h) for h in v.hits],
             "planned": v.report["planned_total"],
             "N": N,
         },
-        "fu_plan": v.plan.to_config(),
-        "artifacts": arts,
+        **fu,
     }
 
 
@@ -1000,10 +989,8 @@ def run_e7(p: SimpleNamespace, outdir: Path) -> dict:
             )
     return {
         "verdicts": verdicts,
-        "density_tables": {},
         "certificates": certificates,
         "stats": {"symbols": len(symbols)},
-        "artifacts": {},
     }
 
 
@@ -1040,14 +1027,7 @@ def _cert_field(cert: dict, key: str, kind: Kind, default=REQUIRED, what: str | 
         return default
     if key not in cert:
         raise ConfigError(f"{what} certificate has no field {key!r}")
-    try:
-        return kind.read(cert[key])
-    except TypeError:
-        raise ConfigError(
-            f"{what} certificate field {key!r} must be {kind.name}, got {_show(cert[key])}"
-        ) from None
-    except ConfigError as e:
-        raise ConfigError(f"{what} certificate field {key!r}: {e}") from None
+    return _read(kind, cert[key], f"{what} certificate field {key!r}")
 
 
 def _verify_products(cert: dict, kind: str) -> bool:
@@ -1283,14 +1263,6 @@ def main(argv: list[str] | None = None) -> int:
         return code
 
 
-def _print_search(out, n_max: int) -> None:
-    if out:
-        c = out.certificate
-        print(f"witness n={c.n} (verify: {c.verify()})")
-    else:
-        print(f"none found up to N_max={n_max}; diagnostics {out.diagnostics}")
-
-
 def _dispatch(ns) -> int:
     if ns.cmd == "run":
         overrides = {"scenario": ns.scenario} if ns.scenario else {}
@@ -1315,12 +1287,14 @@ def _dispatch(ns) -> int:
         print("last ratios:", " ".join(f"{r:.6g}" for r in v.evidence))
         return EXIT_OK
 
-    if ns.cmd == "check-salas":
-        _print_search(_product_search(p.weights, 1, p.q, p.eps, p.nmax), p.nmax)
-        return EXIT_OK
-
-    if ns.cmd == "check-mr":
-        _print_search(_product_search(p.weights, p.m, p.q, p.eps, p.nmax), p.nmax)
+    if ns.cmd in ("check-salas", "check-mr"):
+        # check-salas is the order-1 search and has no --m
+        out = _product_search(p.weights, getattr(p, "m", 1), p.q, p.eps, p.nmax)
+        if out:
+            c = out.certificate
+            print(f"witness n={c.n} (verify: {c.verify()})")
+        else:
+            print(f"none found up to N_max={p.nmax}; diagnostics {out.diagnostics}")
         return EXIT_OK
 
     if ns.cmd == "check-series":
@@ -1348,18 +1322,10 @@ def _dispatch(ns) -> int:
         targets = [(parse_vector(t.vector), t.eps) for t in p.targets]
         v = _checked(build, p.scaling, T, targets, p.N, g=p.g, n_min=p.n_min)
         outdir = Path(ns.out)
-        arts = {"fu_vector": vector_csv(outdir, "fu_vector.csv", v.x)}
-        tables = {}
-        for i, h in enumerate(v.hits):
-            arts[f"hitting_{i}"] = hitting_csv(outdir, f"hitting_{i}.csv", h)
-            tables[f"target_{i}"] = _density_table(density_stats(h))
         write_report(outdir, "build-fu", cfg, {
             "verdicts": {"fu_build": "ok"},
-            "density_tables": tables,
-            "certificates": [],
             "stats": v.report,
-            "fu_plan": v.plan.to_config(),
-            "artifacts": arts,
+            **_fu_outputs(outdir, v, densities=False),
         })
         print(f"built: {v.x.nnz} coefficients, report -> {ns.out}/report.json")
         return EXIT_OK
@@ -1376,7 +1342,6 @@ def _dispatch(ns) -> int:
         art = vector_csv(outdir, "witness_u.csv", w.u)
         write_report(outdir, "mr-witness", cfg, {
             "verdicts": {"mr_witness": {"ell": w.ell, "a": w.a, "k": w.k}},
-            "density_tables": {},
             "certificates": [_mr_cert(w, art, _op_cfg(T), p.center)],
             "stats": out.diagnostics,
             "artifacts": {"witness_u": art},

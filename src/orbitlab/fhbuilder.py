@@ -101,9 +101,6 @@ class FUVector:
 
     x: CoefVec
     plan: BlockPlan
-    lam: ScalingSeq
-    op: ShiftOp
-    targets: tuple[tuple[CoefVec, float], ...]
     horizon: int
     report: dict
     hits: tuple[HittingSet, ...]
@@ -162,8 +159,7 @@ def build(
         report["planned_total"] += planned
         report["worst_miss"] = max(report["worst_miss"], worst)
 
-    targets = tuple((y, float(e)) for y, e in targets)
-    return FUVector(x, plan, lam, T, targets, N, report, tuple(hits))
+    return FUVector(x, plan, N, report, tuple(hits))
 
 
 def _place(

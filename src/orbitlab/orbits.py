@@ -38,7 +38,7 @@ import numpy as np
 
 from . import _kernels
 from .lspace import Ball, CoefVec, Side, dist, norm
-from .seqcore import ScalingSeq, eval_at, eval_log, scan_grid
+from .seqcore import ScalingSeq, eval_at, eval_log, ratio_classify, scan_grid
 from .shiftops import ShiftOp, scaled_orbit_point
 
 __all__ = [
@@ -196,7 +196,7 @@ def _orbit_scan(
 
     if flat:
         suffix = _suffix_lse(2.0 * x.log_mags)
-        prefix = _prefix_lse(2.0 * x.log_mags)
+        prefix = None if unilateral else _prefix_lse(2.0 * x.log_mags)
 
         def dist2(n_arr):
             pos, pos_lo = _window_positions(x, n_arr, w_lo, w_hi)
@@ -590,8 +590,6 @@ def mr_witness_search(
 def ratio_precheck(lam: ScalingSeq, tau: int):
     """Ratio verdict for the witness-search precondition, or None when the
     sequence cannot be classified (domain errors, a short table, overflow)."""
-    from .seqcore import ratio_classify
-
     horizon = 10**6
     if lam.family == "table":
         horizon = len(lam.params[0]) - tau

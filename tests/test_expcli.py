@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -948,6 +949,40 @@ class TestDeterminism:
         assert (tmp_path / "a/hitting_0.csv").read_bytes() == (
             tmp_path / "b/hitting_0.csv"
         ).read_bytes()
+
+    # sha256 of every file a flat two-target build-fu and an mr-witness on
+    # its vector write; perfbench's goldens cover no mr-witness report
+    PINNED = {
+        "fu": {
+            "report.json": "117b0fb9144f160e22bc5d521e917f4d9978315682d1f56751bf76c180d8284f",
+            "fu_vector.csv": "2068788a1f0c43df76ff347984d5f1cef8106e7b54f3e9fc3f9461fe0a978b10",
+            "hitting_0.csv": "3113087eb100aee920e2c9ca538120fd00a3f621ece7ffd0b62dcbd641424d12",
+            "hitting_1.csv": "88e736553c96633765581a129ee2f04e9cbe5ea975c357fd84e094bd8c5be3fc",
+        },
+        "mw": {
+            "report.json": "a866ae18be1ddad432ad82b97ef01391a0b11f8cbbf9fd98c01c3eb374526f87",
+            "witness_u.csv": "ce474e01aca57af4271d3aac6f8bab64d16198e00014e85108d62eaee885c9c8",
+        },
+    }
+
+    def test_build_fu_and_mr_witness_bytes_pinned(self, tmp_path, monkeypatch):
+        # the report echoes the config, so vector_csv must be a relative path
+        monkeypatch.chdir(tmp_path)
+        Path("build.json").write_text(json.dumps(FU_CONFIG | {
+            "targets": [{"vector": "e(1)", "eps": 1e-3}, {"vector": "e(1)+e(2)", "eps": 1e-3}],
+            "N": 10_000, "g": 16,
+        }))
+        Path("mw.json").write_text(json.dumps({
+            "scaling": FU_CONFIG["scaling"], "operator": FU_CONFIG["operator"],
+            "vector_csv": "fu/fu_vector.csv", "center": "e(1)", "eps": 0.01, "m": 3,
+            "N": 10_000,
+        }))
+        assert main(["build-fu", "--config", "build.json", "--out", "fu"]) == EXIT_OK
+        assert main(["mr-witness", "--config", "mw.json", "--out", "mw"]) == EXIT_OK
+        for out, want in self.PINNED.items():
+            got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in Path(out).iterdir()}
+            assert got == want, out
 
 
 class TestCliSubcommands:

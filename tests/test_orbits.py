@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracles import exact_ball_scan, return_distances
 
-from orbitlab import _kernels, seqcore
+from orbitlab import _kernels, orbits
 from orbitlab.lspace import Ball, CoefVec, Side, dist, norm
 from orbitlab.orbits import (
     HittingSet,
@@ -252,14 +252,14 @@ class TestRatioPrecheck:
         def raise_(*args, **kwargs):
             raise exc("no verdict")
 
-        monkeypatch.setattr(seqcore, "ratio_classify", raise_)
+        monkeypatch.setattr(orbits, "ratio_classify", raise_)
         assert ratio_precheck(ONE, 1) is None
 
     def test_programming_errors_propagate(self, monkeypatch):
         def raise_(*args, **kwargs):
             raise RuntimeError("bug")
 
-        monkeypatch.setattr(seqcore, "ratio_classify", raise_)
+        monkeypatch.setattr(orbits, "ratio_classify", raise_)
         with pytest.raises(RuntimeError, match="bug"):
             ratio_precheck(ONE, 1)
 
