@@ -629,7 +629,8 @@ def _read_csv_columns(path: Path, wanted: dict[str, type]) -> list[np.ndarray]:
         cells = ",".join(rows[lo:lo + CSV_BATCH_ROWS]).split(",")
         for arr, (col, kind) in zip(out, wanted.items()):
             try:
-                arr[lo:lo + CSV_BATCH_ROWS] = list(map(kind, cells[header.index(col)::ncols]))
+                arr[lo:lo + CSV_BATCH_ROWS] = np.array(
+                    list(map(kind, cells[header.index(col)::ncols])), arr.dtype)
             except (ValueError, OverflowError) as e:
                 raise ConfigError(f"artifact {path}, column {col!r}: {e}") from e
             if not np.isfinite(arr[lo:lo + CSV_BATCH_ROWS]).all():
@@ -1054,8 +1055,9 @@ def _verify_range(cert: dict) -> bool:
     def field(key, kind, default=REQUIRED):
         return _cert_field(body, key, kind, default, what="range")
 
+    kind = field("kind", STRING)
     try:
-        range_kind = RangeKind(field("kind", STRING))
+        range_kind = RangeKind(kind)
     except ValueError as e:
         raise ConfigError(f"range certificate: {e}") from e
     numbers = ("boundary_min", "boundary_max", "slack", "min_exact", "max_exact")

@@ -26,6 +26,9 @@ __all__ = [
 
 # norm/dist refuse entries beyond exp(350): |entry|^2 would leave float range
 NORM_LOG_CAP = 350.0
+# exp rounds to +0.0 below ln 2^-1075 ~ -745.133, so an entry (or square)
+# whose log-magnitude lies below LM_ZERO adds an exact zero to norm and dist
+LM_ZERO = -746.0
 
 
 class SideMismatchError(ValueError):
@@ -149,34 +152,51 @@ def _check_sides(x: CoefVec, y: CoefVec):
 
 
 def norm(x: CoefVec) -> float:
-    """Euclidean norm; exact compensated sum of squares, largest first."""
-    if x.nnz == 0:
-        return 0.0
+    """Euclidean norm: ``math.fsum`` of the squares exp(2 log|x_i|) that can
+    be nonzero, in support order.
+
+    fsum is correctly rounded, so neither the order of the terms nor the
+    exact zeros left out (2 log|x_i| < LM_ZERO) can change its result; the
+    squares are finite and non-negative, so no order overflows where another
+    would not. NaN entries stay in.
+    """
     x._require_float_range()
-    sq = np.exp(2.0 * np.sort(x.log_mags)[::-1])
+    lm2 = 2.0 * x.log_mags
+    sq = np.exp(lm2[~(lm2 < LM_ZERO)])
     return math.sqrt(math.fsum(sq.tolist()))
 
 
-def dist(x: CoefVec, y: CoefVec) -> float:
-    """norm(x - y): ``fsum`` over the sorted squares of the merged support.
+def _live(x: CoefVec) -> tuple[np.ndarray, np.ndarray]:
+    """The indices and complex entries of x whose log-magnitude is not below
+    LM_ZERO; every entry left out, its phase finite, is an exact complex zero."""
+    keep = ~(x.log_mags < LM_ZERO)
+    return x.indices[keep], np.exp(x.log_mags[keep]) * np.exp(1j * x.phases[keep])
 
-    Each vector's entries are materialized on its own support; one
-    ``searchsorted`` of x's indices into y's finds the shared ones. A shared
-    index contributes |vx - vy|^2, an index of one vector alone |v|^2, which
-    is the |vx - 0j|^2 or |0j - vy|^2 of a zero-padded merge bit for bit.
+
+def dist(x: CoefVec, y: CoefVec) -> float:
+    """norm(x - y): ``fsum`` over the squares of the merged live supports.
+
+    Each vector's entries are materialized on its live support (``_live``);
+    one ``searchsorted`` of x's live indices into y's finds the shared ones.
+    A shared index contributes |vx - vy|^2, an index live in one vector
+    alone |v|^2, which is the |vx - 0j|^2 or |0j - vy|^2 of a zero-padded
+    merge bit for bit; an index dead in both contributes 0. As in ``norm``,
+    fsum's result is the same in any order and without the exact zeros.
     """
     _check_sides(x, y)
+    x._require_float_range()
+    y._require_float_range()
     if y.nnz == 0:
         return norm(x)
     if x.nnz == 0:
         return norm(y)
-    vx, vy = x.to_complex_array(), y.to_complex_array()
-    p = np.searchsorted(y.indices, x.indices)
-    shared = y.indices[np.minimum(p, y.nnz - 1)] == x.indices
+    (xi, vx), (yi, vy) = _live(x), _live(y)
+    p = np.searchsorted(yi, xi)
+    shared = p < yi.size
+    shared[shared] = yi[p[shared]] == xi[shared]
     py = p[shared]
     vx[shared] -= vy[py]
-    y_only = np.ones(y.nnz, dtype=bool)
+    y_only = np.ones(yi.size, dtype=bool)
     y_only[py] = False
     sq = np.concatenate([np.abs(vx), np.abs(vy[y_only])]) ** 2
-    return math.sqrt(math.fsum(np.sort(sq)[::-1].tolist()))
-
+    return math.sqrt(math.fsum(sq.tolist()))

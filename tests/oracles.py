@@ -16,7 +16,7 @@ from orbitlab.criteria import (
     SearchOutcome,
     SeriesVerdict,
 )
-from orbitlab.lspace import CoefVec, Side, SideMismatchError, norm
+from orbitlab.lspace import CoefVec, Side, SideMismatchError
 from orbitlab.seqcore import scan_grid, wrap_phase
 from orbitlab.shiftops import ShiftOp, WeightSeq
 
@@ -56,6 +56,16 @@ def _positions(v: CoefVec, union: np.ndarray) -> np.ndarray:
     p = np.searchsorted(v.indices, union)
     hit = (p < v.nnz) & (v.indices[np.minimum(p, v.nnz - 1)] == union)
     return np.where(hit, p, -1)
+
+
+def norm(x: CoefVec) -> float:
+    """Euclidean norm: ``math.fsum`` over the squares exp(2 log|x_i|) of every
+    entry, sorted largest first; ``lspace.norm`` must equal it bit for bit."""
+    if x.nnz == 0:
+        return 0.0
+    x._require_float_range()
+    sq = np.exp(2.0 * np.sort(x.log_mags)[::-1])
+    return math.sqrt(math.fsum(sq.tolist()))
 
 
 def dist(x: CoefVec, y: CoefVec) -> float:

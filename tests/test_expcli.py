@@ -241,6 +241,7 @@ BAD_HITS = {
     "non_numeric": "n\n1\nabc\n",
     "unsorted": "n\n1\n3\n2\n",
     "duplicate": "n\n1\n2\n2\n",
+    "index_beyond_int64": f"n\n1\n{2**63}\n",
 }
 BAD_VECTOR = {
     "no_column": "index,log_mag\n1,0.0\n",
@@ -248,6 +249,7 @@ BAD_VECTOR = {
     "non_numeric": "index,log_mag,phase\n1,zero,0.0\n",
     "unsorted": "index,log_mag,phase\n1,0.0,0.0\n3,0.0,0.0\n2,0.0,0.0\n",
     "duplicate": "index,log_mag,phase\n1,0.0,0.0\n2,0.0,0.0\n2,0.0,0.0\n",
+    "index_beyond_int64": f"index,log_mag,phase\n1,0.0,0.0\n{2**63},0.0,0.0\n",
 }
 # vector files whose cells float() reads but which are no finite numbers
 NON_FINITE_VECTOR = {
@@ -311,6 +313,12 @@ class TestMalformedArtifacts:
         )
         (tmp_path / "witness_u.csv").write_text(NON_FINITE_VECTOR[case])
         _assert_schema_error(main(argv), capsys)
+
+    def test_index_beyond_int64_message(self, tmp_path, capsys):
+        path = _bad_artifact(tmp_path, "index_beyond_int64", BAD_HITS)
+        assert main(["ap-find", "--hits", str(path), "--nmax", "100", "--m", "3"]) == EXIT_SCHEMA
+        assert capsys.readouterr().err == (
+            f"config error: artifact {path}, column 'n': Python int too large to convert to C long\n")
 
     def test_verify_missing_report(self, tmp_path, capsys):
         code = main(["verify", "--report", str(tmp_path / "report.json")])
@@ -514,6 +522,17 @@ class TestMalformedOtherCertificates:
     def test_bad_field(self, tmp_path, capsys, kind, fields):
         argv = _verify_argv(tmp_path, {"certificates": [_edited(kind, fields)]})
         _assert_schema_error(main(argv), capsys)
+
+    @pytest.mark.parametrize("kind, message", [
+        (3, "range certificate field 'kind' must be string, got 3"),
+        ("bogus", "range certificate: 'bogus' is not a valid RangeKind"),
+    ], ids=["kind_int", "kind_unknown"])
+    def test_range_kind_message(self, tmp_path, capsys, kind, message):
+        # only an unknown kind gets the "range certificate: " prefix; a
+        # mistyped one already names the certificate once
+        cert = {"type": "range", "phi": [1], "certificate": {"kind": kind}}
+        assert main(_verify_argv(tmp_path, {"certificates": [cert]})) == EXIT_SCHEMA
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("kind, fields", [
         ("salas", {"n": 0}),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from orbitlab.lspace import (
+    LM_ZERO,
     Ball,
     CoefVec,
     Side,
@@ -149,8 +150,11 @@ class TestConstruction:
 INDEX_RANGES = {Side.UNILATERAL: (1, 60), Side.BILATERAL: (-60, 60)}
 
 
+LIVE = st.floats(-30.0, 30.0)
+
+
 @st.composite
-def _entries(draw, side, indices, like=None):
+def _entries(draw, side, indices, like=None, log_mags=LIVE):
     """A vector on the sorted support; where ``like`` has the same index, the
     entry may copy it, so that x - y cancels there exactly."""
     entries = []
@@ -158,14 +162,15 @@ def _entries(draw, side, indices, like=None):
         if like is not None and i in like.indices and draw(st.booleans()):
             entries.append(log_entry(like, i))
         else:
-            entries.append((draw(st.floats(-30.0, 30.0)), draw(st.floats(-math.pi, math.pi))))
+            entries.append((draw(log_mags), draw(st.floats(-math.pi, math.pi))))
     return CoefVec.from_log_entries(side, indices, [lm for lm, _ in entries],
                                     [ph for _, ph in entries])
 
 
 @st.composite
-def _vec_pairs(draw):
-    """Supports that are empty, disjoint, identical, overlapping or bilateral."""
+def _vec_pairs(draw, log_mags=((LIVE, LIVE),)):
+    """Supports that are empty, disjoint, identical, overlapping or bilateral;
+    x's and y's log-magnitudes come from one drawn pair of ``log_mags``."""
     side = draw(st.sampled_from(list(INDEX_RANGES)))
     pool = st.integers(*INDEX_RANGES[side])
     xi = sorted(draw(st.sets(pool, max_size=25)))
@@ -177,8 +182,9 @@ def _vec_pairs(draw):
         yi = set(xi)
     elif relation == "overlap":
         yi |= set(draw(st.lists(st.sampled_from(xi), max_size=10))) if xi else set()
-    x = draw(_entries(side, xi))
-    y = draw(_entries(side, sorted(yi), like=x))
+    x_lms, y_lms = draw(st.sampled_from(log_mags))
+    x = draw(_entries(side, xi, log_mags=x_lms))
+    y = draw(_entries(side, sorted(yi), like=x, log_mags=y_lms))
     return x, y
 
 
@@ -206,3 +212,70 @@ class TestUnion1dOracle:
         lm[shared], ph[shared] = x.log_mags[src[shared]], x.phases[src[shared]]
         y = CoefVec.from_log_entries(side, yi, lm, ph)
         assert dist(x, y) == oracles.dist(x, y) and dist(y, x) == oracles.dist(y, x)
+
+
+# -- entries whose squares are exact zeros ------------------------------------
+
+LN_2_M1075 = math.log(2.0) * -1075  # exp rounds to +0.0 below this, -745.1332...
+# the cut-offs of dist (LM_ZERO) and norm (2 lm < LM_ZERO), exp's own zero and
+# their float neighbours
+EDGES = [v for c in (LM_ZERO, LN_2_M1075, LM_ZERO / 2)
+         for v in (math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf))]
+# log-magnitudes below LM_ZERO, whose entries dist and norm both leave out
+DEAD = st.one_of(st.sampled_from([v for v in EDGES if v < LM_ZERO] + [-1e5]),
+                 st.floats(-1e5, LM_ZERO, exclude_max=True))
+# the edges, norm's band, the band where exp is subnormal and far below it
+EDGE = st.one_of(st.sampled_from(EDGES + [-1e5]), st.floats(-373.0, -372.5),
+                 st.floats(-745.2, -708.0))
+MIXED = st.one_of(LIVE, EDGE)
+
+
+def _assert_oracle_bits(x, y):
+    assert dist(x, y) == oracles.dist(x, y) and dist(y, x) == oracles.dist(y, x)
+    assert norm(x) == oracles.norm(x) and norm(y) == oracles.norm(y)
+
+
+class TestDeadEntries:
+    def test_cutoff_below_exps_zero(self):
+        assert LM_ZERO < LN_2_M1075 and np.exp(LM_ZERO) == 0.0
+
+    @settings(deadline=None)
+    @given(_vec_pairs(log_mags=[(MIXED, MIXED), (EDGE, EDGE), (DEAD, MIXED),
+                                (MIXED, DEAD), (DEAD, DEAD)]))
+    def test_dist_norm(self, pair):
+        # mixed, all dead on one side or on both; shared indices pair dead
+        # with live entries either way round
+        _assert_oracle_bits(*pair)
+
+    @pytest.mark.parametrize("lm", EDGES + [-1e5, -720.0])
+    @pytest.mark.parametrize("side", [Side.UNILATERAL, Side.BILATERAL])
+    def test_shared_index_dead_against_live(self, lm, side):
+        dead = CoefVec.from_log_entries(side, [2, 5], [lm, 0.3], [1.0, -2.0])
+        live = CoefVec.from_log_entries(side, [2, 7], [-0.5, 1.0], [0.5, 3.0])
+        _assert_oracle_bits(dead, live)
+        all_dead = CoefVec.from_log_entries(side, [2, 7], [lm, lm], [0.5, 3.0])
+        _assert_oracle_bits(all_dead, live)
+        _assert_oracle_bits(all_dead, dead)
+        _assert_oracle_bits(all_dead, all_dead)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_long_mostly_dead(self, seed):
+        # shaped like an E6 witness u: 20k entries, 99.6% of them dead,
+        # against a short centre, a live vector on u's first 500 indices and
+        # another mostly dead vector
+        rng = np.random.default_rng(seed)
+        n = 20_000
+        idx = np.arange(1, n + 1)
+        lm = rng.uniform(-5000.0, LM_ZERO, n)
+        alive = rng.choice(n, 80, replace=False)
+        lm[alive[:60]] = rng.normal(0.0, 5.0, 60)
+        lm[alive[60:]] = rng.uniform(-745.2, -700.0, 20)  # zero or subnormal
+        assert np.mean(lm < LM_ZERO) == 0.996
+        u = CoefVec.from_log_entries(Side.UNILATERAL, idx, lm, rng.uniform(-4, 4, n))
+        v = CoefVec.from_log_entries(Side.UNILATERAL, idx, np.roll(lm, 7),
+                                     rng.uniform(-4, 4, n))
+        center = CoefVec.from_pairs(Side.UNILATERAL, [(1, 1.0), (3, -0.5j)])
+        head = CoefVec.from_log_entries(Side.UNILATERAL, idx[:500],
+                                        rng.normal(0.0, 5.0, 500), u.phases[:500])
+        for y in (center, head, v):
+            _assert_oracle_bits(u, y)
