@@ -48,9 +48,6 @@ class VerificationFailedError(BuildError):
             f"target {target}: planned time n={n} missed its ball "
             f"(dist {distance:.3e} >= eps {eps:.3e}); try a larger gap than g={g}"
         )
-        self.target = target
-        self.n = n
-        self.distance = distance
         self.suggestion = 2 * g
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import _kernels
 from .lspace import Ball, CoefVec, Side, dist, norm
-from .seqcore import ScalingSeq, eval_at, eval_log, ratio_classify, scan_grid
+from .seqcore import ScalingSeq, eval_at, eval_log, log_mul, ratio_classify, scan_grid
 from .shiftops import ShiftOp, scaled_orbit_point
 
 __all__ = [
@@ -83,9 +83,6 @@ class HittingSet:
 
     def counts_upto(self, ns: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.indices, ns, side="right")
-
-    def restrict(self, n_max: int) -> "HittingSet":
-        return HittingSet(self.indices[self.indices <= n_max], n_max)
 
 
 @dataclass(frozen=True)
@@ -565,7 +562,7 @@ def mr_witness_search(
         ok = True
         for j in range(1, m + 1):
             lam_j = eval_log(lam, a + j * ell)
-            ratio_ls = lam_a.mul(lam_j.inverse())
+            ratio_ls = log_mul(lam_a, lam_j.inverse())
             if ratio_ls.log_mag > 700.0:
                 ok = False
                 break

@@ -96,10 +96,6 @@ class LogScalar:
             object.__setattr__(self, "phase", wrap_phase(float(self.phase)))
 
     @staticmethod
-    def one() -> "LogScalar":
-        return LogScalar(0.0, 0.0)
-
-    @staticmethod
     def from_complex(z: complex) -> "LogScalar":
         z = complex(z)
         if z == 0:
@@ -115,18 +111,10 @@ class LogScalar:
             )
         return cmath.rect(math.exp(self.log_mag), self.phase)
 
-    def conj(self) -> "LogScalar":
-        if self.zero:
-            return self
-        return LogScalar(self.log_mag, -self.phase)
-
     def inverse(self) -> "LogScalar":
         if self.zero:
             raise ZeroDivisionError("inverse of log-domain zero")
         return LogScalar(-self.log_mag, -self.phase)
-
-    def mul(self, other: "LogScalar") -> "LogScalar":
-        return log_mul(self, other)
 
 
 def log_mul(a: LogScalar, b: LogScalar) -> LogScalar:
@@ -159,10 +147,6 @@ class AngleSpec:
             # converts only the entries n spans: scans ask chunk by chunk
             return np.asarray(self.value[lo - 1 : hi], dtype=np.float64)[n - lo]
         raise ValueError(f"unknown angle spec kind {self.kind!r}")
-
-    def to_config(self) -> dict:
-        value = list(self.value) if self.kind == "table" else self.value
-        return {"kind": self.kind, "value": value}
 
 
 # family tag -> smallest defined index
@@ -287,37 +271,6 @@ class ScalingSeq:
             raise SequenceDomainError(
                 f"family {self.family!r} starts at n={self.min_n}, got {n_lo}"
             )
-
-    def to_config(self) -> dict:
-        f = self.family
-        if f == "constant":
-            return {"family": f, "c": _c2l(self.params[0])}
-        if f == "log_pow":
-            return {"family": f, "k": self.params[0]}
-        if f == "rational_poly":
-            return {
-                "family": f,
-                "p": [_c2l(v) for v in self.params[0]],
-                "q": [_c2l(v) for v in self.params[1]],
-            }
-        if f == "exp_pow":
-            return {"family": f, "a": self.params[0]}
-        if f == "power_of_w":
-            return {"family": f, "w": _c2l(self.params[0])}
-        if f == "geom_inverse":
-            return {"family": f, "a": _c2l(self.params[0])}
-        if f == "table":
-            return {"family": f, "values": [_c2l(v) for v in self.params[0]]}
-        if f == "inverse":
-            return {"family": f, "base": self.params[0].to_config()}
-        if f == "rotated":
-            base, theta = self.params
-            return {"family": f, "base": base.to_config(), "theta": theta.to_config()}
-        return {"family": f}
-
-
-def _c2l(z: complex) -> list:
-    return [z.real, z.imag]
 
 
 def eval_at(seq: ScalingSeq, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ from orbitlab.criteria import (
 from orbitlab.expcli import run_scenario
 from orbitlab.fhbuilder import build
 from orbitlab.lspace import Ball, CoefVec, Side, dist, norm
-from orbitlab.orbits import density_stats, find_ap, hitting_set, mr_witness_search
+from orbitlab.orbits import HittingSet, density_stats, find_ap, hitting_set, mr_witness_search
 from orbitlab.seqcore import ScalingSeq, ratio_classify
 from orbitlab.shiftops import ShiftOp, WeightSeq
 from orbitlab.symbolops import PolySymbol, RangeKind, classify_adjoint, range_circle_test
@@ -115,7 +115,7 @@ def test_criterion_3_progression_pipeline(fu_criterion2):
             ok = False
             detail.append(f"m={m}: missing/invalid")
             continue
-        w2 = find_ap(h0.restrict(2000), m, 1)
+        w2 = find_ap(HittingSet(h0.indices[h0.indices <= 2000], 2000), m, 1)
         want = brute(truncated, 2000, m, max(1, 2000 // (m * 4)))
         if want is None or (w2.a, w2.k) != want:
             ok = False
@@ -258,8 +258,6 @@ def test_criterion_9_oracle_equivalence():
                 if all(a + j * tau * k in members for j in range(m + 1)):
                     return a, k
         return None
-
-    from orbitlab.orbits import HittingSet
 
     ap_ok = True
     for _ in range(100):

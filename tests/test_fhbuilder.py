@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,9 +63,12 @@ class TestBuild:
         with pytest.raises(VerificationFailedError) as exc:
             build(ONE, TWO_B, [(e(1), 1e-6)], 10**4, g=3)
         assert exc.value.suggestion == 6
-        # the first planned time, n_min = g, is the one named
-        assert (exc.value.target, exc.value.n) == (0, 3)
-        assert not exc.value.distance < 1e-6
+        # the message names the target, the first planned time (n_min = g)
+        # and its distance, which is not inside the ball
+        got = re.fullmatch(r"target (\d+): planned time n=(\d+) missed its ball \(dist (\S+) "
+                           r">= eps (\S+)\); try a larger gap than g=3", str(exc.value))
+        assert got and got.group(1, 2) == ("0", "3")
+        assert float(got.group(3)) >= float(got.group(4)) == 1e-6
 
     def test_doubling_gap_never_hurts(self):
         # once a gap succeeds, doubling it keeps succeeding with a smaller

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import wrap_phase_formula
-from orbitlab.expcli import SCALING
+from orbitlab.expcli import ANGLE, SCALING, WEIGHTS
 from orbitlab.seqcore import (
     AngleSpec,
     LogScalar,
@@ -22,6 +22,7 @@ from orbitlab.seqcore import (
     rotate_seq,
     wrap_phase,
 )
+from orbitlab.shiftops import WeightSeq
 
 LN2 = math.log(2.0)
 
@@ -76,7 +77,7 @@ class TestWrapPhase:
 class TestLogScalar:
     def test_identity(self):
         s = LogScalar(3.7, 1.2)
-        assert log_mul(LogScalar.one(), s) == s
+        assert log_mul(LogScalar(), s) == s
 
     def test_exact_log_addition(self):
         s = LogScalar(2.0**10 * LN2, 0.0)
@@ -229,19 +230,67 @@ class TestEvalLog:
                 assert s.log_mag == pytest.approx(float(lm[t]), abs=1e-12)
                 assert abs(wrap_phase(s.phase - float(ph[t]))) <= 1e-12
 
-    def test_config_round_trip(self):
-        seqs = [
-            ScalingSeq.constant(2j),
-            ScalingSeq.log_pow(-1.0),
-            ScalingSeq.exp_pow(0.5),
-            ScalingSeq.power_of_w(1.5 + 0.5j),
-            ScalingSeq.inverse(ScalingSeq.factorial()),
-            ScalingSeq.table([1.0, 2.0, 3.0]),
-        ]
-        for s in seqs:
-            back = SCALING.read(s.to_config())
-            n = max(1, back.min_n)
-            assert isclose(eval_log(back, n), eval_log(s, n))
+    def test_family_configs_build_the_classmethod_sequences(self):
+        """A literal config of every scaling family, angle kind and weights
+        family reads to the object its constructor builds, bit for bit."""
+        assert SCALING_CONFIGS.keys() == SCALING.families.keys()
+        assert ANGLE_CONFIGS.keys() == ANGLE.families.keys()
+        assert WEIGHTS_CONFIGS.keys() == WEIGHTS.families.keys()
+        seqs = [(SCALING.read({"family": f, **cfg}), want)
+                for f, (cfg, want) in SCALING_CONFIGS.items()]
+        seqs += [(rotate_seq(ROTATED_BASE, ANGLE.read({"kind": k, **cfg})),
+                  rotate_seq(ROTATED_BASE, want)) for k, (cfg, want) in ANGLE_CONFIGS.items()]
+        for got, want in seqs:
+            lo = max(1, want.min_n)
+            n = np.arange(lo, lo + 5, dtype=np.int64)
+            for a, b in zip(eval_at(got, n), eval_at(want, n)):
+                assert _bits(a) == _bits(b), want
+        idx = np.arange(0, 5, dtype=np.int64)
+        for f, (cfg, want) in WEIGHTS_CONFIGS.items():
+            got = WEIGHTS.read({"family": f, **cfg})
+            assert got == want
+            assert _bits(got.cum(idx)) == _bits(want.cum(idx)), f
+
+
+# one literal config per family row (the tag aside) and what its constructor
+# builds; each table covers the points the test evaluates
+SCALING_CONFIGS = {
+    "constant": ({"c": [0.0, 2.0]}, ScalingSeq.constant(2j)),
+    "log_pow": ({"k": -1.0}, ScalingSeq.log_pow(-1.0)),
+    "log_log": ({}, ScalingSeq.log_log()),
+    "rational_poly": ({"p": [1.0, [0.0, 2.0]], "q": [3.0, 0.0, 1.0]},
+                      ScalingSeq.rational_poly([1.0, 2j], [3.0, 0.0, 1.0])),
+    "exp_pow": ({"a": 0.5}, ScalingSeq.exp_pow(0.5)),
+    "exp_over_log": ({}, ScalingSeq.exp_over_log()),
+    "exp_over_log_log": ({}, ScalingSeq.exp_over_log_log()),
+    "factorial": ({}, ScalingSeq.factorial()),
+    "geom_even_odd": ({}, ScalingSeq.geom_even_odd()),
+    "dyadic_tower": ({}, ScalingSeq.dyadic_tower()),
+    "power_of_w": ({"w": [1.5, 0.5]}, ScalingSeq.power_of_w(1.5 + 0.5j)),
+    "geom_inverse": ({"a": [0.0, 2.0]}, ScalingSeq.geom_inverse(2j)),
+    "table": ({"values": [1.0, [2.0, 1.0], 3.0, [0.0, -1.0], 0.5]},
+              ScalingSeq.table([1.0, 2.0 + 1.0j, 3.0, -1.0j, 0.5])),
+    "inverse": ({"base": {"family": "factorial"}}, ScalingSeq.inverse(ScalingSeq.factorial())),
+    "rotated": ({"base": {"family": "exp_pow", "a": 0.5},
+                 "theta": {"kind": "linear", "value": 0.3}},
+                rotate_seq(ScalingSeq.exp_pow(0.5), AngleSpec("linear", 0.3))),
+}
+
+ROTATED_BASE = ScalingSeq.power_of_w(0.8 + 0.6j)
+ANGLE_CONFIGS = {
+    "constant": ({"value": 0.7}, AngleSpec("constant", 0.7)),
+    "linear": ({"value": 0.3}, AngleSpec("linear", 0.3)),
+    "table": ({"value": [0.1, -0.2, 3.0, 4.0, -3.5]},
+              AngleSpec("table", (0.1, -0.2, 3.0, 4.0, -3.5))),
+}
+
+WEIGHTS_CONFIGS = {
+    "constant_w": ({"c": 0.5}, WeightSeq.constant(0.5)),
+    "sqrt_ratio": ({}, WeightSeq.sqrt_ratio()),
+    "step_bilateral": ({}, WeightSeq.step_bilateral()),
+    "inverse_step_bilateral": ({}, WeightSeq.inverse_step_bilateral()),
+    "table_w": ({"values": [0.5, 2.0, 1.5, 3.0]}, WeightSeq.table([0.5, 2.0, 1.5, 3.0])),
+}
 
 
 class TestRotateSeq:
