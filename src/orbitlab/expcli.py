@@ -15,9 +15,9 @@ import json
 import math
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 from functools import partial
-from operator import methodcaller
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
@@ -136,6 +136,16 @@ def _read_complex(v) -> complex:
     return complex(_read_number(v))
 
 
+def _read_float_text(v) -> float:
+    """A number, or a string as reports record floats (NaN if float() fails)."""
+    if not isinstance(v, str):
+        return _read_number(v)
+    try:
+        return float(v)
+    except ValueError:
+        return math.nan
+
+
 def _parse_complex(text: str) -> list:
     """Flag text as Python's complex() reads it ("1+2j"), as [re, im]."""
     z = complex(text)
@@ -168,6 +178,7 @@ INT = Kind("int", _read_int, int)
 NUMBER = Kind("number", _read_number, float)
 COMPLEX = Kind("complex", _read_complex, _parse_complex)  # a number or [re, im]
 STRING = Kind("string", _instance_of(str), str)
+FLOAT_TEXT = Kind("number or string", _read_float_text)
 OBJECT = Kind("object", _instance_of(dict))
 SCALARS = (INT, NUMBER, COMPLEX)
 
@@ -555,10 +566,10 @@ def write_report(outdir: Path, scenario: str, cfg: dict, body: dict) -> dict:
     return report
 
 
-# Rows per batch when writing or parsing CSV. It bounds the temporary Python
+# Rows per batch when writing CSV. It bounds the writer's temporary Python
 # lists and strings: E1 at the resource cap writes about 84 MB, and with
 # whole-file temporaries the fu_pipeline benchmark's peak RSS was about 5 MB
-# higher. Batches of 2k to 64k rows format and parse equally fast.
+# higher. Batches of 2k to 64k rows format equally fast.
 CSV_BATCH_ROWS = 1 << 12
 
 
@@ -604,44 +615,45 @@ def complex_vector_csv(outdir: Path, name: str, x: CoefVec) -> str:
 def _read_csv_columns(path: Path, wanted: dict[str, type]) -> list[np.ndarray]:
     """Parse a whole CSV artifact into the wanted columns, found by header name.
 
-    Rows may end in LF or CRLF; blank lines are skipped. Each wanted column
-    is converted with its type (``int`` or ``float``), one batch of rows at
-    a time. A missing file or column, a row with the wrong number of cells
-    or a non-numeric or non-finite cell raises ConfigError.
+    ``np.loadtxt`` reads the rows from the open file, a wanted column as its
+    type (``int`` or ``float``) and any other as text. Rows end in LF or CRLF;
+    blank lines are skipped. A missing file or column, a wrong cell count, a
+    cell that is no plain ASCII decimal or a non-finite cell raises ConfigError.
     """
     try:
-        lines = path.read_text().splitlines()
+        with path.open() as f, warnings.catch_warnings():
+            header = f.readline()
+            if not header:
+                raise ConfigError(f"artifact {path} is empty; expected a header row")
+            header = header.rstrip("\n").split(",")
+            for col in wanted:
+                if col not in header:
+                    raise ConfigError(f"artifact {path} has no column {col!r} (header {header})")
+            kinds = {header.index(col): np.int64 if kind is int else np.float64
+                     for col, kind in wanted.items()}
+            dtype = [(str(j), kinds.get(j, object)) for j in range(len(header))]
+            # a header-only file has no rows; that is no reason for a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                table = np.loadtxt(f, dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+            except ValueError as e:
+                # a wrong cell count is found only now (the header's count is
+                # right; undecodable bytes raise their UnicodeDecodeError again)
+                f.seek(0)
+                ncols = len(header)
+                if any(row.count(",") != ncols - 1 for row in f if row != "\n"):
+                    raise ConfigError(f"artifact {path}: every row must have {ncols} cells") from e
+                raise ConfigError(f"artifact {path}: {e}") from e
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read artifact {path}: {e}") from e
-    if not lines:
-        raise ConfigError(f"artifact {path} is empty; expected a header row")
-    header = lines[0].split(",")
-    rows = list(filter(None, lines[1:]))
-    ncols = len(header)
-    if rows and set(map(methodcaller("count", ","), rows)) != {ncols - 1}:
-        raise ConfigError(f"artifact {path}: every row must have {ncols} cells")
-    for col in wanted:
-        if col not in header:
-            raise ConfigError(f"artifact {path} has no column {col!r} (header {header})")
-    out = [np.empty(len(rows), np.int64 if kind is int else np.float64)
-           for kind in wanted.values()]
-    for lo in range(0, len(rows), CSV_BATCH_ROWS):
-        cells = ",".join(rows[lo:lo + CSV_BATCH_ROWS]).split(",")
-        for arr, (col, kind) in zip(out, wanted.items()):
-            try:
-                arr[lo:lo + CSV_BATCH_ROWS] = np.array(
-                    list(map(kind, cells[header.index(col)::ncols])), arr.dtype)
-            except (ValueError, OverflowError) as e:
-                raise ConfigError(f"artifact {path}, column {col!r}: {e}") from e
-            if not np.isfinite(arr[lo:lo + CSV_BATCH_ROWS]).all():
-                raise ConfigError(f"artifact {path}, column {col!r}: a cell is not a finite number")
-    return out
+    for j, col in zip(kinds, wanted):
+        if not np.isfinite(table[str(j)]).all():
+            raise ConfigError(f"artifact {path}, column {col!r}: a cell is not a finite number")
+    return [table[str(j)] for j in kinds]
 
 
 def read_vector_csv(path: Path, side: Side) -> CoefVec:
-    idx, lms, phs = _read_csv_columns(
-        path, {"index": int, "log_mag": float, "phase": float}
-    )
+    idx, lms, phs = _read_csv_columns(path, {"index": int, "log_mag": float, "phase": float})
     try:
         return CoefVec.from_log_entries(side, idx, lms, phs)
     except ValueError as e:
@@ -881,11 +893,7 @@ def run_e5(p: SimpleNamespace, outdir: Path) -> dict:
     n_max = p.N
     w = WeightSeq.sqrt_ratio()
     sample = np.unique(np.geomspace(1, n_max, 200).astype(np.int64))
-    worst = 0.0
-    for n in sample:
-        got = w.forward_log(0, int(n))
-        want = 0.5 * math.log(float(n) + 1.0)
-        worst = max(worst, abs(got - want))
+    worst = max(abs(w.forward_log(0, int(n)) - 0.5 * math.log(float(n) + 1.0)) for n in sample)
     if worst > 1e-9:
         raise ScenarioError(f"product formula deviates by {worst}")
     sv = fhc_series_check(w, n_max, cap=p.cap)
@@ -1112,13 +1120,8 @@ def _verify_certificate(cert: dict, report_dir: Path, hits_cache: dict) -> bool:
         op_cfg = _cert_field(cert, "operator", OBJECT)
         u_artifact = _cert_field(cert, "u_artifact", STRING)
         center = _cert_field(cert, "center", STRING)
-        if ell < 1 or m < 0 or m * ell >= 2**63:
-            return False
-        try:
-            recorded = [float(d) for d in cert.get("distances", [])]
-        except (TypeError, ValueError):
-            return False
-        if len(recorded) != m + 1:
+        recorded = _cert_field(cert, "distances", list_of(FLOAT_TEXT))
+        if ell < 1 or m < 0 or m * ell >= 2**63 or len(recorded) != m + 1:
             return False
         T = operator_from_config(op_cfg)
         u = read_vector_csv(report_dir / u_artifact, T.side)
@@ -1150,11 +1153,8 @@ def verify_report(path: Path) -> list[tuple[str, bool]]:
     if not isinstance(certs, list) or not all(isinstance(c, dict) for c in certs):
         raise ConfigError(f"report {path}: 'certificates' must be a list of objects")
     hits_cache: dict[Path, np.ndarray] = {}
-    results = []
-    for i, cert in enumerate(certs):
-        ok = _verify_certificate(cert, path.parent, hits_cache)
-        results.append((f"{i}:{cert.get('type')}", ok))
-    return results
+    return [(f"{i}:{cert.get('type')}", _verify_certificate(cert, path.parent, hits_cache))
+            for i, cert in enumerate(certs)]
 
 
 # ---------------------------------------------------------------------------

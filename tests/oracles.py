@@ -26,6 +26,19 @@ def to_complex_dict(x: CoefVec) -> dict[int, complex]:
     return dict(zip(x.indices.tolist(), x.to_complex_array().tolist()))
 
 
+def read_csv_columns(path, wanted: dict[str, type]) -> list[np.ndarray]:
+    """The wanted columns of a CSV artifact, every cell converted by Python's
+    ``int`` or ``float``: the reference for ``expcli._read_csv_columns``.
+    Rows split on any line ending; blank rows are skipped."""
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:] if line]
+    assert all(len(row) == len(header) for row in rows)
+    return [np.array([kind(row[header.index(col)]) for row in rows],
+                     np.int64 if kind is int else np.float64)
+            for col, kind in wanted.items()]
+
+
 def log_entry(x: CoefVec, i: int) -> tuple[float, float]:
     """(log-magnitude, phase) of x's entry at an index of its support."""
     pos = int(np.searchsorted(x.indices, i))

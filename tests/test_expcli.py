@@ -3,10 +3,14 @@ import hashlib
 import io
 import json
 import math
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitlab import expcli
 from orbitlab.expcli import (
@@ -27,13 +31,14 @@ from orbitlab.expcli import (
     scenario_params,
     vector_csv,
     verify_report,
+    write_csv,
 )
 from orbitlab.criteria import fhc_series_check, mr_shift_check, salas_check
 from orbitlab.lspace import CoefVec, Side
 from orbitlab.orbits import DensityStats, HittingSet
 from orbitlab.shiftops import WeightSeq
 from orbitlab.symbolops import PolySymbol, classify_adjoint
-from oracles import to_complex_dict
+from oracles import read_csv_columns, to_complex_dict
 
 
 def _csv_writer_bytes(header, rows) -> bytes:
@@ -208,6 +213,39 @@ class TestCsvWriter:
         assert phs.tobytes() == EDGE.phases.tobytes()
 
 
+SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("e*.json"))
+
+# cells over int64's and float64's whole range, with their edges drawn often
+INT64_CELLS = st.one_of(st.sampled_from([-(2**63), 2**63 - 1, 0, -1]),
+                        st.integers(-(2**63), 2**63 - 1))
+FLOAT_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     sys.float_info.max, -sys.float_info.max]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _csv_tables(draw):
+    """Columns for write_csv and the wanted ones among them, in any order;
+    the others are not read as numbers, so they may hold inf and nan. Then
+    the row ending, the positions of blank lines and whether the last row
+    ends in one."""
+    kinds = draw(st.lists(st.sampled_from([int, float]), min_size=1, max_size=5))
+    header = [f"c{j}" for j in range(len(kinds))]
+    order = draw(st.permutations(range(len(kinds))))
+    chosen = order[:draw(st.integers(1, len(kinds)))]
+    nrows = draw(st.integers(0, 12))
+    cols = []
+    for j, kind in enumerate(kinds):
+        cells = INT64_CELLS if kind is int else FLOAT_CELLS if j in chosen else st.floats()
+        cols.append(np.array(draw(st.lists(cells, min_size=nrows, max_size=nrows)),
+                             np.int64 if kind is int else np.float64))
+    blanks = draw(st.lists(st.integers(1, nrows + 1), max_size=3))
+    return (header, cols, {header[j]: kinds[j] for j in chosen},
+            draw(st.sampled_from(["\n", "\r\n"])), blanks, draw(st.booleans()))
+
+
 class TestCsvReader:
     @pytest.mark.parametrize("eol", ["\n", "\r\n"])
     @pytest.mark.parametrize("tail", ["", "\n"])
@@ -232,6 +270,47 @@ class TestCsvReader:
         hits = expcli._load_hits(tmp_path / "h.csv")
         assert hits.dtype == np.int64 and hits.tolist() == h.indices.tolist()
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_header_only_hits_are_empty(self, tmp_path, eol):
+        path = tmp_path / "h.csv"
+        path.write_bytes(f"n{eol}".encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hits = expcli._load_hits(path)
+        assert hits.dtype == np.int64 and hits.size == 0
+
+    @settings(deadline=None)
+    @given(table=_csv_tables())
+    def test_matches_per_cell_oracle(self, tmp_path_factory, table):
+        header, cols, wanted, eol, blanks, final_eol = table
+        out = tmp_path_factory.getbasetemp() / "csv_oracle"
+        path = out / write_csv(out, "t.csv", header, cols)
+        lines = path.read_bytes().decode().split("\r\n")[:-1]
+        for at in sorted(blanks, reverse=True):
+            lines.insert(min(at, len(lines)), "")
+        path.write_bytes((eol.join(lines) + eol * final_eol).encode())
+        got = expcli._read_csv_columns(path, wanted)
+        ref = read_csv_columns(path, wanted)
+        written = [cols[header.index(col)] for col in wanted]
+        assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in ref]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in written]
+
+    # E4, E5 and E7 write no CSV
+    @pytest.mark.parametrize("config", [p for p in SHIPPED_CONFIGS
+                                        if p.stem in ("e1", "e2", "e3", "e6")],
+                             ids=lambda p: p.stem)
+    def test_shipped_artifacts_match_per_cell_oracle(self, tmp_path, config):
+        assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == EXIT_OK
+        paths = sorted(tmp_path.glob("*.csv"))
+        assert paths
+        for path in paths:
+            header = path.read_text().splitlines()[0].split(",")
+            wanted = {col: int if col in ("n", "index", "N", "count") else float for col in header}
+            got = expcli._read_csv_columns(path, wanted)
+            ref = read_csv_columns(path, wanted)
+            assert [(a.dtype, a.tobytes()) for a in got] == [
+                (a.dtype, a.tobytes()) for a in ref], path.name
+
 
 # the malformed-artifact cases besides a missing file, as hit-set and as
 # vector files
@@ -242,6 +321,18 @@ BAD_HITS = {
     "unsorted": "n\n1\n3\n2\n",
     "duplicate": "n\n1\n2\n2\n",
     "index_beyond_int64": f"n\n1\n{2**63}\n",
+    # cells that are no plain ASCII decimal, or rows that are no rows of cells
+    "whitespace_row": "n\n1\n \n",
+    "comment_row": "n\n1\n#2\n",
+    "quoted_cell": 'n\n1\n"2"\n',
+    "trailing_comma": "n\n1\n2,\n",
+    "empty_cell": "n,x\n1,a\n,b\n",
+    "digit_separator": "n\n1\n1_0\n",
+    "arabic_indic_digit": "n\n1\n\u0663\n",
+    "index_below_int64": f"n\n1\n{-(2**63) - 1}\n",
+    "inf": "n\n1\ninf\n",
+    "nan": "n\n1\nnan\n",
+    "1e400": "n\n1\n1e400\n",
 }
 BAD_VECTOR = {
     "no_column": "index,log_mag\n1,0.0\n",
@@ -250,6 +341,14 @@ BAD_VECTOR = {
     "unsorted": "index,log_mag,phase\n1,0.0,0.0\n3,0.0,0.0\n2,0.0,0.0\n",
     "duplicate": "index,log_mag,phase\n1,0.0,0.0\n2,0.0,0.0\n2,0.0,0.0\n",
     "index_beyond_int64": f"index,log_mag,phase\n1,0.0,0.0\n{2**63},0.0,0.0\n",
+    "whitespace_row": "index,log_mag,phase\n1,0.0,0.0\n \n",
+    "comment_row": "index,log_mag,phase\n1,0.0,0.0\n#2,0.0,0.0\n",
+    "quoted_cell": 'index,log_mag,phase\n1,"0.0",0.0\n',
+    "trailing_comma": "index,log_mag,phase\n1,0.0,0.0,\n",
+    "empty_cell": "index,log_mag,phase\n1,,0.0\n",
+    "digit_separator": "index,log_mag,phase\n1,1_0.5,0.0\n",
+    "arabic_indic_digit": "index,log_mag,phase\n\u0663,0.0,0.0\n",
+    "index_below_int64": f"index,log_mag,phase\n{-(2**63) - 1},0.0,0.0\n",
 }
 # vector files whose cells float() reads but which are no finite numbers
 NON_FINITE_VECTOR = {
@@ -306,19 +405,25 @@ class TestMalformedArtifacts:
         code = main(["verify", "--report", str(tmp_path / "report.json")])
         _assert_schema_error(code, capsys)
 
-    @pytest.mark.parametrize("case", NON_FINITE_VECTOR)
+    @pytest.mark.parametrize("case", ["missing", *BAD_VECTOR])
     def test_verify_u_artifact(self, tmp_path, capsys, case):
         argv = TestScenarios._bilateral_mr_report(
             tmp_path, 1.5, [repr(0.1), repr(math.sqrt(2.01))]
         )
-        (tmp_path / "witness_u.csv").write_text(NON_FINITE_VECTOR[case])
+        path = tmp_path / "witness_u.csv"
+        path.unlink()
+        if case != "missing":
+            path.write_text(BAD_VECTOR[case])
         _assert_schema_error(main(argv), capsys)
 
     def test_index_beyond_int64_message(self, tmp_path, capsys):
+        # numpy's parser names the cell's text, its data row (from 0, blank
+        # lines left out) and its column (from 1)
         path = _bad_artifact(tmp_path, "index_beyond_int64", BAD_HITS)
         assert main(["ap-find", "--hits", str(path), "--nmax", "100", "--m", "3"]) == EXIT_SCHEMA
         assert capsys.readouterr().err == (
-            f"config error: artifact {path}, column 'n': Python int too large to convert to C long\n")
+            f"config error: artifact {path}: could not convert string "
+            f"'{2**63}' to int64 at row 1, column 1.\n")
 
     def test_verify_missing_report(self, tmp_path, capsys):
         code = main(["verify", "--report", str(tmp_path / "report.json")])
@@ -397,8 +502,11 @@ class TestMalformedCertificates:
         {"m": "x"}, {"ell": None}, {"ell": 1.0}, {"m": False}, {"radius": "1.5"},
         {"center": None}, {"u_artifact": None}, {"operator": "bilateral"},
         {"center": "inf*e(-2)"},
+        {"distances": None}, {"distances": "0.1"}, {"distances": 0.1},
+        {"distances": {"a": 1}},
     ], ids=["m_string", "no_ell", "ell_float", "m_bool", "radius_string",
-            "no_center", "no_u_artifact", "operator_string", "center_inf"])
+            "no_center", "no_u_artifact", "operator_string", "center_inf",
+            "no_distances", "distances_string", "distances_number", "distances_object"])
     def test_mr_witness_bad_field(self, tmp_path, capsys, fields):
         _assert_schema_error(main(self._mr_report(tmp_path, **fields)), capsys)
 
@@ -825,9 +933,6 @@ class TestConfigOutcomes:
 
     def test_optional_key_may_be_null(self, tmp_path):
         assert _run_config(tmp_path, "build-fu", {**FU_CONFIG, "g": None}) == EXIT_OK
-
-
-SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("e*.json"))
 
 
 class TestParamTable:
