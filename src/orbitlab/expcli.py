@@ -17,7 +17,7 @@ import re
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
@@ -552,16 +552,26 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
+def make_outdir(outdir: Path) -> Path:
+    """Create a command's output directory before its work starts, so an
+    unusable ``--out`` (a file, or a path through one) is a config error and
+    not a traceback after the whole run."""
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot write --out {outdir}: {e}") from e
+    return outdir
+
+
 def write_report(outdir: Path, scenario: str, cfg: dict, body: dict) -> dict:
     """Wrap a command's results in the report envelope and write report.json.
 
     ``config`` is the config as the user typed it, not the resolved one. A
     body without ``density_tables``, ``certificates`` or ``artifacts`` gets
-    them empty.
+    them empty. ``outdir`` must exist (``make_outdir``).
     """
     report = {"format": REPORT_FORMAT, "scenario": scenario, "config": cfg,
               "density_tables": {}, "certificates": [], "artifacts": {}, **body}
-    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(canonical_json(report))
     return report
 
@@ -1016,6 +1026,7 @@ SCENARIOS = {
 
 def run_scenario(cfg: dict, outdir: Path) -> dict:
     sid, p = scenario_params(cfg)
+    make_outdir(outdir)
     return write_report(outdir, sid, cfg, SCENARIOS[sid](p, outdir))
 
 
@@ -1234,7 +1245,11 @@ def _flag_config(ns, rows: dict[str, Param]) -> dict:
     return out
 
 
-def main(argv: list[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process, since building it costs
+    far more than a parse. Every call shares it, so nothing may change it
+    after this returns (no ``set_defaults``, no new arguments)."""
     ap = argparse.ArgumentParser(prog="orbitlab", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -1255,8 +1270,11 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("verify", help="re-verify certificates in a report")
     p.add_argument("--report", required=True)
+    return ap
 
-    ns = ap.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    ns = _parser().parse_args(argv)
     try:
         return _dispatch(ns)
     except tuple(EXIT_CODES) as e:
@@ -1322,8 +1340,8 @@ def _dispatch(ns) -> int:
     if ns.cmd == "build-fu":
         T = operator_from_config(p.operator)
         targets = [(parse_vector(t.vector), t.eps) for t in p.targets]
+        outdir = make_outdir(Path(ns.out))
         v = _checked(build, p.scaling, T, targets, p.N, g=p.g, n_min=p.n_min)
-        outdir = Path(ns.out)
         write_report(outdir, "build-fu", cfg, {
             "verdicts": {"fu_build": "ok"},
             "stats": v.report,
@@ -1336,11 +1354,11 @@ def _dispatch(ns) -> int:
         T = operator_from_config(p.operator)
         x = read_vector_csv(Path(p.vector_csv), T.side)
         ball = Ball(parse_vector(p.center, T.side), p.eps)
+        outdir = make_outdir(Path(ns.out))
         out = _checked(mr_witness_search, x, p.scaling, T, ball, p.m, p.tau, p.N, K=p.K)
         if not out:
             raise ScenarioError(f"witness search failed: {out.diagnostics}")
         w = out.witness
-        outdir = Path(ns.out)
         art = vector_csv(outdir, "witness_u.csv", w.u)
         write_report(outdir, "mr-witness", cfg, {
             "verdicts": {"mr_witness": {"ell": w.ell, "a": w.a, "k": w.k}},

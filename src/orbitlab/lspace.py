@@ -97,11 +97,14 @@ class CoefVec:
 
     @staticmethod
     def from_log_entries(side: Side, indices, log_mags, phases) -> "CoefVec":
+        # indices and log_mags are copied: a CSV reader's columns are strided
+        # views of its table, and a searchsorted on a strided array copies it
+        # every call; wrap_phase returns a fresh array, so phases need no copy
         return CoefVec(
             side,
             np.array(indices, dtype=np.int64),
             np.array(log_mags, dtype=np.float64),
-            wrap_phase(np.array(phases, dtype=np.float64)),
+            wrap_phase(np.asarray(phases, dtype=np.float64)),
         )
 
     # -- views ----------------------------------------------------------------

@@ -60,13 +60,14 @@ def wrap_phase(theta):
 
     The result is ``pi - remainder(pi - theta, 2 pi)``. On an array the
     ``np.remainder`` pass runs only if some ``pi - theta`` lies outside
-    ``[0, 2 pi)`` (or is NaN), since it returns such values unchanged.
+    ``[0, 2 pi)`` (or is NaN), since it returns such values unchanged; both
+    passes work in place in the one fresh array ``pi - theta``.
     """
     if isinstance(theta, np.ndarray):
-        r = math.pi - theta
+        r = np.asarray(math.pi - theta)  # a 0-d theta gives a numpy scalar
         if r.size and not (r.min() >= 0.0 and r.max() < TWO_PI):
-            r = np.remainder(r, TWO_PI)
-        return math.pi - r
+            np.remainder(r, TWO_PI, out=r)
+        return np.subtract(math.pi, r, out=r)
     r = math.pi - theta
     # math.fmod raises on +-inf; inf - inf is the NaN that np.remainder returns
     r = r - r if math.isinf(r) else math.fmod(r, TWO_PI)

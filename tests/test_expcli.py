@@ -1,8 +1,11 @@
+import argparse
 import csv
 import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -935,6 +938,38 @@ class TestConfigOutcomes:
         assert _run_config(tmp_path, "build-fu", {**FU_CONFIG, "g": None}) == EXIT_OK
 
 
+class TestUnusableOut:
+    """An --out that is a file, or a path through one, is a config error
+    found before the command's work: one line on stderr, nothing on stdout,
+    and the file in the way is left as it was."""
+
+    @staticmethod
+    def _argv(tmp_path, command):
+        if command == "run":
+            return ["run", "--scenario", "E7"]
+        if command == "build-fu":
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(FU_CONFIG))
+            return ["build-fu", "--config", str(path)]
+        # this search finds no witness (exit 3), so exit 2 shows that the
+        # output directory is tried before the search
+        return _mr_config(tmp_path)[:-2]
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "path_through_file"])
+    @pytest.mark.parametrize("command", ["run", "build-fu", "mr-witness"])
+    def test_is_config_error(self, tmp_path, capsys, command, below):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("in the way")
+        out = blocker / "sub" if below else blocker
+        code = main([*self._argv(tmp_path, command), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_SCHEMA
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: cannot write --out {out}: ")
+        assert captured.err.count("\n") == 1
+        assert blocker.read_text() == "in the way"
+
+
 class TestParamTable:
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
     def test_defaults_match_shipped_configs(self, path):
@@ -1187,3 +1222,65 @@ class TestCliSubcommands:
         run_scenario({"scenario": "E7"}, tmp_path)
         assert main(["verify", "--report", str(tmp_path / "report.json")]) == EXIT_OK
         assert "ok" in capsys.readouterr().out
+
+
+def _call(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process ``main`` call; argparse
+    ends --help and usage errors with SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code or 0
+    return (code, *capsys.readouterr())
+
+
+class TestParserReuse:
+    """main builds its parser once per process, and each call still answers
+    as a fresh ``python -m orbitlab`` process does: no flag of one call
+    reaches the next (the flag commands' absent flags stay absent)."""
+
+    @staticmethod
+    def _sequence(tmp_path):
+        (tmp_path / "hits.csv").write_text(
+            "n\n" + "\n".join(str(n) for n in range(2, 1001, 2)) + "\n")
+        ap_find = ["ap-find", "--hits", "hits.csv", "--nmax", "1000"]
+        return [
+            ["run", "--scenario", "E7", "--out", "out"],
+            ["verify", "--report", "out/report.json"],
+            [*ap_find, "--m", "4"],
+            [*ap_find, "--m", "3"],
+            ["classify-seq", "--family", "exp_pow", "--a", "0.9"],
+            # exp_pow needs its a, so this one is a config error
+            ["classify-seq", "--family", "exp_pow"],
+            ["run", "--bogus"],
+            ["--help"],
+        ]
+
+    def test_no_parser_built_after_the_first_call(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        sequence = self._sequence(tmp_path)
+        _call(capsys, sequence[0])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        codes = [_call(capsys, argv)[0] for argv in sequence]
+        assert codes == [EXIT_OK] * 5 + [EXIT_SCHEMA, 2, 0]
+        assert built == []
+
+    def test_each_call_matches_a_fresh_process(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        # argparse wraps --help and usage lines to the terminal's width
+        monkeypatch.setenv("COLUMNS", "80")
+        src = str(Path(expcli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for argv in self._sequence(tmp_path):
+            got = _call(capsys, argv)
+            proc = subprocess.run([sys.executable, "-m", "orbitlab", *argv], cwd=tmp_path,
+                                  env=env, capture_output=True, text=True, timeout=60)
+            assert got == (proc.returncode, proc.stdout, proc.stderr), argv
