@@ -425,14 +425,20 @@ _DIVERGE_RATIO = 0.98
 _TREND_ALPHA_MIN = 0.01
 
 
-def _block_mean(d: np.ndarray, ns: np.ndarray, center: float) -> float:
-    lo = center * (1.0 - _BLOCK_HALF_WIDTH)
-    hi = center * (1.0 + _BLOCK_HALF_WIDTH)
-    sel = (ns >= lo) & (ns <= hi)
-    if not sel.any():
-        sel = np.argmin(np.abs(ns - center))
-        return float(d[sel])
-    return float(d[sel].mean())
+def _block(first: int, last: int, step: int, center: float) -> tuple[int, int]:
+    """The anchor block around ``center`` among the members n = first, first +
+    step, ..., last: the least and greatest member with center (1 - w) <= n <=
+    center (1 + w), or twice the first member of least |n - center| when no
+    member lies that close."""
+    lo = math.ceil(center * (1.0 - _BLOCK_HALF_WIDTH))
+    hi = math.floor(center * (1.0 + _BLOCK_HALF_WIDTH))
+    a = first + max(0, -((first - lo) // step)) * step
+    b = first + (min(hi, last) - first) // step * step
+    if a <= b:
+        return a, b
+    below = min(max(first + (math.floor(center) - first) // step * step, first), last)
+    n = min((m for m in (below, below + step) if m <= last), key=lambda m: abs(m - center))
+    return n, n
 
 
 def ratio_classify(
@@ -455,6 +461,14 @@ def ratio_classify(
 
     ``restrict=(mod, residue)`` limits the scan to one residue class, the
     testable form of a ratio limit taken along a subset of N.
+
+    The window is walked in pieces of ``SCAN_CHUNK`` of its members, each
+    evaluated with its tau overlap. Only the extrema of |r_n - 1|, r_n and
+    d_n = log r_n, the last 8 ratios and the d_n inside the three anchor
+    blocks (about 0.15 N values) outlive a piece, so the pass holds no array
+    of the window's length. The verdict is the one a pass over whole-window
+    arrays gives, bit for bit, and so are the errors: both ends of the window
+    are evaluated first.
     """
     if tau < 1:
         raise ValueError("tau must be a positive integer")
@@ -464,54 +478,86 @@ def ratio_classify(
         raise ValueError("tol must be positive")
 
     lo = max(N // 2, seq.min_n)
-    ns = np.arange(lo, N + 1, dtype=np.int64)
+    step, res = 1, lo
     if restrict is not None:
         mod, res = restrict
-        ns = ns[ns % mod == res % mod]
-    if ns.size < 8:
+        step = abs(mod)
+    first = lo + (res - lo) % step
+    last = N - (N - res) % step
+    if (last - first) // step < 7:
         raise ValueError("scan window is empty or too short")
+    window = (first, last)
+    # both ends first, so that a table too short or a domain error names the
+    # n that one evaluation of the whole window would name
+    ends = np.array([first, last], dtype=np.int64)
     if restrict is None:
-        # ns and ns + tau overlap in all but tau times: evaluate lo..N+tau once
-        lm, _, z = eval_at(seq, np.arange(lo, N + tau + 1, dtype=np.int64))
-        lm1, z1, lm2, z2 = lm[:-tau], z[:-tau], lm[tau:], z[tau:]
+        eval_at(seq, ends + (0, tau))
     else:
-        lm1, _, z1 = eval_at(seq, ns)
-        lm2, _, z2 = eval_at(seq, ns + tau)
-    window = (int(ns[0]), int(ns[-1]))
-    if z1.any() or z2.any():
+        eval_at(seq, ends)
+        eval_at(seq, ends + tau)
+
+    centers = (float(first), math.sqrt(float(first) * float(last)), float(last))
+    blocks = [_block(first, last, step, c) for c in centers]
+    pieces = [[] for _ in blocks]
+    dev_max, r_max, r_min, d_max, d_min = [], [], [], [], []
+    zero, tail = False, np.zeros(0)
+    for c0 in range(first, last + 1, SCAN_CHUNK * step):
+        c1 = min(c0 + (SCAN_CHUNK - 1) * step, last)
+        if restrict is None:
+            # n and n + tau overlap in all but tau times: evaluate c0..c1+tau once
+            lm, _, z = eval_at(seq, np.arange(c0, c1 + tau + 1, dtype=np.int64))
+            lm1, z1, lm2, z2 = lm[:-tau], z[:-tau], lm[tau:], z[tau:]
+        else:
+            ns = np.arange(c0, c1 + 1, step, dtype=np.int64)
+            lm1, _, z1 = eval_at(seq, ns)
+            lm2, _, z2 = eval_at(seq, ns + tau)
+        # every piece is still evaluated after a zero, for the errors it raises
+        zero = zero or z1.any() or z2.any()
+        if zero:
+            continue
+        d = lm1 - lm2
+        with np.errstate(over="ignore"):
+            r = np.exp(d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dev = np.abs(np.expm1(d))
+        dev_max.append(np.max(dev))
+        r_max.append(np.max(r))
+        r_min.append(np.min(r))
+        d_max.append(np.max(d))
+        d_min.append(np.min(d))
+        tail = np.concatenate((tail, r[-8:]))[-8:]
+        for held, (b0, b1) in zip(pieces, blocks):
+            i, j = max(0, (b0 - c0) // step), (min(b1, c1) - c0) // step + 1
+            if i < j:
+                held.append(d[i:j])
+    if zero:
         return RatioVerdict(
             "inconclusive", tau, window=window, note="zero magnitudes in window"
         )
 
-    d = lm1 - lm2
-    with np.errstate(over="ignore"):
-        r = np.exp(d)
-    evidence = tuple(float(v) for v in r[-8:])
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        dev = np.abs(np.expm1(d))
-    if float(np.max(dev)) <= tol:
+    evidence = tuple(float(v) for v in tail)
+    if float(np.max(dev_max)) <= tol:
         return RatioVerdict("good", tau, limit=1.0, evidence=evidence, window=window)
 
-    nsf = ns.astype(np.float64)
-    centers = (float(ns[0]), math.sqrt(float(ns[0]) * float(ns[-1])), float(ns[-1]))
-    b = np.array([_block_mean(d, nsf, c) for c in centers])
+    # joined, a block's pieces are the contiguous d[sel] of a whole-window pass
+    b = np.array([float(np.concatenate(held).mean()) for held in pieces])
     d1, d2 = b[1] - b[0], b[2] - b[1]
     eta = max(1e-12, 1e-12 * abs(b[2]))
 
-    # monotone divergence of the log-ratio => limit 0 or +inf
+    # monotone divergence of the log-ratio => limit 0 or +inf; d1 and d2 are
+    # nonzero here, and their product can overflow
     if (
         abs(b[2]) > abs(b[1]) > abs(b[0])
         and abs(d1) > eta
         and abs(d2) >= _DIVERGE_RATIO * abs(d1)
-        and d1 * d2 > 0
+        and (d1 > 0) == (d2 > 0)
         and abs(b[2]) >= 0.5 * math.log(1.0 / tol)
     ):
         limit = 0.0 if b[2] < 0 else math.inf
         return RatioVerdict("bad", tau, limit=limit, evidence=evidence, window=window)
 
     # unanimity around a common constant != 1
-    rmax, rmin = float(np.max(r)), float(np.min(r))
+    rmax, rmin = float(np.max(r_max)), float(np.min(r_min))
     if math.isfinite(rmax) and rmax - rmin <= 2.0 * tol:
         a_hat = 0.5 * (rmax + rmin)
         if abs(a_hat - 1.0) > tol:
@@ -524,7 +570,7 @@ def ratio_classify(
         )
 
     # shrinking power-law trend of the log-ratio toward 0 => limit 1
-    same_sign = float(np.max(d)) < 0.0 or float(np.min(d)) > 0.0
+    same_sign = float(np.max(d_max)) < 0.0 or float(np.min(d_min)) > 0.0
     if same_sign and abs(b[0]) > abs(b[1]) > abs(b[2]) > 0.0:
         alpha = math.log(abs(b[0]) / abs(b[2])) / math.log(centers[2] / centers[0])
         if alpha >= _TREND_ALPHA_MIN:

@@ -17,7 +17,16 @@ from orbitlab.criteria import (
     SeriesVerdict,
 )
 from orbitlab.lspace import CoefVec, Side, SideMismatchError
-from orbitlab.seqcore import scan_grid, wrap_phase
+from orbitlab.seqcore import (
+    _BLOCK_HALF_WIDTH,
+    _DIVERGE_RATIO,
+    _TREND_ALPHA_MIN,
+    RatioVerdict,
+    ScalingSeq,
+    eval_at,
+    scan_grid,
+    wrap_phase,
+)
 from orbitlab.shiftops import ShiftOp, WeightSeq
 
 
@@ -424,3 +433,118 @@ def orbit_norm_logs(T: ShiftOp, x: CoefVec, n_arr: np.ndarray) -> np.ndarray:
         m = float(np.max(lm))
         out[t] = m + 0.5 * math.log(float(np.sum(np.exp(2.0 * (lm - m)))))
     return out
+
+
+def _block_mean(d: np.ndarray, ns: np.ndarray, center: float) -> float:
+    lo = center * (1.0 - _BLOCK_HALF_WIDTH)
+    hi = center * (1.0 + _BLOCK_HALF_WIDTH)
+    sel = (ns >= lo) & (ns <= hi)
+    if not sel.any():
+        sel = np.argmin(np.abs(ns - center))
+        return float(d[sel])
+    return float(d[sel].mean())
+
+
+def ratio_classify(
+    seq: ScalingSeq,
+    tau: int,
+    N: int = 10**6,
+    tol: float = 1e-4,
+    restrict: tuple[int, int] | None = None,
+) -> RatioVerdict:
+    """``seqcore.ratio_classify`` as one pass over whole-window arrays of
+    lam_n and lam_{n+tau}; the streamed classifier must return the same
+    verdict, field by field and bit for bit, and raise the same errors.
+
+    Classify lam by the ratios |lam_n|/|lam_{n+tau}| over n in [N/2, N].
+
+    Decision ladder:
+      1. Good when max |r_n - 1| <= tol over the whole window.
+      2. Bad(0) / Bad(inf) when the log-ratio drifts monotonically to -inf/+inf
+         across geometric anchor blocks.
+      3. Bad(a) when all window values agree within tol on a common a != 1.
+      4. Good when the log-ratio magnitude shrinks along a power-law trend
+         toward 0 (recorded as a trend estimate in ``note``).
+      5. Inconclusive otherwise (oscillating families land here).
+
+    ``restrict=(mod, residue)`` limits the scan to one residue class, the
+    testable form of a ratio limit taken along a subset of N.
+    """
+    if tau < 1:
+        raise ValueError("tau must be a positive integer")
+    if N < 100 * tau:
+        raise ValueError(f"horizon N={N} too small, need N >= {100 * tau}")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+
+    lo = max(N // 2, seq.min_n)
+    ns = np.arange(lo, N + 1, dtype=np.int64)
+    if restrict is not None:
+        mod, res = restrict
+        ns = ns[ns % mod == res % mod]
+    if ns.size < 8:
+        raise ValueError("scan window is empty or too short")
+    if restrict is None:
+        # ns and ns + tau overlap in all but tau times: evaluate lo..N+tau once
+        lm, _, z = eval_at(seq, np.arange(lo, N + tau + 1, dtype=np.int64))
+        lm1, z1, lm2, z2 = lm[:-tau], z[:-tau], lm[tau:], z[tau:]
+    else:
+        lm1, _, z1 = eval_at(seq, ns)
+        lm2, _, z2 = eval_at(seq, ns + tau)
+    window = (int(ns[0]), int(ns[-1]))
+    if z1.any() or z2.any():
+        return RatioVerdict(
+            "inconclusive", tau, window=window, note="zero magnitudes in window"
+        )
+
+    d = lm1 - lm2
+    with np.errstate(over="ignore"):
+        r = np.exp(d)
+    evidence = tuple(float(v) for v in r[-8:])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.abs(np.expm1(d))
+    if float(np.max(dev)) <= tol:
+        return RatioVerdict("good", tau, limit=1.0, evidence=evidence, window=window)
+
+    nsf = ns.astype(np.float64)
+    centers = (float(ns[0]), math.sqrt(float(ns[0]) * float(ns[-1])), float(ns[-1]))
+    b = np.array([_block_mean(d, nsf, c) for c in centers])
+    d1, d2 = b[1] - b[0], b[2] - b[1]
+    eta = max(1e-12, 1e-12 * abs(b[2]))
+
+    # monotone divergence of the log-ratio => limit 0 or +inf
+    if (
+        abs(b[2]) > abs(b[1]) > abs(b[0])
+        and abs(d1) > eta
+        and abs(d2) >= _DIVERGE_RATIO * abs(d1)
+        and d1 * d2 > 0
+        and abs(b[2]) >= 0.5 * math.log(1.0 / tol)
+    ):
+        limit = 0.0 if b[2] < 0 else math.inf
+        return RatioVerdict("bad", tau, limit=limit, evidence=evidence, window=window)
+
+    # unanimity around a common constant != 1
+    rmax, rmin = float(np.max(r)), float(np.min(r))
+    if math.isfinite(rmax) and rmax - rmin <= 2.0 * tol:
+        a_hat = 0.5 * (rmax + rmin)
+        if abs(a_hat - 1.0) > tol:
+            return RatioVerdict(
+                "bad", tau, limit=a_hat, evidence=evidence, window=window
+            )
+        return RatioVerdict(
+            "inconclusive", tau, evidence=evidence, window=window,
+            note="values straddle 1 beyond tol",
+        )
+
+    # shrinking power-law trend of the log-ratio toward 0 => limit 1
+    same_sign = float(np.max(d)) < 0.0 or float(np.min(d)) > 0.0
+    if same_sign and abs(b[0]) > abs(b[1]) > abs(b[2]) > 0.0:
+        alpha = math.log(abs(b[0]) / abs(b[2])) / math.log(centers[2] / centers[0])
+        if alpha >= _TREND_ALPHA_MIN:
+            return RatioVerdict(
+                "good", tau, limit=1.0, evidence=evidence, window=window,
+                note=f"trend estimate: |log ratio| ~ n^-{alpha:.3f} -> 0",
+            )
+
+    return RatioVerdict("inconclusive", tau, evidence=evidence, window=window)

@@ -1159,6 +1159,17 @@ class TestCliSubcommands:
                      "--horizon", "100000"]) == EXIT_OK
         assert "verdict=bad limit=0.0" in capsys.readouterr().out
 
+    def test_classify_seq_overflowing_trend_warns_nothing(self):
+        # exp_pow(50)'s anchor block means differ by about 1e250: the trend
+        # test compares their signs, where their product overflowed and, with
+        # warnings as errors, ended in a traceback and exit 1
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "orbitlab", "classify-seq",
+             "--family", "exp_pow", "--a", "50", "--horizon", "100000"],
+            env=_package_env(), capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert proc.stdout.startswith("family=exp_pow tau=1 verdict=bad limit=0.0\n")
+
     def test_classify_seq_bad(self, capsys):
         assert main(["classify-seq", "--family", "factorial", "--horizon", "10000"]) == EXIT_OK
         assert "verdict=bad limit=0.0" in capsys.readouterr().out
@@ -1224,6 +1235,14 @@ class TestCliSubcommands:
         assert "ok" in capsys.readouterr().out
 
 
+def _package_env() -> dict:
+    """The environment of a child ``python -m orbitlab`` that imports this
+    package."""
+    src = str(Path(expcli.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _call(capsys, argv):
     """(exit code, stdout, stderr) of one in-process ``main`` call; argparse
     ends --help and usage errors with SystemExit."""
@@ -1276,11 +1295,8 @@ class TestParserReuse:
         monkeypatch.chdir(tmp_path)
         # argparse wraps --help and usage lines to the terminal's width
         monkeypatch.setenv("COLUMNS", "80")
-        src = str(Path(expcli.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         for argv in self._sequence(tmp_path):
             got = _call(capsys, argv)
             proc = subprocess.run([sys.executable, "-m", "orbitlab", *argv], cwd=tmp_path,
-                                  env=env, capture_output=True, text=True, timeout=60)
+                                  env=_package_env(), capture_output=True, text=True, timeout=60)
             assert got == (proc.returncode, proc.stdout, proc.stderr), argv

@@ -1,5 +1,9 @@
 import cmath
+import functools
+import itertools
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import oracles
 from oracles import wrap_phase_formula
+from orbitlab import expcli, seqcore
 from orbitlab.expcli import ANGLE, SCALING, WEIGHTS
 from orbitlab.seqcore import (
+    SCAN_CHUNK,
     AngleSpec,
     LogScalar,
     ScalingSeq,
@@ -23,6 +30,7 @@ from orbitlab.seqcore import (
     wrap_phase,
 )
 from orbitlab.shiftops import WeightSeq
+from test_reachability import _family_config
 
 LN2 = math.log(2.0)
 
@@ -409,3 +417,182 @@ class TestRatioClassify:
     def test_horizon_precondition(self):
         with pytest.raises(ValueError):
             ratio_classify(ScalingSeq.factorial(), 7, N=500)
+
+
+def _float_bits(x):
+    return None if x is None else (type(x), struct.pack("<d", x))
+
+
+def _outcome(classify, *args, **kwargs):
+    """A verdict field by field, floats by their bits, or the error raised."""
+    try:
+        v = classify(*args, **kwargs)
+    except (ArithmeticError, ValueError, Warning) as e:
+        return type(e), str(e)
+    return (v.kind, v.tau, _float_bits(v.limit), tuple(map(_float_bits, v.evidence)),
+            v.window, v.note)
+
+
+RESTRICTS = [None, (2, 0), (2, 1), (3, 2)]
+
+
+def _sign_flip_table() -> list[float]:
+    """|lam_n| for N = 500 whose log-ratio is 1, -2 and 10 over the three
+    anchor blocks: their means grow in size, but the trend changes sign."""
+    lm, out = 0.0, []
+    for n in range(1, 506):
+        out.append(math.exp(lm))
+        lm -= 1.0 if n <= 270 else -2.0 if 330 <= n <= 380 else 10.0 if n >= 470 else 0.0
+    return out
+
+
+# one sequence per row of the scaling table, built as the reachability test
+# builds it, then the literal config of each row, then sequences that reach
+# every rung of the ladder
+RATIO_SEQS = {
+    **{f"row-{name}": SCALING.read(_family_config(expcli, SCALING, name))
+       for name in expcli.SCALING_FAMILIES},
+    **{f"literal-{name}": want for name, (_, want) in SCALING_CONFIGS.items()},
+    "exp_pow-1": ScalingSeq.exp_pow(1.0),
+    "exp_pow-0.7": ScalingSeq.exp_pow(0.7),
+    "log_pow-1.5": ScalingSeq.log_pow(1.5),
+    "power_of_w-1.1": ScalingSeq.power_of_w(1.1 * cmath.exp(0.3j)),
+    "power_of_w-unimodular": ScalingSeq.power_of_w(cmath.exp(1j)),
+    "geom_inverse-0.9j": ScalingSeq.geom_inverse(0.9j),
+    "rational_poly-zero": ScalingSeq.rational_poly([-3001.0, 1.0], [1.0]),
+    "table-period-3": ScalingSeq.table([1.0 if n % 3 else 2.0 - 1.0j for n in range(1, 40_003)]),
+    # |lam_n| = 1/log(n + 1) has a shrinking trend, broken by one NaN
+    "table-nan": ScalingSeq.table([math.nan if n == 3100 else 1.0 / math.log(n + 1)
+                                   for n in range(1, 20_006)]),
+    "table-sign-flip": ScalingSeq.table(_sign_flip_table()),
+    "inverse-log_pow": ScalingSeq.inverse(ScalingSeq.log_pow(2.0)),
+    "rotated-linear": rotate_seq(ScalingSeq.exp_pow(0.5), AngleSpec("linear", 0.7)),
+}
+
+
+def _block_edges(N: int, restrict) -> list[int]:
+    """The positions in the window of each anchor block's first and last
+    member, as the whole-window classifier picks the blocks."""
+    ns = np.arange(N // 2, N + 1, dtype=np.int64)
+    if restrict is not None:
+        ns = ns[ns % restrict[0] == restrict[1] % restrict[0]]
+    nsf = ns.astype(np.float64)
+    centers = (nsf[0], math.sqrt(nsf[0] * nsf[-1]), nsf[-1])
+    out = []
+    for c in centers:
+        sel = np.flatnonzero((nsf >= c * (1.0 - 0.05)) & (nsf <= c * (1.0 + 0.05)))
+        out += [int(sel[0]), int(sel[-1])]
+    return out
+
+
+@functools.cache
+def _edge_horizons(restrict, chunk: int) -> list[int]:
+    """For each anchor block, the least horizons N >= 800 at which its first
+    member is the first of a piece of ``chunk`` members, and at which its
+    last member is the last of one."""
+    return sorted({next(N for N in itertools.count(800)
+                        if _block_edges(N, restrict)[k] % chunk == (chunk - 1) * (k % 2))
+                   for k in range(6)})
+
+
+class TestRatioOracle:
+    """The streamed classifier against the whole-window pass it replaced
+    (``oracles.ratio_classify``): the same verdict, field by field with
+    floats by their bits, or the same error type and message."""
+
+    @pytest.mark.parametrize("name", list(RATIO_SEQS))
+    def test_one_chunk(self, name):
+        seq = RATIO_SEQS[name]
+        for tau in (1, 2, 5):
+            for restrict in RESTRICTS:
+                for N in (500, 4000, 20_000):
+                    for tol in (1e-4, 0.3):
+                        args = (seq, tau, N, tol, restrict)
+                        assert _outcome(ratio_classify, *args) == \
+                            _outcome(oracles.ratio_classify, *args), (tau, restrict, N, tol)
+
+    @pytest.mark.parametrize("name", list(RATIO_SEQS))
+    def test_chunk_edges(self, name, monkeypatch):
+        # pieces of 16 members, at horizons where each anchor block's first
+        # member is a piece's first or its last member a piece's last
+        monkeypatch.setattr(seqcore, "SCAN_CHUNK", 16)
+        seq = RATIO_SEQS[name]
+        for restrict in RESTRICTS:
+            for N in _edge_horizons(restrict, 16):
+                args = (seq, 2, N, 1e-4, restrict)
+                assert _outcome(ratio_classify, *args) == \
+                    _outcome(oracles.ratio_classify, *args), (restrict, N)
+
+    @pytest.mark.parametrize("restrict", RESTRICTS)
+    def test_three_chunks(self, restrict):
+        # the window's class spans more than three pieces of SCAN_CHUNK
+        # members, and the last anchor block starts on the fourth piece
+        step = 1 if restrict is None else restrict[0]
+        N = next(N for N in itertools.count(int(3 * SCAN_CHUNK * step / 0.45) - 10 * step)
+                 if _block_edges(N, restrict)[4] == 3 * SCAN_CHUNK)
+        for seq in (ScalingSeq.constant(2.0 - 1.0j), ScalingSeq.log_pow(1.5),
+                    ScalingSeq.exp_over_log_log(), ScalingSeq.factorial(),
+                    ScalingSeq.inverse(ScalingSeq.factorial()), ScalingSeq.geom_even_odd(),
+                    ScalingSeq.dyadic_tower(), ScalingSeq.power_of_w(1.1 * cmath.exp(0.3j))):
+            for tau in (1, 2, 5):
+                args = (seq, tau, N, 1e-4, restrict)
+                assert _outcome(ratio_classify, *args) == \
+                    _outcome(oracles.ratio_classify, *args), (seq.family, tau)
+
+    @pytest.mark.parametrize("restrict", RESTRICTS)
+    @pytest.mark.parametrize("seq, N", [
+        # a table too short: the message names the last n the window needs
+        (ScalingSeq.table([1.0] * 300_000), 10**6),
+        # a domain error: the angle table ends inside the window
+        (rotate_seq(ScalingSeq.constant(1.0), AngleSpec("table", (0.1,) * 1000)), 10**5),
+        # a zero window
+        (ScalingSeq.constant(0.0), 10**5),
+        # a zero past the first piece: a verdict, and a ZeroDivisionError under inverse
+        (ScalingSeq.rational_poly([-700_001.0, 1.0], [1.0]), 10**6),
+        (ScalingSeq.inverse(ScalingSeq.rational_poly([-700_001.0, 1.0], [1.0])), 10**6),
+    ], ids=["short-table", "angle-domain", "zero-window", "mid-zero", "inverse-mid-zero"])
+    def test_errors_and_zeros(self, seq, N, restrict):
+        for tau in (1, 2):
+            args = (seq, tau, N, 1e-4, restrict)
+            assert _outcome(ratio_classify, *args) == _outcome(oracles.ratio_classify, *args)
+
+    def test_empty_block_takes_the_nearest_member(self):
+        # no window of ratio_classify leaves a block empty: 8 members at most
+        # N/14 apart put one within 5% of the middle centre; the fallback is
+        # still the whole-window one, the first member of least |n - c|
+        first, step, last = 1000, 300, 3100
+        ns = np.arange(first, last + 1, step).astype(np.float64)
+        empty = 0
+        for c in [*np.linspace(900.0, 3200.0, 461), 1150.0, 2650.0]:
+            sel = np.flatnonzero((ns >= c * (1.0 - 0.05)) & (ns <= c * (1.0 + 0.05)))
+            want = ((ns[sel[0]], ns[sel[-1]]) if sel.size
+                    else (oracles._block_mean(ns, ns, float(c)),) * 2)
+            assert seqcore._block(first, last, step, float(c)) == want, c
+            empty += not sel.size
+        assert empty > 100
+
+    def test_short_table_names_the_window_end(self):
+        with pytest.raises(SequenceDomainError, match="asked for n=1000001$"):
+            ratio_classify(ScalingSeq.table([1.0] * 300_000), 1, N=10**6)
+
+    def test_overflowing_trend_keeps_its_verdict(self):
+        # the block means of exp_pow(50) reach 1e250: their differences'
+        # product overflowed in the trend test; the sign test says the same
+        seq = ScalingSeq.exp_pow(50.0)
+        with np.errstate(over="ignore"):
+            want = _outcome(oracles.ratio_classify, seq, 1, N=10**5)
+        assert _outcome(ratio_classify, seq, 1, N=10**5) == want
+        assert (want[0], want[2]) == ("bad", _float_bits(0.0))
+
+
+def test_ratio_classify_memory():
+    # numpy's allocations are traced: the whole-window pass held about ten
+    # arrays of N/2 floats, 113 MiB here; the streamed one a piece's arrays
+    # and the anchor blocks
+    tracemalloc.start()
+    try:
+        ratio_classify(ScalingSeq.geom_even_odd(), 1, N=4_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
