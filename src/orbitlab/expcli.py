@@ -44,7 +44,7 @@ from .orbits import (
     recurrence_scan,
     witness_distances,
 )
-from .seqcore import AngleSpec, ScalingSeq, ratio_classify, rotate_seq
+from .seqcore import AngleSpec, ScalingSeq, ratio_classify, rotate_seq, wrap_phase
 from .shiftops import ShiftOp, WeightSeq, scaled_orbit_point
 from .symbolops import PolySymbol, RangeCertificate, RangeKind, classify_adjoint
 
@@ -745,8 +745,7 @@ def _coeffwise_close(x: CoefVec, y: CoefVec, tol: float) -> bool:
         return False
     if not np.allclose(x.log_mags, y.log_mags, atol=tol, rtol=0):
         return False
-    dphase = np.abs(np.angle(np.exp(1j * (x.phases - y.phases))))
-    return bool(np.all(dphase <= tol))
+    return bool(np.all(np.abs(wrap_phase(x.phases - y.phases)) <= tol))
 
 
 def _checked(fn, *args, **kwargs):

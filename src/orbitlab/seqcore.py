@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -274,6 +275,203 @@ class ScalingSeq:
             )
 
 
+# ---------------------------------------------------------------------------
+# log n! as scipy.special.gammaln(n + 1) computes it: a port of cephes lgam
+# ---------------------------------------------------------------------------
+
+# cephes lgam's constants: log(sqrt(2 pi)) and, for 13 <= x < 1000, the
+# coefficients of its 1/x^2 polynomial (its A[]); for x >= 1000 it uses the
+# first three terms of Stirling's series instead
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+           7.93650340457716943945e-4, -2.77777777730099687205e-3,
+           8.33333333333331927722e-2)
+
+# ln 2 to 42 bits, so that e * _LN2_HI is exact for every binary exponent e
+_LN2_HI = float.fromhex("0x1.62e42fefa38p-1")
+_LN_BITS = 8  # the reduction table is indexed by x's top 8 significand bits
+_LN_ERR = 2.0**-60  # bound on |ln x - (s + t)| for _ln_dd's estimate
+_LN_NEAR = 0.5 - 0.0195  # _ln_block keeps s where |t| <= _LN_NEAR ulp(s) - _LN_ERR
+# the kernels run over blocks of this many lanes, in one set of work arrays
+# per call: with fresh temporaries as long as a SCAN_CHUNK piece, lgam's 40-odd
+# steps made the factorial classifier at N=2e7 page-fault 240,000 times, not
+# 15,000, and take twice as long
+_LGAM_BLOCK = 1 << 13
+
+
+@cache
+def _ln_tables() -> tuple[float, np.ndarray, np.ndarray]:
+    """The constants of ``_ln_dd`` and ``_lgam_block``, built on first use.
+
+    ``ln 2 - _LN2_HI``; ln c_i as complex(hi, lo) with hi + lo within 2^-105
+    of it, for the centres c_i = 1 + (i + 1/2)/256; and lgam at x = 1..12,
+    which is libm's log of the exact double (x - 1)!.
+    """
+    from decimal import Decimal, localcontext  # about 2 ms of import
+
+    k = 1 << _LN_BITS
+    ln_c = np.empty(k, dtype=complex)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ln2_lo = float(Decimal(2).ln() - Decimal(_LN2_HI))
+        v = (Decimal(2 * k + 1) / (2 * k)).ln()
+        for i in range(k):
+            hi = float(v)
+            ln_c[i] = complex(hi, float(v - Decimal(hi)))
+            # c_{i+1}/c_i = (j + 1)/(j - 1) with j = 2(k + i) + 2, whose log
+            # is 2 atanh(1/j) = 2 sum 1/(m j^m) over odd m; the terms past
+            # m = 13 are below 2^-130 (a Decimal ln per cell took 4x as long)
+            y = 1 / Decimal(2 * (k + i) + 2)
+            step = term = y
+            for m in range(3, 15, 2):
+                term *= y * y
+                step += term / m
+            v += 2 * step
+    small = np.array([math.log(float(math.factorial(j))) for j in range(12)])
+    ln_c.flags.writeable = small.flags.writeable = False
+    return ln2_lo, ln_c, small
+
+
+def _ln_dd(x, s, t, w) -> None:
+    """s + t = ln x to within ``_LN_ERR`` = 2^-60, with s = RN(s + t), for
+    positive normal doubles x; ``w`` is four work arrays (int64, two float64,
+    complex) as long as x.
+
+    Write x = 2^e m with m in [1, 2), and let c = 1 + (i + 1/2)/256 be the
+    centre of the table cell of m's top 8 bits. Then ln x = e ln 2 + ln c +
+    log1p(r) with r = (m - c)/c, |r| < 2^-9, and m - c is exact. The sum is
+    a + hi + lo with a = e _LN2_HI (exact; Fast2Sum(a, hi) is exact, since
+    |hi| < _LN2_HI <= |a| or a = 0) and lo = e (ln 2 - _LN2_HI) + lo_c + t1
+    + r^2 Q(r) + r, added in that order. Its error is at most
+      2^-62 (1 + 2^-8)   the rounding of r, through log1p' <= 1/(1 - 2^-9),
+      2^-62              the last addition, of r (|lo| < 2^-8),
+      2^-65.8            the series cut after r^6: |r|^7 / (7 (1 - |r|)),
+      2^-69              Q's rounding, times r^2 < 2^-18, and the other
+                         additions, whose sums stay below 2^-18,
+      2^-85              the ln 2 and ln c splits, times |e| <= 1023,
+    in all less than 2^-60.9. TwoSum(a + hi, lo) then gives (s, t) exactly.
+    """
+    ln2_lo, ln_c, _ = _ln_tables()
+    i, c, r, h = w
+    bits = x.view(np.int64)
+    np.right_shift(bits, 52 - _LN_BITS, out=i)
+    np.bitwise_and(i, (1 << _LN_BITS) - 1, out=i)
+    np.take(ln_c, i, out=h)
+    np.multiply(i, 2.0**-_LN_BITS, out=c)
+    c += 1.0 + 2.0 ** -(_LN_BITS + 1)
+    m = r.view(np.int64)
+    np.bitwise_and(bits, (1 << 52) - 1, out=m)
+    m |= 0x3FF << 52
+    r -= c
+    r /= c
+    np.right_shift(bits, 52, out=i)
+    np.subtract(i, 1023, out=s)  # e
+    np.multiply(s, _LN2_HI, out=c)  # a
+    s *= ln2_lo
+    s += h.imag
+    np.add(c, h.real, out=t)  # Fast2Sum: a + hi in t, its error in c
+    np.subtract(t, c, out=c)
+    np.subtract(h.real, c, out=c)
+    s += c
+    # log1p(r) - r = r^2 Q(r), Q = -1/2 + r/3 - r^2/4 + r^3/5 - r^4/6
+    np.multiply(r, -1.0 / 6.0, out=c)
+    for a in (1.0 / 5.0, -1.0 / 4.0, 1.0 / 3.0, -1.0 / 2.0):
+        c += a
+        c *= r
+    c *= r
+    s += c
+    s += r  # lo
+    # TwoSum(t, s): the sum in c, its error in t
+    np.add(t, s, out=c)
+    np.subtract(c, t, out=r)
+    np.subtract(s, r, out=s)
+    np.subtract(c, r, out=r)
+    np.subtract(t, r, out=t)
+    t += s
+    s[...] = c
+
+
+def _ln_block(x, out, w) -> None:
+    """out = the C library's log(x), bit for bit, at finite doubles x > 0.
+
+    glibc's log (2.28 on) is within 0.519 ulp of ln x. Let u be the ulp of
+    the estimate's head s, and let s be positive and no power of two, so that
+    its neighbours lie u away. When |t| <= (1/2 - 0.0195) u - 2^-60, ln x
+    is within 0.4805 u of s (``_ln_dd``'s bound), so libm's result is
+    within 0.9995 u of s, and s is the only double that close: libm returns
+    s. The other lanes, about 4% of them, and every x below 1 (where s <= 0)
+    call ``math.log``, which is libm's log.
+    """
+    i, c, r, h, t = w
+    _ln_dd(x, out, t, (i, c, r, h))
+    p2 = c.view(np.int64)  # 2^floor(log2 s), with s's sign
+    np.right_shift(out.view(np.int64), 52, out=p2)
+    p2 <<= 52
+    np.multiply(c, _LN_NEAR * 2.0**-52, out=r)
+    r -= _LN_ERR
+    np.abs(t, out=t)
+    ok = t <= r
+    ok &= c != out
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        out[slow] = [math.log(v) for v in x[slow].tolist()]
+
+
+def _lgam_block(x, out, w) -> None:
+    """out = cephes lgam(x) at integer-valued doubles 1 <= x < 2^63.
+
+    lgam's branches: below 13, its recurrence, which at an integer x is
+    log((x - 1)!); from 13, q = (x - 1/2) ln x - x + log(sqrt(2 pi)) plus a
+    1/x correction, a polynomial in 1/x^2 below 1000 and Stirling's series
+    from there. Above 1e8 lgam returns q alone; the correction there is below
+    1e-9 and q above 1.7e9, so adding it moves no bit. ln x is
+    ``_ln_block``'s, which is libm's, as in lgam.
+    """
+    _, c, r, _, _ = w
+    _ln_block(x, out, w)
+    np.subtract(x, 0.5, out=c)
+    out *= c
+    out -= x
+    out += _LS2PI
+    np.multiply(x, x, out=r)
+    np.divide(1.0, r, out=r)  # p = 1/x^2
+    np.multiply(r, 7.9365079365079365079365e-4, out=c)
+    c -= 2.7777777777777777777778e-3
+    c *= r
+    c += 0.0833333333333333333333
+    c /= x
+    low = x.min()
+    if low < 1000.0:
+        mid = np.flatnonzero(x < 1000.0)
+        p = r[mid]
+        v = _LGAM_A[0]
+        for a in _LGAM_A[1:]:
+            v = v * p + a
+        c[mid] = v / x[mid]
+    out += c
+    if low < 13.0:
+        small = np.flatnonzero(x < 13.0)
+        out[small] = _ln_tables()[2][x[small].astype(np.int64) - 1]
+
+
+def _blockwise(kernel, x: np.ndarray) -> np.ndarray:
+    """kernel(x block, out block, work arrays) over blocks of ``_LGAM_BLOCK``,
+    all sharing one set of work arrays."""
+    out = np.empty_like(x)
+    k = min(x.size, _LGAM_BLOCK)
+    w = (np.empty(k, np.int64), np.empty(k), np.empty(k), np.empty(k, complex), np.empty(k))
+    for a in range(0, x.size, _LGAM_BLOCK):
+        b = min(a + _LGAM_BLOCK, x.size)
+        kernel(x[a:b], out[a:b], [v[: b - a] for v in w])
+    return out
+
+
+def _lgam(x: np.ndarray) -> np.ndarray:
+    """scipy.special.gammaln(x), bit for bit, at integer-valued doubles
+    1 <= x < 2^63: what gammaln evaluates (scipy 1.17), ported to numpy."""
+    return _blockwise(_lgam_block, x)
+
+
 def eval_at(seq: ScalingSeq, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized evaluation: (log_mags, phases, zero_mask) over integer n."""
     f = seq.family
@@ -316,11 +514,7 @@ def eval_at(seq: ScalingSeq, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     elif f == "exp_over_log_log":
         lm = nf / np.log(np.log(nf))
     elif f == "factorial":
-        # imported here: scipy.special is most of the package's import time,
-        # and math.lgamma differs from it in the last bit
-        from scipy.special import gammaln
-
-        lm = gammaln(nf + 1.0)
+        lm = _lgam(nf + 1.0)
     elif f == "geom_even_odd":
         lm = (n // 2).astype(np.float64) * _LN2
     elif f == "dyadic_tower":

@@ -3,7 +3,10 @@ makes is one that installing it provides."""
 
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -47,3 +50,32 @@ def test_imports_are_stdlib_package_or_runtime_dependencies(path):
     allowed = sys.stdlib_module_names | _runtime_dependencies() | {"orbitlab"}
     stray = [f"line {line}: {name}" for line, name in _imports(path) if name not in allowed]
     assert not stray, f"{path.name} imports what installing orbitlab does not provide: {stray}"
+
+
+# run in a fresh interpreter: the factorial family through classify-seq and
+# E2, then the names of the scipy modules loaded and whether importing the
+# package built the factorial family's tables
+NO_SCIPY_CHILD = """
+import json, sys
+from orbitlab import expcli, seqcore
+built_on_import = seqcore._ln_tables.cache_info().currsize
+with open("e2.json", "w") as f:
+    json.dump({"scenario": "E2", "N": 2000, "recurrence_N": 100, "ratio_N": 1000}, f)
+codes = [expcli.main(["classify-seq", "--family", "factorial", "--horizon", "10000"]),
+         expcli.main(["run", "--config", "e2.json", "--out", "e2"])]
+print(json.dumps([codes, built_on_import, sorted(m for m in sys.modules
+                                                 if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_factorial_family_imports_no_scipy(tmp_path):
+    # importing scipy.special adds about 26 MB to a process's peak RSS
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, built_on_import, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert built_on_import == 0
+    assert scipy_modules == []

@@ -5,11 +5,13 @@ import math
 import struct
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import gammaln
 
 import oracles
 from oracles import wrap_phase_formula
@@ -299,6 +301,128 @@ WEIGHTS_CONFIGS = {
     "inverse_step_bilateral": ({}, WeightSeq.inverse_step_bilateral()),
     "table_w": ({"values": [0.5, 2.0, 1.5, 3.0]}, WeightSeq.table([0.5, 2.0, 1.5, 3.0])),
 }
+
+
+def _gammaln_bits(x: np.ndarray) -> bytes:
+    return gammaln(x).tobytes()
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    return np.array([math.log(v) for v in x.tolist()])
+
+
+class _CountingMath:
+    """Stands in for ``seqcore.math``: counts its log calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def log(self, v):
+        self.calls += 1
+        return math.log(v)
+
+
+# lgam's branch edges: the recurrence below 13, the 1/x^2 polynomial below
+# 1000, Stirling's series to 1e8 and no correction above
+LGAM_EDGES = [1.0, 2.0, 12.0, 13.0, 14.0, 999.0, 1000.0, 1001.0, 1e8 - 1, 1e8, 1e8 + 1]
+
+
+class TestLgam:
+    """The factorial family's port of cephes lgam against scipy's gammaln,
+    which evaluates lgam, and its screened log against libm's log."""
+
+    def test_every_n_to_2_20(self):
+        x = np.arange(0, 2**20 + 1, dtype=np.int64).astype(np.float64) + 1.0
+        assert seqcore._lgam(x).tobytes() == _gammaln_bits(x)
+
+    @given(st.lists(st.integers(0, 2**31), min_size=1, max_size=64))
+    def test_drawn_n_to_2_31(self, ns):
+        x = np.array(ns, dtype=np.int64).astype(np.float64) + 1.0
+        assert seqcore._lgam(x).tobytes() == _gammaln_bits(x)
+
+    @pytest.mark.parametrize("x", LGAM_EDGES)
+    def test_branch_edge(self, x):
+        x = np.array([x])
+        assert seqcore._lgam(x).tobytes() == _gammaln_bits(x)
+
+    def test_branch_edges_in_any_block(self):
+        # the edges mixed into one block, and spread over several blocks
+        # among Stirling-series lanes
+        rng = np.random.default_rng(5)
+        edges = np.array(LGAM_EDGES)
+        spread = rng.permutation(np.concatenate(
+            [edges, np.arange(2e6, 2e6 + 3 * seqcore._LGAM_BLOCK)]))
+        for x in (edges, spread, spread[::-1].copy()):
+            assert seqcore._lgam(x).tobytes() == _gammaln_bits(x)
+
+    def test_eval_at_is_lgam(self):
+        n = np.array([0, 5, 11, 12, 999, 10**6, 2**40], dtype=np.int64)
+        lm, _, _ = eval_at(ScalingSeq.factorial(), n)
+        assert lm.tobytes() == _gammaln_bits(n.astype(np.float64) + 1.0)
+
+    def test_share_of_lanes_through_libm(self, monkeypatch):
+        # the screen sends about 4% of the lanes, those whose estimate lies
+        # near a rounding midpoint, to math.log
+        x = np.arange(1e6, 1e6 + SCAN_CHUNK)
+        seqcore._ln_tables()
+        counting = _CountingMath()
+        monkeypatch.setattr(seqcore, "math", counting)
+        assert seqcore._lgam(x).tobytes() == _gammaln_bits(x)
+        assert 0.02 * x.size < counting.calls < 0.06 * x.size
+
+    def test_every_lane_through_libm(self, monkeypatch):
+        # an error bound of 1 fails the screen on every lane
+        x = np.arange(1e6, 1e6 + 2 * seqcore._LGAM_BLOCK + 7)
+        seqcore._ln_tables()
+        counting = _CountingMath()
+        monkeypatch.setattr(seqcore, "math", counting)
+        monkeypatch.setattr(seqcore, "_LN_ERR", 1.0)
+        assert seqcore._lgam(x).tobytes() == _gammaln_bits(x)
+        assert counting.calls == x.size
+
+    def test_screened_log_at_chosen_points(self):
+        # integers, and the 200 doubles around each e^(2^k), among which the
+        # estimate's head is a power of two, whose lanes go to libm
+        near_pow2 = [np.arange(-100, 100) + np.float64(math.exp(2.0**k)).view(np.int64)
+                     for k in range(-4, 10)]
+        x = np.concatenate([np.arange(1.0, 2e5), np.arange(2**40, 2**40 + 1e4),
+                            2.0 ** np.arange(63), 2.0 ** np.arange(1, 63) - 1,
+                            np.concatenate(near_pow2).view(np.float64)])
+        got = seqcore._blockwise(seqcore._ln_block, x)
+        assert got.tobytes() == _libm_log(x).tobytes()
+
+    @given(hnp.arrays(np.float64, st.integers(1, 64), elements=st.floats(
+        min_value=5e-324, max_value=1.7976931348623157e308, allow_subnormal=True)))
+    def test_screened_log_at_any_double(self, x):
+        got = seqcore._blockwise(seqcore._ln_block, x)
+        assert got.tobytes() == _libm_log(x).tobytes()
+
+    @given(hnp.arrays(np.float64, st.integers(1, 32), elements=st.floats(
+        min_value=2.2250738585072014e-308, max_value=1.7976931348623157e308)))
+    def test_estimate_within_its_bound(self, x):
+        k = x.size
+        s, t = np.empty(k), np.empty(k)
+        seqcore._ln_dd(x, s, t, (np.empty(k, np.int64), np.empty(k), np.empty(k),
+                                 np.empty(k, complex)))
+        assert np.array_equal(s + t, s)
+        with mpmath.workprec(200):
+            for v, a, b in zip(x.tolist(), s.tolist(), t.tolist()):
+                err = mpmath.mpf(a) + mpmath.mpf(b) - mpmath.log(mpmath.mpf(v))
+                assert abs(err) <= mpmath.mpf(seqcore._LN_ERR)
+
+    def test_tables(self):
+        ln2_lo, ln_c, small = seqcore._ln_tables()
+        k = 1 << seqcore._LN_BITS
+        assert ln_c.shape == (k,)
+        with mpmath.workprec(200):
+            ln2 = mpmath.log(2)
+            # _LN2_HI < 1 has at most 42 bits, so e * _LN2_HI is exact for |e| < 2^11
+            assert (seqcore._LN2_HI * 2**42).is_integer()
+            assert abs(mpmath.mpf(seqcore._LN2_HI) + mpmath.mpf(ln2_lo) - ln2) <= 2.0**-96
+            for i, v in enumerate(ln_c.tolist()):
+                want = mpmath.log(1 + (mpmath.mpf(i) + 0.5) / k)
+                assert abs(mpmath.mpf(v.real) + mpmath.mpf(v.imag) - want) <= 2.0**-105
+        assert small.tolist() == [math.log(float(math.factorial(j))) for j in range(12)]
 
 
 class TestRotateSeq:
