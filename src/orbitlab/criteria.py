@@ -79,18 +79,6 @@ class MRShiftCertificate:
                 pos += 1
         return True
 
-    def to_config(self) -> dict:
-        return {
-            "type": "mr_shift",
-            "weights": self.weights.to_config(),
-            "n": self.n,
-            "m": self.m,
-            "q": self.q,
-            "eps": self.eps,
-            "forward_logs": list(self.forward_logs),
-            "backward_logs": list(self.backward_logs),
-        }
-
 
 def salas_check(w: WeightSeq, eps: float, q: int, n_max: int) -> SearchOutcome:
     """Smallest n in (2q, n_max] satisfying the hypercyclicity inequalities:
@@ -214,20 +202,6 @@ class SeriesVerdict:
     mode: str = ""
     crossed_cap_at: int | None = None
     cap: float | None = None
-
-    def to_config(self) -> dict:
-        return {
-            "type": "series",
-            "kind": self.kind,
-            "n_max": self.n_max,
-            "partial_sum": self.partial_sum,
-            "grid": list(self.grid),
-            "grid_sums": list(self.grid_sums),
-            "tail_bound": self.tail_bound,
-            "mode": self.mode,
-            "crossed_cap_at": self.crossed_cap_at,
-            "cap": self.cap,
-        }
 
 
 GEOM_RHO_MAX = 0.99

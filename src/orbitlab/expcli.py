@@ -11,6 +11,7 @@ cap exceeded.
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import math
 import re
@@ -37,7 +38,6 @@ from .fhbuilder import BuildError, build
 from .lspace import Ball, CoefVec, Side, dist, norm  # noqa: F401
 from .orbits import (
     HittingSet,
-    MRWitness,
     density_stats,
     find_ap,
     mr_witness_search,
@@ -105,13 +105,15 @@ class Kind:
     flag can take, a parser that turns the flag's argv text into the JSON
     value (raising ValueError). A family kind also carries its family table
     and says whether a flag command takes its scalar keys as flags of their
-    own."""
+    own. ``write`` turns the Python form back into JSON, as reports record
+    it."""
 
     name: str
     read: Callable[[object], object]
     parse: Callable[[str], object] | None = None
     families: dict | None = None
     key_flags: bool = False
+    write: Callable[[object], object] = lambda v: v
 
 
 def _read_int(v) -> int:
@@ -171,14 +173,26 @@ def list_of(kind: Kind) -> Kind:
         if text.lstrip().startswith("["):
             return json.loads(text)
         return [kind.parse(item) for item in text.split(",")]
-    return Kind(f"list of {kind.name}", read, parse)
+    return Kind(f"list of {kind.name}", read, parse,
+                write=lambda items: [kind.write(item) for item in items])
+
+
+def one_of(cls: type[enum.Enum]) -> Kind:
+    """An enum, recorded as its member's value."""
+    def read(v):
+        try:
+            return cls(v)
+        except (ValueError, TypeError):
+            raise TypeError from None
+    return Kind(f"one of {', '.join(m.value for m in cls)}", read, write=lambda m: m.value)
 
 
 INT = Kind("int", _read_int, int)
 NUMBER = Kind("number", _read_number, float)
-COMPLEX = Kind("complex", _read_complex, _parse_complex)  # a number or [re, im]
+# a number or [re, im]
+COMPLEX = Kind("complex", _read_complex, _parse_complex, write=lambda z: [z.real, z.imag])
 STRING = Kind("string", _instance_of(str), str)
-FLOAT_TEXT = Kind("number or string", _read_float_text)
+FLOAT_TEXT = Kind("number or string", _read_float_text, write=repr)
 OBJECT = Kind("object", _instance_of(dict))
 SCALARS = (INT, NUMBER, COMPLEX)
 
@@ -236,8 +250,17 @@ def param_cells(p: Param) -> tuple[str, str, str]:
 
 
 def table(name: str, rows: dict[str, Param]) -> Kind:
-    """An object kind whose keys are read through their own table."""
-    return Kind(name, lambda v: resolve(_instance_of(dict)(v), rows, name))
+    """An object kind whose keys are read through their own table, and
+    written from the attributes of the same name."""
+    return Kind(name, lambda v: resolve(_instance_of(dict)(v), rows, name),
+                write=lambda obj: write_rows(rows, obj))
+
+
+def write_rows(rows: dict[str, Param], obj=None, /, **given) -> dict:
+    """Each row's value in JSON form, taken from ``given`` or else from
+    ``obj``'s attribute of the row's name; None is written as null."""
+    values = {key: given[key] if key in given else getattr(obj, key) for key in rows}
+    return {key: None if v is None else rows[key].kind.write(v) for key, v in values.items()}
 
 
 def _show(v) -> str:
@@ -311,7 +334,7 @@ def family_kind(name: str, tag: str, families: dict[str, Family], parse=None,
             return fam.build(*(getattr(p, key) for key in fam.rows))
         except ValueError as e:
             raise ConfigError(f"{where}: {e}") from None
-    return Kind(name, read, parse, families, key_flags)
+    return Kind(name, read, parse, families, key_flags, write=lambda obj: obj.to_config())
 
 
 def family_flags(kind: Kind) -> list[str]:
@@ -701,33 +724,6 @@ def _ratio_verdict_dict(v) -> dict:
     return {"kind": v.kind, "tau": v.tau, "limit": limit, "note": v.note}
 
 
-def _ap_cert(w, hits_artifact: str) -> dict:
-    return {
-        "type": "ap_witness",
-        "a": w.a,
-        "k": w.k,
-        "m": w.m,
-        "tau": w.tau,
-        "hits_artifact": hits_artifact,
-    }
-
-
-def _mr_cert(w: MRWitness, u_artifact: str, op_cfg: dict, center_spec: str) -> dict:
-    return {
-        "type": "mr_witness",
-        "ell": w.ell,
-        "m": w.m,
-        "a": w.a,
-        "k": w.k,
-        "tau": w.tau,
-        "radius": w.radius,
-        "center": center_spec,
-        "distances": [repr(d) for d in w.distances],
-        "u_artifact": u_artifact,
-        "operator": op_cfg,
-    }
-
-
 # ---------------------------------------------------------------------------
 # scenarios
 # ---------------------------------------------------------------------------
@@ -735,8 +731,8 @@ def _mr_cert(w: MRWitness, u_artifact: str, op_cfg: dict, center_spec: str) -> d
 def _op_cfg(T: ShiftOp) -> dict:
     return {
         "side": T.side.value,
-        "weights": T.weights.to_config(),
-        "premultiplier": [T.premultiplier.real, T.premultiplier.imag],
+        "weights": WEIGHTS.write(T.weights),
+        "premultiplier": COMPLEX.write(T.premultiplier),
     }
 
 
@@ -913,7 +909,7 @@ def run_e5(p: SimpleNamespace, outdir: Path) -> dict:
             "product_formula": f"max deviation {worst:.3e}",
             "series": sv.kind,
         },
-        "certificates": [sv.to_config() | {"weights": w.to_config()}],
+        "certificates": [certificate("series", sv, weights=w)],
         "stats": {"partial_sum": sv.partial_sum, "crossed_cap_at": sv.crossed_cap_at,
                   "N": n_max},
     }
@@ -938,7 +934,7 @@ def run_e6(p: SimpleNamespace, outdir: Path) -> dict:
         if w is None or not w.verify(h0):
             raise ScenarioError(f"no verified progression of order {m}")
         ap_results[f"m_{m}"] = {"a": w.a, "k": w.k}
-        certificates.append(_ap_cert(w, arts["hitting_0"]))
+        certificates.append(certificate("ap_witness", w, hits_artifact=arts["hitting_0"]))
 
     center = p.witness_center
     out = mr_witness_search(
@@ -951,7 +947,8 @@ def run_e6(p: SimpleNamespace, outdir: Path) -> dict:
         raise ScenarioError("witness failed re-verification")
     arts["witness_u"] = vector_csv(outdir, "witness_u.csv", w.u)
     arts["witness_u_complex"] = complex_vector_csv(outdir, "witness_u_complex.csv", w.u)
-    certificates.append(_mr_cert(w, arts["witness_u"], _op_cfg(T2), center))
+    certificates.append(certificate("mr_witness", w, u_artifact=arts["witness_u"],
+                                    operator=_op_cfg(T2), center=center))
 
     return {
         "verdicts": {
@@ -997,10 +994,8 @@ def run_e7(p: SimpleNamespace, outdir: Path) -> dict:
         sv = classify_adjoint(phi)
         verdicts[name] = sv.kind.value
         if sv.certificate is not None:
-            certificates.append(
-                {"type": "range", "symbol": name, "phi": phi.to_config(),
-                 "certificate": sv.certificate.to_config()}
-            )
+            certificates.append(certificate("range", symbol=name, phi=phi.coeffs,
+                                            certificate=sv.certificate))
         if verdicts[name] != E7_EXPECTED[name]:
             raise ScenarioError(
                 f"{name}: expected {E7_EXPECTED[name]}, got {verdicts[name]}"
@@ -1030,7 +1025,7 @@ def run_scenario(cfg: dict, outdir: Path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# report verification
+# certificates
 # ---------------------------------------------------------------------------
 
 def _close(got: float, recorded: float) -> bool:
@@ -1038,110 +1033,154 @@ def _close(got: float, recorded: float) -> bool:
     return abs(got - recorded) <= 1e-9 * (1.0 + abs(got))
 
 
-def _cert_field(cert: dict, key: str, kind: Kind, default=REQUIRED, what: str | None = None):
-    """A certificate field read as ``kind``; a missing or null field takes
-    the default, if there is one."""
-    what = what or cert.get("type")
-    if default is not REQUIRED and cert.get(key) is None:
-        return default
-    if key not in cert:
-        raise ConfigError(f"{what} certificate has no field {key!r}")
-    return _read(kind, cert[key], f"{what} certificate field {key!r}")
+def _same(got, recorded) -> bool:
+    """A recomputed value against its recorded one: floats to ``_close``,
+    sequences item by item, anything else equal."""
+    if isinstance(got, float) and isinstance(recorded, float):
+        return _close(got, recorded)
+    if isinstance(got, (list, tuple)) and isinstance(recorded, (list, tuple)):
+        return len(got) == len(recorded) and all(map(_same, got, recorded))
+    return got == recorded
 
 
-def _verify_products(cert: dict, kind: str) -> bool:
+def _verify_products(c: SimpleNamespace, *_) -> bool:
     """A salas or mr_shift certificate: the product inequalities at its n."""
-    weights = _cert_field(cert, "weights", WEIGHTS)
-    n, q = _cert_field(cert, "n", INT), _cert_field(cert, "q", INT)
-    m = _cert_field(cert, "m", INT) if kind == "mr_shift" else 1
-    eps = _cert_field(cert, "eps", NUMBER)
-    fwd, bwd = (tuple(_cert_field(cert, key, list_of(NUMBER)))
-                for key in ("forward_logs", "backward_logs"))
-    if (min(n, m) < 1 or q < 0 or not 0 < eps < 1 or not weights.bilateral_ok
-            or not len(fwd) == len(bwd) == m * (2 * q + 1)):
+    # a salas certificate is the m = 1 case of an mr_shift one
+    cert = MRShiftCertificate(**{"m": 1, **vars(c)})
+    n, m, q = cert.n, cert.m, cert.q
+    if (min(n, m) < 1 or q < 0 or not 0 < cert.eps < 1 or not cert.weights.bilateral_ok
+            or not len(cert.forward_logs) == len(cert.backward_logs) == m * (2 * q + 1)):
         return False
-    _check_cap(m * n + q, f"{kind} product length")
-    # a salas certificate is the m = 1 case of an mr_shift one; a weight
-    # table too short for its products is a malformed certificate
-    return _checked(MRShiftCertificate(weights, n, m, q, eps, fwd, bwd).verify)
+    _check_cap(m * n + q, "product length")
+    # a weight table too short for its products is a malformed certificate
+    return _checked(cert.verify)
 
 
-def _verify_range(cert: dict) -> bool:
-    body = _cert_field(cert, "certificate", OBJECT)
-    phi = PolySymbol(tuple(_cert_field(cert, "phi", list_of(COMPLEX))))
-
-    def field(key, kind, default=REQUIRED):
-        return _cert_field(body, key, kind, default, what="range")
-
-    kind = field("kind", STRING)
-    try:
-        range_kind = RangeKind(kind)
-    except ValueError as e:
-        raise ConfigError(f"range certificate: {e}") from e
-    numbers = ("boundary_min", "boundary_max", "slack", "min_exact", "max_exact")
-    return RangeCertificate(
-        range_kind, field("tol", NUMBER), field("grid", INT),
-        *(field(key, NUMBER) for key in numbers),
-        winding=field("winding", INT, None),
-        witness=field("witness", COMPLEX, None),
-        margin=field("margin", NUMBER, 0.0),
-    ).verify(phi)
-
-
-def _verify_series(cert: dict) -> bool:
-    weights = _cert_field(cert, "weights", WEIGHTS)
-    n_max = _cert_field(cert, "n_max", INT)
-    cap = _cert_field(cert, "cap", NUMBER, 12.0)
-    recorded_kind = _cert_field(cert, "kind", STRING)
-    partial_sum = _cert_field(cert, "partial_sum", NUMBER)
-    if n_max < 10:
+def _verify_series(c: SimpleNamespace, *_) -> bool:
+    """A series certificate: the scan re-run matches every recorded field."""
+    if c.n_max < 10:
         return False
-    _check_cap(n_max, "series n_max")
-    sv = _checked(fhc_series_check, weights, n_max, cap=cap)
-    return sv.kind == recorded_kind and _close(sv.partial_sum, partial_sum)
+    _check_cap(c.n_max, "series n_max")
+    sv = _checked(fhc_series_check, c.weights, c.n_max, cap=c.cap)
+    return all(_same(getattr(sv, key), v) for key, v in vars(c).items() if key != "weights")
+
+
+def _verify_range(c: SimpleNamespace, *_) -> bool:
+    cert = RangeCertificate(**vars(c.certificate))
+    _check_cap(cert.grid, "range grid")
+    return cert.verify(PolySymbol(tuple(c.phi)))
+
+
+def _verify_ap_witness(c: SimpleNamespace, report_dir: Path, hits_cache: dict) -> bool:
+    a, k, m, tau = c.a, c.k, c.m, c.tau
+    if min(a, k, m, tau) < 1:
+        return False
+    path = report_dir / c.hits_artifact
+    if path not in hits_cache:
+        hits_cache[path] = _load_hits(path)
+    hits = hits_cache[path]
+    # in Python ints: the progression must fit below the last hit, so
+    # its int64 members cannot wrap
+    if m + 1 > hits.size or a + m * tau * k > int(hits[-1]):
+        return False
+    members = a + tau * k * np.arange(m + 1)
+    pos = np.searchsorted(hits, members)
+    return bool(np.all(pos < hits.size)) and bool(np.all(hits[pos] == members))
+
+
+def _verify_mr_witness(c: SimpleNamespace, report_dir: Path, _) -> bool:
+    ell, m = c.ell, c.m
+    if ell < 1 or m < 0 or m * ell >= 2**63 or len(c.distances) != m + 1:
+        return False
+    T = operator_from_config(c.operator)
+    u = read_vector_csv(report_dir / c.u_artifact, T.side)
+    # T^{m*ell} moves index i to i - m*ell, which must stay an int64
+    if u.nnz and int(u.indices[0]) - m * ell < -(2**63):
+        return False
+    y = parse_vector(c.center, T.side)
+    dists = witness_distances(T, u, y, ell, m)
+    return all(d < c.radius and _close(d, rec) for d, rec in zip(dists, c.distances))
+
+
+@dataclass(frozen=True)
+class CertificateKind:
+    """One certificate kind: its fields, and the check that re-derives its
+    claim from their resolved values, the report's directory and a cache of
+    the hit sets read so far. A degenerate certificate fails its check."""
+
+    rows: dict[str, Param]
+    check: Callable[[SimpleNamespace, Path, dict], bool]
+
+
+PRODUCTS = {
+    "weights": Param(WEIGHTS),
+    **dict.fromkeys(("n", "q"), Param(INT)),
+    "eps": Param(NUMBER),
+    **dict.fromkeys(("forward_logs", "backward_logs"), Param(list_of(NUMBER))),
+}
+
+# the body of a range certificate: a symbolops.RangeCertificate
+RANGE_TEST = {
+    "kind": Param(one_of(RangeKind)),
+    "grid": Param(INT),
+    **dict.fromkeys(("tol", "boundary_min", "boundary_max", "slack", "min_exact",
+                     "max_exact"), Param(NUMBER)),
+    "winding": Param(INT, None),
+    "witness": Param(COMPLEX, None),
+    "margin": Param(NUMBER, 0.0),
+}
+
+# Every certificate kind a report embeds, by its "type": the scenarios write
+# them with certificate() and verify reads them with resolve.
+CERTIFICATES = {
+    "salas": CertificateKind(PRODUCTS, _verify_products),
+    "mr_shift": CertificateKind({**PRODUCTS, "m": Param(INT)}, _verify_products),
+    "series": CertificateKind({
+        "weights": Param(WEIGHTS),
+        "n_max": Param(INT),
+        "cap": Param(NUMBER, 12.0),
+        "kind": Param(STRING),
+        "partial_sum": Param(NUMBER),
+        "grid": Param(list_of(INT)),
+        "grid_sums": Param(list_of(NUMBER)),
+        "mode": Param(STRING),
+        "tail_bound": Param(NUMBER, None),
+        "crossed_cap_at": Param(INT, None),
+    }, _verify_series),
+    "range": CertificateKind({
+        "symbol": Param(STRING, None),
+        "phi": Param(list_of(COMPLEX)),
+        "certificate": Param(table("range test", RANGE_TEST)),
+    }, _verify_range),
+    "ap_witness": CertificateKind({
+        **dict.fromkeys(("a", "k", "m", "tau"), Param(INT)),
+        "hits_artifact": Param(STRING),
+    }, _verify_ap_witness),
+    "mr_witness": CertificateKind({
+        **dict.fromkeys(("ell", "m", "a", "k", "tau"), Param(INT)),
+        "radius": Param(NUMBER),
+        "center": Param(STRING),
+        "distances": Param(list_of(FLOAT_TEXT)),
+        "u_artifact": Param(STRING),
+        "operator": Param(OBJECT),
+    }, _verify_mr_witness),
+}
+
+
+def certificate(kind: str, obj=None, /, **given) -> dict:
+    """A report's certificate of this kind: each field from ``given``, or
+    else from ``obj``'s attribute of the same name."""
+    return {"type": kind, **write_rows(CERTIFICATES[kind].rows, obj, **given)}
 
 
 def _verify_certificate(cert: dict, report_dir: Path, hits_cache: dict) -> bool:
-    kind = cert.get("type")
-    if kind in ("salas", "mr_shift"):
-        return _verify_products(cert, kind)
-    if kind == "range":
-        return _verify_range(cert)
-    if kind == "series":
-        return _verify_series(cert)
-    if kind == "ap_witness":
-        path = report_dir / _cert_field(cert, "hits_artifact", STRING)
-        a, k, m, tau = (_cert_field(cert, key, INT) for key in ("a", "k", "m", "tau"))
-        if min(a, k, m, tau) < 1:
-            return False
-        if path not in hits_cache:
-            hits_cache[path] = _load_hits(path)
-        hits = hits_cache[path]
-        # in Python ints: the progression must fit below the last hit, so
-        # its int64 members cannot wrap
-        if m + 1 > hits.size or a + m * tau * k > int(hits[-1]):
-            return False
-        members = a + tau * k * np.arange(m + 1)
-        pos = np.searchsorted(hits, members)
-        return bool(np.all(pos < hits.size)) and bool(np.all(hits[pos] == members))
-    if kind == "mr_witness":
-        ell, m = _cert_field(cert, "ell", INT), _cert_field(cert, "m", INT)
-        radius = _cert_field(cert, "radius", NUMBER)
-        op_cfg = _cert_field(cert, "operator", OBJECT)
-        u_artifact = _cert_field(cert, "u_artifact", STRING)
-        center = _cert_field(cert, "center", STRING)
-        recorded = _cert_field(cert, "distances", list_of(FLOAT_TEXT))
-        if ell < 1 or m < 0 or m * ell >= 2**63 or len(recorded) != m + 1:
-            return False
-        T = operator_from_config(op_cfg)
-        u = read_vector_csv(report_dir / u_artifact, T.side)
-        # T^{m*ell} moves index i to i - m*ell, which must stay an int64
-        if u.nnz and int(u.indices[0]) - m * ell < -(2**63):
-            return False
-        y = parse_vector(center, T.side)
-        dists = witness_distances(T, u, y, ell, m)
-        return all(d < radius and _close(d, rec) for d, rec in zip(dists, recorded))
-    return False
+    """A certificate's check on its fields; an unknown type fails."""
+    name = cert.get("type")
+    kind = CERTIFICATES.get(name) if isinstance(name, str) else None
+    if kind is None:
+        return False
+    fields = {key: v for key, v in cert.items() if key != "type"}
+    return kind.check(resolve(fields, kind.rows, f"{name} certificate"), report_dir, hits_cache)
 
 
 def _load_hits(path: Path) -> np.ndarray:
@@ -1361,7 +1400,8 @@ def _dispatch(ns) -> int:
         art = vector_csv(outdir, "witness_u.csv", w.u)
         write_report(outdir, "mr-witness", cfg, {
             "verdicts": {"mr_witness": {"ell": w.ell, "a": w.a, "k": w.k}},
-            "certificates": [_mr_cert(w, art, _op_cfg(T), p.center)],
+            "certificates": [certificate("mr_witness", w, u_artifact=art,
+                                         operator=_op_cfg(T), center=p.center)],
             "stats": out.diagnostics,
             "artifacts": {"witness_u": art},
         })

@@ -60,9 +60,6 @@ class PolySymbol:
         """sup |phi'| on the closed disk, bounded by sum j*|c_j|."""
         return float(sum(j * abs(c) for j, c in enumerate(self.coeffs)))
 
-    def to_config(self) -> list:
-        return [[c.real, c.imag] for c in self.coeffs]
-
 
 class RangeKind(enum.Enum):
     INTERSECTS = "intersects"
@@ -74,6 +71,12 @@ class RangeKind(enum.Enum):
 # exact-touching ranges (boundary extremum equal to 1) are resolved up to
 # this equality tolerance, like the constant-symbol classifier
 BOUNDARY_EQ_TOL = 1e-12
+
+# the least number of boundary samples the range test takes
+MIN_GRID = 256
+
+# an intersection witness w must have ||phi(w)| - 1| <= RANGE_TOL
+RANGE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,9 @@ class RangeCertificate:
     * disjoint_outside: winding number 0 (no zeros in the disk) plus boundary
       min at least 1 (grid - slack > 1, or exact critical-point minimum);
       the minimum principle keeps the image strictly outside.
+
+    ``verify`` re-derives a disjoint kind from phi at the recorded grid, and
+    holds a witness to at most RANGE_TOL; it trusts no recorded number.
     """
 
     kind: RangeKind
@@ -108,36 +114,15 @@ class RangeCertificate:
             return (
                 w is not None
                 and abs(w) < 1.0
-                and abs(abs(complex(phi(w))) - 1.0) <= self.tol
+                and abs(abs(complex(phi(w))) - 1.0) <= min(self.tol, RANGE_TOL)
             )
-        if self.kind is RangeKind.DISJOINT_INSIDE:
-            return (
-                self.boundary_max + self.slack < 1.0
-                or self.max_exact <= 1.0 + BOUNDARY_EQ_TOL
-            )
-        if self.kind is RangeKind.DISJOINT_OUTSIDE:
-            if self.winding != 0:
-                return False
-            return (
-                self.boundary_min - self.slack > 1.0
-                or self.min_exact >= 1.0 - BOUNDARY_EQ_TOL
-            )
-        return True
-
-    def to_config(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "tol": self.tol,
-            "grid": self.grid,
-            "boundary_min": self.boundary_min,
-            "boundary_max": self.boundary_max,
-            "slack": self.slack,
-            "min_exact": self.min_exact,
-            "max_exact": self.max_exact,
-            "winding": self.winding,
-            "witness": None if self.witness is None else [self.witness.real, self.witness.imag],
-            "margin": self.margin,
-        }
+        if self.kind is RangeKind.UNCERTAIN:
+            return True
+        # the range test decides non-constant symbols only
+        if self.grid < MIN_GRID or phi.is_constant:
+            return False
+        _, mods, slack, winding = _boundary_samples(phi, self.grid)
+        return _disjoint_kind(mods, slack, winding, *boundary_extrema(phi, self.grid)) is self.kind
 
 
 def boundary_extrema(phi: PolySymbol, grid: int = 4096) -> tuple[float, float]:
@@ -194,6 +179,25 @@ def winding_number(phi: PolySymbol, grid: int) -> tuple[int | None, float]:
     return int(round(w)), mmin
 
 
+def _boundary_samples(phi: PolySymbol, g: int):
+    """theta and |phi| at g boundary samples, the Lipschitz slack of the
+    sampling and the winding number."""
+    theta = np.linspace(0.0, 2.0 * math.pi, g, endpoint=False)
+    mods = np.abs(phi(np.exp(1j * theta)))
+    winding, _ = winding_number(phi, g)
+    return theta, mods, phi.derivative_sup() * math.pi / g, winding
+
+
+def _disjoint_kind(mods, slack: float, winding, m_star: float, M_star: float):
+    """The disjoint kind that boundary samples and exact extrema certify, if
+    any (maximum principle first, then the minimum principle)."""
+    if float(mods.max()) + slack < 1.0 or M_star <= 1.0 + BOUNDARY_EQ_TOL:
+        return RangeKind.DISJOINT_INSIDE
+    if winding == 0 and (float(mods.min()) - slack > 1.0 or m_star >= 1.0 - BOUNDARY_EQ_TOL):
+        return RangeKind.DISJOINT_OUTSIDE
+    return None
+
+
 def _interior_crossing(phi: PolySymbol, p_lo: complex, p_hi: complex, tol: float) -> complex | None:
     """Bisect |phi| - 1 along the segment [p_lo, p_hi] inside the disk."""
     f_lo = abs(complex(phi(p_lo))) - 1.0
@@ -248,9 +252,6 @@ def _find_high_point(phi: PolySymbol, theta: np.ndarray, mods: np.ndarray) -> co
     return None
 
 
-# an intersection witness w must have ||phi(w)| - 1| <= RANGE_TOL
-RANGE_TOL = 1e-9
-
 
 def range_circle_test(phi: PolySymbol, grid: int = 4096) -> RangeCertificate:
     """Classify the range of phi over the open unit disk against the circle.
@@ -266,46 +267,26 @@ def range_circle_test(phi: PolySymbol, grid: int = 4096) -> RangeCertificate:
 
     An undecided grid is refined once, to twice its samples.
     """
-    if grid < 256:
-        raise ValueError("need at least 256 boundary samples")
     if phi.is_constant:
-        a = abs(phi.coeffs[0])
-        if abs(a - 1.0) <= RANGE_TOL:
-            kind, witness = RangeKind.INTERSECTS, 0j
-        elif a < 1.0:
-            kind, witness = RangeKind.DISJOINT_INSIDE, None
-        else:
-            kind, witness = RangeKind.DISJOINT_OUTSIDE, None
-        return RangeCertificate(
-            kind, RANGE_TOL, 1, a, a, 0.0, a, a, winding=0, witness=witness,
-            margin=abs(a - 1.0),
-        )
-
-    lip = phi.derivative_sup()
+        raise ValueError("phi is constant; classify_adjoint decides constant symbols")
+    if grid < MIN_GRID:
+        raise ValueError(f"need at least {MIN_GRID} boundary samples")
     m_star, M_star = boundary_extrema(phi, grid)
     cert = None
     for round_idx in range(2):
         g = grid << round_idx
-        theta = np.linspace(0.0, 2.0 * math.pi, g, endpoint=False)
-        mods = np.abs(phi(np.exp(1j * theta)))
+        theta, mods, slack, winding = _boundary_samples(phi, g)
         m_lo, m_hi = float(mods.min()), float(mods.max())
-        slack = lip * math.pi / g
-        winding, _ = winding_number(phi, g)
-
-        if m_hi + slack < 1.0 or M_star <= 1.0 + BOUNDARY_EQ_TOL:
+        kind = _disjoint_kind(mods, slack, winding, m_star, M_star)
+        if kind is not None:
             return RangeCertificate(
-                RangeKind.DISJOINT_INSIDE, RANGE_TOL, g, m_lo, m_hi, slack,
-                m_star, M_star, winding=winding, margin=1.0 - m_hi,
-            )
-        if winding == 0 and (m_lo - slack > 1.0 or m_star >= 1.0 - BOUNDARY_EQ_TOL):
-            return RangeCertificate(
-                RangeKind.DISJOINT_OUTSIDE, RANGE_TOL, g, m_lo, m_hi, slack,
-                m_star, M_star, winding=winding, margin=m_lo - 1.0,
+                kind, RANGE_TOL, g, m_lo, m_hi, slack, m_star, M_star, winding=winding,
+                margin=1.0 - m_hi if kind is RangeKind.DISJOINT_INSIDE else m_lo - 1.0,
             )
 
         witness = None
         if M_star > 1.0:
-            p_lo = _find_low_point(phi, theta, mods, lip)
+            p_lo = _find_low_point(phi, theta, mods, phi.derivative_sup())
             p_hi = _find_high_point(phi, theta, mods)
             if p_lo is not None and p_hi is not None:
                 witness = _interior_crossing(phi, p_lo, p_hi, RANGE_TOL)

@@ -24,6 +24,7 @@ from orbitlab.expcli import (
     EXIT_SCHEMA,
     RESOURCE_CAP_N,
     ConfigError,
+    certificate,
     complex_vector_csv,
     density_csv,
     hitting_csv,
@@ -38,7 +39,7 @@ from orbitlab.expcli import (
 )
 from orbitlab.criteria import fhc_series_check, mr_shift_check, salas_check
 from orbitlab.lspace import CoefVec, Side
-from orbitlab.orbits import DensityStats, HittingSet
+from orbitlab.orbits import APWitness, DensityStats, HittingSet, MRWitness
 from orbitlab.shiftops import WeightSeq
 from orbitlab.symbolops import PolySymbol, classify_adjoint
 from oracles import read_csv_columns, to_complex_dict
@@ -566,18 +567,17 @@ class TestMalformedCertificates:
 
 
 INVERSE_STEP = WeightSeq.inverse_step_bilateral()
-# a salas certificate is the order-1 mr_shift one without its m
-SALAS_CERT = salas_check(INVERSE_STEP, 0.5, 0, 200).certificate.to_config() | {"type": "salas"}
-del SALAS_CERT["m"]
-MR_SHIFT_CERT = mr_shift_check(INVERSE_STEP, 2, 0, 0.5, 100).certificate.to_config()
 _PHI = PolySymbol((0.8, 1))
-RANGE_CERT = {"type": "range", "symbol": "z+0.8", "phi": _PHI.to_config(),
-              "certificate": classify_adjoint(_PHI).certificate.to_config()}
-# the harmonic partial sum passes 5 before n = 10**4
-SERIES_CERT = fhc_series_check(WeightSeq.sqrt_ratio(), 10**4, cap=5.0).to_config() | {
-    "weights": {"family": "sqrt_ratio"}}
-CERTS = {"salas": SALAS_CERT, "mr_shift": MR_SHIFT_CERT, "range": RANGE_CERT,
-         "series": SERIES_CERT}
+CERTS = {
+    # a salas certificate is the order-1 mr_shift one without its m
+    "salas": certificate("salas", salas_check(INVERSE_STEP, 0.5, 0, 200).certificate),
+    "mr_shift": certificate("mr_shift", mr_shift_check(INVERSE_STEP, 2, 0, 0.5, 100).certificate),
+    "range": certificate("range", symbol="z+0.8", phi=_PHI.coeffs,
+                         certificate=classify_adjoint(_PHI).certificate),
+    # the harmonic partial sum passes 5 before n = 10**4
+    "series": certificate("series", fhc_series_check(WeightSeq.sqrt_ratio(), 10**4, cap=5.0),
+                          weights=WeightSeq.sqrt_ratio()),
+}
 
 
 def _verify_argv(tmp_path, report):
@@ -635,12 +635,13 @@ class TestMalformedOtherCertificates:
         _assert_schema_error(main(argv), capsys)
 
     @pytest.mark.parametrize("kind, message", [
-        (3, "range certificate field 'kind' must be string, got 3"),
-        ("bogus", "range certificate: 'bogus' is not a valid RangeKind"),
+        (3, "range certificate: 'certificate': range test: 'kind' must be one of "
+            "intersects, disjoint_inside, disjoint_outside, uncertain, got 3"),
+        ("bogus", "range certificate: 'certificate': range test: 'kind' must be one of "
+                  "intersects, disjoint_inside, disjoint_outside, uncertain, got \"bogus\""),
     ], ids=["kind_int", "kind_unknown"])
     def test_range_kind_message(self, tmp_path, capsys, kind, message):
-        # only an unknown kind gets the "range certificate: " prefix; a
-        # mistyped one already names the certificate once
+        # the resolver names the certificate, then the nested field
         cert = {"type": "range", "phi": [1], "certificate": {"kind": kind}}
         assert main(_verify_argv(tmp_path, {"certificates": [cert]})) == EXIT_SCHEMA
         assert capsys.readouterr().err == f"config error: {message}\n"
@@ -682,6 +683,149 @@ class TestMalformedOtherCertificates:
     ], ids=["root_list", "certificates_string", "certificate_int", "certificates_object"])
     def test_bad_report_shape(self, tmp_path, capsys, report):
         _assert_schema_error(main(_verify_argv(tmp_path, report)), capsys)
+
+    @pytest.mark.parametrize("kind", CERTS)
+    def test_unknown_field(self, tmp_path, capsys, kind):
+        argv = _verify_argv(tmp_path, {"certificates": [_edited(kind, {"note": "x"})]})
+        _assert_schema_error(main(argv), capsys)
+
+    @pytest.mark.parametrize("cert", [{"type": "nope"}, {"type": 3}, {"type": ["salas"]}, {}],
+                             ids=["unknown", "int", "list", "missing"])
+    def test_unknown_type_fails(self, tmp_path, capsys, cert):
+        assert main(_verify_argv(tmp_path, {"certificates": [cert]})) == EXIT_ASSERTION
+        assert capsys.readouterr().out == f"0:{cert.get('type')}: FAILED\n"
+
+    @pytest.mark.parametrize("fields", [
+        {"crossed_cap_at": 7},
+        {"grid_sums": [0.0] * len(CERTS["series"]["grid_sums"])},
+        {"mode": "geometric"},
+        {"tail_bound": 1e-30},
+        {"grid": CERTS["series"]["grid"][:-1]},
+        {"kind": "converges_certified"},
+    ], ids=["crossed_cap_at", "grid_sums", "mode", "tail_bound", "grid", "kind"])
+    def test_forged_series_fails(self, tmp_path, capsys, fields):
+        # every recorded field is compared with the re-run scan
+        argv = _verify_argv(tmp_path, {"certificates": [_edited("series", fields)]})
+        assert main(argv) == EXIT_ASSERTION
+        assert capsys.readouterr().out == "0:series: FAILED\n"
+
+    @pytest.mark.parametrize("phi, out", [
+        ([[0.0, 0.0], [0.5, 0.0]], "0:range: ok\n"),
+        ([[0.0, 0.0], [2.0, 0.0]], "0:range: FAILED\n"),
+        ([[0.5, 0.0]], "0:range: FAILED\n"),
+    ], ids=["recorded", "swapped_to_2z", "constant"])
+    def test_range_recomputed_from_phi(self, tmp_path, capsys, phi, out):
+        # z/2's disjoint_inside evidence, recorded numbers and all, does not
+        # hold for 2z: verify recomputes the boundary from phi
+        run_scenario({"scenario": "E7"}, tmp_path)
+        report = json.loads((tmp_path / "report.json").read_text())
+        (cert,) = [c for c in report["certificates"] if c["symbol"] == "z/2"]
+        cert["phi"] = phi
+        main(_verify_argv(tmp_path, {"certificates": [cert]}))
+        assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("fields", [
+        {"certificate.kind": "disjoint_inside", "certificate.grid": 8},
+        # |phi(0)| = 0.8 is within a recorded tol of 1 of the circle
+        {"certificate.tol": 1.0, "certificate.witness": [0.0, 0.0]},
+    ], ids=["grid_too_coarse", "tol_too_loose"])
+    def test_range_fails(self, tmp_path, capsys, fields):
+        cert = _edited("range", fields)
+        assert main(_verify_argv(tmp_path, {"certificates": [cert]})) == EXIT_ASSERTION
+
+
+# the shipped configs at horizons small enough for a quick run
+SMALL_RUNS = {
+    "e1": {"N": 2_000},
+    "e2": {"N": 2_000, "recurrence_N": 100, "ratio_N": 1_000},
+    "e3": {"N": 20_000, "ratio_N": 10_000},
+    "e4": {"N": 1_000},
+    "e5": {"N": 2_000, "cap": 5.0},
+    "e6": {"N": 10_000},
+    "e7": {},
+}
+
+# each report verdict that a certificate backs, and the certificate's kind
+CERTIFIED = {"series": "series", "ap_search": "ap_witness", "mr_witness": "mr_witness",
+             "z/2": "range", "z+2": "range", "z+0.8": "range"}
+_SELF_CHECK = "a scenario self-check that ends the run if it fails; nothing is recorded"
+_RATIO = "ratio_classify's verdict; a certificate that re-runs it is still to come"
+_NEGATIVE = "a search that found nothing records nothing to re-check"
+_FU = "the hitting sets are written, but no certificate ties them to the plan yet"
+NOT_CERTIFIABLE = {
+    "scaled_power_identity": _SELF_CHECK,
+    "embedding_identity": _SELF_CHECK,
+    "product_formula": _SELF_CHECK,
+    "norm_decay": _SELF_CHECK,
+    "fu_build": _FU,
+    "fu_build_on_evens": _FU,
+    "ratio": _RATIO,
+    "ratio_full": _RATIO,
+    "ratio_evens": _RATIO,
+    "recurrence_scan": _NEGATIVE,
+    "salas": _NEGATIVE,
+    "context": "prose about the operator, not a claim",
+    "const_i": "a constant symbol is decided by |a| alone; no range test runs",
+    "const_2": "a constant symbol is decided by |a| alone; no range test runs",
+}
+
+
+@pytest.fixture(scope="module")
+def shipped_reports(tmp_path_factory):
+    root = Path(__file__).parents[1] / "configs"
+    out = {}
+    for stem, small in SMALL_RUNS.items():
+        cfg = json.loads((root / f"{stem}.json").read_text()) | small
+        out[stem] = run_scenario(cfg, tmp_path_factory.mktemp(stem))
+    return out
+
+
+def _certificate_samples() -> dict:
+    """One certificate per kind, written by certificate() from the objects
+    the package's searches return."""
+    e1 = CoefVec.basis(Side.UNILATERAL, 1)
+    witness = MRWitness(e1, 2, 1, e1, 0.5, (0.25, 0.125), 1, 2, 1)
+    return {
+        **CERTS,
+        "ap_witness": certificate("ap_witness", APWitness(48, 48, 3, 1),
+                                  hits_artifact="hitting_0.csv"),
+        "mr_witness": certificate("mr_witness", witness, center="e(1)",
+                                  u_artifact="witness_u.csv",
+                                  operator={"side": "unilateral",
+                                            "weights": {"family": "constant_w", "c": 1.0}}),
+    }
+
+
+class TestCertificateTable:
+    def test_samples_cover_every_kind(self):
+        assert set(_certificate_samples()) == set(expcli.CERTIFICATES)
+
+    @pytest.mark.parametrize("kind", sorted(expcli.CERTIFICATES))
+    def test_resolve_reads_back_what_certificate_wrote(self, kind):
+        written = _certificate_samples()[kind]
+        assert written["type"] == kind
+        fields = {key: v for key, v in written.items() if key != "type"}
+        rows = expcli.CERTIFICATES[kind].rows
+        read = expcli.resolve(json.loads(json.dumps(fields)), rows, kind)
+        assert {"type": kind, **expcli.write_rows(rows, read)} == written
+
+    def test_shipped_certificate_fields_are_rows(self, shipped_reports):
+        for stem, report in shipped_reports.items():
+            for cert in report["certificates"]:
+                rows = expcli.CERTIFICATES[cert["type"]].rows
+                assert set(cert) - {"type"} <= set(rows), (stem, cert["type"])
+                if cert["type"] == "range":
+                    assert set(cert["certificate"]) <= set(expcli.RANGE_TEST), stem
+
+    def test_every_verdict_is_certified_or_says_why_not(self, shipped_reports):
+        assert set(CERTIFIED.values()) <= set(expcli.CERTIFICATES)
+        assert not set(CERTIFIED) & set(NOT_CERTIFIABLE)
+        for stem, report in shipped_reports.items():
+            kinds = {cert["type"] for cert in report["certificates"]}
+            for key in report["verdicts"]:
+                assert key in CERTIFIED or NOT_CERTIFIABLE.get(key), (stem, key)
+                if key in CERTIFIED:
+                    assert CERTIFIED[key] in kinds, (stem, key)
 
 
 class TestExitCodes:

@@ -52,6 +52,35 @@ def test_imports_are_stdlib_package_or_runtime_dependencies(path):
     assert not stray, f"{path.name} imports what installing orbitlab does not provide: {stray}"
 
 
+def _unused_imports(path: Path) -> list[str]:
+    """Names the module imports and never uses; a line marked
+    ``# noqa: F401`` keeps its imports. A name counts as used if it is read
+    anywhere in the module or listed in its ``__all__``."""
+    text = path.read_text()
+    tree, lines = ast.parse(text), text.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append(f"line {alias.lineno}: {name}")
+    return unused
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    unused = _unused_imports(path)
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
 # run in a fresh interpreter: the factorial family through classify-seq and
 # E2, then the names of the scipy modules loaded and whether importing the
 # package built the factorial family's tables

@@ -197,7 +197,10 @@ def _orbit_distances():
 
 
 def _verify_products():
-    assert _mod("expcli")._verify_products(_mr_shift_certificate().to_config(), "mr_shift")
+    expcli = _mod("expcli")
+    cert = expcli.certificate("mr_shift", _mr_shift_certificate())
+    del cert["type"]
+    assert expcli._verify_products(expcli.resolve(cert, expcli.CERTIFICATES["mr_shift"].rows, ""))
 
 
 # function -> (why it stays though no command reaches it, a call of it)
@@ -217,9 +220,6 @@ KEEP = {
     "expcli._verify_products": (
         "verify reads salas and mr_shift certificates from reports that users bring",
         _verify_products),
-    "criteria.MRShiftCertificate.to_config": (
-        "writes the mr_shift certificates that verify reads",
-        lambda: _mr_shift_certificate().to_config()),
     "seqcore.LogScalar.from_complex": (
         "CoefVec.scale's complex form, in which tests state their properties",
         lambda: _mod("seqcore").LogScalar.from_complex(0.5j)),

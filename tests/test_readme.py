@@ -1,7 +1,8 @@
-"""README's config tables are rendered from the tables in ``expcli``; this
-test renders them again and fails when README differs, so the docs cannot
-drift from the code. To update README, paste ``render()``'s output between
-the two markers. The lines of README's CLI block are run as well."""
+"""README's config and certificate tables are rendered from the tables in
+``expcli``; this test renders them again and fails when README differs, so
+the docs cannot drift from the code. To update README, paste ``render()``'s
+(or ``render_certificates()``'s) output between its two markers. The lines
+of README's CLI block are run as well."""
 
 import shlex
 import shutil
@@ -13,6 +14,9 @@ from orbitlab.expcli import FLAG_COMMANDS, PARAMS, REQUIRED, main
 README = Path(__file__).parents[1] / "README.md"
 BEGIN = "<!-- config tables: rendered from src/orbitlab/expcli.py, checked by tests/test_readme.py -->"
 END = "<!-- end of config tables -->"
+CERT_BEGIN = ("<!-- certificate tables: rendered from src/orbitlab/expcli.py, "
+              "checked by tests/test_readme.py -->")
+CERT_END = "<!-- end of certificate tables -->"
 
 
 def _row(*cells: str) -> str:
@@ -67,11 +71,27 @@ def render() -> str:
     return "\n".join(lines)
 
 
-def test_readme_config_tables_match_code():
+def render_certificates() -> str:
+    lines = []
+    for kind, cert in expcli.CERTIFICATES.items():
+        lines += _table(f"{kind} certificate", cert.rows, False)
+    lines += _table("range test (a range certificate's `certificate` object)",
+                    expcli.RANGE_TEST, False)
+    return "\n".join(lines)
+
+
+def _block(begin: str, end: str) -> str:
     text = README.read_text()
-    assert BEGIN in text and END in text
-    block = text.split(BEGIN, 1)[1].split(END, 1)[0]
-    assert block.strip("\n") == render().strip("\n")
+    assert begin in text and end in text
+    return text.split(begin, 1)[1].split(end, 1)[0].strip("\n")
+
+
+def test_readme_config_tables_match_code():
+    assert _block(BEGIN, END) == render().strip("\n")
+
+
+def test_readme_certificate_tables_match_code():
+    assert _block(CERT_BEGIN, CERT_END) == render_certificates().strip("\n")
 
 
 # CLI lines whose inputs (build.json, witness.json) are the user's own

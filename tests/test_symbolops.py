@@ -65,6 +65,12 @@ class TestRangeCircle:
         with pytest.raises(ValueError):
             range_circle_test(PolySymbol((0, 1)), grid=64)
 
+    def test_constant_symbol_rejected(self):
+        # a unimodular constant would pass the maximum-principle test as
+        # disjoint_inside, though its range lies on the circle
+        with pytest.raises(ValueError, match="constant"):
+            range_circle_test(PolySymbol.constant(1j))
+
     def test_scaled_symbol_mechanism(self):
         # phi ranging in an annulus outside the circle; dividing by a large
         # conjugate pulls the range across the circle
