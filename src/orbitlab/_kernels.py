@@ -9,10 +9,12 @@ Kernel families:
     where x has an entry (an absent entry adds y_j's squares), to which the
     flat-weight scan adds x's exact log-sum-exp tails, found from the
     position table's running count of x's support; the per-n kernel for
-    general weights, one row per time sliced into y's window and the rest
-    at binary searches made for all times at once, and the a-priori
-    rounding bound that lets the window part plus a tail bound, or a norm
-    bound, decide a time in place of the per-n kernel.
+    general weights, whose rows (one per time: y's window and the rest of
+    x's support) are formed end to end in bounded batches, with the terms
+    of the rest that square to exactly zero written as zeros, not computed,
+    and each row summed by ``np.sum``; and the a-priori rounding bound that
+    lets the window part plus a tail bound, or a norm bound, decide a time
+    in place of the per-n kernel.
 
 Callers reach these through the module attribute (``_kernels.ap_scan``), so
 a profiler can wrap a kernel by rebinding its name here.
@@ -21,6 +23,8 @@ a profiler can wrap a kernel by rebinding its name here.
 from __future__ import annotations
 
 import numpy as np
+
+from .lspace import LM_ZERO
 
 # ---------------------------------------------------------------------------
 # progressions: lookup[i] is True exactly when i is a member; members sorted
@@ -130,6 +134,15 @@ def flat_orbit_dist2(
     return np.where(lm_max > log_cap, np.inf, acc)
 
 
+# Computed terms per batch of the per-n kernel's rows; a row with more is a
+# batch of its own. It bounds the kernel's temporaries, about 0.37 MB. In
+# pairs of criteria_search benchmark runs against the row loop, peak RSS
+# read a median 0.02-0.05 MB higher with 8192, 4096 and 2048 terms alike,
+# though from 4096 down no job's traced peak moved; 1024 ran the kernel 30%
+# slower.
+GENERAL_BATCH_TERMS = 1 << 11
+
+
 def general_orbit_dist2(
     n_arr,
     scale_lm,
@@ -152,44 +165,113 @@ def general_orbit_dist2(
     |c_i - y_{i-n}|^2 - |y_{i-n}|^2, plus |c_i|^2 over the rest of the row,
     with c_i = exp(scale + (cum[i] - cum[i - n]) + log|x_i|) e^{i (phase +
     phase_i)}. y's window over row n is the run of x's support from
-    searchsorted(n + w_lo) to searchsorted(n + w_hi, side="right"), so the
-    window and the rest are slices of the row: a suffix on a unilateral
-    shift, prefix then suffix on a bilateral one. A row whose support is
-    empty is |y|^2, one with a coefficient past log_cap is +inf."""
+    searchsorted(n + w_lo) to searchsorted(n + w_hi, side="right"). A row
+    whose support is empty is |y|^2, one with a coefficient past log_cap is
+    +inf.
+
+    Each row's window terms and the rest (on a bilateral shift, the part
+    before the window, then the part after it) are summed by ``np.sum``
+    over arrays of the full lengths. The rows' terms are formed end to end,
+    GENERAL_BATCH_TERMS at a time, one numpy call per operation. A term of
+    the rest with 2 lm < LM_ZERO and a finite phase squares to +0.0
+    (|c_i| < 2^-538), so it is written as 0.0 and not computed; past
+    ``_zero_cut``'s position no term of the row is computed at all. Every
+    term array holds the values, and so every sum the bits, of forming each
+    row in full."""
     m = n_arr.shape[0]
-    out = np.empty(m)
+    nsup = sup_idx.size
+    out = np.full(m, float(y_norm2))
     win_lo = np.searchsorted(sup_idx, n_arr + w_lo)
     win_hi = np.searchsorted(sup_idx, n_arr + w_hi, side="right")
+    lo = win_lo if unilateral else np.zeros(m, dtype=np.intp)
+    wlen = win_hi - win_lo
+    before = win_lo - lo
+    # each row's computed terms, laid out as its window, then the rest before
+    # the window, then the rest after it up to the cut; the rest's length
+    # counts the zeros past the cut
+    comp = np.maximum(_zero_cut(n_arr, scale_lm, scale_ph, sup_idx, sup_lm, sup_ph, cum,
+                                cum_lo, log_cap), win_hi) - lo
+    rest = (nsup - lo - wlen).tolist()
+    zeros = np.zeros(max(rest, default=0))
+    ends = np.cumsum(comp)
+    r0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(m):
-            n = int(n_arr[t])
-            start = int(win_lo[t]) if unilateral else 0
-            if start == sup_idx.size:
-                out[t] = y_norm2
-                continue
-            idx = sup_idx[start:]
-            lm = scale_lm[t] + (cum[idx - cum_lo] - cum[idx - n - cum_lo]) + sup_lm[start:]
-            if np.max(lm) > log_cap:
-                out[t] = np.inf
-                continue
-            ph = scale_ph[t] + sup_ph[start:]
-            mag = np.exp(lm)
-            cre = mag * np.cos(ph)
-            cim = mag * np.sin(ph)
-            a, b = int(win_lo[t]) - start, int(win_hi[t]) - start
-            jw = idx[a:b] - (n + w_lo)
+        while r0 < m:
+            base = int(ends[r0] - comp[r0])
+            r1 = max(int(np.searchsorted(ends, base + GENERAL_BATCH_TERMS, side="right")),
+                     r0 + 1)
+            c = comp[r0:r1]
+            first = ends[r0:r1] - c - base
+            win_end = first + wlen[r0:r1]
+            t = np.repeat(np.arange(r0, r1), c)
+            q = np.arange(int(c.sum())) - np.repeat(first, c)
+            in_win = q < wlen[t]
+            # q -> support position: the window, the rest before it, after it
+            p = lo[t] + q + np.where(in_win, before[t],
+                                     np.where(q < wlen[t] + before[t], -wlen[t], 0))
+            idx = sup_idx[p]
+            n = n_arr[t]
+            lm = scale_lm[t] + (cum[idx - cum_lo] - cum[idx - n - cum_lo]) + sup_lm[p]
+            ph = scale_ph[t] + sup_ph[p]
+            top = np.full(r1 - r0, -np.inf)
+            if c.any():
+                top[c > 0] = np.maximum.reduceat(lm, first[c > 0])
+            live = np.flatnonzero(in_win | ~((2.0 * lm < LM_ZERO) & np.isfinite(ph)))
+            mag = np.exp(lm[live])
+            cre = mag * np.cos(ph[live])
+            cim = mag * np.sin(ph[live])
+            w = in_win[live]
+            jw = idx[live[w]] - (n[live[w]] + w_lo)
             yr = y_re[jw]
             yi = y_im[jw]
-            acc = y_norm2
-            acc += np.sum((cre[a:b] - yr) ** 2 + (cim[a:b] - yi) ** 2 - yr**2 - yi**2)
-            if unilateral:
-                tre, tim = cre[b:], cim[b:]
-            else:
-                tre = np.concatenate((cre[:a], cre[b:]))
-                tim = np.concatenate((cim[:a], cim[b:]))
-            acc += np.sum(tre**2 + tim**2)
-            out[t] = acc
+            terms = np.zeros(q.size)
+            terms[live[w]] = (cre[w] - yr) ** 2 + (cim[w] - yi) ** 2 - yr**2 - yi**2
+            terms[live[~w]] = cre[~w] ** 2 + cim[~w] ** 2
+            # np.sum's reduction over each row's window, and over its rest in
+            # full length (copied into the zero array) where a term is nonzero
+            nonzero = np.concatenate(([0], np.cumsum(terms != 0.0)))
+            a, b, e = first.tolist(), win_end.tolist(), (first + c).tolist()
+            w_sum = np.zeros(r1 - r0)
+            t_sum = np.zeros(r1 - r0)
+            for i in np.flatnonzero(wlen[r0:r1]).tolist():
+                w_sum[i] = np.add.reduce(terms[a[i]:b[i]])
+            for i in np.flatnonzero(nonzero[first + c] > nonzero[win_end]).tolist():
+                k = e[i] - b[i]
+                zeros[:k] = terms[b[i]:e[i]]
+                t_sum[i] = np.add.reduce(zeros[:rest[r0 + i]])
+                zeros[:k] = 0.0
+            d2 = np.where(lo[r0:r1] < nsup, (out[r0:r1] + w_sum) + t_sum, out[r0:r1])
+            out[r0:r1] = np.where(top > log_cap, np.inf, d2)
+            r0 = r1
     return out
+
+
+def _zero_cut(n_arr, scale_lm, scale_ph, sup_idx, sup_lm, sup_ph, cum, cum_lo, log_cap):
+    """Per row n, a support position e(n) past which ``general_orbit_dist2``
+    computes no term: each one there has lm < min(LM_ZERO / 2, log_cap), so
+    it squares to +0.0 and stays under the overflow pre-filter.
+
+    lm_i <= s(n) + V_i - min C + err with V_i = C(i) + log|x_i|, so the
+    suffix maximum of V (which does not increase along the support) cuts
+    every row with one binary search. With L = |s(n)| + 2 max|C| +
+    max|log|x_i||, the rounding of lm (``lm_error_bound(L)``), of the float
+    V_i (u L) and of the cut's own key (3.01 u (L + |cut| + margin)) stay
+    below the margin, 1 + 3 lm_error_bound(L + |cut|). Rows with a
+    non-finite s(n), phase, cum or V are not cut (e(n) is x's support
+    size), so a NaN row stays NaN."""
+    nsup = sup_idx.size
+    if nsup == 0:
+        return np.zeros(n_arr.shape[0], dtype=np.intp)
+    cut = min(LM_ZERO / 2.0, log_cap)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = cum[sup_idx - cum_lo] + sup_lm
+        v_top = np.maximum.accumulate(v[::-1])[::-1]
+        lm_terms = np.abs(scale_lm) + (2.0 * np.abs(cum).max() + np.abs(sup_lm).max())
+        margin = 1.0 + 3.0 * lm_error_bound(lm_terms + abs(cut))
+        key = (cut - margin) - scale_lm + cum.min()
+        ok = (np.isfinite(key) & np.isfinite(np.abs(scale_ph) + np.abs(sup_ph).max())
+              & ~np.isnan(v_top[0]))
+    return np.where(ok, np.searchsorted(-v_top, -key, side="right"), nsup)
 
 
 def window_dist2(

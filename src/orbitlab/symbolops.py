@@ -122,20 +122,19 @@ class RangeCertificate:
         if self.grid < MIN_GRID or phi.is_constant:
             return False
         _, mods, slack, winding = _boundary_samples(phi, self.grid)
-        return _disjoint_kind(mods, slack, winding, *boundary_extrema(phi, self.grid)) is self.kind
+        return _disjoint_kind(mods, slack, winding, *_circle_extrema(phi, mods)) is self.kind
 
 
-def boundary_extrema(phi: PolySymbol, grid: int = 4096) -> tuple[float, float]:
-    """Exact min and max of |phi| on the unit circle.
+def _circle_extrema(phi: PolySymbol, mods: np.ndarray) -> tuple[float, float]:
+    """Exact min and max of |phi| on the unit circle, given |phi| at grid
+    samples of it.
 
     |phi(e^{i theta})|^2 is a real trigonometric polynomial; its extrema sit
     at the circle roots of the derivative polynomial, which are enumerated
-    with np.roots and merged with a sampling grid as a safety net.
+    with np.roots and merged with the samples as a safety net.
     """
     cs = np.array(phi.coeffs)
     d = phi.degree
-    theta = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    mods = np.abs(phi(np.exp(1j * theta)))
     lo, hi = float(mods.min()), float(mods.max())
     if d >= 1:
         # a_m = sum_j c_j conj(c_{j-m}) for m = -d..d; derivative coeffs i*m*a_m
@@ -156,15 +155,16 @@ def boundary_extrema(phi: PolySymbol, grid: int = 4096) -> tuple[float, float]:
     return lo, hi
 
 
-def winding_number(phi: PolySymbol, grid: int) -> tuple[int | None, float]:
+def winding_number(phi: PolySymbol, grid: int, vals=None) -> tuple[int | None, float]:
     """Winding of phi(e^{i theta}) around 0 by argument accumulation.
 
     Returns (winding or None when unreliable, min boundary modulus). The
     count is trusted only if no step turns by more than pi/2 and the curve
-    stays safely away from the origin relative to the grid spacing.
+    stays safely away from the origin relative to the grid spacing. ``vals``
+    are phi's values at the grid's samples where the caller has them.
     """
-    theta = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    vals = phi(np.exp(1j * theta))
+    if vals is None:
+        vals = phi(np.exp(1j * np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)))
     mods = np.abs(vals)
     mmin = float(mods.min())
     lip = phi.derivative_sup()
@@ -181,11 +181,11 @@ def winding_number(phi: PolySymbol, grid: int) -> tuple[int | None, float]:
 
 def _boundary_samples(phi: PolySymbol, g: int):
     """theta and |phi| at g boundary samples, the Lipschitz slack of the
-    sampling and the winding number."""
+    sampling and the winding number, from one evaluation of phi."""
     theta = np.linspace(0.0, 2.0 * math.pi, g, endpoint=False)
-    mods = np.abs(phi(np.exp(1j * theta)))
-    winding, _ = winding_number(phi, g)
-    return theta, mods, phi.derivative_sup() * math.pi / g, winding
+    vals = phi(np.exp(1j * theta))
+    winding, _ = winding_number(phi, g, vals)
+    return theta, np.abs(vals), phi.derivative_sup() * math.pi / g, winding
 
 
 def _disjoint_kind(mods, slack: float, winding, m_star: float, M_star: float):
@@ -271,11 +271,12 @@ def range_circle_test(phi: PolySymbol, grid: int = 4096) -> RangeCertificate:
         raise ValueError("phi is constant; classify_adjoint decides constant symbols")
     if grid < MIN_GRID:
         raise ValueError(f"need at least {MIN_GRID} boundary samples")
-    m_star, M_star = boundary_extrema(phi, grid)
     cert = None
     for round_idx in range(2):
         g = grid << round_idx
         theta, mods, slack, winding = _boundary_samples(phi, g)
+        if round_idx == 0:
+            m_star, M_star = _circle_extrema(phi, mods)
         m_lo, m_hi = float(mods.min()), float(mods.max())
         kind = _disjoint_kind(mods, slack, winding, m_star, M_star)
         if kind is not None:

@@ -1,6 +1,7 @@
 """Scan kernels against brute-force and direct-distance oracles."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from orbitlab import _kernels
-from orbitlab.lspace import Ball, CoefVec, Side
+from orbitlab.lspace import LM_ZERO, Ball, CoefVec, Side
 from orbitlab.orbits import (
     HittingSet,
     _ball_scan,
@@ -250,6 +251,14 @@ def _same_bits(a, b):
     return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def _same_bits_or_nan(a, b):
+    # NaN where the other is NaN, whatever its sign: a row holding NaNs of
+    # both signs (a planted NaN is positive, the x86 NaN of 0 * cos(inf)
+    # negative) sums to either one, as numpy's loop orders the additions
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and _same_bits(a[~nan], b[~nan])
+
+
 @pytest.mark.parametrize("density", [0.0, 0.1, 1.0], ids=["none", "tenth", "all"])
 @pytest.mark.parametrize("side", [Side.UNILATERAL, Side.BILATERAL], ids=lambda s: s.value)
 def test_window_kernels_match_every_slot_oracles(side, density):
@@ -292,13 +301,22 @@ def test_window_kernels_match_every_slot_oracles(side, density):
 
 @settings(deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([Side.UNILATERAL, Side.BILATERAL]),
-       st.integers(1, 6))
-def test_general_kernel_matches_mask_oracle(seed, side, width):
-    # the per-n kernel slices each row at binary searches made for all
-    # times at once; bit for bit the boolean-mask row loop
-    # (oracles.general_orbit_dist2) at every time up to past x's support,
-    # with y's window at either end of the support, vanished scalings (-inf)
-    # and rows past exp's range (scale 800), which the pre-filter makes +inf
+       st.integers(1, 6), st.sampled_from([1, 7, 64, _kernels.GENERAL_BATCH_TERMS]),
+       st.booleans(), st.booleans(), st.sampled_from([20.0, LM_ZERO / 2 - 5.0]))
+def test_general_kernel_matches_mask_oracle(seed, side, width, batch, decay, plant, log_cap):
+    # the per-n kernel forms its rows end to end in batches, skips the terms
+    # of the rest that square to +0.0 and computes nothing past its cut; bit
+    # for bit the boolean-mask row loop (oracles.general_orbit_dist2) at
+    # every time up to past x's support, with y's window at either end of
+    # the support, vanished scalings (-inf) and rows past exp's range (scale
+    # 800), which the pre-filter makes +inf. Batches of 1 and 7 terms spread
+    # the rows over many batches, and every row is longer than a batch of 1.
+    # With ``decay`` x's magnitudes fall along its support far below exp's
+    # range, so rows are cut and bilateral windows sit past the cut; cum and
+    # some scales are zero, so some log-magnitudes lie exactly a few ulp
+    # either side of LM_ZERO / 2. ``plant`` puts NaN and infinities in the
+    # scales, their phases and (half the time) one of x's phases. A log_cap
+    # below LM_ZERO / 2 makes the cap, not the zero, the cut.
     unilateral = side is Side.UNILATERAL
     rng = np.random.default_rng(seed)
     lo = int(rng.integers(2, 20) if unilateral else rng.integers(-40, 20))
@@ -306,6 +324,7 @@ def test_general_kernel_matches_mask_oracle(seed, side, width):
     idx[0] = lo
     x = CoefVec.from_log_entries(side, idx, rng.normal(-1.0, 2.0, idx.size),
                                  rng.uniform(-4.0, 4.0, idx.size))
+    sup_lm, sup_ph = x.log_mags.copy(), x.phases.copy()
     i_lo, i_hi = int(idx[0]), int(idx[-1])
     # row n_low's window starts at x's first index, row n_high's ends at (or
     # past) its last; rows n > i_hi hold no entry of a unilateral x
@@ -324,16 +343,116 @@ def test_general_kernel_matches_mask_oracle(seed, side, width):
     scale_ph = rng.uniform(-30.0, 30.0, n_arr.size)
     cum_lo = 0 if unilateral else min(i_lo - n_hi, 0)
     cum = rng.normal(0.0, 1.0, i_hi - cum_lo + 1)
+    free = rng.permutation(np.setdiff1d(others, [vanished, past]))
+    if decay:
+        sup_lm += np.linspace(0.0, -1500.0, idx.size)
+        cum[:] = 0.0
+        scale_lm[free[: free.size // 4]] = 0.0
+        near = LM_ZERO / 2 + np.arange(-3, 4) * np.spacing(LM_ZERO / 2)
+        sup_lm[rng.permutation(idx.size * 4 // 5)[:near.size]] = near[:idx.size * 4 // 5]
+    bad_phase = plant and rng.random() < 0.5
+    if plant:
+        for t, v in zip(free[::-1], [np.nan, np.inf, -np.inf]):
+            scale_lm[t] = v
+        for t, v in zip(free[::-1][3:], [np.nan, np.inf, -np.inf]):
+            scale_ph[t] = v
+        if bad_phase:
+            sup_ph[rng.integers(idx.size)] = rng.choice([np.nan, np.inf, -np.inf])
     y_re, y_im = rng.normal(size=(2, width))
     y_norm2 = float(np.sum(y_re**2 + y_im**2))
-    args = (n_arr, scale_lm, scale_ph, x.indices, x.log_mags, x.phases, cum, cum_lo,
-            w_lo, w_hi, y_re, y_im, y_norm2, 20.0, unilateral)
-    got = _kernels.general_orbit_dist2(*args)
+    args = (n_arr, scale_lm, scale_ph, x.indices, sup_lm, sup_ph, cum, cum_lo,
+            w_lo, w_hi, y_re, y_im, y_norm2, log_cap, unilateral)
+    with mock.patch.object(_kernels, "GENERAL_BATCH_TERMS", batch):
+        got = _kernels.general_orbit_dist2(*args)
     want = oracles.general_orbit_dist2(*args)
-    assert _same_bits(got, want)
-    assert np.isfinite(want[[n_low - 1, n_high - 1, vanished]]).all()
-    assert np.isposinf(want[past]) == (not unilateral or past + 1 < i_hi)
+    assert _same_bits_or_nan(got, want)
     assert not unilateral or (want[i_hi - 1:] == y_norm2).all()
+    if plant and free.size and (not unilateral or free[-1] + 1 < i_hi):
+        assert np.isnan(want[free[-1]])  # its scale is NaN, and so its row
+    if log_cap < LM_ZERO / 2:
+        return
+    if not bad_phase:
+        assert np.isfinite(want[[n_low - 1, n_high - 1, vanished]]).all()
+    if not decay:
+        assert np.isposinf(want[past]) == (not unilateral or past + 1 < i_hi)
+    cut = _kernels._zero_cut(n_arr, scale_lm, scale_ph, x.indices, sup_lm, sup_ph, cum,
+                             cum_lo, log_cap)
+    if decay and not bad_phase and idx.size > 20:
+        # the rows at zero scale are cut, past the last planted near-zero
+        assert (cut[free[: free.size // 4]] < idx.size).all()
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(max_value=LM_ZERO / 2, exclude_max=True), min_size=1, max_size=40),
+       st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_tail_term_below_lm_zero_is_plus_zero(lms, phs):
+    # the kernel writes 0.0 for a term of the rest with 2 lm < LM_ZERO and a
+    # finite phase: formed as the row loop forms it, that term is +0.0
+    lm = np.array(lms)
+    ph = np.resize(np.array(phs), lm.size)
+    with np.errstate(over="ignore"):
+        assert (2.0 * lm < LM_ZERO).all()
+    mag = np.exp(lm)
+    cre = mag * np.cos(ph)
+    cim = mag * np.sin(ph)
+    term = cre**2 + cim**2
+    assert (term == 0.0).all() and not np.signbit(term).any()
+
+
+@pytest.mark.parametrize("side", [Side.UNILATERAL, Side.BILATERAL], ids=lambda s: s.value)
+def test_general_kernel_long_rows_and_cut_windows(side):
+    # with the real batch size: x's magnitudes fall below exp's range over
+    # its last half, so rows are cut there, the early rows hold more terms
+    # before the cut than one batch, and the late rows' windows lie past the
+    # cut (on a bilateral shift, after all of the row before them); bit for
+    # bit the mask oracle
+    unilateral = side is Side.UNILATERAL
+    rng = np.random.default_rng(5)
+    nsup = 2 * _kernels.GENERAL_BATCH_TERMS + 3000
+    idx = np.arange(1, nsup + 1, dtype=np.int64)
+    sup_lm = np.where(idx <= nsup // 2, rng.normal(-1.0, 1.0, nsup), -800.0)
+    sup_ph = rng.uniform(-4.0, 4.0, nsup)
+    n_arr = np.unique(np.concatenate([np.arange(1, 40), rng.integers(40, nsup + 50, 300)]))
+    cum_lo = 0 if unilateral else 1 - int(n_arr.max())
+    cum = np.cumsum(rng.normal(0.0, 0.01, nsup - cum_lo + 1))
+    w_lo, w_hi = (1, 3) if unilateral else (-2, 2)
+    y_re, y_im = rng.normal(size=(2, w_hi - w_lo + 1))
+    y_norm2 = float(np.sum(y_re**2 + y_im**2))
+    args = (n_arr, rng.normal(0.0, 0.5, n_arr.size), rng.uniform(-9.0, 9.0, n_arr.size),
+            idx, sup_lm, sup_ph, cum, cum_lo, w_lo, w_hi, y_re, y_im, y_norm2, 20.0,
+            unilateral)
+    cut = _kernels._zero_cut(*args[:8], 20.0)
+    win_lo = np.searchsorted(idx, n_arr + w_lo)
+    assert (nsup // 2 <= cut).all() and (cut < nsup // 2 + 50).all()
+    assert (win_lo > cut).sum() > 100
+    assert (cut - (win_lo if unilateral else 0) > _kernels.GENERAL_BATCH_TERMS).any()
+    assert _same_bits(_kernels.general_orbit_dist2(*args), oracles.general_orbit_dist2(*args))
+    # from |y|^2 = 0 the sums keep the last bits of each window term, which
+    # for a vanishing coefficient is the rounding of y's own squares
+    args = args[:12] + (0.0,) + args[13:]
+    assert _same_bits(_kernels.general_orbit_dist2(*args), oracles.general_orbit_dist2(*args))
+
+
+def test_general_kernel_memory():
+    # rows holding over 50 batches of computed terms in all (none is cut):
+    # the kernel holds one batch's temporaries, about 0.4 MB, not arrays of
+    # the rows' total length, at least 0.8 MB each
+    rng = np.random.default_rng(6)
+    nsup = 2000
+    idx = np.arange(1, nsup + 1, dtype=np.int64)
+    n_arr = np.arange(1, 60 * _kernels.GENERAL_BATCH_TERMS // nsup, dtype=np.int64)
+    cum = np.zeros(nsup + 1)
+    args = (n_arr, np.zeros(n_arr.size), np.zeros(n_arr.size), idx,
+            rng.normal(-1.0, 0.5, nsup), rng.uniform(-4.0, 4.0, nsup), cum, 0, 1, 1,
+            np.ones(1), np.zeros(1), 1.0, 20.0, True)
+    assert int(np.sum(nsup - n_arr)) >= 50 * _kernels.GENERAL_BATCH_TERMS
+    tracemalloc.start()
+    try:
+        _kernels.general_orbit_dist2(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_bilateral_negative_support_matches_direct():
