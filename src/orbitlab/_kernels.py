@@ -10,9 +10,9 @@ Kernel families:
     flat-weight scan adds x's exact log-sum-exp tails, found from the
     position table's running count of x's support; the per-n kernel for
     general weights, whose rows (one per time: y's window and the rest of
-    x's support) are formed end to end in bounded batches, with the terms
-    of the rest that square to exactly zero written as zeros, not computed,
-    and each row summed by ``np.sum``; and the a-priori rounding bound that
+    x's support) are formed end to end in bounded batches up to a per-row
+    cut past which every term squares to exactly zero, and each row summed
+    by ``np.sum``; and the a-priori rounding bound that
     lets the window part plus a tail bound, or a norm bound, decide a time
     in place of the per-n kernel.
 
@@ -172,12 +172,12 @@ def general_orbit_dist2(
     Each row's window terms and the rest (on a bilateral shift, the part
     before the window, then the part after it) are summed by ``np.sum``
     over arrays of the full lengths. The rows' terms are formed end to end,
-    GENERAL_BATCH_TERMS at a time, one numpy call per operation. A term of
-    the rest with 2 lm < LM_ZERO and a finite phase squares to +0.0
-    (|c_i| < 2^-538), so it is written as 0.0 and not computed; past
-    ``_zero_cut``'s position no term of the row is computed at all. Every
-    term array holds the values, and so every sum the bits, of forming each
-    row in full."""
+    GENERAL_BATCH_TERMS at a time, one numpy call per operation. Every term
+    is |c_i - y_{i-n}|^2 - |y_{i-n}|^2 with y read as 0.0 off its window,
+    which on the rest is exactly |c_i|^2. Past ``_zero_cut``'s position every
+    term squares to +0.0 (|c_i| < 2^-538), so none is computed there and the
+    rest is summed with zeros in their place. Every term array holds the
+    values, and so every sum the bits, of forming each row in full."""
     m = n_arr.shape[0]
     nsup = sup_idx.size
     out = np.full(m, float(y_norm2))
@@ -193,6 +193,8 @@ def general_orbit_dist2(
                                 cum_lo, log_cap), win_hi) - lo
     rest = (nsup - lo - wlen).tolist()
     zeros = np.zeros(max(rest, default=0))
+    y_re0 = np.append(y_re, 0.0)
+    y_im0 = np.append(y_im, 0.0)
     ends = np.cumsum(comp)
     r0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -216,32 +218,25 @@ def general_orbit_dist2(
             top = np.full(r1 - r0, -np.inf)
             if c.any():
                 top[c > 0] = np.maximum.reduceat(lm, first[c > 0])
-            live = np.flatnonzero(in_win | ~((2.0 * lm < LM_ZERO) & np.isfinite(ph)))
-            mag = np.exp(lm[live])
-            cre = mag * np.cos(ph[live])
-            cim = mag * np.sin(ph[live])
-            w = in_win[live]
-            jw = idx[live[w]] - (n[live[w]] + w_lo)
-            yr = y_re[jw]
-            yi = y_im[jw]
-            terms = np.zeros(q.size)
-            terms[live[w]] = (cre[w] - yr) ** 2 + (cim[w] - yi) ** 2 - yr**2 - yi**2
-            terms[live[~w]] = cre[~w] ** 2 + cim[~w] ** 2
+            # y_{i-n} over the window; past it, index -1 reads the appended 0.0
+            j = np.where(in_win, idx - (n + w_lo), -1)
+            yr = y_re0[j]
+            yi = y_im0[j]
+            mag = np.exp(lm)
+            terms = (mag * np.cos(ph) - yr) ** 2 + (mag * np.sin(ph) - yi) ** 2 - yr**2 - yi**2
             # np.sum's reduction over each row's window, and over its rest in
-            # full length (copied into the zero array) where a term is nonzero
-            nonzero = np.concatenate(([0], np.cumsum(terms != 0.0)))
+            # full length (copied into the zero array)
             a, b, e = first.tolist(), win_end.tolist(), (first + c).tolist()
             w_sum = np.zeros(r1 - r0)
             t_sum = np.zeros(r1 - r0)
             for i in np.flatnonzero(wlen[r0:r1]).tolist():
                 w_sum[i] = np.add.reduce(terms[a[i]:b[i]])
-            for i in np.flatnonzero(nonzero[first + c] > nonzero[win_end]).tolist():
+            for i in np.flatnonzero(c > wlen[r0:r1]).tolist():
                 k = e[i] - b[i]
                 zeros[:k] = terms[b[i]:e[i]]
                 t_sum[i] = np.add.reduce(zeros[:rest[r0 + i]])
                 zeros[:k] = 0.0
-            d2 = np.where(lo[r0:r1] < nsup, (out[r0:r1] + w_sum) + t_sum, out[r0:r1])
-            out[r0:r1] = np.where(top > log_cap, np.inf, d2)
+            out[r0:r1] = np.where(top > log_cap, np.inf, (out[r0:r1] + w_sum) + t_sum)
             r0 = r1
     return out
 

@@ -254,60 +254,25 @@ def fhc_series_check(w: WeightSeq, n_max: int = 10**6, cap: float = 12.0) -> Ser
             p_vals = -log_ratio / np.log1p(1.0 / dn)
             ratio_max = np.maximum(ratio_max, np.max(log_ratio))
             p_min = np.minimum(p_min, np.min(p_vals))
-    total = float(total)
-    grid_sums = tuple(grid_sums)
-
-    if crossed_at is not None:
-        return SeriesVerdict(
-            "diverges_observed",
-            n_max,
-            total,
-            grid,
-            grid_sums,
-            crossed_cap_at=crossed_at,
-            cap=cap,
-        )
-
-    rho_max = float(np.exp(ratio_max))
-    if rho_max <= GEOM_RHO_MAX:
-        tail = t_last * rho_max / (1.0 - rho_max)
-        return SeriesVerdict(
-            "converges_certified",
-            n_max,
-            total,
-            grid,
-            grid_sums,
-            tail_bound=tail,
-            mode="geometric",
-            cap=cap,
-        )
-    p = float(p_min)
-    if p >= PSERIES_P_MIN:
-        tail = t_last * n_max / (p - 1.0)
-        return SeriesVerdict(
-            "converges_certified",
-            n_max,
-            total,
-            grid,
-            grid_sums,
-            tail_bound=tail,
-            mode=f"p_series(p={p:.4f})",
-            cap=cap,
-        )
-    return SeriesVerdict(
-        "inconclusive",
-        n_max,
-        total,
-        grid,
-        grid_sums,
-        cap=cap,
-    )
+    kind, tail, mode = "diverges_observed", None, ""
+    if crossed_at is None:
+        kind = "inconclusive"
+        rho_max, p = float(np.exp(ratio_max)), float(p_min)
+        if rho_max <= GEOM_RHO_MAX:
+            kind, tail, mode = ("converges_certified", t_last * rho_max / (1.0 - rho_max),
+                                "geometric")
+        elif p >= PSERIES_P_MIN:
+            kind, tail, mode = ("converges_certified", t_last * n_max / (p - 1.0),
+                                f"p_series(p={p:.4f})")
+    return SeriesVerdict(kind, n_max, float(total), grid, tuple(grid_sums), tail_bound=tail,
+                         mode=mode, crossed_cap_at=crossed_at, cap=cap)
 
 
 def orbit_norm_logs(T: ShiftOp, x: CoefVec, n_arr: np.ndarray) -> np.ndarray:
     """log ||T^n x|| for each n (-inf once the support has died)."""
     out = np.empty(len(n_arr), dtype=np.float64)
-    for t, lm in enumerate(T._power_log_mags_at(n_arr, x)):
+    for t, n in enumerate(n_arr):
+        lm = T.power_log_mags(n, x)
         if lm.size == 0:
             out[t] = -np.inf
             continue

@@ -241,35 +241,21 @@ class ShiftOp:
         a unilateral shift keeps only x's entries past index n, a suffix of
         its support.
         """
-        return next(self._power_log_mags_at((n,), x))
-
-    def _power_log_mags_at(self, ns, x: CoefVec):
-        """``power_log_mags(n, x)`` for each n of ns in turn. C at x's own
-        indices is the same for every n, so an increasing ns evaluates it
-        once, on the suffix the first n keeps, and later n read their part."""
-        cum_x, cum_from = None, 0
-        for n in ns:
-            n = int(n)
-            if n < 0:
-                raise ValueError("power must be >= 0")
-            if x.side is not self.side:
-                raise SideMismatchError(f"{x.side.value} vector under {self.side.value} shift")
-            if n == 0 or x.nnz == 0:
-                yield x.log_mags
-                continue
-            if int(x.indices[0]) - n < -(2**63):
-                raise ValueError(f"index {int(x.indices[0])} - {n} leaves int64")
-            start = 0
-            if self.side is Side.UNILATERAL:
-                start = int(np.searchsorted(x.indices, n, side="right"))
-            src = x.indices[start:]
-            if src.size == 0:
-                yield x.log_mags[:0]
-                continue
-            if cum_x is None or start < cum_from:
-                cum_x, cum_from = self.weights.cum(src), start
-            prod = cum_x[start - cum_from:] - self.weights.cum(src - n)
-            yield x.log_mags[start:] + prod + n * self.pm_log
+        n = int(n)
+        if n < 0:
+            raise ValueError("power must be >= 0")
+        if x.side is not self.side:
+            raise SideMismatchError(f"{x.side.value} vector under {self.side.value} shift")
+        if n == 0 or x.nnz == 0:
+            return x.log_mags
+        if int(x.indices[0]) - n < -(2**63):
+            raise ValueError(f"index {int(x.indices[0])} - {n} leaves int64")
+        start = 0
+        if self.side is Side.UNILATERAL:
+            start = int(np.searchsorted(x.indices, n, side="right"))
+        src = x.indices[start:]
+        prod = self.weights.cum(src) - self.weights.cum(src - n)
+        return x.log_mags[start:] + prod + n * self.pm_log
 
     def power_apply(self, n: int, x: CoefVec) -> CoefVec:
         """T^n x: the entries of ``power_log_mags`` moved n places down."""

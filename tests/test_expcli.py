@@ -1288,6 +1288,29 @@ class TestDeterminism:
             assert got == want, out
 
 
+    # sha256 of build-fu with sqrt_ratio weights, the config of perfbench's
+    # criteria_search build-fu job: the per-n kernel's distances reach the
+    # report through worst_residual
+    PINNED_GENERAL = {
+        "report.json": "97fab0db4933d1f94e418f7cefce31fc557da57d89f408beb806691efd8af55d",
+        "fu_vector.csv": "9f36720074539fe535e075edc67eb377bbc3233fab890f82d320c10e1594fe95",
+        "hitting_0.csv": "24cac96c2eb8974cb17cdc0d39a46863a4f50886167ca31d5c42754349f1759f",
+    }
+
+    def test_build_fu_general_weight_bytes_pinned(self, tmp_path):
+        cfg = FU_CONFIG | {
+            "operator": FU_CONFIG["operator"] | {"weights": {"family": "sqrt_ratio"}},
+            "targets": [{"vector": "e(1)", "eps": 0.001}],
+            "N": 8_000,
+        }
+        (tmp_path / "build.json").write_text(json.dumps(cfg))
+        assert main(["build-fu", "--config", str(tmp_path / "build.json"),
+                     "--out", str(tmp_path / "fu")]) == EXIT_OK
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "fu").iterdir()}
+        assert got == self.PINNED_GENERAL
+
+
 class TestCliSubcommands:
     def test_classify_seq(self, capsys):
         assert main(["classify-seq", "--family", "exp_over_log"]) == EXIT_OK

@@ -304,9 +304,9 @@ def test_window_kernels_match_every_slot_oracles(side, density):
        st.integers(1, 6), st.sampled_from([1, 7, 64, _kernels.GENERAL_BATCH_TERMS]),
        st.booleans(), st.booleans(), st.sampled_from([20.0, LM_ZERO / 2 - 5.0]))
 def test_general_kernel_matches_mask_oracle(seed, side, width, batch, decay, plant, log_cap):
-    # the per-n kernel forms its rows end to end in batches, skips the terms
-    # of the rest that square to +0.0 and computes nothing past its cut; bit
-    # for bit the boolean-mask row loop (oracles.general_orbit_dist2) at
+    # the per-n kernel forms its rows end to end in batches, every term by
+    # one expression, and computes nothing past its cut; bit for bit the
+    # boolean-mask row loop (oracles.general_orbit_dist2) at
     # every time up to past x's support, with y's window at either end of
     # the support, vanished scalings (-inf) and rows past exp's range (scale
     # 800), which the pre-filter makes +inf. Batches of 1 and 7 terms spread
@@ -386,8 +386,8 @@ def test_general_kernel_matches_mask_oracle(seed, side, width, batch, decay, pla
 @given(st.lists(st.floats(max_value=LM_ZERO / 2, exclude_max=True), min_size=1, max_size=40),
        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
 def test_tail_term_below_lm_zero_is_plus_zero(lms, phs):
-    # the kernel writes 0.0 for a term of the rest with 2 lm < LM_ZERO and a
-    # finite phase: formed as the row loop forms it, that term is +0.0
+    # the kernel computes no term past its cut, where each has 2 lm < LM_ZERO
+    # and a finite phase: formed as the row loop forms it, that term is +0.0
     lm = np.array(lms)
     ph = np.resize(np.array(phs), lm.size)
     with np.errstate(over="ignore"):

@@ -234,6 +234,28 @@ class TestMRWitness:
             ratio = ((w.a + 2) / (w.a + 1)) * ((w.a + j * ell + 1) / (w.a + j * ell + 2))
             assert abs(ratio - 1.0) < 0.005 / 0.9  # |u_j| is close to 1
 
+    def test_no_progression_within_k(self, built):
+        # the hits fall every 16 times; at N = 2000 and m = 50 the default K
+        # is 2000 // (4 * 50) = 10, so no k <= K holds m + 1 hits
+        out = mr_witness_search(built.x, ONE, TWO_B, Ball(e(1), 0.01), 50, 1, 2000)
+        assert not out
+        assert out.diagnostics["hits"] > 0 and "k" not in out.diagnostics
+
+    def test_inconclusive_ratio_warns_and_every_start_fails(self):
+        # geom_even_odd's ratios alternate between 1 and 1/2, so the ratio
+        # verdict is inconclusive and the search warns; its hits hold
+        # progressions at k = 16, but lam_a / lam_{a + 16 j} = 2^{-8 j}, so
+        # every start's defect is nearly |u_j| ~ 1, past eps / 2
+        from orbitlab.fhbuilder import build
+
+        lam = ScalingSeq.geom_even_odd()
+        v = build(lam, TWO_B, [(e(1), 1e-3)], 2000, g=16)
+        with pytest.warns(UserWarning, match="ratio classifier inconclusive"):
+            out = mr_witness_search(v.x, lam, TWO_B, Ball(e(1), 0.01), 3, 1, 2000)
+        assert not out
+        assert out.diagnostics["k"] == 16
+        assert out.diagnostics["smallest_defect"] > 0.9
+
     def test_bad_scaling_rejected(self, built):
         with pytest.raises(ValueError):
             mr_witness_search(

@@ -102,3 +102,30 @@ class TestClassify:
         assert classify_adjoint(PolySymbol.constant(2)).kind is AdjointClass.CONSTANT_NOT_RECURRENT
         near = cmath.exp(1j * 0.3) * (1 + 1e-13)
         assert classify_adjoint(PolySymbol.constant(near)).kind is AdjointClass.CONSTANT_RECURRENT
+
+    @staticmethod
+    def _near_tangent(c):
+        # phi(z) = c (1 + r z) / 2 with r = e^{-i pi / 8192}: |phi| peaks at c
+        # on the circle at z = 1/r, half a step of the 8192-point grid from
+        # every sample, so the sampled maximum sits about 1.8e-8 below c
+        r = cmath.exp(-1j * math.pi / 8192)
+        return PolySymbol((c / 2, c * r / 2))
+
+    def test_near_tangent_range_is_uncertain(self):
+        # with c = 1 + 1e-9 the exact maximum exceeds 1, but the high point
+        # is looked for only at the sampled argmax, where |phi| < 1 at both
+        # grids, so no witness is found and the verdict is uncertain
+        phi = self._near_tangent(1 + 1e-9)
+        verdict = classify_adjoint(phi)
+        assert verdict.kind is AdjointClass.UNCERTAIN
+        cert = verdict.certificate
+        assert cert.kind is RangeKind.UNCERTAIN and cert.grid == 2 * 4096
+        assert cert.boundary_max < 1.0 < cert.max_exact
+        assert cert.verify(phi)
+
+    def test_less_tangent_range_intersects(self):
+        phi = self._near_tangent(1 + 1e-6)
+        verdict = classify_adjoint(phi)
+        assert verdict.kind is AdjointClass.FH_AND_TMR
+        assert verdict.certificate.kind is RangeKind.INTERSECTS
+        assert verdict.certificate.verify(phi)
