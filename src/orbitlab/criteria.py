@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lspace import CoefVec, norm
-from .seqcore import ScalingSeq, eval_log_mags, ratio_classify, scan_grid
+from .seqcore import SCAN_CHUNK, ScalingSeq, eval_log_mags, ratio_classify, scan_runs
 from .shiftops import ShiftOp, WeightSeq
 
 __all__ = [
@@ -105,24 +105,30 @@ def mr_shift_check(w: WeightSeq, m: int, q: int, eps: float, n_max: int) -> Sear
     thresh = math.log(1.0 / eps)
     cum_j = {j: w.cum(np.array([j]))[0] for j in range(-q, q + 1)}
 
+    # one pass's buffers: the ramp k = 0, 1, ... of every run, the forward
+    # and backward products, the margins and two masks
+    size = min(SCAN_CHUNK, n_max - n_lo + 1)
+    ramp = np.arange(size, dtype=np.float64)
+    f_buf, b_buf, margin_buf = np.empty(size), np.empty(size), np.empty(size)
+    ok_buf, test_buf = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     best_n, best_margin = None, None
-    for n_arr in scan_grid(n_lo, n_max):
-        ok = np.ones(n_arr.shape, dtype=bool)
-        margin = np.full(n_arr.shape, np.inf)
+    for a, count in scan_runs(n_lo, n_max):
+        ok, test, margin = ok_buf[:count], test_buf[:count], margin_buf[:count]
+        ok.fill(True)
+        margin.fill(np.inf)
         for l in range(1, m + 1):
             for j in range(-q, q + 1):
-                f = w.cum(j + l * n_arr)
+                f = w.cum_run(j + l * a, l, ramp, f_buf[:count])
                 f -= cum_j[j]  # log prod_{i=1..ln} w_{j+i}
-                b = w.cum(j - l * n_arr)
+                b = w.cum_run(j - l * a, -l, ramp, b_buf[:count])
                 np.subtract(cum_j[j], b, out=b)  # log prod_{i=0..ln-1} w_{j-i}
-                ok &= f > thresh
-                ok &= b < -thresh
+                ok &= np.greater(f, thresh, out=test)
+                ok &= np.less(b, -thresh, out=test)
                 f -= thresh
                 np.subtract(-thresh, b, out=b)
                 np.minimum(margin, np.minimum(f, b, out=f), out=margin)
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            n = int(n_arr[hits[0]])
+        if ok.any():
+            n = a + int(np.argmax(ok))
             ljs = [(l, j) for l in range(1, m + 1) for j in range(-q, q + 1)]
             fwd = tuple(w.forward_log(j, l * n) for l, j in ljs)
             bwd = tuple(w.backward_log(j, l * n) for l, j in ljs)
@@ -132,7 +138,7 @@ def mr_shift_check(w: WeightSeq, m: int, q: int, eps: float, n_max: int) -> Sear
         if best_n is None or (
             not np.isnan(best_margin) and (np.isnan(margin[i]) or margin[i] > best_margin)
         ):
-            best_n, best_margin = int(n_arr[i]), margin[i]
+            best_n, best_margin = a + i, margin[i]
 
     # name one failing (j, l) pair at the best n for diagnostics
     fail = None
@@ -172,14 +178,18 @@ def mr_invertible_check(w: WeightSeq, m: int, n_max: int, threshold: float) -> n
         w.check_range(-m * n_max - 1, m * n_max)
     g = math.log(threshold)
     found = [np.zeros(0, dtype=np.int64)]
-    for n_arr in scan_grid(1, n_max):
-        ok = np.ones(n_arr.shape, dtype=bool)
+    size = max(0, min(SCAN_CHUNK, n_max))
+    ramp = np.arange(size, dtype=np.float64)
+    f_buf, b_buf = np.empty(size), np.empty(size)
+    ok_buf, test_buf = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    for a, count in scan_runs(1, n_max):
+        ok, test = ok_buf[:count], test_buf[:count]
+        ok.fill(True)
         for l in range(1, m + 1):
-            fwd = w.cum(l * n_arr)
+            ok &= np.greater(w.cum_run(l * a, l, ramp, f_buf[:count]), g, out=test)
             # prod_{i=0..ln} 1/w_{-i} = exp(C(-ln - 1)) with C the signed cumulative
-            bwd = w.cum(-l * n_arr - 1)
-            ok &= (fwd > g) & (bwd > g)
-        found.append(n_arr[ok])
+            ok &= np.greater(w.cum_run(-l * a - 1, -l, ramp, b_buf[:count]), g, out=test)
+        found.append(a + np.flatnonzero(ok))
     return np.concatenate(found)
 
 
@@ -224,13 +234,15 @@ def fhc_series_check(w: WeightSeq, n_max: int = 10**6, cap: float = 12.0) -> Ser
     grid = tuple(grid)
     decade_lo = max(1, n_max // 10)
 
+    size = min(SCAN_CHUNK, n_max)
+    ramp = np.arange(size, dtype=np.float64)
+    sums_buf, below_buf = np.empty(size), np.empty(size, dtype=bool)
     total = 0.0
     grid_sums = []
     crossed_at = None
     ratio_max, p_min = -np.inf, np.inf  # of log(t_{n+1}/t_n) and of p
-    for n_arr in scan_grid(1, n_max):
-        lo, hi = int(n_arr[0]), int(n_arr[-1])
-        sums = w.cum(n_arr)
+    for lo, count in scan_runs(1, n_max):
+        sums = w.cum_run(lo, 1, ramp, sums_buf[:count])
         sums *= -2.0
         with np.errstate(over="ignore"):
             np.exp(sums, out=sums)
@@ -240,16 +252,17 @@ def fhc_series_check(w: WeightSeq, n_max: int = 10**6, cap: float = 12.0) -> Ser
         sums[0] += total
         np.cumsum(sums, out=sums)
         total = sums[-1]
-        grid_sums += [float(sums[g - lo]) for g in grid if lo <= g <= hi]
+        grid_sums += [float(sums[g - lo]) for g in grid if lo <= g < lo + count]
         if crossed_at is None:
-            crossed = np.flatnonzero(~(sums <= cap))
-            if crossed.size:
-                crossed_at = int(n_arr[crossed[0]])
+            below = np.less_equal(sums, cap, out=below_buf[:count])
+            if not below.all():
+                crossed_at = lo + int(np.argmin(below))
         # last-decade decay ratios, n in [decade_lo, n_max), from log weights
         # (no underflow); not needed once the sums have crossed the cap
-        dn = n_arr[max(decade_lo - lo, 0) : n_max - lo]
-        if crossed_at is None and dn.size:
-            log_ratio = -2.0 * w.log_w(dn + 1)  # log(t_{n+1}/t_n)
+        dk = ramp[max(decade_lo - lo, 0) : n_max - lo]
+        if crossed_at is None and dk.size:
+            dn = dk + lo  # n as exact-integer doubles
+            log_ratio = -2.0 * w.log_w(dn + 1.0)  # log(t_{n+1}/t_n)
             # dominated by a p-series: t_{n+1}/t_n <= (n/(n+1))^p pointwise
             p_vals = -log_ratio / np.log1p(1.0 / dn)
             ratio_max = np.maximum(ratio_max, np.max(log_ratio))

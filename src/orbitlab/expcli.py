@@ -898,7 +898,8 @@ def run_e5(p: SimpleNamespace, outdir: Path) -> dict:
     n_max = p.N
     w = WeightSeq.sqrt_ratio()
     sample = np.unique(np.geomspace(1, n_max, 200).astype(np.int64))
-    worst = max(abs(w.forward_log(0, int(n)) - 0.5 * math.log(float(n) + 1.0)) for n in sample)
+    fwd = (w.cum(sample) - w.cum(np.array([0]))).tolist()  # forward_log(0, n) per n
+    worst = max(abs(f - 0.5 * math.log(float(n) + 1.0)) for f, n in zip(fwd, sample.tolist()))
     if worst > 1e-9:
         raise ScenarioError(f"product formula deviates by {worst}")
     sv = fhc_series_check(w, n_max, cap=p.cap)

@@ -32,6 +32,7 @@ __all__ = [
     "wrap_phase",
     "SCAN_CHUNK",
     "scan_grid",
+    "scan_runs",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -46,10 +47,17 @@ FLOAT_SAFE_LOG = 700.0
 SCAN_CHUNK = 1 << 16
 
 
+def scan_runs(lo: int, hi: int):
+    """n = lo..hi as consecutive runs (first n, count) of at most SCAN_CHUNK
+    times."""
+    for a in range(lo, hi + 1, SCAN_CHUNK):
+        yield a, min(SCAN_CHUNK, hi + 1 - a)
+
+
 def scan_grid(lo: int, hi: int):
     """n = lo..hi as consecutive int64 arrays of at most SCAN_CHUNK times."""
-    for a in range(lo, hi + 1, SCAN_CHUNK):
-        yield np.arange(a, min(a + SCAN_CHUNK, hi + 1), dtype=np.int64)
+    for a, count in scan_runs(lo, hi):
+        yield np.arange(a, a + count, dtype=np.int64)
 
 
 class SequenceDomainError(ValueError):

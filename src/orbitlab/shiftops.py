@@ -162,19 +162,53 @@ class WeightSeq:
         self.check_range(lo, hi)
         if self.family == "table_w":
             return self._table_cum[idx]
-        out = idx.astype(np.float64)  # a copy, worked on in place
-        if self.family == "sqrt_ratio":
-            out += 1.0
-            np.log(out, out=out)
-            out *= 0.5
+        zero = idx == 0 if lo <= 0 <= hi else None
+        return self._closed_form(idx.astype(np.float64), lo, hi, zero)  # a copy, worked in place
+
+    def cum_run(self, start: int, step: int, ramp: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """C(start + step*k) for k = 0, 1, ..., len(out) - 1, written into out.
+
+        ``ramp`` holds k itself as float64, at least len(out) of it, and is
+        only read: a caller walking many runs makes it and out once. The
+        indices are formed in out as exact-integer doubles (exact below
+        2**53) and go through the closed form that ``cum`` uses, so each
+        entry has ``cum``'s bits; the range is checked from the run's ends.
+        """
+        count = out.shape[0]
+        if count == 0:
             return out
+        end = start + step * (count - 1)
+        lo, hi = min(start, end), max(start, end)
+        self.check_range(lo, hi)
+        if self.family == "table_w":
+            out[:] = self._table_cum[np.arange(start, start + step * count, step)]
+            return out
+        ramp = ramp[:count]
+        if step == 1:
+            np.add(ramp, start, out=out)
+        elif step == -1:
+            np.subtract(start, ramp, out=out)
+        else:
+            np.multiply(ramp, step, out=out)
+            out += start
+        zero = -start // step if lo <= 0 <= hi and start % step == 0 else None
+        return self._closed_form(out, lo, hi, zero)
+
+    def _closed_form(self, x: np.ndarray, lo: int, hi: int, zero) -> np.ndarray:
+        """C at the exact-integer float64 indices x in [lo, hi], in place;
+        ``zero`` picks x's entries at index 0 (a mask or a position)."""
+        if self.family == "sqrt_ratio":
+            x += 1.0
+            np.log(x, out=x)
+            x *= 0.5
+            return x
         log_neg, log_pos = map(math.log, self._pair)
-        # a chunk on one side of 0 needs one slope, not a per-index choice
-        out *= (log_pos if lo >= 0 else log_neg if hi <= 0
-                else np.where(idx > 0, log_pos, log_neg))
-        if lo <= 0 <= hi:
-            out[idx == 0] = 0.0  # the empty sum; 0 * log c is -0.0 for c < 1
-        return out
+        # indices on one side of 0 need one slope, not a per-index choice
+        x *= (log_pos if lo >= 0 else log_neg if hi <= 0
+              else np.where(x > 0, log_pos, log_neg))
+        if zero is not None:
+            x[zero] = 0.0  # the empty sum; 0 * log c is -0.0 for c < 1
+        return x
 
     def log_range(self, a: int, b: int) -> float:
         """log prod_{s=a..b} w_s (empty ranges give 0)."""

@@ -240,7 +240,7 @@ class TestStreamedProductSearch:
         assert out == oracles.mr_shift_check(w, 1, 0, 1e-30, n_max)
 
     def test_invertible_chunk_edges(self):
-        for n_max in EDGES:
+        for n_max in (-1, 0, *EDGES):
             got = mr_invertible_check(INV_STEP, 2, n_max, 1e3)
             assert got.tobytes() == oracles.mr_invertible_check(INV_STEP, 2, n_max, 1e3).tobytes()
 
@@ -254,15 +254,22 @@ def _traced_peak(f, *args):
         tracemalloc.stop()
 
 
+# a SCAN_CHUNK array of float64, 0.5 MiB
+CHUNK_MIB = C * 8 / 2**20
+
+
 def test_series_check_memory():
-    # E5's pass at N = 2e6 holds one chunk's arrays, not five of horizon
-    # length (16 MB each)
-    assert _traced_peak(fhc_series_check, WeightSeq.sqrt_ratio(), 2_000_000) < 16 * 2**20
+    # E5's pass at N = 2e6 holds one pass's buffers, the ramp and the sums
+    # (1.07 MiB traced), not five arrays of horizon length (16 MB each); the
+    # bound leaves less than one more chunk-sized array of margin
+    assert _traced_peak(fhc_series_check, WeightSeq.sqrt_ratio(), 2_000_000) < 3 * CHUNK_MIB * 2**20
 
 
 def test_salas_check_memory():
-    # E4's search at N = 2e6 holds one chunk's arrays and no product table
-    assert _traced_peak(salas_check, STEP, 0.5, 0, 2_000_000) < 16 * 2**20
+    # E4's search at N = 2e6 holds one pass's buffers, the ramp, the two
+    # products and the margins (2.13 MiB traced), and no product table; the
+    # bound leaves less than one more chunk-sized array of margin
+    assert _traced_peak(salas_check, STEP, 0.5, 0, 2_000_000) < 5 * CHUNK_MIB * 2**20
 
 
 class TestNormDecay:

@@ -16,7 +16,14 @@ from orbitlab.orbits import (
     ratio_precheck,
     recurrence_scan,
 )
-from orbitlab.seqcore import LogScalar, ScalingSeq, SequenceDomainError, rotate_seq
+from orbitlab.seqcore import (
+    LogScalar,
+    ScalingSeq,
+    SequenceDomainError,
+    eval_log,
+    log_mul,
+    rotate_seq,
+)
 from orbitlab.shiftops import ShiftOp, WeightSeq, scaled_orbit_point
 
 B = ShiftOp(Side.UNILATERAL, WeightSeq.constant(1.0))
@@ -255,6 +262,30 @@ class TestMRWitness:
         assert not out
         assert out.diagnostics["k"] == 16
         assert out.diagnostics["smallest_defect"] > 0.9
+
+    @pytest.mark.parametrize("m, tau", [(-1, 1), (2, 0)])
+    def test_argument_guard(self, built, m, tau):
+        with pytest.raises(ValueError, match="need m >= 0 and tau >= 1"):
+            mr_witness_search(built.x, ONE, TWO_B, Ball(e(1), 0.01), m, tau, 1000)
+
+    def test_ratio_past_e700_rejects_the_start(self):
+        # lam falls from 1e300 by 2.5 a step for 1500 steps, then stays put;
+        # 3B outgrows that fall, so x decays. With tau = 1024 the hits every
+        # 64 times hold progressions at k = 1, and a start a below ~740 has
+        # lam_a / lam_{a+1024} > e^700 (e^938 at a = 64), past what
+        # to_complex can hold: the search must step past such a start, and
+        # the first start after the fall is the witness
+        from orbitlab.fhbuilder import build
+
+        T3 = ShiftOp(Side.UNILATERAL, WeightSeq.constant(1.0), 3.0)
+        fall = np.exp(math.log(1e300) - math.log(2.5) * np.arange(1500))
+        lam = ScalingSeq.table(list(np.concatenate([fall, np.full(12_000, fall[-1])])))
+        v = build(lam, T3, [(e(1), 1e-3)], 4000, g=64)
+        with pytest.raises(OverflowError):
+            log_mul(eval_log(lam, 64), eval_log(lam, 64 + 1024).inverse()).to_complex()
+        out = mr_witness_search(v.x, lam, T3, Ball(e(1), 0.01), 1, 1024, 4000)
+        assert out and out.diagnostics["k"] == 1
+        assert out.witness.a == 1536 and out.witness.verify(T3)
 
     def test_bad_scaling_rejected(self, built):
         with pytest.raises(ValueError):

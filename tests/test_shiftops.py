@@ -4,6 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from orbitlab import shiftops
 from orbitlab.lspace import CoefVec, Side, norm
@@ -367,6 +369,86 @@ class TestTableStart:
             assert w.log_range(a, b) == pytest.approx(want, abs=1e-14), (a, b)
         with pytest.raises(ValueError, match="exits the table's range"):
             w.log_range(1, last + 1)
+
+
+CAP = 20_000_000
+# one row per weights family, and each side of 1 for constant_w; tables that
+# reach below 0 (one of them ends at w_0, so C(0) is its only C(i >= 0))
+RUN_WEIGHTS = [
+    WeightSeq.constant(0.7),
+    WeightSeq.constant(1.5),
+    WeightSeq.step_bilateral(),
+    WeightSeq.inverse_step_bilateral(),
+    WeightSeq.sqrt_ratio(),
+    WeightSeq.table([0.5, 1.5, 2.0, 1.0, 0.25, 3.0] * 3, start=0),
+    WeightSeq.table([0.5, 1.5, 2.0, 1.0, 0.25, 3.0], start=-5),
+    ALL_WEIGHTS[-1],  # indices -100..139
+]
+
+
+def _c_limits(w: WeightSeq) -> tuple[int, int]:
+    """The first and last i with C(i) defined (the cap for closed forms)."""
+    if w.family == "table_w":
+        vals, start = w.params
+        return min(start - 1, 0), max(start + len(vals) - 1, 0)
+    return (-CAP if w.bilateral_ok else 0), CAP
+
+
+@st.composite
+def _runs(draw):
+    """A family, and a run whose k-th index lies near 0 or near one of C's
+    limits, inside them or past them: with k the first or last position,
+    the run starts or ends there, and with any other k it crosses."""
+    w = draw(st.sampled_from(RUN_WEIGHTS))
+    step = draw(st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]))
+    count = draw(st.one_of(st.just(1), st.integers(1, 40)))
+    near = draw(st.sampled_from((0, *_c_limits(w)))) + draw(st.integers(-5, 5))
+    k = draw(st.one_of(st.sampled_from([0, count - 1]), st.integers(0, count - 1)))
+    return w, near - step * k, step, count
+
+
+class TestRunForm:
+    """cum_run is cum over an arithmetic run of indices: the same doubles,
+    written into the caller's buffer, and the same errors."""
+
+    def test_every_weights_family_has_a_row(self):
+        from orbitlab.expcli import WEIGHTS
+
+        assert {w.family for w in RUN_WEIGHTS} == WEIGHTS.families.keys()
+
+    @given(_runs())
+    def test_equals_cum_on_the_run(self, run):
+        w, start, step, count = run
+        idx = np.arange(start, start + step * count, step, dtype=np.int64)
+        ramp = np.arange(64, dtype=np.float64)
+        buf = np.full(count + 3, np.nan)
+        try:
+            want = w.cum(idx)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                w.cum_run(start, step, ramp, buf[:count])
+            assert str(info.value) == str(exc)
+            return
+        got = w.cum_run(start, step, ramp, buf[:count])
+        assert np.shares_memory(got, buf) and got.shape == (count,)
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[idx == 0]).any()  # C(0) is +0.0
+        assert np.isnan(buf[count:]).all()
+        assert ramp.tobytes() == np.arange(64, dtype=np.float64).tobytes()
+
+    def test_empty_run(self):
+        out = np.zeros(0)
+        for w in RUN_WEIGHTS:
+            assert w.cum_run(-10**9, 1, np.zeros(0), out) is out
+
+    @pytest.mark.parametrize("n_max", [10, 10**6, 5 * 10**6, 2 * 10**7])
+    def test_forward_products_in_one_call(self, n_max):
+        # E5's product-formula sample: C(n) - C(0) over the whole sample, as
+        # run_e5 forms it, against one forward_log(0, n) per n
+        w = WeightSeq.sqrt_ratio()
+        sample = np.unique(np.geomspace(1, n_max, 200).astype(np.int64))
+        want = np.array([w.forward_log(0, int(n)) for n in sample])
+        assert (w.cum(sample) - w.cum(np.array([0]))).tobytes() == want.tobytes()
 
 
 class TestScaledOrbitPoint:
