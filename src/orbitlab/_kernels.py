@@ -253,10 +253,9 @@ def _zero_cut(n_arr, scale_lm, scale_ph, sup_idx, sup_lm, sup_ph, cum, cum_lo, l
     V_i (u L) and of the cut's own key (3.01 u (L + |cut| + margin)) stay
     below the margin, 1 + 3 lm_error_bound(L + |cut|). Rows with a
     non-finite s(n), phase, cum or V are not cut (e(n) is x's support
-    size), so a NaN row stays NaN."""
+    size), so a NaN row stays NaN. x's support is not empty: a scan of the
+    zero vector answers |y|^2 without a kernel."""
     nsup = sup_idx.size
-    if nsup == 0:
-        return np.zeros(n_arr.shape[0], dtype=np.intp)
     cut = min(LM_ZERO / 2.0, log_cap)
     with np.errstate(over="ignore", invalid="ignore"):
         v = cum[sup_idx - cum_lo] + sup_lm

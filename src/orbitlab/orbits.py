@@ -13,6 +13,14 @@ return times) is one pass streamed over the SCAN_CHUNK grid of n that holds
 only the hits, the distances asked for and one chunk's arrays; the flat
 kernel's position table spans only the chunk's window of indices n + j.
 
+With the flat kernel, a time whose window n + w_lo..n + w_hi holds no entry
+of x is decided as a miss, exactly and with no error band, once y's window
+squares, summed in the kernel's own order, reach r^2: the kernel adds those
+same squares to a non-negative tail, and rounded addition is monotone.
+This holds on unilateral and bilateral shifts alike. x is sparse, so the
+kernel runs only on the times whose window meets x's support: 8-15% of them
+in the FU builds of E1, E3 and E6.
+
 With general weights on a unilateral shift, a certified enclosure decides
 most times before the per-n kernel runs: y's window summed in full for the
 whole chunk by the same window kernel, plus an upper bound on the
@@ -23,8 +31,8 @@ it equals the kernel's own float answer. Return-time scans (y = x) and
 windows wider than the scan leave no tail to enclose; there the same suffix
 log-sum-exp bounds |lam_n T^n x|, and the reverse triangle inequality
 d >= |y| - |lam_n T^n x| decides misses. The kernel runs on the undecided
-times and on the times whose distances are asked for. Bilateral shifts take
-the kernel at every time.
+times and on the times whose distances are asked for. Bilateral shifts with
+general weights take the kernel at every time.
 """
 
 from __future__ import annotations
@@ -147,9 +155,9 @@ def _orbit_scan(
     """Set up one target's distance kernel once: y's window, x's log-sum-exp
     tails or the cumulative weight products. Returns (dist2, decide):
     dist2 gives dist(lam_n T^n x, y)^2 for an int64 array of times n <= n_hi,
-    and decide(n_arr, r2) splits the sorted times n_arr into (inside, rest):
-    the times certain to have dist2 < r2, and the times left open; the
-    others are certain misses.
+    and decide(n_arr, r2) splits the consecutive times n_arr (a chunk of the
+    scan grid) into (inside, rest): the times certain to have dist2 < r2,
+    and the times left open; the others are certain misses.
 
     ``count`` is the number of times the scan asks for. The flat kernel loops
     over y's window and the per-n kernel over the times, so flat weights take
@@ -159,8 +167,10 @@ def _orbit_scan(
     than the scan and x's support reaches past it, and else the norm bound
     (``_norm_bound``), which decides misses only: return-time scans, whose
     window y = x is all of x's support, and windows wider than the scan.
-    With the flat kernel and on bilateral shifts it decides nothing and
-    dist2 answers every time.
+    With the flat kernel, on either side, decide takes the times whose
+    window holds no entry of x as exact misses (``_empty_window_misses``).
+    With the per-n kernel on a bilateral shift, and for x = 0, it decides
+    nothing and dist2 answers every time.
     """
     if x.side is not T.side or y.side is not T.side:
         raise ValueError("vector sides must match the operator")
@@ -202,7 +212,7 @@ def _orbit_scan(
                 prefix, suffix, w_lo, w_hi, y_re, y_im, log_cap, unilateral,
             )
 
-        return dist2, _undecided
+        return dist2, _empty_window_misses(x, w_lo, w_hi, y_re, y_im)
 
     # per-n kernel: cumulative log-products over every index the times touch
     i_hi = int(x.indices.max())
@@ -241,6 +251,41 @@ def _window_positions(x: CoefVec, n_arr: np.ndarray, w_lo: int, w_hi: int):
 def _undecided(n_arr: np.ndarray, r2: float):
     """No enclosure: every time is left to the distance kernel."""
     return n_arr[:0], n_arr
+
+
+def _empty_window_misses(x: CoefVec, w_lo: int, w_hi: int, y_re: np.ndarray,
+                         y_im: np.ndarray):
+    """Exact misses of a flat scan, with no error band. Y is y's window
+    squares summed from 0.0 in the flat kernel's order: y_re[j]^2, then
+    y_im[j]^2, for j = w_lo..w_hi. At a time n whose window [n + w_lo,
+    n + w_hi] holds no index of x, the kernel adds the same squares in the
+    same order to its tail exp(...), which is >= +0.0, inf or NaN, and reads
+    no coefficient, so its overflow pre-filter stays off. Round-to-nearest
+    addition is monotone, so the kernel's d2 >= Y, and when Y >= r2 such a
+    time is a miss (inf and NaN are misses too). Returns decide(n_arr, r2)
+    -> (no times, the times whose window meets x's support); when not
+    Y >= r2 (the ball holds 0, or y is NaN) every time stays open.
+    """
+    Y = 0.0
+    for re_j, im_j in zip(y_re.tolist(), y_im.tolist()):
+        Y += re_j * re_j
+        Y += im_j * im_j
+
+    def decide(n_arr, r2):
+        if not Y >= r2:
+            return n_arr[:0], n_arr
+        # index i of x lies in the windows of the times i - w_hi..i - w_lo:
+        # slots k - pad..k of a mask over the times n0 - pad..max(n) + pad,
+        # with k = i - n0 - w_lo + pad
+        n0, pad = int(n_arr[0]), w_hi - w_lo
+        a, b = np.searchsorted(x.indices, [n0 + w_lo, int(n_arr[-1]) + w_hi + 1])
+        k = x.indices[a:b] - (n0 + w_lo - pad)
+        meets = np.zeros(n_arr.size + 2 * pad, dtype=bool)
+        for d in range(pad + 1):
+            meets[k - d] = True
+        return n_arr[:0], n_arr[meets[pad:pad + n_arr.size]]
+
+    return decide
 
 
 def _tail_bound(x: CoefVec, cum: np.ndarray, k: int):
@@ -398,8 +443,9 @@ def _ball_scan(
     grid: the open-ball hit times (strict d2 < r^2) and the squared
     distances at the sorted times ``at`` inside that range. Only the hits
     and one chunk's arrays are held at a time. Each chunk is first put to
-    the enclosure; the distance kernel runs on the times it leaves open and
-    on the times in ``at``, whose distances are reported exactly."""
+    the scan's decide; the distance kernel runs on the times it leaves open
+    and on the times in ``at``, whose distances are reported exactly, and
+    not at all when there are none."""
     if N < 1:
         raise ValueError("horizon must be >= 1")
     n0 = max(1, lam.min_n)
@@ -412,12 +458,21 @@ def _ball_scan(
         i, j = np.searchsorted(at, [lo, lo + n_arr.size])
         inside, rest = decide(n_arr, r2)
         # the kernel answers the open times and the times asked for
-        ns = rest if rest.size == n_arr.size else np.union1d(rest, at[i:j])
-        d2 = dist2(ns)
+        ns = rest if rest.size == n_arr.size else _chunk_union(n_arr, rest, at[i:j])
+        d2 = dist2(ns) if ns.size else np.zeros(0)
         got = ns[d2 < r2]
-        hits.append(np.union1d(inside, got) if inside.size else got)
+        hits.append(_chunk_union(n_arr, inside, got) if inside.size else got)
         at_d2.append(d2[np.searchsorted(ns, at[i:j])])
     return np.concatenate(hits), np.concatenate(at_d2)
+
+
+def _chunk_union(n_arr: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sorted union of two sets of the consecutive times n_arr, by one
+    boolean mask over them."""
+    mask = np.zeros(n_arr.size, dtype=bool)
+    mask[a - n_arr[0]] = True
+    mask[b - n_arr[0]] = True
+    return n_arr[mask]
 
 
 def hitting_set(x: CoefVec, lam: ScalingSeq, T: ShiftOp, b: Ball, N: int) -> HittingSet:

@@ -57,9 +57,10 @@ class WeightSeq:
         vals = tuple(float(v) for v in values)
         if not vals or min(vals) <= 0:
             raise ValueError("weights must be strictly positive")
-        if start > 1:
+        end = start + len(vals) - 1
+        if not start <= 1 <= end:
             # C is anchored at 0, so every product reads w_1 onward
-            raise ValueError(f"start must be <= 1 (got {start}): "
+            raise ValueError(f"a table of w_{start}..w_{end} holds no w_1: "
                              "the weight products need w_1 onward")
         return cls("table_w", (vals, int(start)))
 
@@ -130,8 +131,8 @@ class WeightSeq:
     # their table, built on first use and freed with the instance.
 
     def check_range(self, lo: int, hi: int) -> None:
-        """Check that C(i) is defined for every i in [lo, hi]."""
-        lo, hi = min(lo, 0), max(hi, 0)
+        """Check that C(i) is defined for every i in [lo, hi]; an error names
+        the queried index that leaves the range."""
         if lo < 0 and not self.bilateral_ok:
             raise ValueError(f"{self.family} weights have no bilateral extension")
         if self.family == "table_w":
@@ -139,8 +140,9 @@ class WeightSeq:
             cap_hi = start + len(vals) - 1
             if hi > cap_hi:
                 raise ValueError(f"index {hi} exits the table's range (max {cap_hi})")
-            if lo < 0 and lo + 1 < start:
-                raise ValueError(f"index {lo} exits the table's range (min {start})")
+            # C(i) for i <= 0 reads w_{i+1}..w_0
+            if lo + 1 < start:
+                raise ValueError(f"index {lo} exits the table's range (min {start - 1})")
 
     @cached_property
     def _table_cum(self) -> np.ndarray:

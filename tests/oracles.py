@@ -112,9 +112,9 @@ def dist(x: CoefVec, y: CoefVec) -> float:
 
 def exact_ball_scan(x, lam, T, b, N: int, at=None):
     """``orbits._ball_scan`` with the distance kernel at every time
-    n = max(1, lam.min_n)..N and no enclosure: the open-ball hit times
+    n = max(1, lam.min_n)..N and no decided times: the open-ball hit times
     (strict d2 < r^2) and the squared distances at the sorted times ``at``.
-    The enclosure's decisions must leave both unchanged, bit for bit."""
+    The scan's decisions must leave both unchanged, bit for bit."""
     n0 = max(1, lam.min_n)
     dist2 = orbits._orbit_scan(x, lam, T, b.center, b.radius, N, N - n0 + 1)[0]
     at = np.zeros(0, dtype=np.int64) if at is None else at

@@ -7,6 +7,7 @@ import pytest
 import oracles
 
 from orbitlab.criteria import (
+    DecayReport,
     MRShiftCertificate,
     fhc_series_check,
     mr_invertible_check,
@@ -285,6 +286,13 @@ class TestNormDecay:
         T = ShiftOp(Side.UNILATERAL, WeightSeq.constant(1.0), 1.0 / w)
         rep = norm_decay_check(T, CoefVec.basis(Side.UNILATERAL, 5), 4)
         assert rep.ok and rep.rate_log == pytest.approx(math.log(0.5))
+
+    def test_zero_vector_decays_trivially(self):
+        # T^n 0 = 0 meets every bound; no orbit norm is computed
+        T = ShiftOp(Side.UNILATERAL, WeightSeq.constant(1.0), 0.5)
+        rep = norm_decay_check(T, CoefVec.zero(Side.UNILATERAL), 50)
+        assert rep == DecayReport("norm_decay", True, 50, math.log(0.5), 0.0)
+        assert rep.conclusion == "not_recurrent_for_x"
 
     def test_expanding_operator_rejected(self):
         T = ShiftOp(Side.UNILATERAL, WeightSeq.constant(1.0), 2.0)

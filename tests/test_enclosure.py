@@ -1,5 +1,6 @@
-"""The certified decisions of the per-n orbit scan: the window-plus-tail
-enclosure and the norm bound.
+"""The certified decisions of the orbit scans: the per-n scan's
+window-plus-tail enclosure and norm bound, and the flat scan's misses at
+times whose window holds no entry of x.
 
 Decided times must give the per-n kernel's own float answer: hits and the
 distances at planned times equal, bit for bit, a scan that runs the kernel at
@@ -7,7 +8,8 @@ every time (``oracles.exact_ball_scan``). Points on the open-ball boundary
 stay undecided and go to the kernel, and the kernel's squared distance stays
 within ``d2_error_bound`` of a 50-digit evaluation. Every miss the norm bound
 decides is a kernel miss, also next to the bound, and times where the bound
-is too loose go to the kernel.
+is too loose go to the kernel. Every miss the flat scan decides is a flat
+kernel miss, also with r^2 planted on y's window squares.
 """
 
 import cmath
@@ -319,3 +321,76 @@ def test_e2_return_scan_runs_the_kernel_below_the_first_index(config, tmp_path):
     first = int(seen["x"].indices[0])
     assert code == 0 and first == 11
     assert rows.tolist() == list(range(1, first))
+
+
+# ---------------------------------------------------------------------------
+# the flat scan: a time whose window holds no entry of x is an exact miss
+# ---------------------------------------------------------------------------
+
+def _window_squares(y):
+    """Y: the squares of y's window, over its least to its largest index,
+    summed from 0.0 in the flat kernel's order: re^2 then im^2 at each
+    offset."""
+    vals = np.zeros(int(y.indices[-1] - y.indices[0]) + 1, dtype=complex)
+    vals[y.indices - y.indices[0]] = y.to_complex_array()
+    total = 0.0
+    for v in vals.tolist():
+        total += v.real * v.real
+        total += v.imag * v.imag
+    return total
+
+
+@st.composite
+def _flat_cases(draw):
+    """(x, lam, T, y, N): constant weights on either side,
+    a window of width 1-6 whose ends hold entries of y, and a sparse x that
+    starts and ends within a few indices of the scanned windows."""
+    side = draw(st.sampled_from([Side.UNILATERAL, Side.BILATERAL]), label="side")
+    width = draw(st.integers(1, 6), label="width")
+    w_lo = 1 if side is Side.UNILATERAL else draw(st.integers(-4, 3), label="w_lo")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    N = draw(st.integers(10, 200), label="N")
+    y_vals = rng.normal(size=width) + 1j * rng.normal(size=width)
+    y_vals[1:-1] *= rng.random(max(width - 2, 0)) < 0.5  # zeros inside the window
+    y = CoefVec.from_pairs(side, [(w_lo + k, v) for k, v in enumerate(y_vals)])
+    lo = 1 if side is Side.UNILATERAL else w_lo - 8
+    dense = rng.random(N + width + 16) < draw(st.floats(0.02, 0.3))
+    dense[rng.integers(dense.size)] = True  # x is not zero
+    idx = np.flatnonzero(dense) + lo
+    x = CoefVec.from_log_entries(side, idx, rng.normal(0.0, 2.0, size=idx.size),
+                                 rng.uniform(-math.pi, math.pi, size=idx.size))
+    T = ShiftOp(side, WeightSeq.constant(float(rng.uniform(0.5, 1.5))),
+                complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5)))
+    lam = draw(st.sampled_from([ONE, ScalingSeq.power_of_w(cmath.exp(0.37j)),
+                                ScalingSeq.table([0.0, 2.0] * 100)]), label="lam")
+    return x, lam, T, y, N
+
+
+@settings(deadline=None)
+@given(_flat_cases())
+def test_flat_empty_window_misses_are_kernel_misses(case):
+    # r^2 planted at Y, at its neighbouring floats and above |y|^2: each
+    # decided miss has the flat kernel's d2 >= r^2, bit for bit, the open
+    # times are exactly those whose window meets x's support (all of them
+    # when Y < r^2), and the hit sets are the exact scan's
+    x, lam, T, y, N = case
+    n_arr = np.arange(max(1, lam.min_n), N + 1, dtype=np.int64)
+    dist2, decide = orbits._orbit_scan(x, lam, T, y, 1.0, N, n_arr.size)
+    d2 = dist2(n_arr)
+    Y = _window_squares(y)
+    w_lo, w_hi = int(y.indices[0]), int(y.indices[-1])
+    meets = np.array([np.any((x.indices >= n + w_lo) & (x.indices <= n + w_hi))
+                      for n in n_arr.tolist()], dtype=bool)
+    above = 2.0 * Y + 1.0  # above |y|^2
+    for r2 in (math.nextafter(Y, 0.0), Y, math.nextafter(Y, math.inf), above):
+        inside, rest = decide(n_arr, r2)
+        assert inside.size == 0
+        want_open = n_arr[meets] if Y >= r2 else n_arr
+        assert rest.tobytes() == want_open.tobytes()
+        missed = ~np.isin(n_arr, rest)
+        assert (d2[missed] >= r2).all()
+        b = Ball(y, math.sqrt(r2))
+        got_hits, got_d2 = _ball_scan(x, lam, T, b, N, n_arr[::3])
+        want_hits, want_d2 = exact_ball_scan(x, lam, T, b, N, n_arr[::3])
+        assert got_hits.tobytes() == want_hits.tobytes()
+        assert got_d2.tobytes() == want_d2.tobytes()

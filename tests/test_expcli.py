@@ -924,6 +924,9 @@ BAD_FU_CONFIGS = {
     "target_complex_infinite": {"targets": [{"vector": "(1+infj)*e(2)", "eps": 1e-3}]},
     "weights_table_start_5": {"operator": {**FU_CONFIG["operator"], "weights": {
         "family": "table_w", "values": [1.5] * 40, "start": 5}}},
+    # weights at -5..-1: no w_1, so no product could be read
+    "weights_table_ends_before_w1": {"operator": {**FU_CONFIG["operator"], "weights": {
+        "family": "table_w", "values": [0.5, 1.5, 2.0, 1.0, 0.25], "start": -5}}},
 }
 
 BAD_MR_CONFIGS = {
@@ -1129,7 +1132,7 @@ class TestParamTable:
 
     @pytest.mark.parametrize("w", [
         WeightSeq.constant(0.5), WeightSeq.sqrt_ratio(), WeightSeq.step_bilateral(),
-        WeightSeq.inverse_step_bilateral(), WeightSeq.table([1.0, 2.5], start=-1),
+        WeightSeq.inverse_step_bilateral(), WeightSeq.table([1.0, 2.5, 0.5], start=-1),
     ], ids=lambda w: w.family)
     def test_weights_round_trip(self, w):
         assert expcli.WEIGHTS.read(w.to_config()) == w

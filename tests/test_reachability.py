@@ -6,8 +6,9 @@ that build its tables count too, and runs a matrix of commands through
 ``expcli.main`` at small horizons:
 
 * the seven shipped configs, each followed by ``verify``;
-* ``build-fu`` on flat and ``sqrt_ratio`` weights and an ``mr-witness`` on
-  the flat build, each followed by ``verify``;
+* ``build-fu`` on flat and ``sqrt_ratio`` weights, an ``mr-witness`` on
+  the flat build and one on a bilateral shift with general weights, each
+  followed by ``verify``;
 * one ``build-fu`` per row of the scaling, weights and angle family tables,
   generated from those tables;
 * README's flag commands, verbatim but for ``ap-find``'s hit file;
@@ -24,6 +25,7 @@ or that names no function, is stale and fails the test too.
 import ast
 import importlib
 import json
+import math
 import shlex
 import sys
 from contextlib import contextmanager
@@ -51,6 +53,14 @@ FLAT = {"side": "unilateral", "weights": {"family": "constant_w", "c": 1.0},
 SQRT_RATIO = FLAT | {"weights": {"family": "sqrt_ratio"}}
 ONE = {"family": "constant", "c": [1.0, 0.0]}
 FU_N = 2_000
+# x = sum of 2^-k e(k) over k = 2, 5, 8 under weights 1/2 below index 1 and
+# 2 from it: T^n x is within 0.18 of e(0) at n = 2, 5 and 8, so the bilateral
+# per-n scan finds the progression 2, 5 of gap 3
+BILATERAL_X = "index,log_mag,phase\n" + "".join(
+    f"{k},{-k * math.log(2.0)!r},0.0\n" for k in (2, 5, 8))
+BILATERAL_MW = {"scaling": ONE, "vector_csv": "bilateral_x.csv", "center": "e(0)", "eps": 0.5,
+                "m": 1, "N": 50, "operator": {"side": "bilateral",
+                                              "weights": {"family": "inverse_step_bilateral"}}}
 
 
 def _fu(scaling=ONE, operator=FLAT, eps=1e-3, **extra) -> dict:
@@ -128,9 +138,11 @@ def run_matrix(expcli) -> None:
         runs.append((["verify", "--report", f"{stem}/report.json"], ok))
     mw = {"scaling": ONE, "operator": FLAT, "vector_csv": "fu/fu_vector.csv",
           "center": "e(1)", "eps": 0.01, "m": 3, "N": FU_N}
+    Path("bilateral_x.csv").write_text(BILATERAL_X)
     for cmd, out, cfg in (("build-fu", "fu", _fu()),
                           ("build-fu", "fu_sqrt", _fu(operator=SQRT_RATIO)),
-                          ("mr-witness", "mw", mw)):
+                          ("mr-witness", "mw", mw),
+                          ("mr-witness", "mw_bilateral", BILATERAL_MW)):
         runs.append(([cmd, "--config", _write(f"{out}.json", cfg), "--out", out], ok))
         runs.append((["verify", "--report", f"{out}/report.json"], ok))
     for i, cfg in enumerate(_family_builds(expcli)):

@@ -356,8 +356,27 @@ class TestTableStart:
     weights."""
 
     def test_start_after_one_refused(self):
-        with pytest.raises(ValueError, match="start must be <= 1"):
+        with pytest.raises(ValueError, match=r"w_5\.\.w_16 holds no w_1"):
             WeightSeq.table([1.5, 2.0, 0.5] * 4, start=5)
+
+    def test_table_ending_before_w1_refused(self):
+        # weights at -5..-1 (or -5..0) hold no w_1, so no product could be
+        # read: the table is refused, naming its span
+        with pytest.raises(ValueError, match=r"w_-5\.\.w_-1 holds no w_1"):
+            WeightSeq.table([0.5, 1.5, 2.0, 1.0, 0.25], start=-5)
+        with pytest.raises(ValueError, match=r"w_-5\.\.w_0 holds no w_1"):
+            WeightSeq.table([0.5] * 6, start=-5)
+
+    @pytest.mark.parametrize("query, bound", [
+        ([-7], r"index -7 exits the table's range \(min -6\)"),
+        ([-3, 5], r"index 5 exits the table's range \(max 1\)"),
+        ([2, 3], r"index 3 exits the table's range \(max 1\)"),
+    ])
+    def test_range_error_names_the_queried_index(self, query, bound):
+        w = WeightSeq.table([0.5] * 7, start=-5)  # w_-5..w_1, so C(-6..1)
+        assert w.cum(np.array([-6, 1])).tolist() == [6 * math.log(2.0), math.log(0.5)]
+        with pytest.raises(ValueError, match=bound):
+            w.cum(np.array(query))
 
     @pytest.mark.parametrize("start", [1, 0, -3])
     def test_start_up_to_one_reads_the_table(self, start):
@@ -373,7 +392,8 @@ class TestTableStart:
 
 CAP = 20_000_000
 # one row per weights family, and each side of 1 for constant_w; tables that
-# reach below 0 (one of them ends at w_0, so C(0) is its only C(i >= 0))
+# reach below 0 (one of them ends at w_1, the least end a table may have, so
+# C(0) and C(1) are its only C(i >= 0))
 RUN_WEIGHTS = [
     WeightSeq.constant(0.7),
     WeightSeq.constant(1.5),
@@ -381,7 +401,7 @@ RUN_WEIGHTS = [
     WeightSeq.inverse_step_bilateral(),
     WeightSeq.sqrt_ratio(),
     WeightSeq.table([0.5, 1.5, 2.0, 1.0, 0.25, 3.0] * 3, start=0),
-    WeightSeq.table([0.5, 1.5, 2.0, 1.0, 0.25, 3.0], start=-5),
+    WeightSeq.table([0.5, 1.5, 2.0, 1.0, 0.25, 3.0], start=-4),
     ALL_WEIGHTS[-1],  # indices -100..139
 ]
 
