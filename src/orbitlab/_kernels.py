@@ -7,14 +7,18 @@ Kernel families:
   * orbit distance scans for scaled shift powers: one window kernel over
     y's window, vectorized over the times, whose exp, cos and sin run only
     where x has an entry (an absent entry adds y_j's squares), to which the
-    flat-weight scan adds x's exact log-sum-exp tails, found from the
-    position table's running count of x's support; the per-n kernel for
+    flat-weight scan adds x's exact log-sum-exp tails, found by binary
+    search of x's support at the window's ends; the per-n kernel for
     general weights, whose rows (one per time: y's window and the rest of
     x's support) are formed end to end in bounded batches up to a per-row
     cut past which every term squares to exactly zero, and each row summed
     by ``np.sum``; and the a-priori rounding bound that
     lets the window part plus a tail bound, or a norm bound, decide a time
     in place of the per-n kernel.
+  * series partial sums: the running sums of a chunk of non-negative terms,
+    read at a few marks as exact integer sums in units of the carried sum's
+    ulp, with no serial pass, where an exactness argument shows them equal
+    to the serial sums.
 
 Callers reach these through the module attribute (``_kernels.ap_scan``), so
 a profiler can wrap a kernel by rebinding its name here.
@@ -116,16 +120,14 @@ def flat_orbit_dist2(
     """The flat-weight distance: the exact log-sum-exp tails of x beyond
     y's window, summed on by ``window_dist2`` with no weight term (the
     index-independent weight is already in the scale). The tails start at
-    running counts of x's support read off the position table: below[k] is
-    the number of support indices <= pos_lo + k. Only a bilateral shift
-    reads ``prefix_lse``; a unilateral one may pass None."""
-    below = np.cumsum(pos >= 0) + np.searchsorted(sup_idx, pos_lo)
+    the counts of x's support indices <= n + w_hi and < n + w_lo, found by
+    binary search of ``sup_idx``. Only a bilateral shift reads
+    ``prefix_lse``; a unilateral one may pass None."""
     with np.errstate(over="ignore", invalid="ignore"):
-        t_hi = below[n_arr + w_hi - pos_lo]
+        t_hi = np.searchsorted(sup_idx, n_arr + w_hi, side="right")
         acc = np.exp(2.0 * scale_lm + suffix_lse[t_hi])
         if not unilateral:
-            k = n_arr + w_lo - pos_lo
-            t_lo = below[k] - (pos[k] >= 0)
+            t_lo = np.searchsorted(sup_idx, n_arr + w_lo)
             acc = acc + np.exp(2.0 * scale_lm + prefix_lse[t_lo])
     acc, lm_max = window_dist2(
         n_arr, scale_lm, scale_ph, sup_lm, sup_ph, pos, pos_lo, None, w_lo, w_hi,
@@ -316,6 +318,63 @@ def window_dist2(
             acc += yi * yi
             acc[t] = a + (mag * np.sin(ph) - yi) ** 2
     return acc, lm_max
+
+
+# ---------------------------------------------------------------------------
+# series partial sums
+# ---------------------------------------------------------------------------
+
+# the least carried sum whose ulp is normal (>= 2^-952), so that scaling by
+# it and by its reciprocal is exact
+BINADE_FLOOR = 2.0**-900
+
+
+def binade_sums(s0, t, marks, scratch):
+    """The serial sums s_k = fl(...fl(s0 + t_0)... + t_k), as one
+    ``np.cumsum`` gives them after s0 is added into t[0], at each position
+    k in ``marks`` (ascending) and at t's last term; or None where the
+    argument below does not hold. t is not empty and is read, not written;
+    its terms are >= +0.0, inf or NaN, as ``np.exp`` gives them. ``scratch``
+    is a float64 buffer, and t is taken ``scratch.size`` terms at a time.
+
+    With BINADE_FLOOR <= s0 < inf, u = spacing(s0) and m = s0/u is an
+    integer in [2^52, 2^53). Let r_i = rint(t_i/u). If no term is a tie
+    (|t_i - r_i u| = u/2) and m + sum r_i < 2^53, then s_k = (m + sum_{i<=k}
+    r_i) u exactly, by induction: s_{k-1} + t_k lies within less than u/2
+    of that multiple of u, which is below 2^53 u, so it rounds there, in
+    s0's binade, where the doubles are the multiples of u (Higham, ch. 2).
+    t/u and r u are power-of-two scalings, t - r u is exact (Sterbenz, or
+    r = 0), and the r_i are integers whose sums stay below 2^53, so
+    ``np.add.reduce`` adds them exactly. A sum past the bound reads at
+    least 2^53 - m however it is rounded, and a NaN or inf term makes it
+    NaN or inf. None covers s0 outside [BINADE_FLOOR, inf), a tie, sums
+    that leave s0's binade, and a NaN or inf term."""
+    if not BINADE_FLOOR <= s0 < np.inf:
+        return None
+    u = float(np.spacing(s0))
+    m = float(s0) / u
+    room = 2.0**53 - m
+    ends = [k + 1 for k in marks] + [t.size]
+    counts = []  # sum r_i up to each end, exact integers
+    total, e = 0.0, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, t.size, scratch.size):
+            piece = t[a : a + scratch.size]
+            r = np.multiply(piece, 1.0 / u, out=scratch[: piece.size])
+            np.rint(r, out=r)
+            lo = 0
+            while e < len(ends) and ends[e] <= a + piece.size:
+                total += float(np.add.reduce(r[lo : ends[e] - a]))
+                counts.append(total)
+                lo, e = ends[e] - a, e + 1
+            total += float(np.add.reduce(r[lo:]))
+            if not total < room:
+                return None
+            r *= u
+            np.subtract(piece, r, out=r)
+            if not np.maximum.reduce(np.abs(r, out=r)) < 0.5 * u:
+                return None
+    return [(m + k) * u for k in counts]
 
 
 # ---------------------------------------------------------------------------

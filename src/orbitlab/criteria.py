@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .lspace import CoefVec, norm
 from .seqcore import SCAN_CHUNK, ScalingSeq, eval_log_mags, ratio_classify, scan_runs
 from .shiftops import ShiftOp, WeightSeq
@@ -223,7 +224,10 @@ def fhc_series_check(w: WeightSeq, n_max: int = 10**6, cap: float = 12.0) -> Ser
 
     Streams n over the scan grid, holding across chunks only the sums at the
     grid points, the first cap crossing, the last term and the extremes of
-    the last decade's decay ratios.
+    the last decade's decay ratios. A chunk's sums are the doubles of one
+    cumsum over all n: read off ``_kernels.binade_sums`` where its exactness
+    argument holds and the chunk does not first cross the cap, and else
+    from a cumsum of the chunk that starts from the running sum.
     """
     if n_max < 10:
         raise ValueError("need n_max >= 10")
@@ -237,6 +241,7 @@ def fhc_series_check(w: WeightSeq, n_max: int = 10**6, cap: float = 12.0) -> Ser
     size = min(SCAN_CHUNK, n_max)
     ramp = np.arange(size, dtype=np.float64)
     sums_buf, below_buf = np.empty(size), np.empty(size, dtype=bool)
+    scratch = np.empty((size + 1) // 2)
     total = 0.0
     grid_sums = []
     crossed_at = None
@@ -247,16 +252,24 @@ def fhc_series_check(w: WeightSeq, n_max: int = 10**6, cap: float = 12.0) -> Ser
         with np.errstate(over="ignore"):
             np.exp(sums, out=sums)
         t_last = float(sums[-1])
-        # the running sum goes into the chunk's first term, so cumsum adds
-        # in the same order as one cumsum over all n
-        sums[0] += total
-        np.cumsum(sums, out=sums)
-        total = sums[-1]
-        grid_sums += [float(sums[g - lo]) for g in grid if lo <= g < lo + count]
-        if crossed_at is None:
-            below = np.less_equal(sums, cap, out=below_buf[:count])
-            if not below.all():
-                crossed_at = lo + int(np.argmin(below))
+        marks = [g - lo for g in grid if lo <= g < lo + count]
+        # the binade sums rise with n, so none passes the cap when the last
+        # does not
+        fast = _kernels.binade_sums(total, sums, marks, scratch)
+        if fast is not None and (crossed_at is not None or fast[-1] <= cap):
+            grid_sums += fast[:-1]
+            total = fast[-1]
+        else:
+            # the running sum goes into the chunk's first term, so cumsum
+            # adds in the same order as one cumsum over all n
+            sums[0] += total
+            np.cumsum(sums, out=sums)
+            total = sums[-1]
+            grid_sums += [float(sums[k]) for k in marks]
+            if crossed_at is None:
+                below = np.less_equal(sums, cap, out=below_buf[:count])
+                if not below.all():
+                    crossed_at = lo + int(np.argmin(below))
         # last-decade decay ratios, n in [decade_lo, n_max), from log weights
         # (no underflow); not needed once the sums have crossed the cap
         dk = ramp[max(decade_lo - lo, 0) : n_max - lo]

@@ -587,7 +587,8 @@ def mr_witness_search(
     y, eps = b.center, b.radius
     half = Ball(y, eps / 2.0)
     h = hitting_set(x, lam, T, half, N)
-    diag: dict = {"hits": len(h), "largest_ap": 0, "smallest_defect": math.inf}
+    # smallest_defect stays None (null in a report) until a defect is computed
+    diag: dict = {"hits": len(h), "largest_ap": 0, "smallest_defect": None}
     if len(h) == 0:
         return MRSearchResult(None, diag)
 
@@ -624,7 +625,8 @@ def mr_witness_search(
             ratio = ratio_ls.to_complex()
             u_j = scaled_orbit_point(lam, T, a + j * ell, x)
             defect = abs(ratio - 1.0) * norm(u_j)
-            diag["smallest_defect"] = min(diag["smallest_defect"], defect)
+            least = diag["smallest_defect"]
+            diag["smallest_defect"] = min(math.inf if least is None else least, defect)
             if not defect < eps / 2.0:
                 ok = False
                 break

@@ -7,6 +7,7 @@ import pytest
 import oracles
 
 from orbitlab.criteria import (
+    REVERIFY_LOG_TOL,
     DecayReport,
     MRShiftCertificate,
     fhc_series_check,
@@ -56,6 +57,33 @@ class TestSalas:
     def test_eps_domain(self):
         with pytest.raises(ValueError):
             salas_check(STEP, 1.5, 0, 100)
+
+
+class TestMRShiftCertificateVerify:
+    """Each check of ``MRShiftCertificate.verify`` fails on its own."""
+
+    def _cert(self, **edit):
+        c = mr_shift_check(INV_STEP, 2, 1, 0.25, 100).certificate
+        return MRShiftCertificate(**{**vars(c), **edit})
+
+    def test_recorded_logs_verify(self):
+        assert self._cert().verify()
+
+    @pytest.mark.parametrize("key", ["forward_logs", "backward_logs"])
+    @pytest.mark.parametrize("at", [0, -1])
+    def test_one_log_moved_past_the_tolerance(self, key, at):
+        logs = list(getattr(self._cert(), key))
+        logs[at] += 2 * REVERIFY_LOG_TOL
+        assert not self._cert(**{key: tuple(logs)}).verify()
+
+    def test_one_log_moved_within_the_tolerance(self):
+        logs = list(self._cert().backward_logs)
+        logs[-1] += 0.5 * REVERIFY_LOG_TOL
+        assert self._cert(backward_logs=tuple(logs)).verify()
+
+    def test_products_short_of_the_threshold(self):
+        # the recorded logs are the weights' own; eps = 1e-9 asks for more
+        assert not self._cert(eps=1e-9).verify()
 
 
 class TestMRShift:

@@ -771,13 +771,27 @@ NOT_CERTIFIABLE = {
 
 
 @pytest.fixture(scope="module")
-def shipped_reports(tmp_path_factory):
+def shipped_report_dirs(tmp_path_factory):
     root = Path(__file__).parents[1] / "configs"
     out = {}
     for stem, small in SMALL_RUNS.items():
         cfg = json.loads((root / f"{stem}.json").read_text()) | small
-        out[stem] = run_scenario(cfg, tmp_path_factory.mktemp(stem))
+        out[stem] = tmp_path_factory.mktemp(stem)
+        run_scenario(cfg, out[stem])
     return out
+
+
+@pytest.fixture(scope="module")
+def shipped_reports(shipped_report_dirs):
+    return {stem: json.loads((d / "report.json").read_text())
+            for stem, d in shipped_report_dirs.items()}
+
+
+def _strict_json(path: Path):
+    """The file parsed as strict JSON, which has no NaN or Infinity."""
+    def refuse(name):
+        raise ValueError(f"{path}: {name} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 def _certificate_samples() -> dict:
@@ -826,6 +840,18 @@ class TestCertificateTable:
                 assert key in CERTIFIED or NOT_CERTIFIABLE.get(key), (stem, key)
                 if key in CERTIFIED:
                     assert CERTIFIED[key] in kinds, (stem, key)
+
+
+class TestStrictJson:
+    def test_shipped_reports(self, shipped_report_dirs):
+        for d in shipped_report_dirs.values():
+            _strict_json(d / "report.json")
+
+    def test_mr_witness_with_m_zero(self, tmp_path):
+        # no progression is searched for, so no defect is computed: null
+        assert main(_mr_config(tmp_path, center="4*e(1)", m=0)) == EXIT_OK
+        report = _strict_json(tmp_path / "o" / "report.json")
+        assert report["stats"]["smallest_defect"] is None
 
 
 class TestExitCodes:

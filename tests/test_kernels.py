@@ -1,6 +1,8 @@
 """Scan kernels against brute-force and direct-distance oracles."""
 
+import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -220,6 +222,33 @@ def test_flat_kernel_matches_window_loop_oracle(side):
     assert fired > 100 and vanished > 100
 
 
+def test_flat_kernel_tails_exclude_the_window_ends():
+    # bilateral, window -2..1: at n = 10, x has entries exactly at n + w_lo
+    # = 8 and n + w_hi = 11, which the window holds and neither tail may
+    # count again, and one entry beyond each end; every time's d2 is the
+    # window's |x_{n+j} - y_j|^2 plus |x_i|^2 off the window, summed exactly
+    side = Side.BILATERAL
+    entries = {5: -1.0, 8: 0.0, 11: 0.0, 13: -2.0}  # index: log|x_i|, phases 0
+    x = CoefVec.from_log_entries(side, np.array(list(entries)), np.array(list(entries.values())),
+                                 np.zeros(len(entries)))
+    w_lo, w_hi = -2, 1
+    y_re, y_im = np.array([0.5, 0.0, 0.25, 0.75]), np.array([0.0, -0.5, 0.0, 0.125])
+    n_arr = np.arange(3, 17, dtype=np.int64)
+    pos, pos_lo = _window_positions(x, n_arr, w_lo, w_hi)
+    zeros = np.zeros(n_arr.size)
+    args = (n_arr, zeros, zeros, x.indices, x.log_mags, x.phases, pos, pos_lo,
+            _prefix_lse(2.0 * x.log_mags), _suffix_lse(2.0 * x.log_mags), w_lo, w_hi,
+            y_re, y_im, 10.0, False)
+    got = _kernels.flat_orbit_dist2(*args)
+    assert _same_bits(got, oracles.flat_orbit_dist2(*args))
+    for t, n in enumerate(n_arr.tolist()):
+        c = {i - n: math.exp(lm) for i, lm in entries.items()}
+        window = [(c.get(j, 0.0) - y_re[j - w_lo]) ** 2 + y_im[j - w_lo] ** 2
+                  for j in range(w_lo, w_hi + 1)]
+        off = [v * v for j, v in c.items() if not w_lo <= j <= w_hi]
+        assert got[t] == pytest.approx(math.fsum(window + off), rel=1e-14)
+
+
 def _window_case(rng, side, density):
     """A random window-kernel case: x present at about ``density`` of the
     indices the times read, plus entries below them and, in half the cases,
@@ -262,10 +291,9 @@ def _same_bits_or_nan(a, b):
 @pytest.mark.parametrize("density", [0.0, 0.1, 1.0], ids=["none", "tenth", "all"])
 @pytest.mark.parametrize("side", [Side.UNILATERAL, Side.BILATERAL], ids=lambda s: s.value)
 def test_window_kernels_match_every_slot_oracles(side, density):
-    # window_dist2 runs exp, cos and sin only where x has an entry and
-    # flat_orbit_dist2 reads its tails' starts off the position table; bit
-    # for bit the every-slot window (oracles.window_dist2, with and without
-    # cum, from zero and from given sums) and the binary-search tails
+    # window_dist2 runs exp, cos and sin only where x has an entry; bit for
+    # bit the every-slot window (oracles.window_dist2, with and without cum,
+    # from zero and from given sums) and the flat kernel on top of it
     # (oracles.flat_orbit_dist2), at presence densities 0, 1/10 and 1
     unilateral = side is Side.UNILATERAL
     rng = np.random.default_rng(int(density * 10) + (40 if unilateral else 50))
@@ -558,3 +586,120 @@ def test_streamed_hitting_set_memory():
         tracemalloc.stop()
     assert np.array_equal(h.indices, v.hits[0].indices)
     assert peak < 32 * 2**20, peak
+
+
+# ---------------------------------------------------------------------------
+# series partial sums
+# ---------------------------------------------------------------------------
+
+def _binade_holds(s0, t) -> bool:
+    """binade_sums' exactness argument, decided in rational arithmetic:
+    BINADE_FLOOR <= s0 < inf, every term finite and no tie, and m + sum r_i
+    below 2^53."""
+    if not (math.isfinite(s0) and s0 >= _kernels.BINADE_FLOOR):
+        return False
+    u = Fraction(float(np.spacing(s0)))
+    count = Fraction(s0) / u
+    for v in t.tolist():
+        if not math.isfinite(v):
+            return False
+        q = Fraction(v) / u
+        if abs(q - round(q)) == Fraction(1, 2):
+            return False
+        count += round(q)
+    return count < 2**53
+
+
+def _serial_sums(s0, t, marks):
+    a = t.copy()
+    a[0] += s0
+    return np.cumsum(a)[[*marks, t.size - 1]]
+
+
+FLOOR = _kernels.BINADE_FLOOR
+S0 = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=5e-324, max_value=2.0**-1022, exclude_max=True),  # subnormal
+    # the floor and 2^k, each with the doubles on either side of it
+    st.one_of(st.just(FLOOR), st.integers(-899, 1023).map(lambda k: 2.0**k)).flatmap(
+        lambda p: st.sampled_from([math.nextafter(p, 0.0), p, math.nextafter(p, math.inf)])),
+    st.floats(min_value=2.0**53, max_value=1e308),
+    st.floats(min_value=2.0**-30, max_value=2.0**30),
+    st.sampled_from([np.inf, np.nan]),
+)
+# terms that break the argument, planted among the ordinary ones
+SPECIAL = ["tie", "leave", "zero", "subnormal", "inf", "nan"]
+
+
+@st.composite
+def _binade_case(draw):
+    s0 = draw(S0)
+    u = float(np.spacing(s0)) if 0.0 < s0 < np.inf else 2.0**-52
+    n = draw(st.integers(1, 80))
+    # non-negative terms from far below u to far above it
+    t = np.array([math.ldexp(draw(st.floats(0.0, 1.0)), draw(st.integers(-70, 24)))
+                  for _ in range(n)])
+    with np.errstate(over="ignore"):
+        t *= u
+    for i, kind in draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(SPECIAL)),
+                                 max_size=2)):
+        t[i] = {"tie": (draw(st.integers(0, 1000)) + 0.5) * u,
+                "leave": s0 * draw(st.floats(0.25, 2.0)),
+                "zero": 0.0, "subnormal": 5e-324, "inf": np.inf, "nan": np.nan}[kind]
+    marks = sorted(draw(st.sets(st.integers(0, n - 1), max_size=4)))
+    return s0, t, marks, draw(st.integers(1, n + 2))
+
+
+@settings(deadline=None)
+@given(_binade_case())
+def test_binade_sums_are_the_serial_sums_or_none(case):
+    # binade_sums answers exactly when its argument holds, with the bits of
+    # one cumsum from s0 at every mark and at the last term, and leaves t as
+    # it was; scratch sizes from 1 term split t into pieces anywhere
+    s0, t, marks, size = case
+    before = t.tobytes()
+    got = _kernels.binade_sums(s0, t, marks, np.empty(size))
+    assert t.tobytes() == before
+    assert (got is not None) == _binade_holds(s0, t)
+    if got is not None:
+        assert _same_bits(np.array(got), _serial_sums(s0, t, marks))
+
+
+class TestBinadeSums:
+    U = 2.0**-52  # spacing(1.0)
+
+    def _sums(self, s0, t, marks=()):
+        return _kernels.binade_sums(s0, np.array(t, dtype=np.float64), list(marks),
+                                    np.empty(4))
+
+    @pytest.mark.parametrize("s0", [0.0, 5e-324, math.nextafter(FLOOR, 0.0), np.inf, np.nan])
+    def test_carried_sum_outside_the_range(self, s0):
+        assert self._sums(s0, [1e-300]) is None
+
+    def test_carried_sum_at_the_floor(self):
+        t = np.array([1e-300, 3e-301])
+        assert self._sums(FLOOR, t, [0]) == _serial_sums(FLOOR, t, [0]).tolist()
+
+    def test_tie(self):
+        assert self._sums(1.0, [0.0, 3.5 * self.U]) is None
+        assert self._sums(1.0, [0.0, 3.25 * self.U]) == [1.0 + 3.0 * self.U]
+
+    def test_sums_leave_the_binade(self):
+        assert self._sums(1.0, [0.5, 0.5]) is None
+        # the last multiple of u below 2 is the binade's last double
+        assert self._sums(1.0, [0.5, 0.5 - self.U], [0]) == [1.5, 2.0 - self.U]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300], ids=["nan", "inf", "huge"])
+    def test_non_finite_term(self, bad):
+        # 1e300 / u overflows to inf, as an inf term does
+        assert self._sums(1.0, [self.U, bad, self.U]) is None
+
+    def test_marks_across_pieces(self):
+        # E5's terms after its first chunk: every mark, on both sides of
+        # each 4-term piece's edges, has cumsum's bits
+        n = np.arange(SCAN_CHUNK + 1, SCAN_CHUNK + 41, dtype=np.float64)
+        t = 1.0 / (n + 1.0)
+        s0 = float(np.cumsum(1.0 / np.arange(2.0, SCAN_CHUNK + 2.0))[-1])
+        marks = list(range(t.size))
+        got = self._sums(s0, t, marks)
+        assert got is not None and _same_bits(np.array(got), _serial_sums(s0, t, marks))
