@@ -18,7 +18,8 @@ Kernel families:
   * series partial sums: the running sums of a chunk of non-negative terms,
     read at a few marks as exact integer sums in units of the carried sum's
     ulp, with no serial pass, where an exactness argument shows them equal
-    to the serial sums.
+    to the serial sums; the argument's no-halfway-term test is two
+    reductions of the terms' exact distances to their nearest units.
 
 Callers reach these through the module attribute (``_kernels.ap_scan``), so
 a profiler can wrap a kernel by rebinding its name here.
@@ -335,20 +336,25 @@ def binade_sums(s0, t, marks, scratch):
     k in ``marks`` (ascending) and at t's last term; or None where the
     argument below does not hold. t is not empty and is read, not written;
     its terms are >= +0.0, inf or NaN, as ``np.exp`` gives them. ``scratch``
-    is a float64 buffer, and t is taken ``scratch.size`` terms at a time.
+    is a float64 array of shape (2, k), and t is taken k terms at a time.
 
     With BINADE_FLOOR <= s0 < inf, u = spacing(s0) and m = s0/u is an
-    integer in [2^52, 2^53). Let r_i = rint(t_i/u). If no term is a tie
-    (|t_i - r_i u| = u/2) and m + sum r_i < 2^53, then s_k = (m + sum_{i<=k}
-    r_i) u exactly, by induction: s_{k-1} + t_k lies within less than u/2
-    of that multiple of u, which is below 2^53 u, so it rounds there, in
-    s0's binade, where the doubles are the multiples of u (Higham, ch. 2).
-    t/u and r u are power-of-two scalings, t - r u is exact (Sterbenz, or
-    r = 0), and the r_i are integers whose sums stay below 2^53, so
-    ``np.add.reduce`` adds them exactly. A sum past the bound reads at
-    least 2^53 - m however it is rounded, and a NaN or inf term makes it
-    NaN or inf. None covers s0 outside [BINADE_FLOOR, inf), a tie, sums
-    that leave s0's binade, and a NaN or inf term."""
+    integer in [2^52, 2^53). Let q_i = t_i/u and r_i = rint(q_i). If no
+    term is a tie (|q_i - r_i| = 1/2) and m + sum r_i < 2^53, then s_k =
+    (m + sum_{i<=k} r_i) u exactly, by induction: s_{k-1} + t_k lies within
+    less than u/2 of that multiple of u, which is below 2^53 u, so it rounds
+    there, in s0's binade, where the doubles are the multiples of u
+    (Higham, ch. 2). q = t (1/u) is a power-of-two scaling, exact wherever
+    it matters (a q that underflows rounds to r = 0 and is no tie), and
+    q - r is exact (Sterbenz, or r = 0), as is t - r u = u (q - r), so the
+    tie test is two reductions of q - r: its max below 1/2 and its min
+    above -1/2.
+    The r_i are integers whose sums stay below 2^53, so ``np.add.reduce``
+    adds them exactly. A sum past the bound reads at least 2^53 - m however
+    it is rounded, and a NaN or inf term makes it NaN or inf and its q - r
+    NaN, which both reductions propagate. None covers s0 outside
+    [BINADE_FLOOR, inf), a tie, sums that leave s0's binade, and a NaN or
+    inf term."""
     if not BINADE_FLOOR <= s0 < np.inf:
         return None
     u = float(np.spacing(s0))
@@ -357,11 +363,12 @@ def binade_sums(s0, t, marks, scratch):
     ends = [k + 1 for k in marks] + [t.size]
     counts = []  # sum r_i up to each end, exact integers
     total, e = 0.0, 0
+    size = scratch.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(0, t.size, scratch.size):
-            piece = t[a : a + scratch.size]
-            r = np.multiply(piece, 1.0 / u, out=scratch[: piece.size])
-            np.rint(r, out=r)
+        for a in range(0, t.size, size):
+            piece = t[a : a + size]
+            q = np.multiply(piece, 1.0 / u, out=scratch[0, : piece.size])
+            r = np.rint(q, out=scratch[1, : piece.size])
             lo = 0
             while e < len(ends) and ends[e] <= a + piece.size:
                 total += float(np.add.reduce(r[lo : ends[e] - a]))
@@ -370,9 +377,8 @@ def binade_sums(s0, t, marks, scratch):
             total += float(np.add.reduce(r[lo:]))
             if not total < room:
                 return None
-            r *= u
-            np.subtract(piece, r, out=r)
-            if not np.maximum.reduce(np.abs(r, out=r)) < 0.5 * u:
+            q -= r
+            if not (np.maximum.reduce(q) < 0.5 and np.minimum.reduce(q) > -0.5):
                 return None
     return [(m + k) * u for k in counts]
 

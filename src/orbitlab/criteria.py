@@ -107,30 +107,26 @@ def mr_shift_check(w: WeightSeq, m: int, q: int, eps: float, n_max: int) -> Sear
     cum_j = {j: w.cum(np.array([j]))[0] for j in range(-q, q + 1)}
 
     # one pass's buffers: the ramp k = 0, 1, ... of every run, the forward
-    # and backward products, the margins and two masks
+    # and backward products and the margins
     size = min(SCAN_CHUNK, n_max - n_lo + 1)
     ramp = np.arange(size, dtype=np.float64)
     f_buf, b_buf, margin_buf = np.empty(size), np.empty(size), np.empty(size)
-    ok_buf, test_buf = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    ljs = [(l, j) for l in range(1, m + 1) for j in range(-q, q + 1)]
+
+    def products(a, count):
+        for l, j in ljs:
+            f = w.cum_run(j + l * a, l, ramp, f_buf[:count])
+            f -= cum_j[j]  # log prod_{i=1..ln} w_{j+i}
+            b = w.cum_run(j - l * a, -l, ramp, b_buf[:count])
+            np.subtract(cum_j[j], b, out=b)  # log prod_{i=0..ln-1} w_{j-i}
+            yield f, b
+
     best_n, best_margin = None, None
     for a, count in scan_runs(n_lo, n_max):
-        ok, test, margin = ok_buf[:count], test_buf[:count], margin_buf[:count]
-        ok.fill(True)
-        margin.fill(np.inf)
-        for l in range(1, m + 1):
-            for j in range(-q, q + 1):
-                f = w.cum_run(j + l * a, l, ramp, f_buf[:count])
-                f -= cum_j[j]  # log prod_{i=1..ln} w_{j+i}
-                b = w.cum_run(j - l * a, -l, ramp, b_buf[:count])
-                np.subtract(cum_j[j], b, out=b)  # log prod_{i=0..ln-1} w_{j-i}
-                ok &= np.greater(f, thresh, out=test)
-                ok &= np.less(b, -thresh, out=test)
-                f -= thresh
-                np.subtract(-thresh, b, out=b)
-                np.minimum(margin, np.minimum(f, b, out=f), out=margin)
-        if ok.any():
-            n = a + int(np.argmax(ok))
-            ljs = [(l, j) for l in range(1, m + 1) for j in range(-q, q + 1)]
+        margin = margin_buf[:count]
+        first = _witness_margins(products(a, count), thresh, margin)
+        if first is not None:
+            n = a + first
             fwd = tuple(w.forward_log(j, l * n) for l, j in ljs)
             bwd = tuple(w.backward_log(j, l * n) for l, j in ljs)
             return SearchOutcome(MRShiftCertificate(w, n, m, q, eps, fwd, bwd), {"n": n})
@@ -163,6 +159,28 @@ def mr_shift_check(w: WeightSeq, m: int, q: int, eps: float, n_max: int) -> Sear
     )
 
 
+def _witness_margins(pairs, thresh: float, out: np.ndarray) -> int | None:
+    """Write into out the margins, min over the pairs (f, b) of fl(f -
+    thresh) and fl(-thresh - b) (f and b are overwritten), and return the
+    first position whose margin is > 0, or None.
+
+    With gradual underflow a rounded difference of doubles has the sign of
+    the exact one, so fl(f - thresh) > 0 is f > thresh and fl(-thresh - b) >
+    0 is b < -thresh; a NaN fails both, and ``np.minimum`` propagates it.
+    So a margin is > 0 exactly where every pair has f > thresh and b <
+    -thresh, and ``np.fmax.reduce``, which skips NaN, is > 0 exactly when
+    some margin is.
+    """
+    for k, (f, b) in enumerate(pairs):
+        f -= thresh
+        np.subtract(-thresh, b, out=b)
+        if k == 0:
+            np.minimum(f, b, out=out)
+        else:
+            np.minimum(out, np.minimum(f, b, out=f), out=out)
+    return int(np.argmax(out > 0)) if np.fmax.reduce(out) > 0 else None
+
+
 def mr_invertible_check(w: WeightSeq, m: int, n_max: int, threshold: float) -> np.ndarray:
     """All n <= n_max whose symmetric products exceed the threshold.
 
@@ -181,16 +199,17 @@ def mr_invertible_check(w: WeightSeq, m: int, n_max: int, threshold: float) -> n
     found = [np.zeros(0, dtype=np.int64)]
     size = max(0, min(SCAN_CHUNK, n_max))
     ramp = np.arange(size, dtype=np.float64)
-    f_buf, b_buf = np.empty(size), np.empty(size)
-    ok_buf, test_buf = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    low_buf, b_buf = np.empty(size), np.empty(size)
     for a, count in scan_runs(1, n_max):
-        ok, test = ok_buf[:count], test_buf[:count]
-        ok.fill(True)
+        # the running minimum of the products is > g exactly when each is,
+        # since np.minimum propagates NaN
+        low, b = w.cum_run(a, 1, ramp, low_buf[:count]), b_buf[:count]
         for l in range(1, m + 1):
-            ok &= np.greater(w.cum_run(l * a, l, ramp, f_buf[:count]), g, out=test)
+            if l > 1:
+                np.minimum(low, w.cum_run(l * a, l, ramp, b), out=low)
             # prod_{i=0..ln} 1/w_{-i} = exp(C(-ln - 1)) with C the signed cumulative
-            ok &= np.greater(w.cum_run(-l * a - 1, -l, ramp, b_buf[:count]), g, out=test)
-        found.append(a + np.flatnonzero(ok))
+            np.minimum(low, w.cum_run(-l * a - 1, -l, ramp, b), out=low)
+        found.append(a + np.flatnonzero(low > g))
     return np.concatenate(found)
 
 
@@ -241,14 +260,13 @@ def fhc_series_check(w: WeightSeq, n_max: int = 10**6, cap: float = 12.0) -> Ser
     size = min(SCAN_CHUNK, n_max)
     ramp = np.arange(size, dtype=np.float64)
     sums_buf, below_buf = np.empty(size), np.empty(size, dtype=bool)
-    scratch = np.empty((size + 1) // 2)
+    scratch = np.empty((2, (size + 3) // 4))  # binade_sums' quarter-chunk pieces
     total = 0.0
     grid_sums = []
     crossed_at = None
     ratio_max, p_min = -np.inf, np.inf  # of log(t_{n+1}/t_n) and of p
     for lo, count in scan_runs(1, n_max):
-        sums = w.cum_run(lo, 1, ramp, sums_buf[:count])
-        sums *= -2.0
+        sums = w.cum_run(lo, 1, ramp, sums_buf[:count], -2.0)  # -2 C(n)
         with np.errstate(over="ignore"):
             np.exp(sums, out=sums)
         t_last = float(sums[-1])

@@ -568,10 +568,7 @@ def eval_at(seq: ScalingSeq, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 def eval_log_mags(seq: ScalingSeq, n: np.ndarray) -> np.ndarray:
     """Log magnitudes only; zeros map to -inf."""
     lm, _, zero = eval_at(seq, np.asarray(n, dtype=np.int64))
-    if zero.any():
-        lm = lm.copy()
-        lm[zero] = -np.inf
-    return lm
+    return np.where(zero, -np.inf, lm)
 
 
 def eval_log(seq: ScalingSeq, n: int) -> LogScalar:

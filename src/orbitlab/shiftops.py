@@ -165,16 +165,26 @@ class WeightSeq:
         if self.family == "table_w":
             return self._table_cum[idx]
         zero = idx == 0 if lo <= 0 <= hi else None
-        return self._closed_form(idx.astype(np.float64), lo, hi, zero)  # a copy, worked in place
+        # a float copy of the closed form's arguments, worked in place
+        return self._closed_form(np.add(idx, self._arg_offset, dtype=np.float64), lo, hi, zero)
 
-    def cum_run(self, start: int, step: int, ramp: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """C(start + step*k) for k = 0, 1, ..., len(out) - 1, written into out.
+    def cum_run(self, start: int, step: int, ramp: np.ndarray, out: np.ndarray,
+                scale: float = 1.0) -> np.ndarray:
+        """scale * C(start + step*k) for k = 0, 1, ..., len(out) - 1, written
+        into out; ``scale`` is a power of two such as -2, 0.5 or 2.
 
         ``ramp`` holds k itself as float64, at least len(out) of it, and is
         only read: a caller walking many runs makes it and out once. The
-        indices are formed in out as exact-integer doubles (exact below
-        2**53) and go through the closed form that ``cum`` uses, so each
-        entry has ``cum``'s bits; the range is checked from the run's ends.
+        closed form's arguments are formed in out as exact-integer doubles
+        (exact below 2**53), sqrt_ratio's i + 1 with the run's start, and go
+        through the closed form that ``cum`` uses, with ``scale`` folded into
+        its one multiply: sqrt_ratio's 0.5 becomes 0.5 scale, a one-slope
+        family's slope becomes slope scale, and a table_w run multiplies
+        once after its lookup. The closed forms' nonzero values lie deep in
+        the normal range (|log w| > 2^-54 for w != 1, and |i| < 2^53), where
+        a power-of-two multiple of a double is exact, so each entry has the
+        bits of ``cum``'s times scale, zero signs included. The range is
+        checked from the run's ends.
         """
         count = out.shape[0]
         if count == 0:
@@ -183,33 +193,42 @@ class WeightSeq:
         lo, hi = min(start, end), max(start, end)
         self.check_range(lo, hi)
         if self.family == "table_w":
-            out[:] = self._table_cum[np.arange(start, start + step * count, step)]
-            return out
+            return np.multiply(self._table_cum[np.arange(start, start + step * count, step)],
+                               scale, out=out)
+        first = start + self._arg_offset
         ramp = ramp[:count]
         if step == 1:
-            np.add(ramp, start, out=out)
+            np.add(ramp, first, out=out)
         elif step == -1:
-            np.subtract(start, ramp, out=out)
+            np.subtract(first, ramp, out=out)
         else:
             np.multiply(ramp, step, out=out)
-            out += start
+            out += first
         zero = -start // step if lo <= 0 <= hi and start % step == 0 else None
-        return self._closed_form(out, lo, hi, zero)
+        return self._closed_form(out, lo, hi, zero, scale)
 
-    def _closed_form(self, x: np.ndarray, lo: int, hi: int, zero) -> np.ndarray:
-        """C at the exact-integer float64 indices x in [lo, hi], in place;
-        ``zero`` picks x's entries at index 0 (a mask or a position)."""
+    @property
+    def _arg_offset(self) -> int:
+        """What a closed form adds to index i to get its argument: 1 for
+        sqrt_ratio's 0.5 log(i + 1), 0 for the one-slope families' i log w."""
+        return 1 if self.family == "sqrt_ratio" else 0
+
+    def _closed_form(self, x: np.ndarray, lo: int, hi: int, zero,
+                     scale: float = 1.0) -> np.ndarray:
+        """scale * C, in place, at the exact-integer float64 arguments x, each
+        an index in [lo, hi] plus ``_arg_offset``; ``zero`` picks x's entries
+        at index 0 (a mask or a position), and ``scale`` is a power of two."""
         if self.family == "sqrt_ratio":
-            x += 1.0
             np.log(x, out=x)
-            x *= 0.5
+            x *= 0.5 * scale
             return x
-        log_neg, log_pos = map(math.log, self._pair)
+        log_neg, log_pos = (math.log(v) * scale for v in self._pair)
         # indices on one side of 0 need one slope, not a per-index choice
         x *= (log_pos if lo >= 0 else log_neg if hi <= 0
               else np.where(x > 0, log_pos, log_neg))
         if zero is not None:
-            x[zero] = 0.0  # the empty sum; 0 * log c is -0.0 for c < 1
+            # the empty sum, scaled; 0 * log c is -0.0 for c < 1
+            x[zero] = 0.0 * scale
         return x
 
     def log_range(self, a: int, b: int) -> float:

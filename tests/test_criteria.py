@@ -3,9 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 
+from orbitlab import criteria
 from orbitlab.criteria import (
     REVERIFY_LOG_TOL,
     DecayReport,
@@ -272,6 +275,67 @@ class TestStreamedProductSearch:
         for n_max in (-1, 0, *EDGES):
             got = mr_invertible_check(INV_STEP, 2, n_max, 1e3)
             assert got.tobytes() == oracles.mr_invertible_check(INV_STEP, 2, n_max, 1e3).tobytes()
+
+    @pytest.mark.parametrize("m, q", [(1, 0), (2, 0), (2, 1)])
+    def test_products_at_the_threshold(self, m, q):
+        # log(2^7) is the double 7 log 2 that the closed form gives C(7), so
+        # at n = 7 (l = 1, j = 0) f equals thresh and b equals -thresh: a
+        # margin of 0.0, which is no witness, and a product equal to g,
+        # which does not exceed it
+        eps = 2.0**-7
+        assert math.log(1.0 / eps) == INV_STEP.forward_log(0, 7) == -INV_STEP.backward_log(0, 7)
+        got = mr_shift_check(INV_STEP, m, q, eps, 40)
+        assert got == oracles.mr_shift_check(INV_STEP, m, q, eps, 40)
+        if (m, q) == (1, 0):
+            assert got.certificate.n == 8
+        ns = mr_invertible_check(INV_STEP, m, 40, 2.0**7)
+        assert ns.tobytes() == oracles.mr_invertible_check(INV_STEP, m, 40, 2.0**7).tobytes()
+        assert ns[0] == 8
+
+
+@st.composite
+def _pair_products(draw):
+    """A threshold and (f, b) product arrays for one to four (l, j) pairs,
+    drawn from NaN, +-inf, +-0.0, +-thresh and the doubles on either side
+    of them, and any double."""
+    eps = draw(st.one_of(st.sampled_from([0.5, 0.25, 1e-3, 1e-300]),
+                         st.floats(1e-300, 1.0, exclude_max=True)))
+    t = math.log(1.0 / eps)
+    near = [v for c in (t, -t) for v in (math.nextafter(c, -math.inf), c,
+                                          math.nextafter(c, math.inf))]
+    value = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, *near]),
+                      st.floats(width=64))
+    count = draw(st.integers(1, 12))
+    column = st.lists(value, min_size=count, max_size=count).map(np.array)
+    return t, draw(st.lists(st.tuples(column, column), min_size=1, max_size=4))
+
+
+LN2 = math.log(2.0)
+INF = math.inf
+
+
+@settings(deadline=None)
+@given(_pair_products())
+# a margin of exactly 0.0 from each side ahead of a witness, and NaNs
+@example((LN2, [(np.array([LN2, math.nextafter(LN2, INF)]), np.array([-INF, -INF]))]))
+@example((LN2, [(np.array([INF, INF]), np.array([-LN2, math.nextafter(-LN2, -INF)]))]))
+@example((LN2, [(np.array([math.nan, INF, INF]), np.array([-INF, math.nan, -INF])),
+                (np.array([INF, INF, -0.0]), np.array([-INF, -INF, -INF]))]))
+def test_margin_decides_every_pair(case):
+    # the product search's witness rule, margin > 0, against the per-pair
+    # inequalities f > thresh and b < -thresh, and its margins against the
+    # oracle's, bit for bit
+    t, pairs = case
+    holds = np.ones(pairs[0][0].size, dtype=bool)
+    want = np.full(holds.shape, np.inf)
+    for f, b in pairs:
+        holds &= [fv > t and bv < -t for fv, bv in zip(f.tolist(), b.tolist())]
+        want = np.minimum(want, np.minimum(f - t, -t - b))
+    margin = np.empty(holds.size)
+    first = criteria._witness_margins(((f.copy(), b.copy()) for f, b in pairs), t, margin)
+    assert margin.tobytes() == want.tobytes()
+    assert np.array_equal(margin > 0, holds)
+    assert first == (int(np.argmax(holds)) if holds.any() else None)
 
 
 def _traced_peak(f, *args):

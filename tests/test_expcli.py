@@ -1399,6 +1399,21 @@ class TestCliSubcommands:
         assert main(["classify-symbol", "--coeffs", "2,1"]) == EXIT_OK
         assert "not_recurrent" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("coeffs, trimmed, verdict", [
+        ("0.5,1,0", "0.5,1", "frequently_hypercyclic_and_multiply_recurrent\nrange: intersects"),
+        ("0,0", "0", "constant_not_recurrent\n"),
+        ("[]", "0", "constant_not_recurrent\n"),
+    ])
+    def test_classify_symbol_trailing_zeros(self, capsys, coeffs, trimmed, verdict):
+        # zero leading coefficients are trimmed, and no coefficient at all
+        # is the zero symbol: 0.5 + z + 0 z^2 is the degree-1 symbol 0.5 + z,
+        # with its verdict and certificate
+        assert main(["classify-symbol", "--coeffs", trimmed]) == EXIT_OK
+        want = capsys.readouterr().out
+        assert main(["classify-symbol", "--coeffs", coeffs]) == EXIT_OK
+        assert capsys.readouterr().out == want
+        assert want.startswith(verdict)
+
     def test_build_fu_and_mr_witness_cli(self, tmp_path, capsys):
         bcfg = tmp_path / "build.json"
         bcfg.write_text(json.dumps({

@@ -658,7 +658,7 @@ def test_binade_sums_are_the_serial_sums_or_none(case):
     # it was; scratch sizes from 1 term split t into pieces anywhere
     s0, t, marks, size = case
     before = t.tobytes()
-    got = _kernels.binade_sums(s0, t, marks, np.empty(size))
+    got = _kernels.binade_sums(s0, t, marks, np.empty((2, size)))
     assert t.tobytes() == before
     assert (got is not None) == _binade_holds(s0, t)
     if got is not None:
@@ -670,7 +670,7 @@ class TestBinadeSums:
 
     def _sums(self, s0, t, marks=()):
         return _kernels.binade_sums(s0, np.array(t, dtype=np.float64), list(marks),
-                                    np.empty(4))
+                                    np.empty((2, 4)))
 
     @pytest.mark.parametrize("s0", [0.0, 5e-324, math.nextafter(FLOOR, 0.0), np.inf, np.nan])
     def test_carried_sum_outside_the_range(self, s0):
@@ -681,7 +681,10 @@ class TestBinadeSums:
         assert self._sums(FLOOR, t, [0]) == _serial_sums(FLOOR, t, [0]).tolist()
 
     def test_tie(self):
+        # t/u - rint(t/u) is -1/2 at 3.5 (rounded up to 4) and +1/2 at 2.5
+        # (rounded down to 2): each side of the tie test sees one
         assert self._sums(1.0, [0.0, 3.5 * self.U]) is None
+        assert self._sums(1.0, [2.5 * self.U, 0.0]) is None
         assert self._sums(1.0, [0.0, 3.25 * self.U]) == [1.0 + 3.0 * self.U]
 
     def test_sums_leave_the_binade(self):

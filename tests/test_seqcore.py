@@ -141,6 +141,20 @@ class TestEvalLog:
             math.log(120), abs=1e-12
         )
 
+    @pytest.mark.parametrize("seq, zeros", [
+        (ScalingSeq.table([1.0, 0.0, 2j, 0.0, -0.5]), [2, 4]),
+        (ScalingSeq.rational_poly([-3.0, 1.0], [1.0]), [3]),  # n - 3
+    ], ids=["table", "rational_poly"])
+    def test_log_mags_of_zeros(self, seq, zeros):
+        # a scaling that vanishes at scanned times: -inf there, and the
+        # log-magnitudes eval_at gives everywhere else
+        n = np.arange(1, 6, dtype=np.int64)
+        lm = eval_log_mags(seq, n)
+        want, _, zero = eval_at(seq, n)
+        assert n[zero].tolist() == zeros
+        assert np.all(lm[zero] == -np.inf)
+        assert lm[~zero].tobytes() == want[~zero].tobytes()
+
     def test_factorial_increment_exact(self):
         # consecutive log-factorial differences recover log(n+1); absolute
         # accuracy is ulp-limited near lgamma(1e5) ~ 1.15e6, so the 1e-10

@@ -456,6 +456,39 @@ class TestRunForm:
         assert np.isnan(buf[count:]).all()
         assert ramp.tobytes() == np.arange(64, dtype=np.float64).tobytes()
 
+    @given(_runs(), st.sampled_from([-2.0, 0.5, 2.0]))
+    def test_scale_folds_exactly(self, run, scale):
+        # the scale folded into the closed form's multiply (the table's
+        # multiply after its lookup) gives the unscaled run times scale,
+        # bit for bit, -0.0 at index 0 included, and the same errors
+        w, start, step, count = run
+        ramp = np.arange(64, dtype=np.float64)
+        try:
+            want = w.cum_run(start, step, ramp, np.empty(count)) * scale
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                w.cum_run(start, step, ramp, np.empty(count), scale)
+            assert str(info.value) == str(exc)
+            return
+        assert w.cum_run(start, step, ramp, np.empty(count), scale).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scale", [-2.0, 0.5, 2.0])
+    @pytest.mark.parametrize("w", RUN_WEIGHTS, ids=lambda w: f"{w.family}{w.params[-1:]}")
+    def test_scaled_runs_through_zero(self, w, scale):
+        # nine-index runs of steps +-1 and +-3 that start, end or cross at
+        # index 0, wherever C is defined on the whole run
+        c_lo, c_hi = _c_limits(w)
+        ramp = np.arange(64, dtype=np.float64)
+        for step in (-3, -1, 1, 3):
+            for k0 in (0, 4, 8):
+                idx = step * (np.arange(9) - k0)
+                if idx.min() < c_lo or idx.max() > c_hi:
+                    continue
+                want = w.cum_run(int(idx[0]), step, ramp, np.empty(9)) * scale
+                got = w.cum_run(int(idx[0]), step, ramp, np.empty(9), scale)
+                assert got.tobytes() == want.tobytes(), (step, k0)
+                assert got[k0] == 0.0 and np.signbit(got[k0]) == (scale < 0)
+
     def test_empty_run(self):
         out = np.zeros(0)
         for w in RUN_WEIGHTS:
