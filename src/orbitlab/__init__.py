@@ -43,15 +43,3 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
-
-# heavier submodules (orbit scans, the CLI) load on first attribute
-# access so that `import orbitlab` stays light
-_LAZY_SUBMODULES = ("symbolops", "orbits", "criteria", "fhbuilder", "expcli")
-
-
-def __getattr__(name):
-    if name in _LAZY_SUBMODULES:
-        import importlib
-
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,6 +20,14 @@ Kernel families:
     ulp, with no serial pass, where an exactness argument shows them equal
     to the serial sums; the argument's no-halfway-term test is two
     reductions of the terms' exact distances to their nearest units.
+  * shortest round-trip digits: the digits and decimal point ``repr``
+    prints for a double in its fixed notation, decided exactly. P = |x| 10^k
+    is split into an int64 N and a remainder lo' by Dekker's error-free
+    product (no FMA), the rounding interval's half-width H scaled by 10^k is
+    exact, and integer divisions of the interval's integer bounds by 10 find
+    the shortest digits, the multiple of 10^s nearest P; a tie between two
+    such multiples, a power of two (asymmetric interval) and every value
+    outside 1e-4 <= |x| < 1e16 are left to ``repr``.
 
 Callers reach these through the module attribute (``_kernels.ap_scan``), so
 a profiler can wrap a kernel by rebinding its name here.
@@ -432,3 +440,157 @@ def d2_error_bound(lm_terms, ph_terms, terms, r2, y2, dy):
     with np.errstate(over="ignore", invalid="ignore"):
         eta = (2.0 * kappa * (r2 + y2 + dy) + dy + terms * 2.0**-1000) / (1.0 - kappa)
     return np.where((rho <= 0.01) & (kappa <= 0.25), eta, np.inf)
+
+
+# ---------------------------------------------------------------------------
+# shortest round-trip digits (the CSV writer's float cells)
+# ---------------------------------------------------------------------------
+
+# 10^0 .. 10^18, the powers of ten int64 holds
+POW10_INT = 10 ** np.arange(19, dtype=np.int64)
+# by a double's biased exponent j + 1023, for the binade [2^j, 2^(j+1)):
+# k = 16 - floor(j log10 2), which puts |x| 10^k in [1e16, 1e18), and the
+# exact double 10^k
+_K_GUESS = 16 - np.floor((np.arange(2048) - 1023) * np.log10(2.0)).astype(np.int64)
+_POW10_GUESS = np.array([float(10**k) for k in range(23)])[np.clip(_K_GUESS, 0, 22)]
+_SPLIT = 2.0**27 + 1.0  # Veltkamp's constant for float64
+# a value outside the decided domain is replaced by one with 17 significant
+# digits, which leaves the digit loop at its first step
+_FILLER = 0.1 + 0.2
+_MANTISSA = (1 << 52) - 1
+# rows of float64 scratch ``shortest_digits`` needs
+SHORTEST_SCRATCH_ROWS = 13
+
+
+def shortest_digits(x, scratch):
+    """The digits and decimal point ``repr`` prints for each double in x
+    (float64, any size), where this argument decides them:
+    ``(ok, digits, frac, ndigits)``, where ``repr(x[i])`` is, wherever
+    ok[i], the sign of x[i] (``-`` when its sign bit is set) followed by
+    ``str(digits[i]).zfill(ndigits[i])`` with a ``.`` before its last
+    frac[i] digits. ``scratch`` is float64 of shape
+    (SHORTEST_SCRATCH_ROWS, n), n >= x.size; the results are views into it.
+
+    Decided are +-0.0 and every x with 1e-4 <= |x| < 1e16 (``repr``'s fixed
+    notation, whose digits lie in that range) that is not a power of two;
+    nan, +-inf, subnormals, the rest of the exponent notation and powers of
+    two (whose rounding interval is not symmetric) are left to ``repr``, as
+    are ties below.
+
+    ``repr`` prints the shortest digit string that reads back as x, and of
+    those the one nearest x (Adams, Ryu, PLDI 2018). With a = |x| in the
+    binade [2^j, 2^(j+1)), k = 16 - floor(j log10 2) <= 21, so 10^k is
+    exact, puts P = a 10^k in [1e16, 1e18). A Veltkamp split of a and of
+    10^k and Dekker's product (Dekker 1971; Higham ch. 3-4) give P = hi + lo
+    exactly, with no FMA: hi >= 2^53 is an integer below 2^63 and |lo| <= 64,
+    so N = hi + rint(lo) is exact in int64, and lo' = lo - rint(lo) is exact
+    (Sterbenz) with |lo'| <= 1/2: P = N + lo'. The reals that round to a
+    lie within H = 2^(j-53) 10^k of P (scaled by 10^k), H exact and in
+    (1/2, 112). Write 2H = 2^g 5^k: lo' is a multiple of 2^g (or 0) and
+    |lo' +- H| < 113, so lo' + H and lo' - H are exact (5^21 < 2^50), and
+    vp = N + floor(lo' + H), vm = N + floor(lo' - H) bound the integers
+    within H of P: (vm, vp]. A multiple of 10^s lies there iff
+    floor(vp/10^s) > floor(vm/10^s); the interval is symmetric, so this is
+    monotone in s, and each step of the loop divides both bounds by 10 and
+    keeps the values where they still differ. The last s that passes gives
+    the shortest digits: the multiple of 10^s nearest P, R 10^s, where with
+    r = N mod 10^s the sign of 2r - 10^s + 2 lo' (one rounding of an exact
+    sum, so its sign is exact) says whether it is the one above. A zero
+    there is a tie between two, as is lo' = -1/2 at s = 0, and is left to
+    ``repr``. Integers at distance exactly H, which ``repr`` counts in or
+    out by the parity of a's last bit, decide nothing: they need g >= 1,
+    which 2H < 224 allows only at k = 1 with a >= 2^52 an integer (at k = 2
+    the exponent guess puts j below 50), so P = 10a, H is 5 or (a even) 10,
+    and P +- H are no multiples of 100, nor of 10 where H = 5, while P
+    itself is the nearest multiple of 10. Nor does 10^18 lie within H of
+    P: the powers of ten below 1 round up to their doubles, so the double
+    below one is more than H from it."""
+    m = x.size
+    f = scratch[:, :m]
+    i = f.view(np.int64)
+    a, b, hi, lo, u, v, w = f[:7]
+    k, N, vp, vm, s = i[7:12]
+    flags = scratch[12].view(np.bool_)
+    ok, t = flags[:m], flags[m : 2 * m]
+    bits = np.abs(x, out=a).view(np.int64)
+    np.greater_equal(a, 1e-4, out=ok)
+    ok &= np.less(a, 1e16, out=t)
+    ok &= np.not_equal(np.bitwise_and(bits, _MANTISSA, out=k), 0, out=t)
+    np.copyto(a, _FILLER, where=np.logical_not(ok, out=t))
+    e = np.right_shift(bits, 52, out=vm)
+    np.take(_K_GUESS, e, out=k)
+    np.take(_POW10_GUESS, e, out=b)
+    np.multiply(a, b, out=hi)
+    # Dekker's product: lo = a b - hi, from the Veltkamp halves of a (u + v)
+    # and of b (w + a, once a is no longer needed)
+    np.multiply(a, _SPLIT, out=u)
+    np.subtract(u, np.subtract(u, a, out=v), out=u)
+    np.subtract(a, u, out=v)
+    np.multiply(b, _SPLIT, out=w)
+    np.subtract(w, np.subtract(w, b, out=lo), out=w)
+    np.subtract(b, w, out=a)
+    np.multiply(u, w, out=lo)
+    lo -= hi
+    np.multiply(v, w, out=w)
+    lo += np.multiply(u, a, out=u)
+    lo += w
+    lo += np.multiply(v, a, out=v)
+    np.rint(lo, out=u)
+    lo -= u
+    np.copyto(N, hi, casting="unsafe")
+    np.copyto(vp, u, casting="unsafe")
+    N += vp
+    # H = 2^(j - 53) 10^k for a in [2^j, 2^(j+1))
+    e -= 53
+    e <<= 52
+    np.multiply(e.view(np.float64), b, out=u)
+    np.copyto(vp, np.floor(np.add(lo, u, out=v), out=v), casting="unsafe")
+    np.copyto(vm, np.floor(np.subtract(lo, u, out=w), out=w), casting="unsafe")
+    vp += N
+    vm += N
+    # two steps over all values (most leave by then), the rest on the few left
+    s[...] = 0
+    for _ in range(2):
+        vp //= 10
+        vm //= 10
+        s += np.greater(vp, vm, out=t)
+    live = np.flatnonzero(t)
+    up, dn, step = vp[live], vm[live], 2
+    while live.size:
+        up //= 10
+        dn //= 10
+        more = up > dn
+        live, up, dn, step = live[more], up[more], dn[more], step + 1
+        s[live] = step
+    # the multiple of q = 10^s nearest P: R q, R = N // q or one more
+    q = np.take(POW10_INT, s, out=vp)
+    R = np.floor_divide(N, q, out=vm)
+    r = np.multiply(R, q, out=w.view(np.int64))
+    np.subtract(N, r, out=r)
+    r += r
+    r -= q
+    lo += lo
+    dist = u
+    np.copyto(dist, r, casting="unsafe")
+    dist += lo
+    R += np.greater(dist, 0.0, out=t)
+    ok &= np.not_equal(dist, 0.0, out=t)
+    if (lo == -1.0).any():
+        ok &= np.logical_not((lo == -1.0) & (s == 0), out=t)
+    # repr's decimal point: the digit count of R q (17, or 16 below 1e16 and
+    # 18 from 1e17) less k; frac = max(k - s, 1) digits follow the point, so
+    # an integer-valued x (k <= s) prints R 10^(s - k + 1) with ".0"
+    point = N
+    np.multiply(R, q, out=q)
+    np.subtract(17, k, out=point)
+    point -= np.less(q, 10**16, out=t)
+    point += np.greater_equal(q, 10**17, out=t)
+    frac = np.subtract(k, s, out=k)
+    whole = np.flatnonzero(frac < 1)
+    R[whole] *= POW10_INT[1 - frac[whole]]
+    np.maximum(frac, 1, out=frac)
+    ndigits = np.maximum(point, 1, out=point)
+    ndigits += frac
+    zero = np.flatnonzero(x == 0.0)
+    R[zero], frac[zero], ndigits[zero], ok[zero] = 0, 1, 2, True
+    return ok, R, frac, ndigits

@@ -32,6 +32,7 @@ from .criteria import (
     norm_decay_check,
     salas_check,
 )
+from . import _kernels
 from .fhbuilder import BuildError, build
 # dist is not called here; it stays importable as expcli.dist because the
 # benchmark's tracer self-test (perfbench/test_perfbench.py) patches that name
@@ -214,7 +215,10 @@ def each(r: Range) -> Range:
 
 
 POSITIVE = Range("> 0", lambda v: v > 0)
-OPEN_UNIT_INTERVAL = Range("in (0, 1)", lambda v: 0 < v < 1)
+# eps enters the product checks as log(1/eps): a subnormal eps has 1/eps =
+# inf, which would put -Infinity, no JSON number, into the report
+RECIPROCAL_FINITE = Range("1/eps finite", lambda v: v != 0 and abs(1 / v) < math.inf)
+UNIT_EPS = Range("in (0, 1), 1/eps finite", lambda v: 0 < v < 1 and 1 / v < math.inf)
 PUNCTURED_UNIT_DISK = Range("0 < |a| < 1", lambda v: 0 < abs(v) < 1)
 BILATERAL = Range("bilateral", lambda w: w.bilateral_ok)
 
@@ -425,7 +429,7 @@ PARAMS: dict[str, dict[str, Param]] = {
     },
     "E4": {
         "N": horizon(10_000),
-        "eps": Param(NUMBER, 0.5, OPEN_UNIT_INTERVAL),
+        "eps": Param(NUMBER, 0.5, UNIT_EPS),
         "q": Param(INT, 0, at_least(0)),
     },
     "E5": {
@@ -473,7 +477,7 @@ PARAMS: dict[str, dict[str, Param]] = {
     },
     "check-salas": {
         "weights": Param(WEIGHTS, range=BILATERAL),
-        "eps": Param(NUMBER, range=OPEN_UNIT_INTERVAL),
+        "eps": Param(NUMBER, range=UNIT_EPS),
         "q": Param(INT, range=at_least(0)),
         "nmax": horizon(10**4),
     },
@@ -481,7 +485,7 @@ PARAMS: dict[str, dict[str, Param]] = {
         "weights": Param(WEIGHTS, range=BILATERAL),
         "m": Param(INT, range=at_least(1)),
         "q": Param(INT, range=at_least(0)),
-        "eps": Param(NUMBER, range=OPEN_UNIT_INTERVAL),
+        "eps": Param(NUMBER, range=UNIT_EPS),
         "nmax": horizon(10**4),
     },
     "check-series": {
@@ -599,11 +603,138 @@ def write_report(outdir: Path, scenario: str, cfg: dict, body: dict) -> dict:
     return report
 
 
-# Rows per batch when writing CSV. It bounds the writer's temporary Python
-# lists and strings: E1 at the resource cap writes about 84 MB, and with
-# whole-file temporaries the fu_pipeline benchmark's peak RSS was about 5 MB
-# higher. Batches of 2k to 64k rows format equally fast.
+# Rows per batch when writing CSV. It sizes the writer's row matrix, mask
+# and scratch. Writing a 200k-row vector table of 17-digit floats and a
+# 200k-row hit table took 150, 135, 126 and 127 ms in batches of 2k, 4k, 8k
+# and 16k rows (medians of seven, 2 CPUs), while the traced peak doubled
+# with each step: 0.85, 1.70, 3.39 and 6.76 MiB.
 CSV_BATCH_ROWS = 1 << 12
+# Below this many rows a batch's float cells all go to repr: the kernel's
+# fixed cost, about 0.1 ms, is that of repr on some 64 cells.
+CSV_KERNEL_MIN_ROWS = 64
+
+# A cell is a right-aligned field in its row of the batch's byte matrix:
+# int64 in 20 bytes (19 digits and the sign), float64 in 24 (repr's longest
+# is "-2.2250738585072014e-308"). A 4-byte gap follows each field, the comma
+# or CRLF and padding, so that every field starts on a 4-byte word.
+_INT_FIELD, _FLOAT_FIELD, _GAP = 20, 24, 4
+# the four ASCII digits of i, as the bytes of one uint32 word; built from
+# uint8 digit grids, so that no temporary outgrows the 40 kB table (int64
+# temporaries left perfbench criteria_search's peak RSS 0.5 MB higher)
+_DIGITS4 = np.ascontiguousarray(np.moveaxis(np.indices((10,) * 4, np.uint8) + 48, 0, -1)
+                                ).view(np.uint32).ravel()
+_ZEROS4 = _DIGITS4[0]
+# _KEEP[i] keeps the bytes of a float field from i on, as uint32 words
+_KEEP = (np.arange(_FLOAT_FIELD) >= np.arange(_FLOAT_FIELD + 1)[:, None]).view(np.uint32)
+_POW10_UINT = 10 ** np.arange(1, 20, dtype=np.uint64)
+
+
+class _CsvRows:
+    """Batches of CSV rows built whole. Every cell is formatted into its
+    field of one uint8 row matrix, beside a mask of the cell's bytes, and a
+    batch's bytes are one boolean compaction of the matrix, whose gaps hold
+    the commas and CRLF. The matrix is allocated once per file."""
+
+    def __init__(self, floats: list[bool], rows: int):
+        widths = [_FLOAT_FIELD if fl else _INT_FIELD for fl in floats]
+        self.fields = []
+        self.matrix = np.zeros((rows, sum(widths) + _GAP * len(widths)), np.uint8)
+        self.keep = np.zeros(self.matrix.shape, np.bool_)
+        off = 0
+        for j, (fl, w) in enumerate(zip(floats, widths)):
+            self.fields.append((off, fl))
+            end = b"\r\n" if j == len(widths) - 1 else b","
+            self.matrix[:, off + w : off + w + len(end)] = np.frombuffer(end, np.uint8)
+            self.keep[:, off + w : off + w + len(end)] = True
+            off += w + _GAP
+        # each row's first byte in the flattened matrix
+        self.row_base = np.arange(rows) * self.matrix.shape[1]
+        self.chunks = np.empty((6, rows), np.int64)
+        self.scratch = np.empty((_kernels.SHORTEST_SCRATCH_ROWS, rows))
+
+    def format(self, cols) -> bytes:
+        m = len(cols[0])
+        matrix, keep = self.matrix[:m], self.keep[:m]
+        for (off, fl), c in zip(self.fields, cols):
+            if fl:
+                start, w = self._floats(np.asarray(c, np.float64), matrix, off), _FLOAT_FIELD
+            else:
+                start, w = self._ints(np.asarray(c, np.int64), matrix, off), _INT_FIELD
+            # an int field is the last 20 bytes of a float one
+            start += _FLOAT_FIELD - w
+            keep.view(np.uint32)[:, off // 4 : (off + w) // 4] = np.take(_KEEP, start, axis=0)[
+                :, (_FLOAT_FIELD - w) // 4 :
+            ]
+        return matrix[keep].tobytes()
+
+    def _digits(self, mag, words) -> None:
+        """Write mag (int64 or uint64 >= 0, below 10^20) as 20 zero-padded
+        ASCII digits into words (m, 5), in 4-digit chunks; the chunks above
+        the largest value's are zeros."""
+        m = mag.size
+        ch = self.chunks[:, :m].view(mag.dtype)
+        used = -(-len(str(int(mag.max()))) // 4)
+        np.copyto(ch[4], mag)
+        for j in range(4, 5 - used, -1):
+            np.floor_divide(ch[j], 10000, out=ch[j - 1])
+            ch[j] -= np.multiply(ch[j - 1], 10000, out=ch[5])
+        words[:, 5 - used :] = np.take(_DIGITS4, ch[5 - used : 5]).T
+        words[:, : 5 - used] = _ZEROS4
+
+    def _ints(self, v, matrix, off: int):
+        """int64 cells over the whole range, -2^63 included: the digits of
+        the uint64 magnitude and a sign. Returns the fields' starts."""
+        neg = v < 0
+        mag = v.view(np.uint64)
+        signed = neg.any()
+        if signed:
+            mag = np.where(neg, -mag, mag)
+        self._digits(mag, matrix.view(np.uint32)[:, off // 4 : off // 4 + 5])
+        start = _INT_FIELD - 1 - np.searchsorted(_POW10_UINT, mag, side="right")
+        if signed:
+            self._sign(neg, start, matrix, off)
+        return start
+
+    def _sign(self, neg, start, matrix, off: int) -> None:
+        """Put a minus before every field's digits, outside the window where
+        the cell is not negative, and widen the window where it is."""
+        at = self.row_base[: start.size] + (off - 1)
+        at += start
+        matrix.reshape(-1)[at] = ord("-")
+        start -= neg
+
+    def _floats(self, x, matrix, off: int):
+        """float64 cells: the digits ``_kernels.shortest_digits`` decides,
+        with repr's decimal point and sign, and ``repr`` for the rest.
+        Returns the fields' starts."""
+        m = x.size
+        if m < CSV_KERNEL_MIN_ROWS:
+            start, rest = np.empty(m, np.int64), np.arange(m)
+        else:
+            ok, digits, frac, ndigits = _kernels.shortest_digits(x, self.scratch)
+            # the digits with a 0 put in at the point: 10 d - 9 (d mod 10^frac),
+            # where 10^18 > d takes all of d for a longer fraction
+            tail = np.take(_kernels.POW10_INT, frac, mode="clip")
+            np.remainder(digits, tail, out=tail)
+            tail *= 9
+            wide = np.multiply(digits, 10)
+            wide -= tail
+            words = matrix.view(np.uint32)[:, off // 4 : off // 4 + 6]
+            words[:, 0] = _ZEROS4
+            self._digits(wide, words[:, 1:])
+            at = self.row_base[:m] + (off + _FLOAT_FIELD - 1)
+            at -= frac
+            matrix.reshape(-1)[at] = ord(".")
+            start = np.subtract(_FLOAT_FIELD - 1, ndigits)
+            neg = np.signbit(x)
+            if neg.any():
+                self._sign(neg, start, matrix, off)
+            rest = np.flatnonzero(~ok)
+        for i, cell in zip(rest.tolist(), x[rest].tolist()):
+            b = repr(cell).encode()
+            start[i] = _FLOAT_FIELD - len(b)
+            matrix[i, off + start[i] : off + _FLOAT_FIELD] = np.frombuffer(b, np.uint8)
+        return start
 
 
 def write_csv(outdir: Path, name: str, header: list[str], cols) -> str:
@@ -611,15 +742,18 @@ def write_csv(outdir: Path, name: str, header: list[str], cols) -> str:
 
     The bytes are those of ``csv.writer`` with floats passed through
     ``repr``: CRLF row endings, ints in decimal and floats as their shortest
-    round-trip ``repr`` (``repr(int) == str(int)``).
+    round-trip ``repr`` (``repr(int) == str(int)``). Integer columns are
+    read as int64 and the rest as float64.
     """
     outdir.mkdir(parents=True, exist_ok=True)
-    with (outdir / name).open("w", newline="") as f:
-        f.write(",".join(header) + "\r\n")
-        for lo in range(0, len(cols[0]), CSV_BATCH_ROWS):
-            cells = [map(repr, c[lo:lo + CSV_BATCH_ROWS].tolist()) for c in cols]
-            rows = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
-            f.write("\r\n".join(rows) + "\r\n")
+    n = len(cols[0])
+    with (outdir / name).open("wb") as f:
+        f.write((",".join(header) + "\r\n").encode())
+        if n:
+            floats = [np.asarray(c).dtype.kind not in "iu" for c in cols]
+            rows = _CsvRows(floats, min(n, CSV_BATCH_ROWS))
+            for lo in range(0, n, CSV_BATCH_ROWS):
+                f.write(rows.format([c[lo : lo + CSV_BATCH_ROWS] for c in cols]))
     return name
 
 
@@ -1116,7 +1250,7 @@ class CertificateKind:
 PRODUCTS = {
     "weights": Param(WEIGHTS),
     **dict.fromkeys(("n", "q"), Param(INT)),
-    "eps": Param(NUMBER),
+    "eps": Param(NUMBER, range=RECIPROCAL_FINITE),
     **dict.fromkeys(("forward_logs", "backward_logs"), Param(list_of(NUMBER))),
 }
 

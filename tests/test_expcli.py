@@ -229,6 +229,63 @@ FLOAT_CELLS = st.one_of(
 )
 
 
+def _beside(v: float):
+    """v or the double next to it on either side."""
+    return st.sampled_from([math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)])
+
+
+# every kind of float cell the writer decides or leaves to repr: signed
+# zeros, subnormals, non-finite values, powers of two, the ends of repr's
+# fixed notation (1e-4 and 1e16) and short decimals, each with the doubles
+# beside it, and any double at all
+WRITER_FLOAT_CELLS = st.tuples(st.booleans(), st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-4, 1e16, math.inf, math.nan,
+                     2.0**52 + 1.0, 1e15 + 0.5]).flatmap(_beside),
+    st.integers(-1074, 1023).map(lambda e: 2.0**e).flatmap(_beside),
+    st.integers(-(10**9), 10**9).map(lambda i: i / 1000).flatmap(_beside),
+    st.floats(),
+)).map(lambda c: -c[1] if c[0] else c[1])
+
+
+class TestCsvWriterBytes:
+    """write_csv against the per-cell repr oracle, in batches of any size,
+    with the float kernel on every batch or only from CSV_KERNEL_MIN_ROWS."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(kinds=st.lists(st.booleans(), min_size=1, max_size=4), batch=st.integers(1, 9),
+           extra=st.integers(-1, 1), kernel_on_all=st.booleans(), data=st.data())
+    def test_matches_repr_oracle(self, tmp_path_factory, kinds, batch, extra, kernel_on_all,
+                                 data):
+        nrows = max(0, batch * data.draw(st.integers(0, 3)) + extra)
+        cols = [np.array(data.draw(st.lists(WRITER_FLOAT_CELLS if fl else INT64_CELLS,
+                                            min_size=nrows, max_size=nrows)),
+                         np.float64 if fl else np.int64) for fl in kinds]
+        header = [f"c{j}" for j in range(len(cols))]
+        out = tmp_path_factory.getbasetemp() / "csv_writer_bytes"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(expcli, "CSV_BATCH_ROWS", batch)
+            if kernel_on_all:
+                mp.setattr(expcli, "CSV_KERNEL_MIN_ROWS", 1)
+            write_csv(out, "t.csv", header, cols)
+        rows = [[c.item() for c in row] for row in zip(*cols)]
+        assert (out / "t.csv").read_bytes() == _csv_writer_bytes(header, rows)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_whole_batches(self, tmp_path, extra):
+        # full batches: cells drawn from the edge values of both kinds
+        n = CSV_BATCH_ROWS + extra
+        rng = np.random.default_rng(7)
+        ints = np.array([-(2**63), 2**63 - 1, 0, -1, 10**18, -(10**18) + 1, 9, 10])
+        edges = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.inf, math.nan,
+                          0.5, 2.0**-14, 1e-4, 1e16, 9999999999999998.0, 1e15 + 0.5, 0.1, 1 / 3])
+        floats = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        cols = [rng.choice(ints, n), rng.choice(floats, n) * rng.choice([1.0, -1.0], n),
+                rng.uniform(-4.0, 4.0, n) * 10.0 ** rng.integers(-6, 18, n)]
+        write_csv(tmp_path, "t.csv", ["i", "edge", "any"], cols)
+        rows = [[c.item() for c in row] for row in zip(*cols)]
+        assert (tmp_path / "t.csv").read_bytes() == _csv_writer_bytes(["i", "edge", "any"], rows)
+
+
 @st.composite
 def _csv_tables(draw):
     """Columns for write_csv and the wanted ones among them, in any order;
@@ -612,6 +669,7 @@ class TestMalformedOtherCertificates:
         ("salas", {"weights": {"family": "nope"}}),
         ("salas", {"n": "2"}),
         ("salas", {"eps": True}),
+        ("salas", {"eps": 5e-324}),
         ("salas", {"forward_logs": "x"}),
         ("salas", {"backward_logs": ["x"]}),
         ("mr_shift", {"m": None}),
@@ -626,9 +684,9 @@ class TestMalformedOtherCertificates:
         ("series", {"partial_sum": "1.0"}),
         ("series", {"weights": "sqrt_ratio"}),
     ], ids=["salas_no_weights", "salas_bad_family", "salas_n_string", "salas_eps_bool",
-            "salas_logs_string", "salas_log_string", "mr_shift_no_m", "mr_shift_q_float",
-            "range_no_certificate", "range_phi_string", "range_bad_kind", "range_no_tol",
-            "range_witness_string", "series_no_n_max", "series_kind_int",
+            "salas_eps_subnormal", "salas_logs_string", "salas_log_string", "mr_shift_no_m",
+            "mr_shift_q_float", "range_no_certificate", "range_phi_string", "range_bad_kind",
+            "range_no_tol", "range_witness_string", "series_no_n_max", "series_kind_int",
             "series_sum_string", "series_weights_string"])
     def test_bad_field(self, tmp_path, capsys, kind, fields):
         argv = _verify_argv(tmp_path, {"certificates": [_edited(kind, fields)]})
@@ -847,6 +905,15 @@ class TestStrictJson:
         for d in shipped_report_dirs.values():
             _strict_json(d / "report.json")
 
+    def test_smallest_eps(self, tmp_path):
+        # the least eps whose 1/eps is finite: every log margin is finite
+        eps = 5.56268464626801e-309
+        assert 1 / eps < math.inf and 1 / math.nextafter(eps, 0) == math.inf
+        cfg = {"scenario": "E4", "N": 100, "eps": eps}
+        assert _run_config(tmp_path, "run", cfg) == EXIT_OK
+        report = _strict_json(tmp_path / "o" / "report.json")
+        assert math.isfinite(report["stats"]["best_margin"])
+
     def test_mr_witness_with_m_zero(self, tmp_path):
         # no progression is searched for, so no defect is computed: null
         assert main(_mr_config(tmp_path, center="4*e(1)", m=0)) == EXIT_OK
@@ -915,6 +982,8 @@ BAD_RUN_CONFIGS = {
     "E2_ratio_N_small": {"scenario": "E2", "ratio_N": 50},
     "E4_q_negative": {"scenario": "E4", "q": -1},
     "E4_eps_one": {"scenario": "E4", "eps": 1},
+    # 1/eps = inf: its log would put -Infinity into the report
+    "E4_eps_subnormal": {"scenario": "E4", "N": 100, "eps": 5e-324},
     "E5_cap_string": {"scenario": "E5", "cap": "x"},
     "E5_N_below_10": {"scenario": "E5", "N": 5},
     "E6_g_below_support": {"scenario": "E6", "g": 2},
@@ -975,6 +1044,7 @@ AP_FIND = ["ap-find", "--hits", "HITS", "--nmax", "100", "--m", "2"]
 
 BAD_FLAGS = {
     "check_salas_eps_2": [*SALAS, "--eps", "2"],
+    "check_salas_eps_subnormal": [*SALAS, "--eps", "5e-324"],
     "check_salas_q_float": [*SALAS, "--q", "1.0"],
     "check_salas_one_sided_weights": [*SALAS, "--weights", "sqrt_ratio"],
     "check_series_nmax_5": [*SERIES, "--nmax", "5"],
@@ -991,6 +1061,7 @@ BAD_FLAGS = {
     "classify_seq_horizon_below_100_tau": [*SEQ, "--tau", "5", "--horizon", "200"],
     "classify_seq_key_of_other_family": [*SEQ, "--a", "0.5"],
     "check_mr_m_0": [*CHECK_MR, "--m", "0"],
+    "check_mr_eps_subnormal": [*CHECK_MR, "--eps", "5e-324"],
     "ap_find_max_k_0": [*AP_FIND, "--max-k", "0"],
 }
 

@@ -706,3 +706,58 @@ class TestBinadeSums:
         marks = list(range(t.size))
         got = self._sums(s0, t, marks)
         assert got is not None and _same_bits(np.array(got), _serial_sums(s0, t, marks))
+
+
+class TestShortestDigits:
+    @staticmethod
+    def _printed(cells):
+        """repr of each cell where shortest_digits decides it, else None."""
+        x = np.array(cells, dtype=np.float64)
+        scratch = np.empty((_kernels.SHORTEST_SCRATCH_ROWS, x.size))
+        out = []
+        for v, ok, d, f, n in zip(x.tolist(), *(a.tolist() for a in
+                                                _kernels.shortest_digits(x, scratch))):
+            s = str(d).zfill(n)
+            out.append(("-" if math.copysign(1.0, v) < 0 else "") + s[:-f] + "." + s[-f:]
+                       if ok else None)
+        return out
+
+    def test_decided_cells_print_as_repr(self):
+        cells = [0.0, -0.0, 1e-4, 0.1, 1 / 3, -2.5, 123456.789, 0.1 + 0.2, 700.0, 1e15,
+                 9999999999999998.0, math.nextafter(1e16, 0.0), 0.00012345678901234567,
+                 # integers at and above 2^52: integers lie at distance exactly H
+                 2.0**52 + 1.0, 2.0**53 + 2.0, 9007199254740994.0 * 1.1]
+        assert self._printed(cells) == [repr(v) for v in cells]
+
+    @pytest.mark.parametrize("cell", [
+        math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
+        math.nextafter(1e-4, 0.0), 1e16, -1e300,
+        0.5, -(2.0**40),
+        # P = a 10^16 ends in .5 with lo' = +1/2 and -1/2: N and N + 1 tie
+        1.0 + 2.0**-17, 2.0000228881835938,
+        # P = 89791020720014325: its two nearest multiples of 10 tie
+        897910207200143.25,
+    ], ids=["nan", "inf", "-inf", "subnormal", "-subnormal", "below_1e-4", "1e16", "-1e300",
+            "power_of_two", "-power_of_two", "tie_half_up", "tie_half_down", "tie_at_10"])
+    def test_left_to_repr(self, cell):
+        assert self._printed([cell]) == [None]
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.floats(), min_size=1, max_size=30))
+    def test_any_doubles(self, cells):
+        # the undecided ones aside, every cell prints as repr, whatever its batch
+        got = self._printed(cells)
+        assert all(g is None or g == repr(v) for g, v in zip(got, cells))
+        assert got[1:] == self._printed(cells[1:])
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(11)
+        bits = rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64)
+        fixed = rng.uniform(-10.0, 10.0, 20_000) * 10.0 ** rng.integers(-4, 16, 20_000)
+        got = self._printed(np.concatenate([bits, fixed]))
+        assert all(g is None or g == repr(v)
+                   for g, v in zip(got, bits.tolist() + fixed.tolist()))
+        # of repr's fixed notation only ties are left; below 1e10 a tie needs
+        # 11 or more trailing zero bits in x's mantissa, which none of these has
+        small = [g for g, v in zip(got[bits.size:], fixed.tolist()) if 1e-4 <= abs(v) < 1e10]
+        assert small.count(None) == 0 and len(small) > 10_000

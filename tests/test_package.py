@@ -108,3 +108,27 @@ def test_factorial_family_imports_no_scipy(tmp_path):
     assert codes == [0, 0]
     assert built_on_import == 0
     assert scipy_modules == []
+
+
+# run in a fresh interpreter: both ways the CLI is reached, the submodule
+# import and ``python -m orbitlab``, with nothing the package loads lazily;
+# each prints ap-find's answer
+CLI_CHILD = """
+import contextlib, io, subprocess, sys
+from orbitlab import expcli
+argv = ["ap-find", "--hits", "hits.csv", "--nmax", "100", "--m", "2"]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert expcli.main(argv) == 0
+proc = subprocess.run([sys.executable, "-m", "orbitlab", *argv], capture_output=True, text=True)
+assert proc.returncode == 0, proc.stderr
+assert proc.stdout == out.getvalue() == "a=2 k=2 members=[2, 4, 6]\\n", proc.stdout
+"""
+
+
+def test_cli_entry_points(tmp_path):
+    (tmp_path / "hits.csv").write_text("n\n2\n4\n6\n")
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", CLI_CHILD], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
