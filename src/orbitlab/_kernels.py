@@ -397,8 +397,10 @@ def binade_sums(s0, t, marks, scratch):
 # ---------------------------------------------------------------------------
 
 U = 2.0**-53  # unit roundoff of float64
-# exp, log1p, cos and sin are taken to be within 64 ulp (relative 2^-46),
-# a wide margin over the few ulp that glibc and numpy's SIMD loops document
+# exp, expm1, log1p, cos and sin are taken to be within 64 ulp (relative
+# 2^-46), a wide margin over the few ulp that glibc and numpy's SIMD loops
+# document; the ratio classifier's expm1 band (seqcore._expm1_band) rests on
+# it too
 FN_ERR = 2.0**-46
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "log_mul",
     "eval_log",
     "eval_at",
+    "eval_mags",
     "eval_log_mags",
     "ratio_classify",
     "rotate_seq",
@@ -145,18 +146,24 @@ class AngleSpec:
     kind: str
     value: float | tuple = 0.0
 
+    def check(self, n: np.ndarray) -> None:
+        """Raise where ``angles`` would, without forming theta_n: at an
+        unknown kind, or where n leaves a table's 1..len(value)."""
+        if self.kind == "table":
+            if n.size and (int(n.min()) < 1 or int(n.max()) > len(self.value)):
+                raise SequenceDomainError("angle table exhausted")
+        elif self.kind not in ("constant", "linear"):
+            raise ValueError(f"unknown angle spec kind {self.kind!r}")
+
     def angles(self, n: np.ndarray) -> np.ndarray:
+        self.check(n)
         if self.kind == "constant":
             return np.full(n.shape, float(self.value))
         if self.kind == "linear":
             return float(self.value) * n.astype(np.float64)
-        if self.kind == "table":
-            lo, hi = (int(n.min()), int(n.max())) if n.size else (1, 0)
-            if lo < 1 or hi > len(self.value):
-                raise SequenceDomainError("angle table exhausted")
-            # converts only the entries n spans: scans ask chunk by chunk
-            return np.asarray(self.value[lo - 1 : hi], dtype=np.float64)[n - lo]
-        raise ValueError(f"unknown angle spec kind {self.kind!r}")
+        lo, hi = (int(n.min()), int(n.max())) if n.size else (1, 0)
+        # converts only the entries n spans: scans ask chunk by chunk
+        return np.asarray(self.value[lo - 1 : hi], dtype=np.float64)[n - lo]
 
 
 # family tag -> smallest defined index
@@ -480,24 +487,18 @@ def _lgam(x: np.ndarray) -> np.ndarray:
     return _blockwise(_lgam_block, x)
 
 
-def eval_at(seq: ScalingSeq, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized evaluation: (log_mags, phases, zero_mask) over integer n."""
+def _mag_half(seq: ScalingSeq, n: np.ndarray, nf: np.ndarray):
+    """(log_mags, zero_mask, vals) over integer n, with nf = n as float64:
+    ``vals`` is what ``_phase_half`` reads besides n, the complex values
+    (P(n), Q(n)) or lam_n that ``rational_poly`` and ``table`` form, so that
+    ``eval_at`` forms them once; None for the other families."""
     f = seq.family
-    if n.size == 0:
-        z = np.zeros(0)
-        return z, z.copy(), np.zeros(0, dtype=bool)
-    lo = int(n.min())
-    seq._check_domain(lo)
-    nf = n.astype(np.float64)
-    zero = np.zeros(n.shape, dtype=bool)
-    ph = np.zeros(n.shape)
-
+    zero, vals = np.zeros(n.shape, dtype=bool), None
     if f == "constant":
         (c,) = seq.params
         if c == 0:
-            return np.zeros(n.shape), ph, np.ones(n.shape, dtype=bool)
+            return np.zeros(n.shape), np.ones(n.shape, dtype=bool), None
         lm = np.full(n.shape, math.log(abs(c)))
-        ph = np.full(n.shape, math.atan2(c.imag, c.real))
     elif f == "log_pow":
         (k,) = seq.params
         lm = k * np.log(np.log(nf))
@@ -507,13 +508,11 @@ def eval_at(seq: ScalingSeq, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
         p, q = seq.params
         pv = np.polyval(np.array(p[::-1], dtype=complex), nf)
         qv = np.polyval(np.array(q[::-1], dtype=complex), nf)
-        zero = pv == 0
+        zero, vals = pv == 0, (pv, qv)
         with np.errstate(divide="ignore"):
             lm = np.where(zero, 0.0, np.log(np.abs(np.where(zero, 1, pv)))) - np.log(
                 np.abs(qv)
             )
-        ph = wrap_phase(np.angle(pv) - np.angle(qv))
-        ph[zero] = 0.0
     elif f == "exp_pow":
         (a,) = seq.params
         lm = nf**a
@@ -531,43 +530,89 @@ def eval_at(seq: ScalingSeq, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     elif f == "power_of_w":
         (w,) = seq.params
         lm = 2.0 * nf * math.log(abs(w))
-        ph = wrap_phase(2.0 * nf * math.atan2(w.imag, w.real))
     elif f == "geom_inverse":
         (a,) = seq.params
         lm = -nf * math.log(abs(a))
-        ph = wrap_phase(-nf * math.atan2(a.imag, a.real))
     elif f == "table":
         (values,) = seq.params
-        if int(n.max()) > len(values):
-            raise SequenceDomainError(
-                f"table has {len(values)} entries, asked for n={int(n.max())}"
-            )
+        lo, hi = int(n.min()), int(n.max())
+        if hi > len(values):
+            raise SequenceDomainError(f"table has {len(values)} entries, asked for n={hi}")
         # converts only the entries n spans: scans ask chunk by chunk
-        vals = np.array(values[lo - 1 : int(n.max())], dtype=complex)[n - lo]
+        vals = np.array(values[lo - 1 : hi], dtype=complex)[n - lo]
         zero = vals == 0
         with np.errstate(divide="ignore"):
             lm = np.where(zero, 0.0, np.log(np.abs(np.where(zero, 1, vals))))
-        ph = np.where(zero, 0.0, np.angle(vals))
     elif f == "inverse":
-        (base,) = seq.params
-        blm, bph, bzero = eval_at(base, n)
-        if bzero.any():
+        blm, zero, vals = _mag_half(seq.params[0], n, nf)
+        if zero.any():
             raise ZeroDivisionError("inverse of a sequence with zero values")
-        return -blm, wrap_phase(-bph), bzero
+        lm = -blm
     elif f == "rotated":
         base, theta = seq.params
-        blm, bph, bzero = eval_at(base, n)
-        ph = wrap_phase(bph + theta.angles(n))
-        ph[bzero] = 0.0
-        return blm, ph, bzero
+        lm, zero, vals = _mag_half(base, n, nf)
+        theta.check(n)
     else:
         raise ValueError(f"unknown sequence family {f!r}")
-    return lm, ph, zero
+    return lm, zero, vals
+
+
+def _phase_half(seq: ScalingSeq, n: np.ndarray, nf: np.ndarray, zero, vals) -> np.ndarray:
+    """The phases of lam over n, given ``_mag_half``'s zero mask and vals."""
+    f = seq.family
+    if f == "constant":
+        (c,) = seq.params
+        return np.full(n.shape, math.atan2(c.imag, c.real) if c != 0 else 0.0)
+    if f == "rational_poly":
+        pv, qv = vals
+        ph = wrap_phase(np.angle(pv) - np.angle(qv))
+        ph[zero] = 0.0
+        return ph
+    if f == "power_of_w":
+        (w,) = seq.params
+        return wrap_phase(2.0 * nf * math.atan2(w.imag, w.real))
+    if f == "geom_inverse":
+        (a,) = seq.params
+        return wrap_phase(-nf * math.atan2(a.imag, a.real))
+    if f == "table":
+        return np.where(zero, 0.0, np.angle(vals))
+    if f == "inverse":
+        return wrap_phase(-_phase_half(seq.params[0], n, nf, zero, vals))
+    if f == "rotated":
+        base, theta = seq.params
+        ph = wrap_phase(_phase_half(base, n, nf, zero, vals) + theta.angles(n))
+        ph[zero] = 0.0
+        return ph
+    return np.zeros(n.shape)  # the families of positive values
+
+
+def _checked_floats(seq: ScalingSeq, n: np.ndarray) -> np.ndarray:
+    """n as float64, once n's least member is in the family's domain."""
+    seq._check_domain(int(n.min()))
+    return n.astype(np.float64)
+
+
+def eval_mags(seq: ScalingSeq, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The magnitude half of ``eval_at``: its (log_mags, zero_mask), bit for
+    bit, and the same errors, with no phase formed."""
+    if n.size == 0:
+        return np.zeros(0), np.zeros(0, dtype=bool)
+    lm, zero, _ = _mag_half(seq, n, _checked_floats(seq, n))
+    return lm, zero
+
+
+def eval_at(seq: ScalingSeq, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized evaluation: (log_mags, phases, zero_mask) over integer n."""
+    if n.size == 0:
+        return np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool)
+    nf = _checked_floats(seq, n)
+    lm, zero, vals = _mag_half(seq, n, nf)
+    return lm, _phase_half(seq, n, nf, zero, vals), zero
 
 
 def eval_log_mags(seq: ScalingSeq, n: np.ndarray) -> np.ndarray:
     """Log magnitudes only; zeros map to -inf."""
-    lm, _, zero = eval_at(seq, np.asarray(n, dtype=np.int64))
+    lm, zero = eval_mags(seq, np.asarray(n, dtype=np.int64))
     return np.where(zero, -np.inf, lm)
 
 
@@ -622,6 +667,27 @@ class RatioVerdict:
 _BLOCK_HALF_WIDTH = 0.05
 _DIVERGE_RATIO = 0.98
 _TREND_ALPHA_MIN = 0.01
+# relative margin of the expm1 band; see _expm1_band
+_BAND_MARGIN = 2.0**-24
+
+
+def _expm1_band(tol: float) -> tuple[float, float, float, float]:
+    """(lo_in, hi_in, lo_out, hi_out): numpy's |expm1(d)| is <= tol at every
+    d in [lo_in, hi_in], and > tol at every d < lo_out or d > hi_out.
+
+    The edges are log1p(-t) and log1p(t) at t = tol (1 -+ _BAND_MARGIN),
+    with log1p(-t) = -inf at t >= 1, where every d < 0 has |expm1(d)| < 1
+    <= t. It rests on ``_kernels.FN_ERR``'s assumption that expm1 and log1p
+    are within relative 2^-46 of exact: a relative error e in d moves
+    expm1(d) by at most (1 + |d|) e relative, which is below 711 e for d
+    under ln(max double), and t's rounding adds 2^-53. The margin, 2^-24,
+    is far wider than those. NaN d is in no interval.
+    """
+
+    def edges(t: float) -> tuple[float, float]:
+        return (math.log1p(-t) if t < 1.0 else -math.inf), math.log1p(t)
+
+    return (*edges(tol * (1.0 - _BAND_MARGIN)), *edges(tol * (1.0 + _BAND_MARGIN)))
 
 
 def _block(first: int, last: int, step: int, center: float) -> tuple[int, int]:
@@ -662,12 +728,15 @@ def ratio_classify(
     testable form of a ratio limit taken along a subset of N.
 
     The window is walked in pieces of ``SCAN_CHUNK`` of its members, each
-    evaluated with its tau overlap. Only the extrema of |r_n - 1|, r_n and
-    d_n = log r_n, the last 8 ratios and the d_n inside the three anchor
-    blocks (about 0.15 N values) outlive a piece, so the pass holds no array
-    of the window's length. The verdict is the one a pass over whole-window
-    arrays gives, bit for bit, and so are the errors: both ends of the window
-    are evaluated first.
+    evaluated with its tau overlap, magnitudes only (``eval_mags``). Only
+    whether |r_n - 1| <= tol so far, the extrema of r_n and d_n = log r_n,
+    the last 8 ratios and the d_n inside the three anchor blocks (about
+    0.15 N values) outlive a piece, so the pass holds no array of the
+    window's length. A piece's extrema of d_n decide |r_n - 1| = |expm1(d_n)|
+    <= tol (``_expm1_band``); expm1 runs only on a piece with an extremum
+    near log1p(-tol) or log1p(tol), or with a NaN. The verdict is the one a
+    pass over whole-window arrays gives, bit for bit, and so are the errors:
+    both ends of the window are evaluated first.
     """
     if tau < 1:
         raise ValueError("tau must be a positive integer")
@@ -690,26 +759,28 @@ def ratio_classify(
     # n that one evaluation of the whole window would name
     ends = np.array([first, last], dtype=np.int64)
     if restrict is None:
-        eval_at(seq, ends + (0, tau))
+        eval_mags(seq, ends + (0, tau))
     else:
-        eval_at(seq, ends)
-        eval_at(seq, ends + tau)
+        eval_mags(seq, ends)
+        eval_mags(seq, ends + tau)
 
     centers = (float(first), math.sqrt(float(first) * float(last)), float(last))
     blocks = [_block(first, last, step, c) for c in centers]
     pieces = [[] for _ in blocks]
-    dev_max, r_max, r_min, d_max, d_min = [], [], [], [], []
+    r_max, r_min, d_max, d_min = [], [], [], []
+    lo_in, hi_in, lo_out, hi_out = _expm1_band(tol)
+    close = True  # |r_n - 1| = |expm1(d_n)| <= tol at every n so far
     zero, tail = False, np.zeros(0)
     for c0 in range(first, last + 1, SCAN_CHUNK * step):
         c1 = min(c0 + (SCAN_CHUNK - 1) * step, last)
         if restrict is None:
             # n and n + tau overlap in all but tau times: evaluate c0..c1+tau once
-            lm, _, z = eval_at(seq, np.arange(c0, c1 + tau + 1, dtype=np.int64))
+            lm, z = eval_mags(seq, np.arange(c0, c1 + tau + 1, dtype=np.int64))
             lm1, z1, lm2, z2 = lm[:-tau], z[:-tau], lm[tau:], z[tau:]
         else:
             ns = np.arange(c0, c1 + 1, step, dtype=np.int64)
-            lm1, _, z1 = eval_at(seq, ns)
-            lm2, _, z2 = eval_at(seq, ns + tau)
+            lm1, z1 = eval_mags(seq, ns)
+            lm2, z2 = eval_mags(seq, ns + tau)
         # every piece is still evaluated after a zero, for the errors it raises
         zero = zero or z1.any() or z2.any()
         if zero:
@@ -717,13 +788,17 @@ def ratio_classify(
         d = lm1 - lm2
         with np.errstate(over="ignore"):
             r = np.exp(d)
-        with np.errstate(over="ignore", invalid="ignore"):
-            dev = np.abs(np.expm1(d))
-        dev_max.append(np.max(dev))
+        hi, lo = np.max(d), np.min(d)
+        # the piece's extrema of d decide it, but near the band's edges or at a NaN
+        if close and not (lo_in <= lo and hi <= hi_in):
+            close = not (lo < lo_out or hi > hi_out)
+            if close:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    close = bool(np.max(np.abs(np.expm1(d))) <= tol)
         r_max.append(np.max(r))
         r_min.append(np.min(r))
-        d_max.append(np.max(d))
-        d_min.append(np.min(d))
+        d_max.append(hi)
+        d_min.append(lo)
         tail = np.concatenate((tail, r[-8:]))[-8:]
         for held, (b0, b1) in zip(pieces, blocks):
             i, j = max(0, (b0 - c0) // step), (min(b1, c1) - c0) // step + 1
@@ -735,7 +810,7 @@ def ratio_classify(
         )
 
     evidence = tuple(float(v) for v in tail)
-    if float(np.max(dev_max)) <= tol:
+    if close:
         return RatioVerdict("good", tau, limit=1.0, evidence=evidence, window=window)
 
     # joined, a block's pieces are the contiguous d[sel] of a whole-window pass

@@ -309,8 +309,12 @@ class ShiftOp:
         if self.side is Side.UNILATERAL:
             start = int(np.searchsorted(x.indices, n, side="right"))
         src = x.indices[start:]
-        prod = self.weights.cum(src) - self.weights.cum(src - n)
-        return x.log_mags[start:] + prod + n * self.pm_log
+        # lm + (C(j) - C(j - n)) + n pm_log, in cum's fresh array
+        out = self.weights.cum(src)
+        out -= self.weights.cum(src - n)
+        np.add(x.log_mags[start:], out, out=out)
+        out += n * self.pm_log
+        return out
 
     def power_apply(self, n: int, x: CoefVec) -> CoefVec:
         """T^n x: the entries of ``power_log_mags`` moved n places down."""

@@ -285,6 +285,23 @@ class TestCsvWriterBytes:
         rows = [[c.item() for c in row] for row in zip(*cols)]
         assert (tmp_path / "t.csv").read_bytes() == _csv_writer_bytes(["i", "edge", "any"], rows)
 
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 4095, 4096, 4097])
+    def test_zero_columns(self, tmp_path, n):
+        # columns of +0.0, -0.0 and mixed signed zeros alone, and mixed ones
+        # with a single nonzero, nan, inf or subnormal cell at the first or
+        # last row (so that at 4097 rows one batch of the column is zeros
+        # alone and the other is not), around the kernel's 64-row floor and
+        # the 4096-row batch
+        mixed = np.where(np.random.default_rng(n).random(n) < 0.5, 0.0, -0.0)
+        cols = [np.arange(n), np.zeros(n), np.full(n, -0.0), mixed]
+        for j, v in enumerate([1.5, -0.1, math.nan, math.inf, 5e-324, -5e-324]):
+            cols.append(mixed.copy())
+            cols[-1][-(j % 2)] = v
+        header = [f"c{j}" for j in range(len(cols))]
+        write_csv(tmp_path, "t.csv", header, cols)
+        rows = [[c.item() for c in row] for row in zip(*cols)]
+        assert (tmp_path / "t.csv").read_bytes() == _csv_writer_bytes(header, rows)
+
 
 @st.composite
 def _csv_tables(draw):

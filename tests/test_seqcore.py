@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import struct
+import sys
 import tracemalloc
 
 import mpmath
@@ -31,7 +32,8 @@ from orbitlab.seqcore import (
     rotate_seq,
     wrap_phase,
 )
-from orbitlab.shiftops import WeightSeq
+from orbitlab.lspace import CoefVec, Side
+from orbitlab.shiftops import ShiftOp, WeightSeq, scaled_orbit_point
 from test_reachability import _family_config
 
 LN2 = math.log(2.0)
@@ -195,6 +197,17 @@ class TestEvalLog:
             eval_log(ScalingSeq.log_log(), 2)
         with pytest.raises(SequenceDomainError):
             eval_log(ScalingSeq.table([1.0, 2.0]), 3)
+
+    def test_zero_of_a_scaling(self):
+        # lam_n = n - 3 vanishes at n = 3: the zero scalar, and a zero orbit
+        # point there, whatever x is
+        seq = ScalingSeq.rational_poly([-3.0, 1.0], [1.0])
+        assert eval_log(seq, 3) == LogScalar(zero=True)
+        T = ShiftOp(Side.UNILATERAL, WeightSeq.constant(2.0))
+        x = CoefVec.from_pairs(Side.UNILATERAL, [(5, 1.0), (9, 0.5j)])
+        y = scaled_orbit_point(seq, T, 3, x)
+        assert (y.side, y.nnz) == (Side.UNILATERAL, 0)
+        assert scaled_orbit_point(seq, T, 4, x).nnz == 2
 
     def test_tables_evaluate_any_part_alike(self):
         # a table is read only over the span the times ask for; any part of
@@ -605,6 +618,10 @@ RATIO_SEQS = {
     "table-sign-flip": ScalingSeq.table(_sign_flip_table()),
     "inverse-log_pow": ScalingSeq.inverse(ScalingSeq.log_pow(2.0)),
     "rotated-linear": rotate_seq(ScalingSeq.exp_pow(0.5), AngleSpec("linear", 0.7)),
+    # log-ratios log|a| at and one ulp beside log1p(0.3), log1p(-0.3) and
+    # log1p(2): the pieces the expm1 band leaves to expm1 at tol 0.3 and 2.0
+    **{f"geom_inverse-{a!r}": ScalingSeq.geom_inverse(a)
+       for v in (1.3, 0.7, 3.0) for a in (math.nextafter(v, 0.0), v, math.nextafter(v, 4.0))},
 }
 
 
@@ -644,7 +661,7 @@ class TestRatioOracle:
         for tau in (1, 2, 5):
             for restrict in RESTRICTS:
                 for N in (500, 4000, 20_000):
-                    for tol in (1e-4, 0.3):
+                    for tol in (1e-4, 0.3, 1.0, 2.0):
                         args = (seq, tau, N, tol, restrict)
                         assert _outcome(ratio_classify, *args) == \
                             _outcome(oracles.ratio_classify, *args), (tau, restrict, N, tol)
@@ -721,6 +738,103 @@ class TestRatioOracle:
             want = _outcome(oracles.ratio_classify, seq, 1, N=10**5)
         assert _outcome(ratio_classify, seq, 1, N=10**5) == want
         assert (want[0], want[2]) == ("bad", _float_bits(0.0))
+
+
+def _mags(evaluate, seq, n):
+    """(log_mags, zero mask) as bytes from eval_mags or eval_at, or the error."""
+    try:
+        out = evaluate(seq, n)
+    except (ArithmeticError, ValueError) as e:
+        return type(e), str(e)
+    return out[0].tobytes(), out[-1].tobytes()
+
+
+class TestMagnitudeHalf:
+    """``eval_mags`` is ``eval_at`` without the phases: the same log
+    magnitudes and zero flags, bit for bit, or the same error."""
+
+    @pytest.mark.parametrize("name", [*RATIO_SEQS, "rotated-angle-table"])
+    def test_matches_eval_at(self, name):
+        if name in RATIO_SEQS:
+            seq = RATIO_SEQS[name]
+        else:  # an angle table too short for some n: the same error
+            seq = rotate_seq(ScalingSeq.constant(1.0 - 2.0j), AngleSpec("table", (0.1,) * 4000))
+        lo = seq.min_n
+        for n in (np.arange(lo, lo + 7), np.arange(lo, lo + 5000), np.arange(9000, 9100),
+                  np.array([lo + 3, lo, 20_004, 3100]), np.zeros(0, np.int64)):
+            n = n.astype(np.int64)
+            assert _mags(seqcore.eval_mags, seq, n) == _mags(eval_at, seq, n), n[:3]
+
+
+# tolerances where the band's edges are tiny, E1-E3's, near 1 (log1p(-tol)
+# near -inf), 1 and beyond (no lower edge), and huge (log1p(tol) near 710)
+BAND_TOLS = [1e-300, 1e-4, 0.3, 0.5, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 2.0, 1e300,
+             sys.float_info.max, math.inf]
+
+
+def _ulps_around(v: float, k: int) -> np.ndarray:
+    """The 2k + 1 doubles from k ulps below v to k above (v finite, nonzero)."""
+    bits = np.float64(abs(v)).view(np.int64) + np.arange(-k, k + 1)
+    return math.copysign(1.0, v) * bits.view(np.float64)
+
+
+class TestExpm1Band:
+    """``_expm1_band``'s edges against numpy's |expm1(d)| <= tol itself, on
+    the doubles near each edge and at log1p(+-tol), and across d's range."""
+
+    @pytest.mark.parametrize("tol", BAND_TOLS)
+    def test_edges_decide_as_expm1(self, tol):
+        lo_in, hi_in, lo_out, hi_out = seqcore._expm1_band(tol)
+        near = [lo_in, hi_in, lo_out, hi_out, math.log1p(tol)]
+        near += [math.log1p(-tol)] if tol < 1.0 else []
+        near = [v for v in near if math.isfinite(v) and v != 0.0]
+        rng = np.random.default_rng(5)
+        d = np.concatenate([
+            *(_ulps_around(v, 300) for v in near),
+            *(v * (1.0 + np.linspace(-2.0**-20, 2.0**-20, 2001)) for v in near),
+            rng.uniform(-1.0, 1.0, 20_000) * 10.0 ** rng.uniform(-320, 2.86, 20_000),
+            [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan],
+        ])
+        with np.errstate(over="ignore"):
+            dev = np.abs(np.expm1(d))
+        inside = (lo_in <= d) & (d <= hi_in)
+        outside = (d < lo_out) | (d > hi_out)
+        assert np.all(dev[inside] <= tol)
+        assert not np.any(dev[outside] <= tol)
+        assert inside.any()
+        if tol <= 0.5:
+            # what the band leaves to expm1 lies within its margin of an edge
+            assert hi_out - hi_in <= 2.0**-22 * hi_out
+            assert lo_in - lo_out <= 2.0**-22 * -lo_out
+        assert outside.any() == (tol * (1.0 + 2.0**-24) < math.inf)
+
+
+class TestExpm1Calls:
+    """The classifier runs expm1 only on the pieces the band leaves to it."""
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        out, expm1 = [], np.expm1
+        monkeypatch.setattr(np, "expm1", lambda d, *a, **k: out.append(d.size) or expm1(d, *a, **k))
+        return out
+
+    def test_e1_e3_e6_windows_never_call_expm1(self, sizes):
+        # E1's log-ratio is log a = log 0.25, E6's exactly 0 and E3's 0 or
+        # -ln 2 (0 along the evens)
+        assert ratio_classify(ScalingSeq.power_of_w(2.0), 1, N=10**6).is_bad
+        assert ratio_classify(ScalingSeq.constant(1.0), 1, N=10**6).is_good
+        assert ratio_classify(ScalingSeq.geom_even_odd(), 1, N=10**6).kind == "inconclusive"
+        assert ratio_classify(ScalingSeq.geom_even_odd(), 1, N=10**6, restrict=(2, 0)).is_good
+        assert sizes == []
+
+    @pytest.mark.parametrize("a, tol", [(1.3, 0.3), (0.7, 0.3), (3.0, 2.0)])
+    def test_edge_pieces_call_expm1(self, sizes, a, tol):
+        for b in (math.nextafter(a, 0.0), a, math.nextafter(a, 4.0)):
+            args = (ScalingSeq.geom_inverse(b), 1, 4000, tol, None)
+            sizes.clear()
+            got = _outcome(ratio_classify, *args)
+            assert sizes == [2001], b  # the window's one piece
+            assert got == _outcome(oracles.ratio_classify, *args)
 
 
 def test_ratio_classify_memory():
