@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import LogScalar, wrap_phase
+from .seqcore import wrap_phase
 
 __all__ = [
     "Side",
@@ -123,18 +123,6 @@ class CoefVec:
                 "entry log magnitude %.3g beyond float-safe cap %.0f"
                 % (float(np.max(self.log_mags)), NORM_LOG_CAP)
             )
-
-    def scale(self, a) -> "CoefVec":
-        """Multiply by a scalar (complex or LogScalar)."""
-        a = a if isinstance(a, LogScalar) else LogScalar.from_complex(a)
-        if a.zero or self.nnz == 0:
-            return CoefVec.zero(self.side)
-        return CoefVec(
-            self.side,
-            self.indices,
-            self.log_mags + a.log_mag,
-            wrap_phase(self.phases + a.phase),
-        )
 
 
 @dataclass(frozen=True)

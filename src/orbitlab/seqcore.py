@@ -106,13 +106,6 @@ class LogScalar:
             object.__setattr__(self, "log_mag", float(self.log_mag))
             object.__setattr__(self, "phase", wrap_phase(float(self.phase)))
 
-    @staticmethod
-    def from_complex(z: complex) -> "LogScalar":
-        z = complex(z)
-        if z == 0:
-            return LogScalar(zero=True)
-        return LogScalar(math.log(abs(z)), math.atan2(z.imag, z.real))
-
     def to_complex(self) -> complex:
         if self.zero:
             return 0j

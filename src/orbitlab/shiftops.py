@@ -3,7 +3,8 @@
 Convention fixed once: ``(T x)_j = premult * w_{j+1} * x_{j+1}``; a unilateral
 shift drops anything landing below index 1 (so ``T e_1 = 0``). Powers are
 computed from the log weight products C(i), one closed form on all of Z per
-shape of weights, rather than by iteration.
+shape of weights, rather than by iteration. Unit weights (w = 1, as in ``2B``
+and ``(1/w)B``) skip the products, which are all exactly +0.0 there.
 """
 
 from __future__ import annotations
@@ -102,6 +103,11 @@ class WeightSeq:
     def is_flat(self) -> bool:
         """Index-independent log weight (enables vectorized orbit scans)."""
         return self.family == "constant_w"
+
+    @property
+    def is_unit(self) -> bool:
+        """Every weight is 1, so every C(i) is +-0.0."""
+        return self.family == "constant_w" and self.params[0] == 1.0
 
     def log_w(self, idx: np.ndarray) -> np.ndarray:
         """log w at the given integer indices (vectorized)."""
@@ -295,6 +301,13 @@ class ShiftOp:
         Coefficient at j of T^n x is premult^n * prod_{i=1..n} w_{j+i} * x_{j+n};
         a unilateral shift keeps only x's entries past index n, a suffix of
         its support.
+
+        Unit weights skip the product term C(i) - C(i - n) at each kept index
+        i of x: C is +0.0 from 0 up and -0.0 below, so the term is +0.0 (a
+        -0.0 - (+0.0) would need i < 0 <= i - n). Adding it to lm changes
+        only lm = -0.0, to +0.0, and n log|premult| is never -0.0 (n >= 1,
+        and log 1 is +0.0), so lm + n log|premult| has the full sum's bits,
+        NaN and infinities included.
         """
         n = int(n)
         if n < 0:
@@ -308,6 +321,8 @@ class ShiftOp:
         start = 0
         if self.side is Side.UNILATERAL:
             start = int(np.searchsorted(x.indices, n, side="right"))
+        if self.weights.is_unit:
+            return x.log_mags[start:] + n * self.pm_log
         src = x.indices[start:]
         # lm + (C(j) - C(j - n)) + n pm_log, in cum's fresh array
         out = self.weights.cum(src)
@@ -332,6 +347,16 @@ def scaled_orbit_point(lam: ScalingSeq, T: ShiftOp, n: int, x: CoefVec) -> CoefV
     """lam_n * T^n x with all magnitude arithmetic in log domain.
 
     Entries may exceed float range; they stay as log entries in the result.
+    The vector is built once: T^n x's log-magnitudes plus log|lam_n|, and its
+    phases, each wrapped, plus arg lam_n, wrapped again (at n = 0, x's own
+    phases plus arg lam_n, wrapped once).
     """
     lam_n = eval_log(lam, n)
-    return T.power_apply(n, x).scale(lam_n)
+    lm = T.power_log_mags(n, x)
+    if lam_n.zero or lm.size == 0:
+        return CoefVec.zero(T.side)
+    start = x.nnz - lm.size
+    ph = x.phases[start:] if n == 0 else wrap_phase(x.phases[start:] + n * T.pm_arg)
+    # at n = 0, power_log_mags hands back x's own read-only array
+    lm = np.add(lm, lam_n.log_mag, out=lm if n else None)
+    return CoefVec(T.side, x.indices[start:] - n, lm, wrap_phase(ph + lam_n.phase))

@@ -21,9 +21,11 @@ from orbitlab.seqcore import (
     _BLOCK_HALF_WIDTH,
     _DIVERGE_RATIO,
     _TREND_ALPHA_MIN,
+    LogScalar,
     RatioVerdict,
     ScalingSeq,
     eval_at,
+    eval_log,
     scan_grid,
     wrap_phase,
 )
@@ -411,6 +413,42 @@ def power_log_mags(T: ShiftOp, n: int, x: CoefVec) -> np.ndarray:
     src = x.indices[keep]
     w = T.weights
     return x.log_mags[keep] + (w.cum(src) - w.cum(src - n)) + n * T.pm_log
+
+
+def power_apply(T: ShiftOp, n: int, x: CoefVec) -> CoefVec:
+    """T^n x with the log-magnitudes of ``power_log_mags`` above, on the same
+    mask: the kept entries moved n places down, their phases turned by
+    n arg(premult) and wrapped; x itself at n = 0 and for an empty x."""
+    if n == 0 or x.nnz == 0:
+        return x
+    keep = (x.indices - n) >= 1 if T.side is Side.UNILATERAL else slice(None)
+    lm = power_log_mags(T, n, x)
+    if lm.size == 0:
+        return CoefVec.zero(T.side)
+    return CoefVec(T.side, x.indices[keep] - n, lm, wrap_phase(x.phases[keep] + n * T.pm_arg))
+
+
+def log_scalar(z: complex) -> LogScalar:
+    """A complex scalar as (log|z|, arg z); 0 as the zero flag."""
+    z = complex(z)
+    if z == 0:
+        return LogScalar(zero=True)
+    return LogScalar(math.log(abs(z)), math.atan2(z.imag, z.real))
+
+
+def scale(x: CoefVec, a) -> CoefVec:
+    """a x for a complex or LogScalar a: log|a| added to every log-magnitude,
+    arg a to every phase, wrapped; the zero vector when a or x is zero."""
+    a = a if isinstance(a, LogScalar) else log_scalar(a)
+    if a.zero or x.nnz == 0:
+        return CoefVec.zero(x.side)
+    return CoefVec(x.side, x.indices, x.log_mags + a.log_mag, wrap_phase(x.phases + a.phase))
+
+
+def scaled_orbit_point(lam: ScalingSeq, T: ShiftOp, n: int, x: CoefVec) -> CoefVec:
+    """lam_n T^n x in two steps, T^n x (``power_apply`` above) and then
+    ``scale``; ``shiftops.scaled_orbit_point`` must equal it bit for bit."""
+    return scale(power_apply(T, n, x), eval_log(lam, n))
 
 
 def orbit_norm_logs(T: ShiftOp, x: CoefVec, n_arr: np.ndarray) -> np.ndarray:

@@ -186,6 +186,7 @@ def test_orbit_distance_matches_direct(flat):
             assert d2[t] == pytest.approx(want, rel=1e-9, abs=1e-250)
         else:
             assert want > 0.25  # pre-filtered rows are certain misses
+    assert orbit_distances(x, lam, T, y, 0.5, n_arr[:0]).shape == (0,)
 
 
 @pytest.mark.parametrize("side", [Side.UNILATERAL, Side.BILATERAL], ids=lambda s: s.value)

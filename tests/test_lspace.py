@@ -15,7 +15,8 @@ from orbitlab.lspace import (
     dist,
     norm,
 )
-from orbitlab.seqcore import LogScalar
+from orbitlab.seqcore import LogScalar, ScalingSeq
+from orbitlab.shiftops import ShiftOp, WeightSeq, scaled_orbit_point
 from oracles import log_entry, to_complex_dict
 
 
@@ -54,7 +55,7 @@ class TestNorm:
             a = complex(rng.normal(), rng.normal())
             if a == 0:
                 continue
-            lhs = norm(x.scale(a))
+            lhs = norm(oracles.scale(x, a))
             assert lhs == pytest.approx(abs(a) * norm(x), rel=1e-10)
 
 
@@ -69,7 +70,7 @@ class TestDist:
 
     def test_scalar_multiple(self):
         e1 = CoefVec.basis(Side.UNILATERAL, 1)
-        assert dist(e1.scale(2.0), e1) == pytest.approx(1.0, abs=1e-15)
+        assert dist(oracles.scale(e1, 2.0), e1) == pytest.approx(1.0, abs=1e-15)
 
     def test_side_mismatch(self):
         with pytest.raises(SideMismatchError):
@@ -106,19 +107,19 @@ class TestBall:
             theta = rng.uniform(-10, 10)
             before = dist(x, y) < r
             turn = LogScalar(0.0, theta)
-            after = dist(x.scale(turn), y.scale(turn)) < r
+            after = dist(oracles.scale(x, turn), oracles.scale(y, turn)) < r
             assert before == after
 
 
 class TestScale:
     def test_identity(self):
+        # scaling by 1 and by 0 now happens only in scaled_orbit_point; at
+        # n = 0 under the unweighted shift it is the scaling of x itself
         x = vec([(1, 1.5), (3, -2j)])
-        assert to_complex_dict(x.scale(1.0)) == to_complex_dict(x)
-        assert x.scale(0.0).nnz == 0
-
-    def test_log_scalar_coefficient(self):
-        out = CoefVec.basis(Side.UNILATERAL, 1).scale(LogScalar(math.log(3.0), math.pi))
-        assert to_complex_dict(out)[1] == pytest.approx(-3.0)
+        T = ShiftOp(Side.UNILATERAL, WeightSeq.constant(1.0))
+        one = scaled_orbit_point(ScalingSeq.constant(1.0), T, 0, x)
+        assert to_complex_dict(one) == to_complex_dict(x)
+        assert scaled_orbit_point(ScalingSeq.constant(0.0), T, 0, x).nnz == 0
 
 
 class TestConstruction:

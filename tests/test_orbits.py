@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import oracles
 from oracles import exact_ball_scan, return_distances
 
 from orbitlab import _kernels, orbits
@@ -81,7 +82,8 @@ class TestHittingSet:
         theta = 1.234
         lam_rot = rotate_seq(ONE, theta)
         h_plain = hitting_set(x, ONE, TWO_B, Ball(e(1), 0.4), 150)
-        h_rot = hitting_set(x, lam_rot, TWO_B, Ball(e(1).scale(LogScalar(0.0, theta)), 0.4), 150)
+        center = oracles.scale(e(1), LogScalar(0.0, theta))
+        h_rot = hitting_set(x, lam_rot, TWO_B, Ball(center, 0.4), 150)
         assert np.array_equal(h_plain.indices, h_rot.indices)
 
     def test_overflow_prefilter_skips_blowup(self):
@@ -414,7 +416,7 @@ class TestRecurrenceScan:
 
     def test_unimodular_rotation_return_times(self):
         # the adjoint of multiplication by the constant a = exp(2 pi i / 7)
-        # multiplies every Hardy coefficient by conj(a) (CoefVec.scale); its
+        # multiplies every Hardy coefficient by conj(a) (oracles.scale); its
         # orbit returns to x exactly when |a^n - 1| is small, at multiples of 7
         import cmath
 
@@ -423,7 +425,7 @@ class TestRecurrenceScan:
         hits = []
         v = x
         for n in range(1, 50):
-            v = v.scale(a.conjugate())
+            v = oracles.scale(v, a.conjugate())
             if dist(v, x) < 1e-9:
                 hits.append(n)
         want = [n for n in range(1, 50) if abs(a**n - 1) * norm(x) < 1e-9]

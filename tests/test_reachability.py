@@ -232,9 +232,6 @@ KEEP = {
     "expcli._verify_products": (
         "verify reads salas and mr_shift certificates from reports that users bring",
         _verify_products),
-    "seqcore.LogScalar.from_complex": (
-        "CoefVec.scale's complex form, in which tests state their properties",
-        lambda: _mod("seqcore").LogScalar.from_complex(0.5j)),
 }
 
 

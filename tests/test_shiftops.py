@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from orbitlab import shiftops
-from orbitlab.lspace import CoefVec, Side, norm
-from orbitlab.seqcore import ScalingSeq
+from orbitlab.lspace import CoefVec, Side, SideMismatchError, norm
+from orbitlab.seqcore import ScalingSeq, SequenceDomainError
 from orbitlab.shiftops import ShiftOp, WeightSeq, scaled_orbit_point
 import oracles
 from oracles import (
@@ -504,12 +505,103 @@ class TestRunForm:
         assert (w.cum(sample) - w.cum(np.array([0]))).tobytes() == want.tobytes()
 
 
+def _bits(v: CoefVec) -> tuple:
+    return v.side, v.indices.tobytes(), v.log_mags.tobytes(), v.phases.tobytes()
+
+
+# premultipliers with |pm| = 1, whose n log|pm| is +0.0, and others
+PREMULTIPLIERS = [1.0, -1.0, 1j, -1j, 0.6 + 0.8j, 2.0, 0.5, -3.0 + 4.0j, 0.7j]
+SPECIAL_LOG_MAGS = [-0.0, 0.0, math.inf, -math.inf, math.nan]
+# lam_n = 0 (constant 0, and a table's zero entries), huge and complex
+# lam_n, and a table whose domain n = 1..40 leaves n = 0 and n > 40 out
+SCALINGS = [
+    ScalingSeq.constant(1.0),
+    ScalingSeq.constant(0.0),
+    ScalingSeq.constant(-0.25 + 0.5j),
+    ScalingSeq.power_of_w(1.5j),
+    ScalingSeq.factorial(),
+    ScalingSeq.geom_even_odd(),
+    ScalingSeq.table([0.0, 2.0, -1j, 0.5 + 0.5j] * 10),
+]
+
+
+@st.composite
+def _orbit_cases(draw):
+    """A flat shift on either side (c = 1 mostly, so the product term is
+    skipped), a vector, and powers n: 0, one inside the support, its last
+    index and one past it. The vector's log-magnitudes are special values,
+    where a sum's zero sign shows, or random doubles of magnitude up to 1,
+    10, 100 or 1000, where the order of two additions shows; its phases are
+    random doubles in [-10, 10], since CoefVec keeps phases as given, so a
+    second wrap shows."""
+    side = draw(st.sampled_from([Side.UNILATERAL, Side.BILATERAL]))
+    c = draw(st.sampled_from([1.0, 1.0, 1.0, 2.0, 0.5, 1.0 + 2.0**-52]))
+    T = ShiftOp(side, WeightSeq.constant(c), draw(st.sampled_from(PREMULTIPLIERS)))
+    lo = 1 if side is Side.UNILATERAL else -30
+    idx = sorted(draw(st.lists(st.integers(lo, 60), unique=True, max_size=40)))
+    special = draw(st.lists(st.one_of(st.none(), st.sampled_from(SPECIAL_LOG_MAGS)),
+                            min_size=len(idx), max_size=len(idx)))
+    rnd = draw(st.randoms(use_true_random=True))
+    lm = [rnd.uniform(-1.0, 1.0) * 10.0 ** rnd.randint(0, 3) if v is None else v for v in special]
+    ph = [rnd.uniform(-10.0, 10.0) for _ in idx]
+    x = CoefVec(side, np.array(idx, dtype=np.int64), np.array(lm), np.array(ph))
+    last = max(idx + [1])
+    ns = [0, draw(st.integers(1, last)), last, draw(st.integers(last + 1, last + 30))]
+    return T, x, ns
+
+
 class TestScaledOrbitPoint:
+    @given(_orbit_cases())
+    def test_bit_for_bit_with_the_oracles(self, case):
+        # power_log_mags and power_apply against the cum formula, and the
+        # one-pass orbit point against the two steps, power_apply then scale
+        T, x, ns = case
+        for n in ns:
+            assert T.power_log_mags(n, x).tobytes() == oracles.power_log_mags(T, n, x).tobytes()
+            assert _bits(T.power_apply(n, x)) == _bits(oracles.power_apply(T, n, x))
+            for lam in SCALINGS:
+                try:
+                    want = oracles.scaled_orbit_point(lam, T, n, x)
+                except SequenceDomainError as exc:
+                    with pytest.raises(SequenceDomainError, match=re.escape(str(exc))):
+                        scaled_orbit_point(lam, T, n, x)
+                    continue
+                assert _bits(scaled_orbit_point(lam, T, n, x)) == _bits(want), (lam, n)
+
+    def test_unit_weights_only(self):
+        assert WeightSeq.constant(1.0).is_unit
+        for w in ALL_WEIGHTS[1:] + [WeightSeq.constant(1.0 + 2.0**-52)]:
+            assert not w.is_unit, w
+
+    def test_scaling_errors_come_first(self):
+        # lam's domain error before the shift's own errors, and those before
+        # the zero vector of a lam_n = 0
+        uni = CoefVec.basis(Side.UNILATERAL, 2)
+        bi = CoefVec.from_pairs(Side.BILATERAL, [(-5, 1.0), (3, 1.0)])
+        T = ShiftOp(Side.BILATERAL, WeightSeq.constant(1.0), 2.0)
+        short = ScalingSeq.table([1.0])
+        with pytest.raises(SequenceDomainError):
+            scaled_orbit_point(short, T, 2, uni)
+        with pytest.raises(SequenceDomainError):
+            scaled_orbit_point(short, T, 2**63 - 1, bi)
+        zero = ScalingSeq.constant(0.0)
+        with pytest.raises(SideMismatchError):
+            scaled_orbit_point(zero, T, 2, uni)
+        with pytest.raises(ValueError, match="int64"):
+            scaled_orbit_point(zero, T, 2**63 - 1, bi)
+        assert scaled_orbit_point(zero, T, 2, bi).nnz == 0
+
     def test_constant_scaling_power_zero(self):
         T = ShiftOp(Side.UNILATERAL, WeightSeq.constant(1.0))
         x = CoefVec.from_pairs(Side.UNILATERAL, [(1, 1.0), (2, 2.0)])
         out = scaled_orbit_point(ScalingSeq.constant(1.0), T, 0, x)
         assert to_complex_dict(out) == to_complex_dict(x)
+        assert scaled_orbit_point(ScalingSeq.constant(0.0), T, 0, x).nnz == 0
+
+    def test_complex_scalar(self):
+        T = ShiftOp(Side.UNILATERAL, WeightSeq.constant(1.0))
+        out = scaled_orbit_point(ScalingSeq.constant(-3.0), T, 0, CoefVec.basis(Side.UNILATERAL, 1))
+        assert to_complex_dict(out)[1] == pytest.approx(-3.0)
 
     def test_factorial_cancellation(self):
         # x_{n+1} = 1/n! makes the scaled orbit land exactly on e_1
