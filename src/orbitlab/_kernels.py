@@ -46,10 +46,11 @@ from .lspace import LM_ZERO
 def progression_members(
     lookup: np.ndarray, members: np.ndarray, nbits: int, offsets: np.ndarray
 ) -> np.ndarray:
-    """All starts a (sorted) with a + max(offsets) <= nbits and every a + off set."""
+    """All starts a (sorted) with a + max(offsets) <= nbits and every a + off set.
+
+    ``offsets`` is not empty: ``ap_scan`` passes tau*k*(1..m) with m >= 1.
+    """
     offsets = np.asarray(offsets, dtype=np.int64)
-    if offsets.size == 0:
-        return members
     starts = members[members <= nbits - int(offsets.max())]
     for off in offsets:
         starts = starts[lookup[starts + off]]

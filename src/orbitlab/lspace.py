@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +30,19 @@ NORM_LOG_CAP = 350.0
 # exp rounds to +0.0 below ln 2^-1075 ~ -745.133, so an entry (or square)
 # whose log-magnitude lies below LM_ZERO adds an exact zero to norm and dist
 LM_ZERO = -746.0
+
+
+def _prefix_lse(vals: np.ndarray) -> np.ndarray:
+    """prefix[t] = log sum_{u < t} exp(vals[u]), with prefix[0] = -inf."""
+    out = np.full(vals.size + 1, -np.inf)
+    if vals.size:
+        out[1:] = np.logaddexp.accumulate(vals)
+    return out
+
+
+def _suffix_lse(vals: np.ndarray) -> np.ndarray:
+    """suffix[t] = log sum_{u >= t} exp(vals[u]), with suffix[len] = -inf."""
+    return _prefix_lse(vals[::-1])[::-1]
 
 
 class SideMismatchError(ValueError):
@@ -111,6 +125,21 @@ class CoefVec:
     @property
     def nnz(self) -> int:
         return int(self.indices.size)
+
+    # log sum |x_u|^2 over the support positions u >= t (suffix) and u < t
+    # (prefix): the flat orbit scan's tails beyond a window, computed once
+    # per vector, so that every scan of it shares them
+    @cached_property
+    def sq_suffix_lse(self) -> np.ndarray:
+        out = _suffix_lse(2.0 * self.log_mags)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def sq_prefix_lse(self) -> np.ndarray:
+        out = _prefix_lse(2.0 * self.log_mags)
+        out.setflags(write=False)
+        return out
 
     def to_complex_array(self) -> np.ndarray:
         """Entries as complex128, aligned with ``indices``."""

@@ -12,6 +12,8 @@ Every ball question (hitting sets, the FU build's planned-time check,
 return times) is one pass streamed over the SCAN_CHUNK grid of n that holds
 only the hits, the distances asked for and one chunk's arrays; the flat
 kernel's position table spans only the chunk's window of indices n + j.
+A chunk is put to the scan's decision as a range of times, and only the
+times left open and the times asked for are materialized.
 
 With the flat kernel, a time whose window n + w_lo..n + w_hi holds no entry
 of x is decided as a miss, exactly and with no error band, once y's window
@@ -19,7 +21,9 @@ squares, summed in the kernel's own order, reach r^2: the kernel adds those
 same squares to a non-negative tail, and rounded addition is monotone.
 This holds on unilateral and bilateral shifts alike. x is sparse, so the
 kernel runs only on the times whose window meets x's support: 8-15% of them
-in the FU builds of E1, E3 and E6.
+in the FU builds of E1, E3 and E6. They are read off the chunk's slice of
+x's support, and x's log-sum-exp tails are computed once per vector
+(``CoefVec.sq_suffix_lse``), so every scan of x shares them.
 
 With general weights on a unilateral shift, a certified enclosure decides
 most times before the per-n kernel runs: y's window summed in full for the
@@ -45,8 +49,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .lspace import Ball, CoefVec, Side, dist, norm
-from .seqcore import ScalingSeq, eval_at, eval_log, log_mul, ratio_classify, scan_grid
+from .lspace import Ball, CoefVec, Side, _suffix_lse, dist, norm
+from .seqcore import ScalingSeq, eval_at, eval_log, log_mul, ratio_classify, scan_runs
 from .shiftops import ShiftOp, scaled_orbit_point
 
 __all__ = [
@@ -136,17 +140,14 @@ def density_stats(h: HittingSet, n0: int | None = None) -> DensityStats:
 # orbit scan engine
 # ---------------------------------------------------------------------------
 
-def _prefix_lse(vals: np.ndarray) -> np.ndarray:
-    """prefix[t] = log sum_{u < t} exp(vals[u]), with prefix[0] = -inf."""
-    out = np.full(vals.size + 1, -np.inf)
-    if vals.size:
-        out[1:] = np.logaddexp.accumulate(vals)
-    return out
+# no times: the decisions' empty answer
+_NO_TIMES = np.zeros(0, dtype=np.int64)
+_NO_TIMES.setflags(write=False)
 
 
-def _suffix_lse(vals: np.ndarray) -> np.ndarray:
-    """suffix[t] = log sum_{u >= t} exp(vals[u]), with suffix[len] = -inf."""
-    return _prefix_lse(vals[::-1])[::-1]
+def _times(lo: int, size: int) -> np.ndarray:
+    """The times lo..lo + size - 1 as an int64 array."""
+    return np.arange(lo, lo + size, dtype=np.int64)
 
 
 def _orbit_scan(
@@ -155,9 +156,10 @@ def _orbit_scan(
     """Set up one target's distance kernel once: y's window, x's log-sum-exp
     tails or the cumulative weight products. Returns (dist2, decide):
     dist2 gives dist(lam_n T^n x, y)^2 for an int64 array of times n <= n_hi,
-    and decide(n_arr, r2) splits the consecutive times n_arr (a chunk of the
-    scan grid) into (inside, rest): the times certain to have dist2 < r2,
-    and the times left open; the others are certain misses.
+    and decide(lo, size, r2) splits the times lo..lo + size - 1 (a chunk of
+    the scan grid) into (inside, rest), sorted int64 arrays: the times
+    certain to have dist2 < r2, and the times left open; the others are
+    certain misses.
 
     ``count`` is the number of times the scan asks for. The flat kernel loops
     over y's window and the per-n kernel over the times, so flat weights take
@@ -202,8 +204,8 @@ def _orbit_scan(
         return np.where(lam_zero, -np.inf, lam_lm) + nf * (pm_lm + c), lam_ph + nf * pm_arg
 
     if flat:
-        suffix = _suffix_lse(2.0 * x.log_mags)
-        prefix = None if unilateral else _prefix_lse(2.0 * x.log_mags)
+        suffix = x.sq_suffix_lse
+        prefix = None if unilateral else x.sq_prefix_lse
 
         def dist2(n_arr):
             pos, pos_lo = _window_positions(x, n_arr, w_lo, w_hi)
@@ -248,9 +250,9 @@ def _window_positions(x: CoefVec, n_arr: np.ndarray, w_lo: int, w_hi: int):
     return pos, pos_lo
 
 
-def _undecided(n_arr: np.ndarray, r2: float):
+def _undecided(lo: int, size: int, r2: float):
     """No enclosure: every time is left to the distance kernel."""
-    return n_arr[:0], n_arr
+    return _NO_TIMES, _times(lo, size)
 
 
 def _empty_window_misses(x: CoefVec, w_lo: int, w_hi: int, y_re: np.ndarray,
@@ -262,28 +264,32 @@ def _empty_window_misses(x: CoefVec, w_lo: int, w_hi: int, y_re: np.ndarray,
     same order to its tail exp(...), which is >= +0.0, inf or NaN, and reads
     no coefficient, so its overflow pre-filter stays off. Round-to-nearest
     addition is monotone, so the kernel's d2 >= Y, and when Y >= r2 such a
-    time is a miss (inf and NaN are misses too). Returns decide(n_arr, r2)
-    -> (no times, the times whose window meets x's support); when not
-    Y >= r2 (the ball holds 0, or y is NaN) every time stays open.
+    time is a miss (inf and NaN are misses too). Returns decide(lo, size,
+    r2) -> (no times, the times whose window meets x's support), read off
+    the chunk's slice of x's support; when not Y >= r2 (the ball holds 0,
+    or y is NaN) every time stays open.
     """
     Y = 0.0
     for re_j, im_j in zip(y_re.tolist(), y_im.tolist()):
         Y += re_j * re_j
         Y += im_j * im_j
 
-    def decide(n_arr, r2):
+    def decide(lo, size, r2):
         if not Y >= r2:
-            return n_arr[:0], n_arr
-        # index i of x lies in the windows of the times i - w_hi..i - w_lo:
-        # slots k - pad..k of a mask over the times n0 - pad..max(n) + pad,
-        # with k = i - n0 - w_lo + pad
-        n0, pad = int(n_arr[0]), w_hi - w_lo
-        a, b = np.searchsorted(x.indices, [n0 + w_lo, int(n_arr[-1]) + w_hi + 1])
-        k = x.indices[a:b] - (n0 + w_lo - pad)
-        meets = np.zeros(n_arr.size + 2 * pad, dtype=bool)
+            return _NO_TIMES, _times(lo, size)
+        # index i of x lies in the windows of the times i - w_hi..i - w_lo,
+        # which for a one-offset window is the one time i - w_lo
+        a, b = np.searchsorted(x.indices, [lo + w_lo, lo + size - 1 + w_hi + 1])
+        if w_lo == w_hi:
+            return _NO_TIMES, x.indices[a:b] - w_lo
+        # slots k - pad..k of a mask over the times lo - pad..lo + size - 1
+        # + pad, with k = i - lo - w_lo + pad
+        pad = w_hi - w_lo
+        k = x.indices[a:b] - (lo + w_lo - pad)
+        meets = np.zeros(size + 2 * pad, dtype=bool)
         for d in range(pad + 1):
             meets[k - d] = True
-        return n_arr[:0], n_arr[meets[pad:pad + n_arr.size]]
+        return _NO_TIMES, np.flatnonzero(meets[pad:pad + size]) + lo
 
     return decide
 
@@ -352,7 +358,7 @@ def _enclosure(
 
     d2(n) = W(n) + tail(n): the window W over i - n in [w_lo, w_hi] is
     summed in full (``_kernels.window_dist2``), and the tail over i - n >
-    w_hi is at most ``_tail_bound``'s bound. Returns decide(n_arr, r2) ->
+    w_hi is at most ``_tail_bound``'s bound. Returns decide(lo, size, r2) ->
     (inside, rest), the hit times and the open times: a miss where W >= r2
     + eta, a hit where W + tail < r2 - eta and no coefficient can reach
     log_cap (so the kernel's overflow pre-filter stays off), eta from
@@ -363,7 +369,8 @@ def _enclosure(
     tail_bound = _tail_bound(x, cum, w_hi)
     band, _ = _error_band(x, cum, y_re, y_im, y2)
 
-    def decide(n_arr, r2):
+    def decide(lo, size, r2):
+        n_arr = _times(lo, size)
         s_lm, s_ph = scale(n_arr)
         pos, pos_lo = _window_positions(x, n_arr, w_lo, w_hi)
         W, lm_max = _kernels.window_dist2(
@@ -392,7 +399,7 @@ def _norm_bound(x: CoefVec, scale, cum: np.ndarray, y_re: np.ndarray, y_im: np.n
     wider than the scan), from the reverse triangle inequality
     d(n) >= |y| - |lam_n T^n x|. The whole row is the tail beyond offset 0,
     so |lam_n T^n x|^2 <= U(n)^2 = exp(2 (s(n) - C_min) + S(n)) by
-    ``_tail_bound``. Returns decide(n_arr, r2) -> (no times, open times): a
+    ``_tail_bound``. Returns decide(lo, size, r2) -> (no times, open times): a
     miss where |y| > U(n) and (|y| - U(n))^2 >= r2 + eta, eta from
     ``_kernels.d2_error_bound``, which then is the kernel's own float answer
     d2 >= r2. It never decides a hit.
@@ -404,7 +411,8 @@ def _norm_bound(x: CoefVec, scale, cum: np.ndarray, y_re: np.ndarray, y_im: np.n
     # of the exact squares, and sqrt and the product round once each
     y_lo = math.sqrt(ysq) * (1.0 - 8.0 * U)
 
-    def decide(n_arr, r2):
+    def decide(lo, size, r2):
+        n_arr = _times(lo, size)
         s_lm, s_ph = scale(n_arr)
         eta, _, s_abs = band(s_lm, s_ph, r2)
         _, tail = tail_bound(n_arr, s_lm, s_abs)
@@ -412,7 +420,7 @@ def _norm_bound(x: CoefVec, scale, cum: np.ndarray, y_re: np.ndarray, y_im: np.n
             # the gap and its square rounded down, U(n) rounded up
             gap = y_lo - np.sqrt(tail) * (1.0 + 4.0 * U)
             miss = (gap > 0.0) & (gap * gap * (1.0 - 8.0 * U) >= r2 + eta)
-        return n_arr[:0], n_arr[~miss]
+        return _NO_TIMES, n_arr[~miss]
 
     return decide
 
@@ -442,10 +450,12 @@ def _ball_scan(
     """One pass over n = max(1, lam.min_n)..N, streamed on the SCAN_CHUNK
     grid: the open-ball hit times (strict d2 < r^2) and the squared
     distances at the sorted times ``at`` inside that range. Only the hits
-    and one chunk's arrays are held at a time. Each chunk is first put to
-    the scan's decide; the distance kernel runs on the times it leaves open
-    and on the times in ``at``, whose distances are reported exactly, and
-    not at all when there are none."""
+    and one chunk's arrays are held at a time. Each chunk's range of times
+    is first put to the scan's decide; the distance kernel runs on the
+    times it leaves open and on the times in ``at``, whose distances are
+    reported exactly, and not at all when there are none. The times in
+    ``at`` are merged into the open ones only when some are not open
+    already, as an FU build's planned times always are."""
     if N < 1:
         raise ValueError("horizon must be >= 1")
     n0 = max(1, lam.min_n)
@@ -453,26 +463,30 @@ def _ball_scan(
     at = np.zeros(0, dtype=np.int64) if at is None else at
     r2 = b.radius * b.radius
     hits, at_d2 = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    for n_arr in scan_grid(n0, N):
-        lo = int(n_arr[0])
-        i, j = np.searchsorted(at, [lo, lo + n_arr.size])
-        inside, rest = decide(n_arr, r2)
-        # the kernel answers the open times and the times asked for
-        ns = rest if rest.size == n_arr.size else _chunk_union(n_arr, rest, at[i:j])
+    for lo, size in scan_runs(n0, N):
+        i, j = np.searchsorted(at, [lo, lo + size])
+        asked = at[i:j]
+        inside, rest = decide(lo, size, r2)
+        # the kernel answers the open times and the times asked for; p
+        # places the asked times in the times the kernel answers
+        ns, p = rest, np.searchsorted(rest, asked)
+        if asked.size and not (rest.size and np.array_equal(rest.take(p, mode="clip"), asked)):
+            ns = _chunk_union(lo, size, rest, asked)
+            p = np.searchsorted(ns, asked)
         d2 = dist2(ns) if ns.size else np.zeros(0)
         got = ns[d2 < r2]
-        hits.append(_chunk_union(n_arr, inside, got) if inside.size else got)
-        at_d2.append(d2[np.searchsorted(ns, at[i:j])])
+        hits.append(_chunk_union(lo, size, inside, got) if inside.size else got)
+        at_d2.append(d2[p])
     return np.concatenate(hits), np.concatenate(at_d2)
 
 
-def _chunk_union(n_arr: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The sorted union of two sets of the consecutive times n_arr, by one
+def _chunk_union(lo: int, size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sorted union of two sets of the times lo..lo + size - 1, by one
     boolean mask over them."""
-    mask = np.zeros(n_arr.size, dtype=bool)
-    mask[a - n_arr[0]] = True
-    mask[b - n_arr[0]] = True
-    return n_arr[mask]
+    mask = np.zeros(size, dtype=bool)
+    mask[a - lo] = True
+    mask[b - lo] = True
+    return np.flatnonzero(mask) + lo
 
 
 def hitting_set(x: CoefVec, lam: ScalingSeq, T: ShiftOp, b: Ball, N: int) -> HittingSet:

@@ -32,7 +32,6 @@ __all__ = [
     "rotate_seq",
     "wrap_phase",
     "SCAN_CHUNK",
-    "scan_grid",
     "scan_runs",
 ]
 
@@ -53,12 +52,6 @@ def scan_runs(lo: int, hi: int):
     times."""
     for a in range(lo, hi + 1, SCAN_CHUNK):
         yield a, min(SCAN_CHUNK, hi + 1 - a)
-
-
-def scan_grid(lo: int, hi: int):
-    """n = lo..hi as consecutive int64 arrays of at most SCAN_CHUNK times."""
-    for a, count in scan_runs(lo, hi):
-        yield np.arange(a, a + count, dtype=np.int64)
 
 
 class SequenceDomainError(ValueError):
@@ -718,7 +711,9 @@ def ratio_classify(
       5. Inconclusive otherwise (oscillating families land here).
 
     ``restrict=(mod, residue)`` limits the scan to one residue class, the
-    testable form of a ratio limit taken along a subset of N.
+    testable form of a ratio limit taken along a subset of N. ``tol`` lies
+    in (0, 1): at tol >= 1 rule 1 would call good a window of ratios that
+    tend to 0.
 
     The window is walked in pieces of ``SCAN_CHUNK`` of its members, each
     evaluated with its tau overlap, magnitudes only (``eval_mags``). Only
@@ -735,8 +730,8 @@ def ratio_classify(
         raise ValueError("tau must be a positive integer")
     if N < 100 * tau:
         raise ValueError(f"horizon N={N} too small, need N >= {100 * tau}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < 1:
+        raise ValueError("tol must lie in (0, 1)")
 
     lo = max(N // 2, seq.min_n)
     step, res = 1, lo

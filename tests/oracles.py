@@ -26,7 +26,7 @@ from orbitlab.seqcore import (
     ScalingSeq,
     eval_at,
     eval_log,
-    scan_grid,
+    scan_runs,
     wrap_phase,
 )
 from orbitlab.shiftops import ShiftOp, WeightSeq
@@ -122,8 +122,8 @@ def exact_ball_scan(x, lam, T, b, N: int, at=None):
     at = np.zeros(0, dtype=np.int64) if at is None else at
     r2 = b.radius * b.radius
     hits, at_d2 = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    for n_arr in scan_grid(n0, N):
-        lo = int(n_arr[0])
+    for lo, size in scan_runs(n0, N):
+        n_arr = np.arange(lo, lo + size, dtype=np.int64)
         d2 = dist2(n_arr)
         hits.append(n_arr[d2 < r2])
         i, j = np.searchsorted(at, [lo, lo + n_arr.size])
@@ -512,8 +512,8 @@ def ratio_classify(
         raise ValueError("tau must be a positive integer")
     if N < 100 * tau:
         raise ValueError(f"horizon N={N} too small, need N >= {100 * tau}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < 1:
+        raise ValueError("tol must lie in (0, 1)")
 
     lo = max(N // 2, seq.min_n)
     ns = np.arange(lo, N + 1, dtype=np.int64)

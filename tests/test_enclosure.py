@@ -9,7 +9,9 @@ stay undecided and go to the kernel, and the kernel's squared distance stays
 within ``d2_error_bound`` of a 50-digit evaluation. Every miss the norm bound
 decides is a kernel miss, also next to the bound, and times where the bound
 is too loose go to the kernel. Every miss the flat scan decides is a flat
-kernel miss, also with r^2 planted on y's window squares.
+kernel miss, also with r^2 planted on y's window squares; the flat scan is
+the exact scan across a SCAN_CHUNK edge, and the scans of one vector share
+its log-sum-exp tails.
 """
 
 import cmath
@@ -25,11 +27,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import exact_ball_scan
 
-from orbitlab import _kernels, expcli, orbits
+from orbitlab import _kernels, expcli, lspace, orbits
 from orbitlab.fhbuilder import build
 from orbitlab.lspace import Ball, CoefVec, Side
-from orbitlab.orbits import _ball_scan, recurrence_scan
-from orbitlab.seqcore import ScalingSeq, eval_at
+from orbitlab.orbits import _ball_scan, mr_witness_search, recurrence_scan
+from orbitlab.seqcore import SCAN_CHUNK, ScalingSeq, eval_at
 from orbitlab.shiftops import ShiftOp, WeightSeq
 
 ONE = ScalingSeq.constant(1.0)
@@ -66,7 +68,7 @@ def _recorded_rows(run):
 def _decisions(x, lam, T, b, N):
     """The enclosure's (hit times, open times) over n = 1..N."""
     decide = orbits._orbit_scan(x, lam, T, b.center, b.radius, N, N)[1]
-    return decide(np.arange(1, N + 1, dtype=np.int64), b.radius * b.radius)
+    return decide(1, N, b.radius * b.radius)
 
 
 # (operator, targets, N, g): FU builds whose scans take the enclosure
@@ -383,7 +385,7 @@ def test_flat_empty_window_misses_are_kernel_misses(case):
                       for n in n_arr.tolist()], dtype=bool)
     above = 2.0 * Y + 1.0  # above |y|^2
     for r2 in (math.nextafter(Y, 0.0), Y, math.nextafter(Y, math.inf), above):
-        inside, rest = decide(n_arr, r2)
+        inside, rest = decide(int(n_arr[0]), n_arr.size, r2)
         assert inside.size == 0
         want_open = n_arr[meets] if Y >= r2 else n_arr
         assert rest.tobytes() == want_open.tobytes()
@@ -394,3 +396,104 @@ def test_flat_empty_window_misses_are_kernel_misses(case):
         want_hits, want_d2 = exact_ball_scan(x, lam, T, b, N, n_arr[::3])
         assert got_hits.tobytes() == want_hits.tobytes()
         assert got_d2.tobytes() == want_d2.tobytes()
+
+
+@st.composite
+def _chunk_edge_cases(draw):
+    """(x, lam, T, y, N, r2, at): constant weights on either side, a window
+    of 1-3 offsets, a horizon past the first SCAN_CHUNK edge and x's support
+    on both sides of it. x holds y's entries, orbit-scaled, at a planted
+    time or two near the edge, so that the scan has hits, and small entries
+    elsewhere. r^2 lies below y's window squares Y, next to Y (r = sqrt(Y)),
+    or above |y|^2 (the ball holds 0); ``at`` holds open times only, open
+    times and others, or nothing."""
+    side = draw(st.sampled_from([Side.UNILATERAL, Side.BILATERAL]), label="side")
+    width = draw(st.integers(1, 3), label="width")
+    w_lo = 1 if side is Side.UNILATERAL else draw(st.integers(-3, 3), label="w_lo")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    N = SCAN_CHUNK + draw(st.integers(1, 300), label="past the edge")
+    y_vals = rng.normal(size=width) + 1j * rng.normal(size=width)
+    y = CoefVec.from_pairs(side, [(w_lo + k, v) for k, v in enumerate(y_vals)])
+    theta = float(rng.uniform(-math.pi, math.pi))
+    unit = draw(st.booleans(), label="unit weights")
+    c = 1.0 if unit else float(rng.uniform(0.9999, 1.0001))
+    T = ShiftOp(side, WeightSeq.constant(c), cmath.exp(1j * theta))
+    lam = draw(st.sampled_from([ONE, ScalingSeq.power_of_w(cmath.exp(0.37j))]), label="lam")
+    # indices whose windows start within a few times of the edge, in both
+    # chunks, and a few anywhere in the scanned range (below 1 too when
+    # bilateral)
+    edge = SCAN_CHUNK + w_lo
+    near = edge + rng.integers(-3 * width - 2, 3 * width + 3, size=int(rng.integers(1, 8)))
+    lo = 1 if side is Side.UNILATERAL else w_lo - 4
+    far = rng.integers(lo, N + w_lo + width + 4, size=int(rng.integers(0, 20)))
+    entries = {int(i): (float(rng.uniform(-40.0, 0.0)), float(rng.uniform(-3.0, 3.0)))
+               for i in np.concatenate([near, far]).tolist()}
+    for n in rng.choice(np.arange(SCAN_CHUNK - 4, SCAN_CHUNK + 5), size=int(rng.integers(0, 3)),
+                        replace=False).tolist():
+        lam_lm, lam_ph, _ = eval_at(lam, np.array([n]))
+        for k, v in enumerate(y_vals.tolist()):
+            entries[n + w_lo + k] = (
+                math.log(abs(v)) - float(lam_lm[0]) - n * math.log(c) + 1e-9 * k,
+                cmath.phase(v) - float(lam_ph[0]) - n * theta,
+            )
+    idx = np.array(sorted(entries), dtype=np.int64)
+    lm, ph = np.array([entries[i] for i in idx.tolist()]).T
+    x = CoefVec.from_log_entries(side, idx, lm, ph)
+    Y = _window_squares(y)
+    r = math.sqrt(draw(st.sampled_from([0.25 * Y, Y, 2.0 * Y + 1.0]), label="r^2"))
+    r2 = r * r  # the scan's own r^2
+    ns = np.arange(max(1, lam.min_n), N + 1, dtype=np.int64)
+    open_ = ns if not Y >= r2 else ns[
+        np.searchsorted(x.indices, ns + w_lo) < np.searchsorted(x.indices, ns + w_lo + width - 1,
+                                                                side="right")]
+    kind = draw(st.sampled_from(["open", "mixed", "none"]), label="at")
+    at = np.zeros(0, dtype=np.int64)
+    if kind != "none" and open_.size:
+        at = open_[rng.random(open_.size) < 0.5]
+    if kind == "mixed":
+        at = np.union1d(at, rng.choice(ns, size=5, replace=False))
+    return x, lam, T, y, N, r, at, bool(np.isin(at, open_).all())
+
+
+@settings(deadline=None)
+@given(_chunk_edge_cases())
+def test_flat_ball_scan_is_the_exact_scan(case):
+    # the range-based decisions: hits and the distances at ``at`` equal, bit
+    # for bit, the kernel at every time, across a chunk edge, and the asked
+    # times are merged into the open ones only when some are not open
+    x, lam, T, y, N, r, at, all_open = case
+    b = Ball(y, r)
+    unions = []
+    chunk_union = orbits._chunk_union
+
+    def counting(lo, size, *sets):
+        unions.append(lo)
+        return chunk_union(lo, size, *sets)
+
+    with mock.patch.object(orbits, "_chunk_union", counting):
+        got_hits, got_d2 = _ball_scan(x, lam, T, b, N, at)
+    want_hits, want_d2 = exact_ball_scan(x, lam, T, b, N, at)
+    assert got_hits.tobytes() == want_hits.tobytes()
+    assert got_d2.tobytes() == want_d2.tobytes()
+    # the flat scan decides no hit, so a union only merges asked times
+    assert (unions == []) == all_open
+
+
+def test_flat_scans_of_one_vector_share_its_tails(monkeypatch):
+    # a three-target build scans its vector once per target, and a witness
+    # search on it scans it again: x's tails are computed once, and they
+    # are a fresh suffix log-sum-exp, bit for bit
+    calls = []
+    suffix_lse = lspace._suffix_lse
+
+    def counting(vals):
+        calls.append(vals.size)
+        return suffix_lse(vals)
+
+    monkeypatch.setattr(lspace, "_suffix_lse", counting)
+    T = ShiftOp(Side.UNILATERAL, WeightSeq.constant(1.0), 2.0)
+    targets = [(e(1), 1e-3), (e12(), 1e-3), (CoefVec.from_pairs(Side.UNILATERAL, [(3, 0.5)]), 1e-3)]
+    v = build(ONE, T, targets, 5_000, g=16)
+    assert mr_witness_search(v.x, ONE, T, Ball(e(1), 0.01), 3, 1, 5_000)
+    assert calls == [v.x.nnz]
+    assert v.x.sq_suffix_lse.tobytes() == suffix_lse(2.0 * v.x.log_mags).tobytes()

@@ -40,6 +40,7 @@ from orbitlab.expcli import (
 from orbitlab.criteria import fhc_series_check, mr_shift_check, salas_check
 from orbitlab.lspace import CoefVec, Side
 from orbitlab.orbits import APWitness, DensityStats, HittingSet, MRWitness
+from orbitlab.seqcore import ScalingSeq, ratio_classify
 from orbitlab.shiftops import WeightSeq
 from orbitlab.symbolops import PolySymbol, classify_adjoint
 from oracles import read_csv_columns, to_complex_dict
@@ -1073,6 +1074,14 @@ BAD_FLAGS = {
     "classify_seq_tau_0": [*SEQ, "--tau", "0"],
     "classify_seq_tol_0": [*SEQ, "--tol", "0"],
     "classify_seq_tol_inf": ["classify-seq", "--family", "constant", "--c", "1", "--tol", "inf"],
+    "classify_seq_tol_1": [*SEQ, "--tol", "1"],
+    # tol >= 1 is refused: at 2.0 each of these was called good, factorial's
+    # ratios, which tend to 0, and geom_even_odd's, which have no limit, too
+    "classify_seq_tol_2_factorial": [*SEQ, "--tol", "2.0"],
+    "classify_seq_tol_2_geom_even_odd": ["classify-seq", "--family", "geom_even_odd",
+                                         "--tol", "2.0"],
+    "classify_seq_tol_2_exp_pow": ["classify-seq", "--family", "exp_pow", "--a", "0.7",
+                                   "--tol", "2.0"],
     "classify_seq_c_nan": ["classify-seq", "--family", "constant", "--c", "nan"],
     "classify_seq_restrict_mod_0": [*SEQ, "--restrict-mod", "0"],
     "classify_seq_horizon_below_100_tau": [*SEQ, "--tau", "5", "--horizon", "200"],
@@ -1277,6 +1286,34 @@ class TestScenarios:
         assert report["verdicts"]["const_i"] == "constant_recurrent"
         kinds = {c["certificate"]["kind"] for c in report["certificates"]}
         assert kinds == {"disjoint_inside", "disjoint_outside", "intersects"}
+
+    def test_ratio_verdict_renders_an_infinite_limit(self):
+        # |lam_n|/|lam_{n+1}| = n + 1 for lam_n = 1/n!: JSON has no infinity
+        v = ratio_classify(ScalingSeq.inverse(ScalingSeq.factorial()), 1, N=10**4)
+        assert v.is_bad and v.limit == math.inf
+        assert json.dumps(expcli._ratio_verdict_dict(v), allow_nan=False) == \
+            '{"kind": "bad", "tau": 1, "limit": "inf", "note": ""}'
+
+    def test_coeffwise_close_equal_entries(self):
+        # equal entries are close at once, unless a phase is NaN;
+        # unequal ones take the tolerance passes, and E3's check reads y's
+        # indices as given
+        def vec(lm, ph, idx=(1, 2, 3)):
+            return CoefVec(Side.UNILATERAL, np.array(idx), np.array(lm), np.array(ph))
+
+        close = expcli._coeffwise_close
+        x = vec([0.5, -math.inf, math.inf], [0.1, -0.0, math.pi])
+        assert close(x, vec([0.5, -math.inf, math.inf], [0.1, 0.0, math.pi]), 1e-9)
+        assert close(x, vec([0.5 + 1e-12, -math.inf, math.inf], [0.1, 0.0, -math.pi]), 1e-9)
+        assert not close(x, vec([0.5 + 1e-6, -math.inf, math.inf], [0.1, 0.0, math.pi]), 1e-9)
+        assert not close(x, vec([0.5, -math.inf, math.inf], [0.1, 0.0, math.pi], (1, 2, 4)),
+                         1e-9)
+        y = vec([0.5, -math.inf, math.inf], [0.1, 0.0, math.pi], (1, 2, 4))
+        assert close(x, y, 1e-9, y_indices=np.array([1, 2, 3]))
+        nan_lm = vec([math.nan, 0.0, 0.0], [0.0, 0.0, 0.0])
+        assert not close(nan_lm, nan_lm, 1e-9)
+        nan_ph = vec([0.0, 0.0, 0.0], [0.0, math.nan, 0.0])
+        assert not close(nan_ph, nan_ph, 1e-9)
 
     def test_e4_reports_none_found(self, tmp_path):
         report = run_scenario({"scenario": "E4", "N": 1000}, tmp_path)

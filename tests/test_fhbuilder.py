@@ -166,9 +166,9 @@ class TestBuildScan:
             scans.append(scan)
             dist2, decide = real_setup(*args)
 
-            def recording_decide(n_arr, r2):
-                inside, rest = decide(n_arr, r2)
-                scan["decided"].append(n_arr.copy())
+            def recording_decide(lo, size, r2):
+                inside, rest = decide(lo, size, r2)
+                scan["decided"].append(np.arange(lo, lo + size))
                 scan["undecided"].append(rest.copy())
                 return inside, rest
 

@@ -12,12 +12,10 @@ from hypothesis import strategies as st
 
 import oracles
 from orbitlab import _kernels
-from orbitlab.lspace import LM_ZERO, Ball, CoefVec, Side
+from orbitlab.lspace import LM_ZERO, Ball, CoefVec, Side, _prefix_lse, _suffix_lse
 from orbitlab.orbits import (
     HittingSet,
     _ball_scan,
-    _prefix_lse,
-    _suffix_lse,
     _window_positions,
     find_ap,
     hitting_set,

@@ -7,8 +7,8 @@ that build its tables count too, and runs a matrix of commands through
 
 * the seven shipped configs, each followed by ``verify``;
 * ``build-fu`` on flat and ``sqrt_ratio`` weights, an ``mr-witness`` on
-  the flat build and one on a bilateral shift with general weights, each
-  followed by ``verify``;
+  the flat build and one each on a bilateral shift with general and with
+  flat weights, each followed by ``verify``;
 * one ``build-fu`` per row of the scaling, weights and angle family tables,
   generated from those tables;
 * README's flag commands, verbatim but for ``ap-find``'s hit file;
@@ -61,6 +61,10 @@ BILATERAL_X = "index,log_mag,phase\n" + "".join(
 BILATERAL_MW = {"scaling": ONE, "vector_csv": "bilateral_x.csv", "center": "e(0)", "eps": 0.5,
                 "m": 1, "N": 50, "operator": {"side": "bilateral",
                                               "weights": {"family": "inverse_step_bilateral"}}}
+# under weights 2, T^2 x is within 0.13 of e(0): the flat scan on a bilateral
+# shift, which reads x's tails on both sides of the window, finds one hit
+BILATERAL_FLAT_MW = BILATERAL_MW | {"m": 0, "operator": {
+    "side": "bilateral", "weights": {"family": "constant_w", "c": 2.0}}}
 
 
 def _fu(scaling=ONE, operator=FLAT, eps=1e-3, **extra) -> dict:
@@ -142,7 +146,8 @@ def run_matrix(expcli) -> None:
     for cmd, out, cfg in (("build-fu", "fu", _fu()),
                           ("build-fu", "fu_sqrt", _fu(operator=SQRT_RATIO)),
                           ("mr-witness", "mw", mw),
-                          ("mr-witness", "mw_bilateral", BILATERAL_MW)):
+                          ("mr-witness", "mw_bilateral", BILATERAL_MW),
+                          ("mr-witness", "mw_bilateral_flat", BILATERAL_FLAT_MW)):
         runs.append(([cmd, "--config", _write(f"{out}.json", cfg), "--out", out], ok))
         runs.append((["verify", "--report", f"{out}/report.json"], ok))
     for i, cfg in enumerate(_family_builds(expcli)):

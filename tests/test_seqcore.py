@@ -620,9 +620,10 @@ RATIO_SEQS = {
     "inverse-log_pow": ScalingSeq.inverse(ScalingSeq.log_pow(2.0)),
     "rotated-linear": rotate_seq(ScalingSeq.exp_pow(0.5), AngleSpec("linear", 0.7)),
     # log-ratios log|a| at and one ulp beside log1p(0.3), log1p(-0.3) and
-    # log1p(2): the pieces the expm1 band leaves to expm1 at tol 0.3 and 2.0
+    # log1p(0.9): the pieces the expm1 band leaves to expm1 at tol 0.3 and
+    # 0.9; and beside log1p(2), an edge only at tol 2.0, which is refused
     **{f"geom_inverse-{a!r}": ScalingSeq.geom_inverse(a)
-       for v in (1.3, 0.7, 3.0) for a in (math.nextafter(v, 0.0), v, math.nextafter(v, 4.0))},
+       for v in (1.3, 0.7, 1.9, 3.0) for a in (math.nextafter(v, 0.0), v, math.nextafter(v, 4.0))},
 }
 
 
@@ -662,7 +663,7 @@ class TestRatioOracle:
         for tau in (1, 2, 5):
             for restrict in RESTRICTS:
                 for N in (500, 4000, 20_000):
-                    for tol in (1e-4, 0.3, 1.0, 2.0):
+                    for tol in (1e-4, 0.3, 0.9, 1.0):
                         args = (seq, tau, N, tol, restrict)
                         assert _outcome(ratio_classify, *args) == \
                             _outcome(oracles.ratio_classify, *args), (tau, restrict, N, tol)
@@ -828,7 +829,7 @@ class TestExpm1Calls:
         assert ratio_classify(ScalingSeq.geom_even_odd(), 1, N=10**6, restrict=(2, 0)).is_good
         assert sizes == []
 
-    @pytest.mark.parametrize("a, tol", [(1.3, 0.3), (0.7, 0.3), (3.0, 2.0)])
+    @pytest.mark.parametrize("a, tol", [(1.3, 0.3), (0.7, 0.3), (1.9, 0.9)])
     def test_edge_pieces_call_expm1(self, sizes, a, tol):
         for b in (math.nextafter(a, 0.0), a, math.nextafter(a, 4.0)):
             args = (ScalingSeq.geom_inverse(b), 1, 4000, tol, None)
