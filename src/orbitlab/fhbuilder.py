@@ -182,7 +182,8 @@ def _place(
         block_max = np.full(ns.shape, -np.inf)
         for pos in range(y.nnz):
             j = int(y.indices[pos])
-            prod = w.cum(ns + j) - w.cum(np.full(ns.shape, j, dtype=np.int64))
+            # C(j) once: cum works entry by entry
+            prod = w.cum(ns + j) - w.cum(np.array([j], dtype=np.int64))
             lm = y.log_mags[pos] - lam_lm - nf * T.pm_log - prod
             ph = wrap_phase(y.phases[pos] - lam_ph - nf * T.pm_arg)
             idx_parts.append(ns + j)
@@ -205,12 +206,11 @@ def _place(
         )
     all_idx = np.concatenate(idx_parts)
     order = np.argsort(all_idx)
-    all_idx = all_idx[order]
-    if np.any(np.diff(all_idx) == 0):
-        raise BuildError("internal: block placements collided")
+    # planned times are multiples of g, which exceeds every target's support,
+    # so no two blocks share an index; CoefVec refuses a repeated one anyway
     return CoefVec(
         Side.UNILATERAL,
-        all_idx,
+        all_idx[order],
         np.concatenate(lm_parts)[order],
         np.concatenate(ph_parts)[order],
     )

@@ -1,4 +1,4 @@
-"""Finitely supported coefficient vectors over l2(N), l2(Z) and Hardy indices.
+"""Finitely supported coefficient vectors over l2(N) and l2(Z).
 
 Entries are stored in log-magnitude/phase form so orbit points scaled by
 weights like ``n!`` never overflow; norms and distances materialize floats and
@@ -52,15 +52,10 @@ class SideMismatchError(ValueError):
 class Side(enum.Enum):
     UNILATERAL = "unilateral"  # indices >= 1, matching Te_1 = 0
     BILATERAL = "bilateral"  # indices in Z
-    HARDY = "hardy"  # Taylor coefficients, indices >= 0
 
     @property
     def min_index(self):
-        if self is Side.UNILATERAL:
-            return 1
-        if self is Side.HARDY:
-            return 0
-        return None
+        return 1 if self is Side.UNILATERAL else None
 
 
 @dataclass(frozen=True, eq=False)

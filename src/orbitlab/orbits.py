@@ -60,7 +60,6 @@ __all__ = [
     "MRWitness",
     "MRSearchResult",
     "hitting_set",
-    "orbit_distances",
     "density_stats",
     "find_ap",
     "mr_witness_search",
@@ -81,10 +80,6 @@ class HittingSet:
 
     def __len__(self) -> int:
         return int(self.indices.size)
-
-    def __contains__(self, n: int) -> bool:
-        p = np.searchsorted(self.indices, n)
-        return p < self.indices.size and self.indices[p] == n
 
     @cached_property
     def lookup(self) -> np.ndarray:
@@ -425,25 +420,6 @@ def _norm_bound(x: CoefVec, scale, cum: np.ndarray, y_re: np.ndarray, y_im: np.n
     return decide
 
 
-def orbit_distances(
-    x: CoefVec,
-    lam: ScalingSeq,
-    T: ShiftOp,
-    y: CoefVec,
-    eps: float,
-    n_arr: np.ndarray,
-) -> np.ndarray:
-    """Squared distances dist(lam_n T^n x, y)^2 over the given orbit times.
-
-    Times where the log pre-filter fires (a coefficient alone outstrips
-    |y| + eps) report +inf; they are guaranteed misses.
-    """
-    n_arr = np.asarray(n_arr, dtype=np.int64)
-    if n_arr.size == 0:
-        return np.zeros(0)
-    return _orbit_scan(x, lam, T, y, eps, int(n_arr.max()), n_arr.size)[0](n_arr)
-
-
 def _ball_scan(
     x: CoefVec, lam: ScalingSeq, T: ShiftOp, b: Ball, N: int, at: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -510,9 +486,6 @@ class APWitness:
     def members(self) -> np.ndarray:
         return self.a + self.tau * self.k * np.arange(self.m + 1, dtype=np.int64)
 
-    def verify(self, h: HittingSet) -> bool:
-        return all(int(v) in h for v in self.members())
-
 
 def _default_k(h: HittingSet, m: int, tau: int) -> int:
     return max(1, h.n_max // (m * tau * 4))
@@ -539,7 +512,7 @@ def find_ap(h: HittingSet, m: int, tau: int = 1, K: int | None = None) -> APWitn
 
 @dataclass(frozen=True)
 class MRWitness:
-    """A vector u with T^{j*ell} u inside B(y, eps) for j = 0..m (re-verified)."""
+    """A vector u with T^{j*ell} u inside B(y, eps) for j = 0..m."""
 
     u: CoefVec
     ell: int
@@ -550,10 +523,6 @@ class MRWitness:
     a: int
     k: int
     tau: int
-
-    def verify(self, T: ShiftOp) -> bool:
-        dists = witness_distances(T, self.u, self.center, self.ell, self.m)
-        return all(d < self.radius for d in dists)
 
 
 def witness_distances(T: ShiftOp, u: CoefVec, y: CoefVec, ell: int, m: int):
@@ -584,8 +553,9 @@ def mr_witness_search(
     """Search recipe: hit B(y, eps/2) along the orbit, locate an arithmetic
     progression of hit times with gap ell = tau*k, then accept the first
     start a whose scaling ratios lam_a / lam_{a+j*tau*k} sit close enough to
-    1 that T^{j*ell} u stays inside B(y, eps). The returned witness is
-    re-verified by direct distance computation.
+    1 that T^{j*ell} u stays inside B(y, eps). A start is accepted only when
+    every direct distance dist(T^{j*ell} u, y), j = 0..m, is below eps; at
+    m = 0 the first hit is the one start tried, with ell = tau.
     """
     if m < 0 or tau < 1:
         raise ValueError("need m >= 0 and tau >= 1")
@@ -607,34 +577,27 @@ def mr_witness_search(
         return MRSearchResult(None, diag)
 
     if m == 0:
-        n0 = int(h.indices[0])
-        u = scaled_orbit_point(lam, T, n0, x)
-        d0 = dist(u, y)
-        return MRSearchResult(
-            MRWitness(u, tau, 0, y, eps, (d0,), a=n0, k=0, tau=tau), diag
+        k_found, members, ell = 0, h.indices[:1], tau
+    else:
+        if m * tau >= h.n_max:  # no progression of m + 1 hits fits, as in find_ap
+            return MRSearchResult(None, diag)
+        K = _default_k(h, m, tau) if K is None else K
+        # k's with no pair of hits tau*k apart hold no start and are skipped
+        k_found, members, diag["largest_ap"] = _kernels.ap_scan(
+            h.lookup, h.indices, h.n_max, m, tau, K, 2
         )
+        if k_found < 0:
+            return MRSearchResult(None, diag)
+        diag["k"] = k_found
+        ell = tau * k_found
 
-    if m * tau >= h.n_max:  # no progression of m + 1 hits fits, as in find_ap
-        return MRSearchResult(None, diag)
-    K = _default_k(h, m, tau) if K is None else K
-    # k's with no pair of hits tau*k apart hold no start and are skipped
-    k_found, members, diag["largest_ap"] = _kernels.ap_scan(
-        h.lookup, h.indices, h.n_max, m, tau, K, 2
-    )
-    if k_found < 0:
-        return MRSearchResult(None, diag)
-    diag["k"] = k_found
-
-    ell = tau * k_found
     for a in members:
         a = int(a)
         lam_a = eval_log(lam, a)
-        ok = True
         for j in range(1, m + 1):
             lam_j = eval_log(lam, a + j * ell)
             ratio_ls = log_mul(lam_a, lam_j.inverse())
             if ratio_ls.log_mag > 700.0:
-                ok = False
                 break
             ratio = ratio_ls.to_complex()
             u_j = scaled_orbit_point(lam, T, a + j * ell, x)
@@ -642,16 +605,14 @@ def mr_witness_search(
             least = diag["smallest_defect"]
             diag["smallest_defect"] = min(math.inf if least is None else least, defect)
             if not defect < eps / 2.0:
-                ok = False
                 break
-        if not ok:
-            continue
-        u = scaled_orbit_point(lam, T, a, x)
-        dists = tuple(witness_distances(T, u, y, ell, m))
-        if all(d < eps for d in dists):
-            return MRSearchResult(
-                MRWitness(u, ell, m, y, eps, dists, a=a, k=k_found, tau=tau), diag
-            )
+        else:
+            u = scaled_orbit_point(lam, T, a, x)
+            dists = tuple(witness_distances(T, u, y, ell, m))
+            if all(d < eps for d in dists):
+                return MRSearchResult(
+                    MRWitness(u, ell, m, y, eps, dists, a=a, k=k_found, tau=tau), diag
+                )
     return MRSearchResult(None, diag)
 
 

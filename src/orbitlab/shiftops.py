@@ -274,8 +274,6 @@ class ShiftOp:
     premultiplier: complex = 1.0 + 0j
 
     def __post_init__(self):
-        if self.side not in (Side.UNILATERAL, Side.BILATERAL):
-            raise ValueError("shifts act on unilateral or bilateral vectors")
         if self.side is Side.BILATERAL and not self.weights.bilateral_ok:
             raise ValueError(f"{self.weights.family} weights are unilateral-only")
         if self.premultiplier == 0:

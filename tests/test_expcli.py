@@ -1026,6 +1026,9 @@ BAD_FU_CONFIGS = {
     "n_min_zero": {"n_min": 0},
     "typo_key": {"Nn": 5},
     "operator_typo_key": {"operator": {**FU_CONFIG["operator"], "sied": "unilateral"}},
+    # the resolver reads side as one of the Side values
+    "operator_side_hardy": {"operator": {**FU_CONFIG["operator"], "side": "hardy"}},
+    "operator_side_x": {"operator": {**FU_CONFIG["operator"], "side": "x"}},
     "scaling_c_null": {"scaling": {"family": "constant", "c": None}},
     # json.dumps writes these as Infinity and NaN
     "scaling_c_infinity": {"scaling": {"family": "constant", "c": [1.0, math.inf]}},
@@ -1361,6 +1364,15 @@ class TestScenarios:
             "0:mr_witness: " + ("ok" if code == EXIT_OK else "FAILED")
         )
 
+    @pytest.mark.parametrize("last, code", [(math.sqrt(2.01), EXIT_OK), (1.6, EXIT_ASSERTION)],
+                             ids=["recorded", "past_radius"])
+    def test_mr_witness_distances_as_json_numbers(self, tmp_path, capsys, last, code):
+        # reports record distances as repr strings; verify reads numbers too
+        assert main(self._bilateral_mr_report(tmp_path, 1.5, [0.1, last])) == code
+        assert capsys.readouterr().out.startswith(
+            "0:mr_witness: " + ("ok" if code == EXIT_OK else "FAILED")
+        )
+
     @pytest.mark.parametrize("distances", [
         [],
         [repr(0.1)],
@@ -1499,6 +1511,12 @@ class TestCliSubcommands:
         assert main(["check-salas", "--weights", "step_bilateral", "--eps", "0.5",
                      "--q", "0", "--nmax", "1000"]) == EXIT_OK
         assert "none found" in capsys.readouterr().out
+
+    def test_check_salas_empty_range(self, capsys):
+        # q = 1 starts the search at n = 3, past N_max = 2
+        assert main(["check-salas", "--weights", "step_bilateral", "--eps", "0.5",
+                     "--q", "1", "--nmax", "2"]) == EXIT_OK
+        assert "'reason': 'no n in (2, 2]'" in capsys.readouterr().out
 
     def test_check_mr_witness(self, capsys):
         assert main(["check-mr", "--weights", "inverse_step_bilateral", "--m", "3",

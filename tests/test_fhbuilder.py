@@ -16,6 +16,7 @@ from orbitlab.lspace import Ball, CoefVec, Side
 from orbitlab.orbits import density_stats, find_ap, hitting_set
 from orbitlab.seqcore import ScalingSeq
 from orbitlab.shiftops import ShiftOp, WeightSeq, scaled_orbit_point
+from scans import orbit_d2
 
 B = ShiftOp(Side.UNILATERAL, WeightSeq.constant(1.0))
 TWO_B = ShiftOp(Side.UNILATERAL, WeightSeq.constant(1.0), 2.0)
@@ -129,7 +130,7 @@ class TestVerifyFU:
         for m in range(1, 11):
             w = find_ap(h, m, 1, K=v.plan.period)
             assert w is not None and w.k == v.plan.period
-            assert w.verify(h)
+            assert h.lookup[w.members()].all()
 
 
 SQRT_RATIO_2B = ShiftOp(Side.UNILATERAL, WeightSeq.sqrt_ratio(), 2.0)
@@ -210,7 +211,7 @@ class TestBuildScan:
         v = build(ONE, TWO_B, targets, 5_000, g=16)
         for i, (y, eps) in enumerate(targets):
             ns = v.plan.planned(i, v.horizon)
-            d2 = orbits.orbit_distances(v.x, ONE, TWO_B, y, eps, ns)
+            d2 = orbit_d2(v.x, ONE, TWO_B, y, eps, ns)
             assert v.report["targets"][i]["worst_residual"] == float(np.sqrt(d2).max())
 
     def test_n_min_below_one_rejected(self):

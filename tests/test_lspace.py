@@ -137,7 +137,6 @@ class TestConstruction:
     def test_side_minimum(self):
         with pytest.raises(ValueError):
             CoefVec.basis(Side.UNILATERAL, 0)
-        assert CoefVec.basis(Side.HARDY, 0).nnz == 1
         assert CoefVec.basis(Side.BILATERAL, -5).nnz == 1
 
     def test_duplicate_pairs_sum(self):

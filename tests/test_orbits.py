@@ -184,13 +184,7 @@ class TestFindAP:
                 assert got is None
             else:
                 assert (got.a, got.k) == want
-                assert got.verify(h)
-
-    def test_witness_reverifies(self):
-        h = HittingSet(np.arange(7, 500, 7, dtype=np.int64), 500)
-        w = find_ap(h, 5, 1)
-        assert w.verify(h)
-        assert not w.verify(HittingSet(np.array([1, 2, 3]), 500))
+                assert h.lookup[got.members()].all()
 
 
 @pytest.fixture(scope="module")
@@ -205,7 +199,6 @@ class TestMRWitness:
         out = mr_witness_search(built.x, ONE, TWO_B, Ball(e(1), 0.01), 3, 1, 10**4)
         assert out
         w = out.witness
-        assert w.verify(TWO_B)
         for j in range(4):
             assert dist(TWO_B.power_apply(j * w.ell, w.u), e(1)) < 0.01
 
@@ -220,6 +213,14 @@ class TestMRWitness:
         out = mr_witness_search(built.x, ONE, TWO_B, Ball(e(1), 0.01), 0, 1, 10**4)
         assert out and out.witness.m == 0
         assert dist(out.witness.u, e(1)) < 0.01
+
+    def test_order_zero_applies_the_distance_test(self, built, monkeypatch):
+        # the first hit is the one start tried at m = 0; a distance of eps
+        # is no hit of the open ball, so no witness comes back
+        monkeypatch.setattr(orbits, "dist", lambda u, y: 0.01)
+        out = mr_witness_search(built.x, ONE, TWO_B, Ball(e(1), 0.01), 0, 1, 10**4)
+        assert not out
+        assert out.diagnostics["hits"] > 0
 
     def test_nonconstant_scaling_walks_to_large_start(self):
         # lam_n = (n+2)/(n+1) has ratio limit 1 but nonzero defects: early
@@ -236,7 +237,7 @@ class TestMRWitness:
         offsets = w.k * np.arange(1, 4, dtype=np.int64)
         first_start = _kernels.progression_members(h.lookup, h.indices, h.n_max, offsets)[0]
         assert w.a > first_start  # early members were rejected
-        assert w.verify(TWO_B)
+        assert all(dist(TWO_B.power_apply(j * w.ell, w.u), e(1)) < 0.01 for j in range(4))
         # the accepted start satisfies the ratio estimate that drove the walk
         ell = w.ell
         for j in range(1, 4):
@@ -287,7 +288,8 @@ class TestMRWitness:
             log_mul(eval_log(lam, 64), eval_log(lam, 64 + 1024).inverse()).to_complex()
         out = mr_witness_search(v.x, lam, T3, Ball(e(1), 0.01), 1, 1024, 4000)
         assert out and out.diagnostics["k"] == 1
-        assert out.witness.a == 1536 and out.witness.verify(T3)
+        assert out.witness.a == 1536
+        assert all(dist(T3.power_apply(j * 1024, out.witness.u), e(1)) < 0.01 for j in range(2))
 
     def test_bad_scaling_rejected(self, built):
         with pytest.raises(ValueError):
@@ -417,11 +419,12 @@ class TestRecurrenceScan:
     def test_unimodular_rotation_return_times(self):
         # the adjoint of multiplication by the constant a = exp(2 pi i / 7)
         # multiplies every Hardy coefficient by conj(a) (oracles.scale); its
-        # orbit returns to x exactly when |a^n - 1| is small, at multiples of 7
+        # orbit returns to x exactly when |a^n - 1| is small, at multiples of 7.
+        # The Taylor coefficients start at index 0, which a bilateral vector holds
         import cmath
 
         a = cmath.exp(2j * math.pi / 7)
-        x = CoefVec.from_pairs(Side.HARDY, [(0, 1.0), (3, 0.5)])
+        x = CoefVec.from_pairs(Side.BILATERAL, [(0, 1.0), (3, 0.5)])
         hits = []
         v = x
         for n in range(1, 50):

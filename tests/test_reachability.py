@@ -208,11 +208,6 @@ def _superratio():
     assert _mod("criteria").superratio_decay_check(seq.inverse(seq.factorial()), T, e1, 200).ok
 
 
-def _orbit_distances():
-    T, e1, seq = _two_b()
-    _mod("orbits").orbit_distances(e1, seq.constant(1.0), T, e1, 0.1, np.arange(1, 10))
-
-
 def _verify_products():
     expcli = _mod("expcli")
     cert = expcli.certificate("mr_shift", _mr_shift_certificate())
@@ -231,9 +226,6 @@ KEEP = {
         "search and the series test",
         lambda: _mod("criteria").mr_invertible_check(
             _mod("shiftops").WeightSeq.inverse_step_bilateral(), 2, 100, 10.0)),
-    "orbits.orbit_distances": (
-        "the entry of tests and perfbench into both distance kernels",
-        _orbit_distances),
     "expcli._verify_products": (
         "verify reads salas and mr_shift certificates from reports that users bring",
         _verify_products),
